@@ -6,12 +6,13 @@ Run from the root of a checkout:
     python3 perfbench/run.py --workload all --seed 1 --seconds 15
 
 --trace 0 measures the end-to-end metrics with tracing off.  --trace 1
-spends half the time untraced and half with spans around every call into
-the package's public functions, and reports per-layer metrics, each per
+alternates untraced rounds with rounds that record spans around every call
+into the package's public functions, and reports per-layer metrics, each per
 operation of the workload, plus the tracing overhead (traced minus untraced
-median operation time).  The last line of standard output is one JSON
-object; `--workload all` runs each workload in its own process and prints
-one line per workload.
+time of the work the spans wrap).  Times are scaled to the host's speed by a
+reference task timed before and after every operation (see workloads.Tally).
+The last line of standard output is one JSON object; `--workload all` runs each
+workload in its own process and prints one line per workload.
 """
 
 from __future__ import annotations
@@ -30,17 +31,9 @@ import warnings
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOAD_NAMES = ("cli", "sweep", "enumerate", "scale")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 9
 OUT_DIR = ".perfbench_out"
 
-# The name each end-to-end metric has in the benchmark's specification, per
-# workload; printed beside the metric.
-SPEC_NAMES = {
-    "cli": {"op_s.p50": "cli_s.p50"},
-    "sweep": {"op_s.p50": "report_s.p50"},
-    "enumerate": {"op_s.p50": "enumerate_s"},
-    "scale": {"op_s.p50": "ladder_s", "max_n": "ladder_max_n"},
-}
 # Per-layer metrics: span name -> (metric for its seconds, metric for its counts).
 # histories.df_bytes_computed is 16 n^2 per DF requested from a constructor:
 # computed, not measured.
@@ -94,21 +87,35 @@ def typical_s(wl, tally) -> float:
     return statistics.median(t for r in tally.rounds for t in r)
 
 
-def slowest_s(tally) -> float:
-    """The slowest operation of each round, median over rounds."""
-    return statistics.median(max(r) for r in tally.rounds)
+def traced_work_s(wl, tally) -> float:
+    """Time of the work a Tracer wraps, per operation: for cli, whose timed
+    operations are subprocesses, the same commands through coevent.cli.main."""
+    if tally.in_process:
+        return statistics.mean(statistics.median(t) for t in tally.in_process.values())
+    return typical_s(wl, tally)
 
 
-def measure(wl, seconds: float, tracer):
-    """Whole rounds until ``seconds`` have passed (at least one round)."""
-    from workloads import Tally
-    tally = Tally()
+def measure(wl, seconds: float, tallies, tracer=None, caught=None):
+    """Whole rounds until ``seconds`` have passed, at least one per tally.
+
+    Rounds go to the tallies in turn; with a tracer, it records spans only
+    in the rounds of the last tally.  Warnings caught in a round go to that
+    round's tally.
+    """
     start = time.perf_counter()
+    i = 0
     while True:
-        tally.rounds.append([])
+        tally = tallies[i % len(tallies)]
+        if tracer is not None:
+            tracer.active = tally is tallies[-1]
+        before = len(caught) if caught is not None else 0
+        tally.new_round()
         wl.run_round(tally, tracer)
-        if time.perf_counter() - start >= seconds:
-            return tally
+        if caught is not None:
+            tally.warnings.extend(caught[before:])
+        i += 1
+        if i >= len(tallies) and time.perf_counter() - start >= seconds:
+            return
 
 
 def peak_rss_mb(name: str) -> float:
@@ -127,32 +134,45 @@ def end_to_end(wl, tally, setup_s: float) -> dict:
     }
 
 
-def per_layer(wl, tracer, tally, untraced, probes: dict, caught: list) -> dict:
+def per_layer(wl, tracer, tally, untraced, probes: dict) -> dict:
     from tracing import DF_CONSTRUCTORS, LAYERS, totals
     ops = samples(wl, tally)
     t = totals(tracer.spans)
+    # Span times are wall times: scale them as the traced rounds' operations were.
+    speed = sum(map(sum, tally.rounds)) / sum(tally.wall)
     out = {name: 0.0 for secs, cnt in SPAN_METRICS.values() for name in (secs, cnt) if name}
     for span_name, (secs, cnt) in SPAN_METRICS.items():
         _, seconds, count = t["names"].get(span_name, (0, 0.0, 0))
-        out[secs] += seconds / ops
+        out[secs] += seconds * speed / ops
         if cnt:
             out[cnt] += count / ops
     out["histories.df_bytes_computed"] = sum(
         16 * s.count ** 2 for s in tracer.spans if s.name in DF_CONSTRUCTORS) / ops
     ce_s = t["names"].get("coevents.enumerate_primitive_coevents", (0, 0.0, 0))
-    out["coevents.per_s"] = ce_s[2] / ce_s[1] if ce_s[1] else 0.0
-    out["cli.bare_python_s"] = probes.get("cli.bare_python_s", 0.0)
-    out["cli.import_s"] = probes.get("cli.import_s", 0.0)
+    out["coevents.per_s"] = ce_s[2] / (ce_s[1] * speed) if ce_s[1] else 0.0
+    out["cli.bare_python_s"] = probes.get("cli.bare_python_s", 0.0) * speed
+    out["cli.import_s"] = probes.get("cli.import_s", 0.0) * speed
     for layer in LAYERS:
         calls, self_s = t["layers"][layer]
         out[f"{layer}.calls"] = calls / ops
-        out[f"{layer}.self_s"] = self_s / ops
+        out[f"{layer}.self_s"] = self_s * speed / ops
     for layer in ("measure_analysis", "coevents"):
         out[f"{layer}.slow_warnings"] = sum(
-            1 for w in caught if "may be slow" in str(w.message)
+            1 for w in tally.warnings if "may be slow" in str(w.message)
             and os.path.basename(w.filename) == f"{layer}.py") / ops
-    out["trace.overhead_s"] = typical_s(wl, tally) - typical_s(wl, untraced)
+    out["trace.overhead_s"] = traced_work_s(wl, tally) - traced_work_s(wl, untraced)
     return out
+
+
+def exception_self_check(wl) -> list:
+    """An exception that is not a known failure must count as a wrong answer."""
+    from workloads import Tally
+    probe = Tally(wl)
+    probe.new_round()
+    with probe.timed("planted"):
+        raise RuntimeError("planted exception")
+    probe.settle(list, 1)
+    return [] if probe.wrong == 1 else ["verifier took a planted exception for a known failure"]
 
 
 def units(kind: str) -> dict:
@@ -169,59 +189,58 @@ def run_one(args) -> int:
     if not os.path.isdir(os.path.join(src, "coevent")):
         return fail(f"no package source at {src}")
     sys.path.insert(0, src)
-    t0 = time.perf_counter()
-    import coevent  # noqa: F401  (the first import is part of set-up time)
+    import coevent  # noqa: F401
     import coevent.cli  # noqa: F401
-    import_s = time.perf_counter() - t0
     if not os.path.abspath(coevent.__file__).startswith(src + os.sep):
         return fail(f"imported coevent from {coevent.__file__}, not from {src}")
     if not os.path.isdir(os.path.join(ROOT, "tests", "golden")):
         return fail("tests/golden is missing")
 
     from tracing import Tracer
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, Tally, fresh_import_s
 
     workdir = os.path.join(ROOT, OUT_DIR, f"{args.workload}-{os.getpid()}")
     os.makedirs(workdir, exist_ok=True)
     try:
         wl = WORKLOADS[args.workload](ROOT, workdir)
-        gen = []
+        # Each set-up scaled to the host's speed as operations are (workloads.Tally).
+        setups, ref_s = [], wl.reference()
         for _ in range(SETUP_REPEATS):
+            import_s = fresh_import_s(ROOT)
             t = time.perf_counter()
             wl.generate(args.seed)
-            gen.append(time.perf_counter() - t)
-        setup_s = import_s + statistics.median(gen)
+            gen_s = time.perf_counter() - t
+            after = wl.reference()
+            setups.append((import_s + gen_s) * 2.0 * wl.reference_nominal_s / (ref_s + after))
+            ref_s = after
+        setup_s = statistics.median(setups)
+        phases = [Tally(wl)] if args.trace == 0 else [Tally(wl), Tally(wl)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                self_check = wl.prepare()
+                self_check = wl.prepare() + exception_self_check(wl)
             except Exception as exc:  # noqa: BLE001  (the program failed on a check input)
                 self_check = [f"could not run: {type(exc).__name__}: {exc}"]
             if args.trace == 0:
-                tally = measure(wl, args.seconds, None)
-                untraced = None
+                measure(wl, args.seconds, phases)
             else:
-                untraced = measure(wl, args.seconds / 2.0, None)
-                before = len(caught)
                 tracer = Tracer()
                 tracer.install()
                 try:
-                    tally = measure(wl, args.seconds / 2.0, tracer)
+                    measure(wl, args.seconds, phases, tracer, caught)
                     probes = wl.probes(5) if hasattr(wl, "probes") else {}
                 finally:
                     tracer.uninstall()
-                traced_warnings = caught[before:]
         if args.trace == 0:
-            values = end_to_end(wl, tally, setup_s)
+            values = end_to_end(wl, phases[0], setup_s)
         else:
-            values = per_layer(wl, tracer, tally, untraced, probes, traced_warnings)
+            values = per_layer(wl, tracer, phases[1], phases[0], probes)
             trace_path = os.path.join(ROOT, OUT_DIR, f"trace-{args.workload}-{args.seed}.jsonl")
             tracer.write(trace_path)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
     unit = units("end_to_end" if args.trace == 0 else "per_layer")
-    phases = [tally] if untraced is None else [untraced, tally]
     attempted = sum(p.attempted for p in phases)
     failed = sum(p.failed for p in phases)
     wrong = sum(p.wrong for p in phases)
@@ -250,17 +269,14 @@ def machine() -> str:
 def report(args, wl, values, unit, phases, self_check):
     """Human-readable lines: every metric with unit and samples, and the checks."""
     tally = phases[-1]
-    names = SPEC_NAMES.get(wl.name, {})
     print(f"workload {wl.name}  seed {args.seed}  seconds {args.seconds:g}  trace {args.trace}")
     print(f"  machine: {machine()}")
     for key, value in values.items():
-        alias = f"  ({names[key]})" if key in names else ""
         n = f"  n={samples(wl, tally)}" if key.startswith("op_s") else ""
-        print(f"  {key:42s} {value:14.6g} {unit[key]}{n}{alias}")
-    if args.trace == 0:
-        # Too noisy on a shared host to carry a bound, so printed, not reported.
-        print(f"  {'op_s.tail (not gated)':42s} {slowest_s(tally):14.6g} s  "
-              f"n={len(tally.rounds)} rounds  (slowest operation per round, median)")
+        print(f"  {key:42s} {value:14.6g} {unit[key]}{n}")
+    print(f"  host speed: reference task median {statistics.median(tally.refs):.6g} s "
+          f"(nominal {wl.reference_nominal_s:g} s, n={len(tally.refs)}); unscaled wall time "
+          f"per operation, median {statistics.median(tally.wall):.6g} s")
     for label, p in zip(("untraced", "traced") if len(phases) == 2 else ("run",), phases):
         ratio = p.failed / p.attempted if p.attempted else 0.0
         rate = p.verified / p.verified_s if p.verified_s else 0.0

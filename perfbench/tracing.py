@@ -4,12 +4,13 @@ A Tracer replaces each listed function, in every coevent module that holds
 a reference to it, with a wrapper that records one span: name, start, end
 and the span that was open when it was called.  Spans stay in memory and
 are written out as JSON lines when the run ends.  Nothing inside the
-package changes; uninstall() puts the original functions back.
+package changes; uninstall() puts the original functions back.  While
+``active`` is False the wrappers record nothing, so traced and untraced
+rounds can alternate under one installed Tracer.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import sys
@@ -80,15 +81,8 @@ class Tracer:
         self.spans: list[Span] = []
         self._stack: list[Span] = []
         self._saved: list[tuple[object, str, object]] = []
-
-    @contextlib.contextmanager
-    def span(self, name: str):
-        """A span around a block of the benchmark's own code."""
-        s = self._open(name)
-        try:
-            yield s
-        finally:
-            self._close(s)
+        # While False, the installed wrappers call straight through.
+        self.active = True
 
     def _open(self, name: str) -> Span:
         parent = self._stack[-1].id if self._stack else None
@@ -104,6 +98,8 @@ class Tracer:
     def _wrap(self, name: str, fn):
         @functools.wraps(fn)
         def traced(*args, **kwargs):
+            if not self.active:
+                return fn(*args, **kwargs)
             s = self._open(name)
             try:
                 if name in DF_CONSTRUCTORS:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -36,11 +37,31 @@ T3 = (1, -1, 1j, -1j, 1 + 1j)
 
 
 class Tally:
-    """Timed operations plus checked-operation counts for one phase of a run."""
+    """Timed operations plus checked-operation counts for one phase of a run.
 
-    def __init__(self):
+    Each operation's wall time is also scaled to the host's speed: multiplied
+    by the workload's ``reference_nominal_s`` over the mean time of its
+    reference task run just before and just after the operation.  The
+    guest's speed changes within seconds with load elsewhere on its host;
+    the scaled times vary much less than the wall times.
+
+    The workload's ``expected_error(n, error)``, where it has one, names the
+    exceptions that are known failures of the program.  Any other exception
+    is a wrong answer.
+    """
+
+    def __init__(self, wl=None):
         self.rounds: list[list[float]] = []
         self.by_op: dict = {}
+        self.in_process: dict = {}
+        self.wall: list[float] = []
+        self.refs: list[float] = []
+        self.warnings: list = []
+        self.reference = getattr(wl, "reference", None)
+        self.nominal_s = getattr(wl, "reference_nominal_s", 1.0)
+        self.expected = getattr(wl, "expected_error", None) or (lambda n, error: False)
+        self.ref_s = 0.0
+        self.scale = 1.0
         self.last = 0.0
         self.error = None
         self.attempted = 0
@@ -51,25 +72,39 @@ class Tally:
         self.max_n = 0
         self.reasons: Counter = Counter()
 
+    def new_round(self):
+        """Open a round; its first operation's "before" is timed here."""
+        if self.reference is not None:
+            self.ref_s = self._time_reference()
+        self.rounds.append([])
+
+    def _time_reference(self) -> float:
+        seconds = self.reference()
+        self.refs.append(seconds)
+        return seconds
+
     @contextlib.contextmanager
-    def timed(self, key, tracer):
-        """Time one operation of the current round; a span when tracing.
+    def timed(self, key):
+        """Time one operation of the current round.
 
         An exception from the block is kept in ``error``, not raised: the
         operation counts as failed and the run goes on.
         """
         self.error = None
-        span = tracer.span("bench.op") if tracer is not None else contextlib.nullcontext()
-        with span:
-            t0 = time.perf_counter()
-            try:
-                yield
-            except Exception as exc:  # noqa: BLE001  (any failure of the program)
-                self.error = f"{key}: {type(exc).__name__}: {exc}"
-            finally:
-                self.last = time.perf_counter() - t0
-                self.rounds[-1].append(self.last)
-                self.by_op.setdefault(key, []).append(self.last)
+        t0 = time.perf_counter()
+        try:
+            yield
+        except Exception as exc:  # noqa: BLE001  (any failure of the program)
+            self.error = f"{key}: {type(exc).__name__}: {exc}"
+        finally:
+            self.last = time.perf_counter() - t0
+            if self.reference is not None:
+                after = self._time_reference()
+                self.scale = 2.0 * self.nominal_s / (self.ref_s + after)
+                self.ref_s = after
+            self.wall.append(self.last)
+            self.rounds[-1].append(self.last * self.scale)
+            self.by_op.setdefault(key, []).append(self.last * self.scale)
 
     def settle(self, check, n: int):
         """Record the operation just timed: its error, or what ``check()`` finds."""
@@ -81,12 +116,13 @@ class Tally:
     def record(self, problems: list, n: int, seconds: float | None, error: str | None = None):
         """One checked operation; ``seconds`` is None when it was not timed.
 
-        An error is a failure, and so is any problem the check found (a
-        wrong answer).
+        An error is a failure, and so is any problem the check found.  A
+        problem, or an error that is not a known failure, is a wrong answer.
         """
         self.attempted += 1
         if error is not None:
             self.failed += 1
+            self.wrong += not self.expected(n, error)
             self.reasons[error] += 1
         elif problems:
             self.failed += 1
@@ -112,6 +148,54 @@ def planted_self_check(check, good, bad_variants) -> list:
         if probe.failed != 1:
             problems.append(f"verifier accepted a planted wrong answer ({what})")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Reference tasks: fixed work that never calls the package, timed before and
+# after every operation so that its time can be scaled to the host's speed.
+# Each workload uses the task closest to its own work.  The nominal times are
+# about the tasks' medians on the machine of record.
+
+PYTHON_REFERENCE_S = 0.0105
+NUMPY_REFERENCE_S = 0.005
+SUBPROCESS_REFERENCE_S = 0.13
+
+
+def package_env(root: str) -> dict:
+    """The environment with the checkout's src/ on the module path."""
+    src = os.path.join(root, "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def fresh_import_s(root: str) -> float:
+    """Seconds to import coevent.cli in a fresh interpreter, timed inside it."""
+    code = ("import time; t = time.perf_counter(); import coevent.cli; "
+            "print(time.perf_counter() - t)")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=package_env(root),
+                          check=True, capture_output=True, timeout=SUBPROCESS_TIMEOUT_S)
+    return float(proc.stdout)
+
+
+def python_reference() -> float:
+    """Seconds for a fixed pure-Python walk over subset masks."""
+    t0 = time.perf_counter()
+    kept = 0
+    for combo in itertools.combinations(range(22), 5):
+        mask = 0
+        for i in combo:
+            mask |= 1 << i
+        kept += mask & 0x2A5A5 != 0
+    return time.perf_counter() - t0
+
+
+def numpy_reference() -> float:
+    """Seconds for fixed small dense linear algebra and JSON, as in a report."""
+    t0 = time.perf_counter()
+    m = np.full((4, 4), 0.1) + np.eye(4)
+    for _ in range(280):
+        values = np.linalg.eigvalsh(m @ m)
+        json.dumps([float(v) for v in values])
+    return time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +275,12 @@ class Cli:
 
     name = "cli"
     sweep_steps = 60
+    reference_nominal_s = SUBPROCESS_REFERENCE_S
 
     def __init__(self, root: str, workdir: str):
         self.root = root
         self.workdir = workdir
-        src = os.path.join(root, "src")
-        self.env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        self.env = package_env(root)
 
     def generate(self, seed: int):
         rng = np.random.default_rng(seed)
@@ -260,6 +344,13 @@ class Cli:
             lambda r: self.check("pbr-v1", *r), (code, out),
             [("wrong exit code", (4, out)), ("dropped co-event", (code, dropped))])
 
+    def reference(self) -> float:
+        """Seconds for a fresh interpreter to start and import numpy."""
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import numpy"], cwd=self.root, env=self.env,
+                       check=True, timeout=SUBPROCESS_TIMEOUT_S)
+        return time.perf_counter() - t0
+
     def _subprocess(self, argv):
         proc = subprocess.run([sys.executable, "-m", "coevent.cli", *argv], cwd=self.root,
                               env=self.env, capture_output=True, timeout=SUBPROCESS_TIMEOUT_S)
@@ -297,33 +388,33 @@ class Cli:
     def run_round(self, tally: Tally, tracer):
         for i in self.order_rng.permutation(len(self.commands)):
             key, argv = self.commands[i]
-            with tally.timed(key, tracer):
+            with tally.timed(key):
                 code, out = self._subprocess(argv)
             tally.settle(lambda: self.check(key, code, out), self.n_of(key))
             if tracer is not None:
-                # The same argv through coevent.cli.main, traced but not a sample.
+                # The same argv through coevent.cli.main: the work a Tracer
+                # wraps, timed for the tracing overhead but not a sample.
                 buf = io.StringIO()
+                t0 = time.perf_counter()
                 try:
                     with contextlib.redirect_stdout(buf):
                         code = ce_cli.main(argv)
                 except Exception as exc:  # noqa: BLE001  (any failure of the program)
                     tally.record([], self.n_of(key), None, f"{key} in process: {exc!r}")
                 else:
+                    elapsed = (time.perf_counter() - t0) * tally.scale
+                    tally.in_process.setdefault(key, []).append(elapsed)
                     tally.record(self.check(key, code, buf.getvalue()), self.n_of(key), None)
 
     def probes(self, rounds: int) -> dict:
         """Interpreter start and import cost, each measured in a fresh process."""
         bare, imp = [], []
-        code = ("import time; t = time.perf_counter(); import coevent.cli; "
-                "print(time.perf_counter() - t)")
         for _ in range(rounds):
             t0 = time.perf_counter()
             subprocess.run([sys.executable, "-c", "pass"], cwd=self.root, env=self.env,
                            check=True, timeout=SUBPROCESS_TIMEOUT_S)
             bare.append(time.perf_counter() - t0)
-            proc = subprocess.run([sys.executable, "-c", code], cwd=self.root, env=self.env,
-                                  check=True, capture_output=True, timeout=SUBPROCESS_TIMEOUT_S)
-            imp.append(float(proc.stdout))
+            imp.append(fresh_import_s(self.root))
         return {"cli.bare_python_s": float(np.median(bare)),
                 "cli.import_s": float(np.median(imp))}
 
@@ -336,6 +427,8 @@ class Sweep:
     """run_scenario + emit_report in process over seeded angles."""
 
     name = "sweep"
+    reference = staticmethod(numpy_reference)
+    reference_nominal_s = NUMPY_REFERENCE_S
     points_per_round = 10
     golden_angles = (0.3, 0.7, 1.2, math.atan(1.0 / 3.0))
 
@@ -375,7 +468,7 @@ class Sweep:
             for name, th in specs:
                 params = {} if th is None else {"theta": th}
                 exp = self.expected[(name, th)]
-                with tally.timed(name, tracer):
+                with tally.timed(name):
                     data = ce.emit_report(ce.run_scenario(name, params))
                 tally.settle(lambda: expect.check_report(json.loads(data), exp),
                              max(len(a.labels) for a in exp.entries.values()))
@@ -392,6 +485,8 @@ class Enumerate:
     """
 
     name = "enumerate"
+    reference = staticmethod(python_reference)
+    reference_nominal_s = PYTHON_REFERENCE_S
     per_round = True
 
     def __init__(self, root: str, workdir: str):
@@ -497,7 +592,7 @@ class Enumerate:
 
     def run_round(self, tally: Tally, tracer):
         for i in range(len(self.items)):
-            with tally.timed(self.items[i][1], tracer):
+            with tally.timed(self.items[i][1]):
                 out = self._solve(i)
             tally.settle(lambda: self.check(i, out), self.n_of(i))
             out = None
@@ -511,11 +606,14 @@ class Scale:
     """A ladder of random-unitary schemas: enumerate_histories + build_df.
 
     One round attempts every rung once, failed rungs included, one rung per
-    operation.  A rung is verified on sampled entries D(i, j) against
+    operation.  Only the n >= 64 crash is a known failure; any other
+    exception is a wrong answer.  A rung is verified on sampled entries D(i, j) against
     branch vectors propagated here.
     """
 
     name = "scale"
+    reference = staticmethod(numpy_reference)
+    reference_nominal_s = NUMPY_REFERENCE_S
     per_round = True
     rungs = ((2, 5), (8, 2), (4, 4), (8, 3), (4, 5), (2, 11))
     sampled_pairs = 64
@@ -550,6 +648,11 @@ class Scale:
         return planted_self_check(lambda exp: self.check(0, good, exp), self.expected[0],
                                   [("shifted D entry", shifted)])
 
+    @staticmethod
+    def expected_error(n: int, error: str) -> bool:
+        """The crash of every DF with n >= 64 (ROADMAP item 3) is a known failure."""
+        return n >= 64 and "event mask addresses histories outside the space" in error
+
     def _build(self, r: int):
         schema = self.ladder[r][5]
         space = ce.enumerate_histories(schema)
@@ -571,7 +674,7 @@ class Scale:
     def run_round(self, tally: Tally, tracer):
         for r in range(len(self.ladder)):
             n = self.ladder[r][0]
-            with tally.timed(f"n={n}", tracer):
+            with tally.timed(f"n={n}"):
                 out = self._build(r)
             tally.settle(lambda: self.check(r, out), n)
             out = None
