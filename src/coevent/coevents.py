@@ -9,15 +9,21 @@ ones have singleton supports.
 Minimal preclusive supports never straddle verified final sectors: a
 support's sector parts are covered by per-sector zero events independently,
 so any preclusive support stays preclusive after being cut down to one
-uncovered sector part.  Enumeration therefore runs sector by sector, by
-ascending cardinality, pruning supersets of accepted supports.
+uncovered sector part.  Enumeration therefore runs sector by sector.
+
+Within a sector, a support S escapes a maximal zero event M iff S meets the
+complement sector - M.  The minimal preclusive supports are thus exactly
+the minimal transversals of the hypergraph {sector - M : M maximal}, and
+they are found by hypergraph dualization with the MMCS algorithm of
+Murakami & Uno, "Efficient algorithms for dualizing large-scale
+hypergraphs", Discrete Appl. Math. 170 (2014), whose cost follows the
+number of transversals rather than the 2^k subsets of the sector.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import EmptySupportError, LabelMismatchError, SpaceTooLargeError
 from .histories import DecoherenceFunctional, Event
@@ -84,19 +90,54 @@ def is_preclusive(support: Event, catalog: ZeroSetCatalog) -> bool:
     return False
 
 
+def _bits(mask: int):
+    """Single-bit masks of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def _minimal_preclusive_masks(members: tuple[int, ...], maximal: tuple[int, ...]) -> list[int]:
-    """Minimal sub-supports of one sector not covered by any maximal mask."""
-    accepted: list[int] = []
-    for size in range(1, len(members) + 1):
-        for combo in combinations(members, size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(a & ~mask == 0 for a in accepted):
-                continue
-            if not any(mask & ~mx == 0 for mx in maximal):
-                accepted.append(mask)
-    return accepted
+    """Minimal sub-supports of one sector not covered by any maximal mask.
+
+    These are the minimal transversals of the edges ``sector & ~M``, one per
+    maximal mask M, enumerated by MMCS (Murakami & Uno 2014).  A branch keeps
+    the chosen vertices, each with its critical edges (uncovered edges that
+    only it hits), the remaining candidate vertices and the uncovered edges,
+    all as int bitmasks.  It splits on the uncovered edge with the fewest
+    candidates and is cut as soon as a chosen vertex loses its last critical
+    edge, so every output is minimal and appears once.  Recursion depth is
+    bounded by the sector size.  Output order is unspecified.
+    """
+    sector = 0
+    for i in members:
+        sector |= 1 << i
+    edges = [sector & ~mx for mx in maximal] or [sector]
+    if not all(edges):
+        return []
+    edge_of = {1 << j: e for j, e in enumerate(edges)}
+    hits: dict[int, int] = {}
+    for bit, e in edge_of.items():
+        for v in _bits(e):
+            hits[v] = hits.get(v, 0) | bit
+    found: list[int] = []
+
+    def extend(chosen: int, crit: list[tuple[int, int]], cand: int, uncov: int) -> None:
+        if not uncov:
+            found.append(chosen)
+            return
+        pivot = min((edge_of[b] & cand for b in _bits(uncov)), key=int.bit_count)
+        cand &= ~pivot
+        for v in _bits(pivot):
+            hit = hits[v]
+            kept = [(u, c & ~hit) for u, c in crit]
+            if all(c for _, c in kept):
+                extend(chosen | v, kept + [(v, uncov & hit)], cand, uncov & ~hit)
+            cand |= v
+
+    extend(0, [], sector, (1 << len(edges)) - 1)
+    return found
 
 
 def enumerate_primitive_coevents(df: DecoherenceFunctional,

@@ -175,7 +175,7 @@ class Event:
         for i in indices:
             if not 0 <= i < space.size:
                 raise IndexOutOfRangeError(f"history index {i} out of range")
-            mask |= 1 << i
+            mask |= 1 << int(i)
         return cls(space, mask)
 
     @classmethod

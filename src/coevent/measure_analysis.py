@@ -41,16 +41,6 @@ def _subset_measures(block: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _subset_measures_simple(block: np.ndarray) -> np.ndarray:
-    """Reference implementation of _subset_measures, O(4^k)."""
-    k = block.shape[0]
-    out = np.zeros(1 << k)
-    for m in range(1 << k):
-        idx = [i for i in range(k) if m >> i & 1]
-        out[m] = float(np.real(block[np.ix_(idx, idx)].sum()))
-    return out
-
-
 def _spread_mask(local_mask: int, members: tuple[int, ...]) -> int:
     g = 0
     b = 0

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import composition_anomalies, tensor_df
-from .coevents import CoEventSet, distinguishability_report, enumerate_primitive_coevents
+from .coevents import (
+    CoEventSet,
+    distinguishability_report,
+    enumerate_primitive_coevents,
+    intersect_coevent_sets,
+)
 from .errors import MissingParameterError, UnknownScenarioError
 from .histories import (
     DecoherenceFunctional,
@@ -347,12 +352,9 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
             zero_counts[entry.label] = catalog.counts()["zero_sectorwise"]
             borderline_counts[entry.label] = catalog.counts()["borderline"]
             sets.append(ces)
-        shared = set(c.support.mask for c in sets[0].coevents)
-        for other in sets[1:]:
-            shared &= set(c.support.mask for c in other.coevents)
         points.append({
             "theta": theta,
-            "disjoint": not shared,
+            "disjoint": not intersect_coevent_sets(sets),
             "coevent_counts": counts,
             "zero_counts": zero_counts,
             "borderline_counts": borderline_counts,

@@ -51,6 +51,16 @@ def brute_zero_masks(df: DecoherenceFunctional) -> set[int]:
     return set(masks[np.abs(mu) <= EPS].tolist())
 
 
+def subset_measures_simple(block: np.ndarray) -> np.ndarray:
+    """mu of every subset of a k x k block by direct submatrix sums, O(4^k)."""
+    k = block.shape[0]
+    out = np.zeros(1 << k)
+    for m in range(1 << k):
+        idx = [i for i in range(k) if m >> i & 1]
+        out[m] = float(np.real(block[np.ix_(idx, idx)].sum()))
+    return out
+
+
 def brute_primitive_masks(df: DecoherenceFunctional,
                           zeros: set[int] | None = None) -> list[int]:
     """Minimal supports contained in no zero event.

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import coevent
 from coevent.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_OK, EXIT_VALIDATION, main
 from coevent.scenarios import build_scenario, schema_to_json
 
@@ -214,9 +216,12 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point_runs():
+    # The child must import the same package as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coevent.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "coevent.cli", "scenario", "run", "composite-product"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -139,3 +139,14 @@ def test_composition_size_guard():
     b = raw_df(np.diag([0.5, 0.5]))
     with pytest.warns(UserWarning), pytest.raises(SpaceTooLargeError):
         composition_anomalies(a, b)
+
+
+def test_tensor_df_of_two_eight_history_dfs():
+    a = raw_df(np.diag(np.arange(1.0, 9.0)) / 36.0)
+    b = raw_df(np.eye(8) / 8.0)
+    prod = tensor_df(a, b)
+    assert prod.size == 64 and prod.validation.passed
+    assert prod.labels[-1] == "h88"
+    last = Event.from_labels(prod.space, ["h88"])
+    assert last.mask == 1 << 63
+    assert measure(prod, last) == pytest.approx(8.0 / 36.0 / 8.0)

@@ -308,6 +308,16 @@ def test_raw_df_paths():
         raw_df(np.eye(2) / 2.0, labels=["same", "same"])
 
 
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_raw_df_across_the_64_bit_boundary(n):
+    df = raw_df(np.eye(n) / n)
+    assert df.size == n and df.validation.passed
+    last = Event.from_indices(df.space, np.array([n - 1], dtype=np.int64))
+    assert last.mask == 1 << (n - 1)
+    assert measure(df, last) == pytest.approx(1.0 / n)
+    assert measure(df, Event.full(df.space)) == pytest.approx(1.0)
+
+
 def test_validate_df_failure_reports():
     neg = np.array([[0.2, 0.5], [0.5, -0.2]])
     report = validate_df(raw_df(neg, require_valid=False))

@@ -19,7 +19,6 @@ from coevent import (
 )
 from coevent.measure_analysis import (
     _subset_measures,
-    _subset_measures_simple,
     iter_set_partitions,
 )
 
@@ -28,6 +27,7 @@ from conftest import (
     brute_zero_masks,
     scenario_dfs,
     small_scenario_dfs,
+    subset_measures_simple,
 )
 
 
@@ -37,7 +37,7 @@ def test_subset_measures_against_reference():
         a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         block = a @ np.conjugate(a.T)
         np.testing.assert_allclose(
-            _subset_measures(block), _subset_measures_simple(block), atol=1e-10
+            _subset_measures(block), subset_measures_simple(block), atol=1e-10
         )
 
 
