@@ -19,17 +19,16 @@ from .errors import (
     UnknownScenarioError,
     ValidationFailedError,
 )
-from .histories import build_df, validate_df
+from .histories import build_df
 from .scenarios import (
     ScenarioSpec,
     analyze_df,
     emit_report,
     raw_df_from_json,
+    report_header,
     run_scenario,
     schema_from_json,
     theta_sweep,
-    tolerance_summary,
-    SCHEMA_VERSION,
     TOOL_NAME,
     TOOL_VERSION,
 )
@@ -112,12 +111,7 @@ def scenario_sweep(start, end, steps, fmt, out):
 def scenario_validate(path):
     """Validate a schema file and report the DF axiom residuals."""
     doc = _load_json(path)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "tolerances": tolerance_summary(),
-        "file": path,
-    }
+    report = {**report_header(), "file": path}
     try:
         schema = schema_from_json(doc)
         df = build_df(schema)
@@ -152,17 +146,12 @@ def df():
 def df_analyze(path, fmt, out):
     """Validate and analyze a raw DF file: zero sets, co-events, partitions."""
     doc = _load_json(path)
-    functional = raw_df_from_json(doc, require_valid=False)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
-        "tolerances": tolerance_summary(),
-        "file": path,
-    }
-    validation = validate_df(functional)
-    if not validation.passed:
+    report = {**report_header(), "file": path}
+    try:
+        functional = raw_df_from_json(doc)
+    except ValidationFailedError as exc:
         report["passed"] = False
-        report["validation"] = validation.as_dict()
+        report["validation"] = exc.report.as_dict()
         _write(emit_report(report, fmt), out)
         sys.exit(EXIT_VALIDATION)
     section, _ = analyze_df(functional, label="df")

@@ -22,14 +22,11 @@ number of transversals rather than the 2^k subsets of the sector.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from .errors import EmptySupportError, LabelMismatchError, SpaceTooLargeError
+from .errors import EmptySupportError, LabelMismatchError
 from .histories import DecoherenceFunctional, Event
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
-
-GLOBAL_FALLBACK_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -145,21 +142,14 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
                                  label: str = "") -> CoEventSet:
     """All primitive preclusive co-events of a validated DF.
 
-    Runs per final sector when block structure is verified; otherwise falls
-    back to one global search, capped at 20 histories.  Co-events come out
-    sorted by support cardinality, then lexicographically by member indices.
+    Runs per final sector when block structure is verified; otherwise over
+    the whole space as one sector.  Co-events come out sorted by support
+    cardinality, then lexicographically by member indices.
     When no nontrivial zero set exists the result is the classical collapse:
     one singleton co-event per history of positive measure.
     """
     if catalog is None:
         catalog = find_zero_sets(df)
-    if not df.sectors_verified():
-        if df.size > GLOBAL_FALLBACK_LIMIT:
-            raise SpaceTooLargeError(
-                f"global co-event search capped at {GLOBAL_FALLBACK_LIMIT} histories"
-            )
-        if df.size > 12:
-            warnings.warn("global co-event search without sector structure may be slow")
     masks: list[int] = []
     for s in catalog.sectors:
         if s.sector_mask in s.zero_masks:

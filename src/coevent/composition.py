@@ -14,16 +14,15 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .errors import SpaceTooLargeError, ValidationFailedError
-from .histories import DecoherenceFunctional, Event, HistorySpace, validate_df
+from .errors import SpaceTooLargeError
+from .histories import DecoherenceFunctional, Event, HistorySpace, _validated
+from .limits import ASSEMBLY_LIMIT
 from .measure_analysis import (
     PartitionReport,
     find_decoherent_partitions,
     find_zero_sets,
     is_decoherent_partition,
 )
-
-ASSEMBLY_LIMIT = 100_000
 
 
 def _label_suffix(label: str) -> str:
@@ -57,15 +56,8 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
         final_outcomes=final_outcomes,
         final_labels=final_labels,
     )
-    df = DecoherenceFunctional(space=space, matrix=np.kron(a.matrix, b.matrix))
-    df.validation = validate_df(df)
-    if not df.validation.passed:
-        raise ValidationFailedError(
-            "product decoherence functional failed validation: "
-            + ", ".join(df.validation.failures),
-            report=df.validation,
-        )
-    return df
+    return _validated(DecoherenceFunctional(space=space, matrix=np.kron(a.matrix, b.matrix)),
+                      "product decoherence functional")
 
 
 def _pair_mask(mask_a: int, mask_b: int, nb: int) -> int:
@@ -93,7 +85,9 @@ def _all_zero_masks(catalog) -> list[int]:
     for masks in per_sector:
         total *= len(masks)
         if total > ASSEMBLY_LIMIT:
-            raise SpaceTooLargeError("zero-event assembly exceeds the composition limit")
+            raise SpaceTooLargeError(
+                f"zero-event assembly exceeds ASSEMBLY_LIMIT = {ASSEMBLY_LIMIT} combinations"
+            )
     out = []
     for choice in iproduct(*per_sector):
         m = 0

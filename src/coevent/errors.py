@@ -32,7 +32,7 @@ class ImaginaryResidueError(CoeventError):
 
 
 class NotAZeroSetError(CoeventError):
-    """Zero-set classification was requested for an event of nonzero measure."""
+    """Zero sets were requested of a decoherence functional that failed validation."""
 
 
 class InvalidPartitionError(CoeventError):

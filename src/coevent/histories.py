@@ -14,7 +14,6 @@ share a final outcome and the initial state is pure.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -28,24 +27,12 @@ from .errors import (
     SpaceTooLargeError,
     ValidationFailedError,
 )
+from .limits import MAX_OMEGA_ENV, max_omega
 from .linalg import ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary
 from .tolerances import EPS_DF, EPS_UNIT
 
-MAX_OMEGA_ENV = "COEVENT_MAX_OMEGA"
-DEFAULT_MAX_OMEGA = 2**20
-
-
-def _max_omega() -> int:
-    raw = os.environ.get(MAX_OMEGA_ENV)
-    if raw is None:
-        return DEFAULT_MAX_OMEGA
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_OMEGA_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{MAX_OMEGA_ENV} must be positive")
-    return cap
+# Fixed so the reported bilinearity residual is the same on every run.
+BILINEARITY_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -217,20 +204,22 @@ class Event:
         return Event(self.space, self.space.full_mask() & ~self.mask)
 
 
-def enumerate_histories(schema: HistorySchema, max_size: int | None = None) -> HistorySpace:
+def enumerate_histories(schema: HistorySchema) -> HistorySpace:
     """All histories of a schema, lexicographic in outcome indices.
 
     The first slice is the most significant position.  Labels concatenate
     the outcome labels in time order, e.g. h_{00xi2} or h_{+0+}.  Raises
-    SpaceTooLargeError beyond ``max_size`` (default 2**20, overridable via
-    the COEVENT_MAX_OMEGA environment variable).
+    SpaceTooLargeError beyond the history-space cap (see ``limits``).
     """
-    cap = max_size if max_size is not None else _max_omega()
+    cap = max_omega()
     n = 1
     for s in schema.slices:
         n *= len(s.decomposition)
     if n > cap:
-        raise SpaceTooLargeError(f"history space has {n} histories, cap is {cap}")
+        raise SpaceTooLargeError(
+            f"history space has {n} histories, above {MAX_OMEGA_ENV} = {cap}; "
+            f"set {MAX_OMEGA_ENV} to raise it"
+        )
     tuples = tuple(product(*[range(len(s.decomposition)) for s in schema.slices]))
     labels = tuple(
         "h_{" + "".join(schema.slices[k].decomposition.labels[t[k]] for k in range(len(t))) + "}"
@@ -363,14 +352,25 @@ def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-def build_df(schema: HistorySchema, max_size: int | None = None) -> DecoherenceFunctional:
+def _validated(df: DecoherenceFunctional, what: str) -> DecoherenceFunctional:
+    """Attach the validation report, raising ValidationFailedError on failure."""
+    df.validation = validate_df(df)
+    if not df.validation.passed:
+        raise ValidationFailedError(
+            f"{what} failed validation: " + ", ".join(df.validation.failures),
+            report=df.validation,
+        )
+    return df
+
+
+def build_df(schema: HistorySchema) -> DecoherenceFunctional:
     """Construct and validate the decoherence functional of a schema.
 
     The matrix is assembled as a Gram matrix of per-history branch data, so
     Hermiticity and positive semidefiniteness hold by construction; the
     validation report is still computed and attached.
     """
-    space = enumerate_histories(schema, max_size=max_size)
+    space = enumerate_histories(schema)
     ops = [class_operator(schema, t) for t in space.outcome_tuples]
     if schema.ket is not None:
         branches = np.array([op @ schema.ket for op in ops])
@@ -378,41 +378,26 @@ def build_df(schema: HistorySchema, max_size: int | None = None) -> DecoherenceF
         root = _sqrt_psd(schema.rho)
         branches = np.array([(op @ root).reshape(-1) for op in ops])
     mat = np.conjugate(branches) @ branches.T
-    df = DecoherenceFunctional(space=space, matrix=mat)
-    df.validation = validate_df(df)
-    if not df.validation.passed:
-        raise ValidationFailedError(
-            "constructed decoherence functional failed validation: "
-            + ", ".join(df.validation.failures),
-            report=df.validation,
-        )
-    return df
+    return _validated(DecoherenceFunctional(space=space, matrix=mat),
+                      "constructed decoherence functional")
 
 
-def raw_df(matrix, labels=None, require_valid: bool = True) -> DecoherenceFunctional:
+def raw_df(matrix, labels=None) -> DecoherenceFunctional:
     """Ingest an externally supplied decoherence matrix.
 
-    Labels default to h1, h2, ...  With ``require_valid`` (the default), a
-    matrix failing Hermiticity, normalization, or strong positivity is
-    rejected with ValidationFailedError; pass False to build an object for
-    inspection anyway.
+    Labels default to h1, h2, ...  A matrix failing Hermiticity,
+    normalization, or strong positivity is rejected with
+    ValidationFailedError, whose ``report`` holds the residuals.
     """
     mat = as_complex_matrix(matrix)
     n = mat.shape[0]
     if labels is None:
         labels = [f"h{i + 1}" for i in range(n)]
-    df = DecoherenceFunctional(space=raw_space(labels), matrix=mat)
-    df.validation = validate_df(df)
-    if require_valid and not df.validation.passed:
-        raise ValidationFailedError(
-            "raw decoherence matrix failed validation: "
-            + ", ".join(df.validation.failures),
-            report=df.validation,
-        )
-    return df
+    return _validated(DecoherenceFunctional(space=raw_space(labels), matrix=mat),
+                      "raw decoherence matrix")
 
 
-def validate_df(df: DecoherenceFunctional, rng_seed: int = 7) -> ValidationReport:
+def validate_df(df: DecoherenceFunctional) -> ValidationReport:
     """Check the decoherence-functional axioms and report residuals.
 
     Block structure is checked whenever the space knows its final-slice
@@ -432,7 +417,7 @@ def validate_df(df: DecoherenceFunctional, rng_seed: int = 7) -> ValidationRepor
         differ = finals[:, None] != finals[None, :]
         block_residual = float(np.max(np.abs(mat)[differ])) if differ.any() else 0.0
 
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(BILINEARITY_SEED)
     bilin = 0.0
     for _ in range(4):
         groups = rng.integers(0, 3, size=n)

@@ -55,18 +55,6 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def min_eigenvalue_hermitian(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Raises NonHermitianError when the input is not Hermitian within EPS_UNIT;
-    the matrix is symmetrized before the solve so the result is real.
-    """
-    a = as_complex_matrix(m)
-    if not is_hermitian(a):
-        raise NonHermitianError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh((a + dagger(a)) / 2.0)[0])
-
-
 @dataclass(frozen=True)
 class ProjectiveDecomposition:
     """A complete family of mutually orthogonal projectors with outcome labels.
@@ -201,48 +189,3 @@ def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
         raise NonHermitianError("Hamiltonian must be Hermitian")
     w, v = np.linalg.eigh(a)
     return (v * np.exp(-1j * w * t)) @ dagger(v)
-
-
-@dataclass(frozen=True)
-class QubitReduction:
-    """Result of projecting a pair of states onto their common qubit span.
-
-    ``theta`` is the angle between the states in [0, pi/2], ``embedding`` is
-    a (dim x 2) isometry whose columns are the effective |0> and |1>, and
-    ``degenerate`` flags inputs that were parallel within tolerance (theta
-    is forced to 0 and the second column is an arbitrary completing vector).
-    """
-
-    theta: float
-    embedding: np.ndarray
-    degenerate: bool
-
-
-def reduce_to_qubit(phi1, phi2) -> QubitReduction:
-    """Reduce two normalized kets to an equivalent single-qubit pair.
-
-    The first state becomes the effective |0>.  The second state's global
-    phase is fixed so that <phi1|phi2> is real and nonnegative, after which
-    phi2 = cos(theta)|0'> + sin(theta)|1'> exactly.
-    """
-    v1 = as_ket(phi1)
-    v2 = as_ket(phi2)
-    if v1.size != v2.size or v1.size < 2:
-        raise ValueError("states must share a dimension of at least 2")
-    overlap = np.vdot(v1, v2)
-    if abs(overlap) > EPS_UNIT:
-        v2 = v2 * (np.conjugate(overlap) / abs(overlap))
-        overlap = np.vdot(v1, v2)
-    residual = v2 - overlap * v1
-    rnorm = float(np.linalg.norm(residual))
-    if rnorm <= EPS_UNIT:
-        basis = np.eye(v1.size, dtype=complex)
-        k = int(np.argmin(np.abs(v1)))
-        other = basis[:, k] - np.vdot(v1, basis[:, k]) * v1
-        other = other / np.linalg.norm(other)
-        emb = np.column_stack([v1, other])
-        return QubitReduction(theta=0.0, embedding=emb, degenerate=True)
-    e1 = residual / rnorm
-    cos_t = float(np.clip(np.real(overlap), -1.0, 1.0))
-    theta = float(np.arctan2(rnorm, cos_t))
-    return QubitReduction(theta=theta, embedding=np.column_stack([v1, e1]), degenerate=False)

@@ -15,11 +15,9 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
-from .histories import DecoherenceFunctional, Event, final_sectors, measure
+from .histories import DecoherenceFunctional, Event, final_sectors
+from .limits import PARTITION_SPACE_LIMIT, SECTOR_ENUMERATION_LIMIT
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
-
-SECTOR_ENUMERATION_LIMIT = 20
-PARTITION_SPACE_LIMIT = 16
 
 
 def _subset_measures(block: np.ndarray) -> np.ndarray:
@@ -85,11 +83,6 @@ class ZeroSetCatalog:
         self.df = df
         self.sectors = sectors
 
-    @property
-    def sector_mode(self) -> bool:
-        """False when the whole space was enumerated as a single block."""
-        return self.df.sectors_verified()
-
     def is_zero_event(self, event: Event) -> bool:
         """True iff every sector part of the event is a sector zero event."""
         return all(event.mask & s.sector_mask in s.zero_masks for s in self.sectors)
@@ -136,13 +129,12 @@ class ZeroSetCatalog:
         }
 
 
-def find_zero_sets(df: DecoherenceFunctional,
-                   sector_limit: int = SECTOR_ENUMERATION_LIMIT) -> ZeroSetCatalog:
+def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     """Exhaustively catalog measure-zero events of a validated DF.
 
     Enumeration runs per verified final sector, or over the whole space when
     no block structure is available.  Raises SpaceTooLargeError when any
-    enumerated block exceeds ``sector_limit`` members.
+    enumerated block exceeds SECTOR_ENUMERATION_LIMIT members.
     """
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
@@ -157,9 +149,10 @@ def find_zero_sets(df: DecoherenceFunctional,
     for name, sector in zip(names, sectors):
         members = sector.indices
         k = len(members)
-        if k > sector_limit:
+        if k > SECTOR_ENUMERATION_LIMIT:
             raise SpaceTooLargeError(
-                f"sector of {k} histories exceeds enumeration limit {sector_limit}"
+                f"sector of {k} histories exceeds SECTOR_ENUMERATION_LIMIT = "
+                f"{SECTOR_ENUMERATION_LIMIT}"
             )
         if k >= 16:
             warnings.warn(f"enumerating 2^{k} subsets of one sector; this may be slow")
@@ -169,6 +162,9 @@ def find_zero_sets(df: DecoherenceFunctional,
         border_local = np.flatnonzero((np.abs(vals) > EPS_ZERO) & (np.abs(vals) <= BORDERLINE_MAX))
         diag_pos = [bool(vals[1 << b] > EPS_ZERO) for b in range(k)]
         zero_masks = [_spread_mask(int(m), members) for m in zero_local]
+        # Nontrivial: some proper subset has positive measure.  Under strong
+        # positivity that is a singleton check, since Cauchy-Schwarz makes
+        # every subset of an event of null histories null.
         nontrivial = [
             _spread_mask(int(m), members)
             for m in zero_local
@@ -184,26 +180,6 @@ def find_zero_sets(df: DecoherenceFunctional,
             borderline_masks=tuple(_spread_mask(int(m), members) for m in border_local),
         ))
     return ZeroSetCatalog(df, tuple(data))
-
-
-def classify_zero_set(df: DecoherenceFunctional, event: Event) -> str:
-    """'trivial' or 'nontrivial' for a zero event.
-
-    A zero event is nontrivial iff some proper nonempty subset has measure
-    above EPS_ZERO.  Under strong positivity that reduces to a singleton
-    check: if every member history has zero measure, Cauchy-Schwarz kills
-    every entry of the block, hence every subset.  Raises NotAZeroSetError
-    when the event itself has measure above EPS_ZERO.
-    """
-    mu = measure(df, event)
-    if abs(mu) > EPS_ZERO:
-        raise NotAZeroSetError(f"event has measure {mu!r}, not a zero set")
-    if len(event) <= 1:
-        return "trivial"
-    diag = np.real(np.diagonal(df.matrix))
-    if any(diag[i] > EPS_ZERO for i in event.indices):
-        return "nontrivial"
-    return "trivial"
 
 
 @dataclass(frozen=True)
@@ -285,13 +261,14 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     """All partitions into at most max_cells cells passing the mode's check.
 
     Partitions are enumerated as restricted-growth strings (lexicographic),
-    cells ordered by least member.  Guarded to spaces of at most 16
-    histories.
+    cells ordered by least member.  Guarded to spaces of at most
+    PARTITION_SPACE_LIMIT histories.
     """
     n = df.size
     if n > PARTITION_SPACE_LIMIT:
         raise SpaceTooLargeError(
-            f"partition search limited to {PARTITION_SPACE_LIMIT} histories, got {n}"
+            f"partition search over {n} histories exceeds PARTITION_SPACE_LIMIT = "
+            f"{PARTITION_SPACE_LIMIT}"
         )
     if max_cells < 1:
         raise ValueError("max_cells must be at least 1")

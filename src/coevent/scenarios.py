@@ -41,13 +41,22 @@ from .linalg import (
     tensor,
     unitary_from_hamiltonian,
 )
+from .limits import PARTITION_REPORT_LIMIT
 from .measure_analysis import find_decoherent_partitions, find_zero_sets
 from .tolerances import tolerance_summary
 
 TOOL_NAME = "coevent"
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
-PARTITION_REPORT_LIMIT = 6
+
+
+def report_header() -> dict:
+    """The schema version, tool and tolerances block every report starts with."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tolerances": tolerance_summary(),
+    }
 
 
 @dataclass(frozen=True)
@@ -277,10 +286,8 @@ def run_scenario(spec: ScenarioSpec | str, parameters: dict | None = None) -> di
         dfs.append(df)
 
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        **report_header(),
         "scenario": {"name": spec.name, "parameters": dict(spec.parameters)},
-        "tolerances": tolerance_summary(),
         "entries": sections,
     }
 
@@ -379,10 +386,8 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
             flagged.append({"cell": [grid[i], grid[i + 1]], "reasons": sorted(reasons)})
 
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        **report_header(),
         "sweep": {"scenario": "appendix-theta", "start": start, "end": end, "steps": steps},
-        "tolerances": tolerance_summary(),
         "points": points,
         "markers": markers,
         "flagged_cells": flagged,
@@ -516,12 +521,15 @@ def schema_from_json(doc: dict) -> HistorySchema:
     return HistorySchema.from_ket(ket, tuple(slices))
 
 
-def raw_df_from_json(doc: dict, require_valid: bool = True) -> DecoherenceFunctional:
-    """Parse the raw-DF file form: complex 'entries' plus optional labels."""
+def raw_df_from_json(doc: dict) -> DecoherenceFunctional:
+    """Parse the raw-DF file form: complex 'entries' plus optional labels.
+
+    A matrix failing validation raises ValidationFailedError with the report.
+    """
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError("raw DF document needs an 'entries' matrix")
     mat = [[_pair_to_complex(p) for p in row] for row in doc["entries"]]
     labels = doc.get("labels")
     if labels is not None:
         labels = [str(x) for x in labels]
-    return raw_df(mat, labels=labels, require_valid=require_valid)
+    return raw_df(mat, labels=labels)

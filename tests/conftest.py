@@ -16,7 +16,8 @@ import os
 import numpy as np
 import pytest
 
-from coevent import DecoherenceFunctional, Event, build_df, build_scenario, raw_df
+from coevent import DecoherenceFunctional, Event, build_df, build_scenario, raw_df, validate_df
+from coevent.histories import raw_space
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EPS = 1e-9
@@ -29,6 +30,14 @@ def scenario_dfs(name: str, **params) -> dict[str, DecoherenceFunctional]:
     for entry in build.entries:
         out[entry.label] = entry.df if entry.df is not None else build_df(entry.schema)
     return out
+
+
+def unvalidated_raw_df(matrix) -> DecoherenceFunctional:
+    """A raw DF that keeps its validation report even when the report fails."""
+    mat = np.asarray(matrix, dtype=complex)
+    df = DecoherenceFunctional(raw_space(f"h{i + 1}" for i in range(len(mat))), mat)
+    df.validation = validate_df(df)
+    return df
 
 
 def load_golden(name: str) -> dict:

@@ -197,6 +197,7 @@ def test_enumeration_cap_exits_cap_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "scenario", "run", "pbr-v2")
     assert code == EXIT_CAP
     assert "cap exceeded" in err
+    assert "COEVENT_MAX_OMEGA = 8" in err
 
 
 def test_text_format_renders_lines(capsys):

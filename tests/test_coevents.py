@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-import coevent.coevents as coevents_module
 from coevent import (
     CoEvent,
     EmptySupportError,
@@ -130,16 +131,16 @@ def test_v2_coevents_preclusive_and_minimal(pbr_v2_golden):
             assert drop == 0 or any(drop & ~z == 0 for z in zeros)
 
 
-def test_global_fallback_warns_and_caps(monkeypatch):
-    diag = np.full(13, 1.0 / 13.0)
-    df = raw_df(np.diag(diag))
-    with pytest.warns(UserWarning):
+def test_global_fallback_warns_and_caps():
+    """Unsectored DFs: no slow-search warning, and the only cap is the zero-set one."""
+    df = raw_df(np.diag(np.full(13, 1.0 / 13.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         cset = enumerate_primitive_coevents(df)
-    assert len(cset) == 13
-    monkeypatch.setattr(coevents_module, "GLOBAL_FALLBACK_LIMIT", 8)
-    df9 = raw_df(np.diag(np.full(9, 1.0 / 9.0)))
-    with pytest.raises(SpaceTooLargeError):
-        coevents_module.enumerate_primitive_coevents(df9)
+    assert cset.support_labels() == [[lab] for lab in df.labels]
+    df21 = raw_df(np.diag(np.full(21, 1.0 / 21.0)))
+    with pytest.raises(SpaceTooLargeError, match="SECTOR_ENUMERATION_LIMIT"):
+        enumerate_primitive_coevents(df21)
 
 
 def test_intersection_at_special_angle(appendix_golden):

@@ -7,8 +7,12 @@ import pytest
 
 from coevent import (
     Event,
+    HistorySchema,
+    Slice,
     SpaceTooLargeError,
+    build_df,
     composition_anomalies,
+    computational_basis,
     find_decoherent_partitions,
     find_zero_sets,
     is_decoherent_partition,
@@ -138,6 +142,19 @@ def test_composition_size_guard():
     a = raw_df(np.diag([1.0] + [0.0] * 17))
     b = raw_df(np.diag([0.5, 0.5]))
     with pytest.warns(UserWarning), pytest.raises(SpaceTooLargeError):
+        composition_anomalies(a, b)
+
+
+def test_zero_event_assembly_cap():
+    """Ten sectors of ten histories with 2^9 or 2^10 zero events each: the
+    factor's zero events combine past ASSEMBLY_LIMIT, while every sector of
+    the factors and of the product stays under SECTOR_ENUMERATION_LIMIT."""
+    ket = np.eye(10, dtype=complex)[0]
+    basis = computational_basis(10)
+    a = build_df(HistorySchema.from_ket(ket, (Slice(basis), Slice(basis))))
+    b = build_df(HistorySchema.from_ket(np.eye(2, dtype=complex)[0],
+                                        (Slice(computational_basis(2)),)))
+    with pytest.raises(SpaceTooLargeError, match="ASSEMBLY_LIMIT = 100000"):
         composition_anomalies(a, b)
 
 

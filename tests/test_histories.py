@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coevent import (
     Event,
@@ -29,7 +31,7 @@ from coevent import (
 )
 from coevent.histories import raw_space
 
-from conftest import scenario_dfs
+from conftest import scenario_dfs, unvalidated_raw_df
 
 
 def qubit_schema(ket=(1.0, 0.0)) -> HistorySchema:
@@ -53,8 +55,6 @@ def test_enumeration_order_and_labels():
 
 def test_enumeration_size_caps(monkeypatch):
     schema = qubit_schema()
-    with pytest.raises(SpaceTooLargeError):
-        enumerate_histories(schema, max_size=3)
     monkeypatch.setenv("COEVENT_MAX_OMEGA", "3")
     with pytest.raises(SpaceTooLargeError):
         enumerate_histories(schema)
@@ -299,9 +299,10 @@ def test_raw_df_paths():
     assert final_sectors(df) == [Event.full(df.space)]
     with pytest.raises(ValidationFailedError):
         raw_df(np.diag([0.25, 0.25]))
-    broken = raw_df(np.array([[0.5, 0.5], [0.0, 0.5]]), require_valid=False)
-    assert not broken.validation.passed
-    assert any("hermiticity" in f for f in broken.validation.failures)
+    with pytest.raises(ValidationFailedError) as info:
+        raw_df(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    assert not info.value.report.passed
+    assert any("hermiticity" in f for f in info.value.report.failures)
     with pytest.raises(ValueError):
         raw_df(np.zeros((2, 3)))
     with pytest.raises(ValueError):
@@ -318,18 +319,43 @@ def test_raw_df_across_the_64_bit_boundary(n):
     assert measure(df, Event.full(df.space)) == pytest.approx(1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_event_algebra_across_the_64_bit_boundary(data):
+    n = data.draw(st.integers(60, 70))
+    space = raw_space(f"h{i}" for i in range(n))
+    index = st.one_of(st.integers(0, n - 1), st.integers(56, n - 1))
+    a_idx = data.draw(st.lists(index, max_size=n))
+    b_idx = data.draw(st.lists(index, max_size=n))
+    a = Event.from_indices(space, np.array(a_idx, dtype=np.int64))
+    b = Event.from_indices(space, b_idx)
+    sa, sb = set(a_idx), set(b_idx)
+    cases = (
+        (a, sa),
+        (b, sb),
+        (a.union(b), sa | sb),
+        (a.intersection(b), sa & sb),
+        (a.complement(), set(range(n)) - sa),
+    )
+    for event, model in cases:
+        assert event.indices == tuple(sorted(model))
+        assert len(event) == len(model)
+    assert a.is_subset_of(b) == (sa <= sb)
+    assert a.union(b).complement().is_subset_of(a.complement())
+
+
 def test_validate_df_failure_reports():
     neg = np.array([[0.2, 0.5], [0.5, -0.2]])
-    report = validate_df(raw_df(neg, require_valid=False))
+    report = validate_df(unvalidated_raw_df(neg))
     assert not report.passed
     assert any("positivity" in f for f in report.failures)
-    off = raw_df(np.diag([0.3, 0.3]), require_valid=False)
+    off = unvalidated_raw_df(np.diag([0.3, 0.3]))
     assert any("normalization" in f for f in off.validation.failures)
 
 
 def test_measure_imaginary_residue():
     mat = np.array([[0.5, 0.5j], [0.0, 0.5]])
-    df = raw_df(mat, require_valid=False)
+    df = unvalidated_raw_df(mat)
     with pytest.raises(ImaginaryResidueError):
         measure(df, Event.full(df.space))
 

@@ -1,4 +1,4 @@
-"""Basis construction, unitaries, and the qubit reduction."""
+"""Basis construction and unitaries."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from coevent import (
     build_theta_bases,
     build_xi_basis,
     computational_basis,
-    min_eigenvalue_hermitian,
-    reduce_to_qubit,
     tensor,
     unitary_from_hamiltonian,
 )
@@ -210,44 +208,3 @@ def test_unitary_one_parameter_group():
 def test_unitary_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         unitary_from_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-
-
-def test_min_eigenvalue_hermitian():
-    assert min_eigenvalue_hermitian(np.diag([3.0, -0.5, 1.0])) == pytest.approx(-0.5)
-    with pytest.raises(NonHermitianError):
-        min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_reduce_to_qubit_recovers_angle():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        v = rng.normal(size=5) + 1j * rng.normal(size=5)
-        v = v / np.linalg.norm(v)
-        w = rng.normal(size=5) + 1j * rng.normal(size=5)
-        w = w - np.vdot(v, w) * v
-        w = w / np.linalg.norm(w)
-        theta0 = float(rng.uniform(0.05, np.pi / 2 - 0.05))
-        phi2 = np.cos(theta0) * v + np.sin(theta0) * w
-        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        red = reduce_to_qubit(v, phase * phi2)
-        assert red.theta == pytest.approx(theta0, abs=1e-9)
-        assert not red.degenerate
-        emb = red.embedding
-        np.testing.assert_allclose(dagger(emb) @ emb, np.eye(2), atol=1e-9)
-        np.testing.assert_allclose(emb[:, 0], v, atol=1e-12)
-        recon = emb @ np.array([np.cos(red.theta), np.sin(red.theta)])
-        assert abs(np.vdot(recon, phase * phi2)) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_reduce_to_qubit_degenerate_pair():
-    v = as_ket([0.6, 0.8j])
-    red = reduce_to_qubit(v, np.exp(0.3j) * v)
-    assert red.degenerate
-    assert red.theta == 0.0
-    emb = red.embedding
-    np.testing.assert_allclose(dagger(emb) @ emb, np.eye(2), atol=1e-9)
-
-
-def test_reduce_to_qubit_dimension_mismatch():
-    with pytest.raises(ValueError):
-        reduce_to_qubit([1.0, 0.0], [1.0, 0.0, 0.0])

@@ -1,4 +1,4 @@
-"""Zero-set catalogs, classification, and decoherent partitions."""
+"""Zero-set catalogs and decoherent partitions."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from coevent import (
     InvalidPartitionError,
     NotAZeroSetError,
     SpaceTooLargeError,
-    classify_zero_set,
     find_decoherent_partitions,
     find_zero_sets,
     is_decoherent_partition,
@@ -28,6 +27,7 @@ from conftest import (
     scenario_dfs,
     small_scenario_dfs,
     subset_measures_simple,
+    unvalidated_raw_df,
 )
 
 
@@ -99,39 +99,24 @@ def test_nontrivial_zero_listing_appendix(appendix_golden):
     assert got_max == {tuple(sorted(z)) for z in state["maximal_zero_events"]}
 
 
-def test_classify_zero_set():
-    df = scenario_dfs("appendix-theta", theta=0.7)["phi1"]
-    space = df.space
-    pair = Event.from_labels(space, ["h_{+0-}", "h_{+1-}"])
-    assert classify_zero_set(df, pair) == "nontrivial"
-    assert classify_zero_set(df, Event.empty(space)) == "trivial"
-    with pytest.raises(NotAZeroSetError):
-        classify_zero_set(df, Event.from_labels(space, ["h_{+0+}"]))
-    allzero = raw_df(np.diag([0.0, 0.0, 1.0]))
-    both = Event.from_indices(allzero.space, [0, 1])
-    assert classify_zero_set(allzero, both) == "trivial"
-
-
 def test_borderline_band():
     df = raw_df(np.diag([1e-8, 1.0 - 1e-8]))
     catalog = find_zero_sets(df)
     assert [e.labels for e in catalog.borderline_events()] == [("h1",)]
     assert catalog.counts()["borderline"] == 1
     assert not catalog.is_zero_event(Event.from_indices(df.space, [0]))
-    with pytest.raises(NotAZeroSetError):
-        classify_zero_set(df, Event.from_indices(df.space, [0]))
 
 
 def test_find_zero_sets_refuses_invalid_df():
-    broken = raw_df(np.array([[0.5, 0.5], [0.0, 0.5]]), require_valid=False)
+    broken = unvalidated_raw_df(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(NotAZeroSetError):
         find_zero_sets(broken)
 
 
 def test_sector_enumeration_limit():
-    df = raw_df(np.eye(5) / 5.0)
-    with pytest.raises(SpaceTooLargeError):
-        find_zero_sets(df, sector_limit=4)
+    df = raw_df(np.eye(21) / 21.0)
+    with pytest.raises(SpaceTooLargeError, match="SECTOR_ENUMERATION_LIMIT = 20"):
+        find_zero_sets(df)
 
 
 def test_partition_iterator_counts():
