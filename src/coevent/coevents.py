@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptySupportError, LabelMismatchError
-from .histories import DecoherenceFunctional, Event
+from .histories import DecoherenceFunctional, Event, sort_masks
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
 
@@ -155,10 +155,9 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
         if s.sector_mask in s.zero_masks:
             continue
         masks.extend(_minimal_preclusive_masks(s.members, s.maximal_masks))
-    masks.sort(key=lambda m: (int(m).bit_count(), Event(df.space, m).indices))
     coevents = tuple(
         CoEvent(support=Event(df.space, m), classical=int(m).bit_count() == 1)
-        for m in masks
+        for m in sort_masks(df.space, masks)
     )
     return CoEventSet(coevents=coevents, label=label, df=df)
 
@@ -179,8 +178,7 @@ def intersect_coevent_sets(sets) -> list[Event]:
     for other in sets[1:]:
         shared &= set(c.support.mask for c in other.coevents)
     space = first.df.space
-    return [Event(space, m)
-            for m in sorted(shared, key=lambda m: (int(m).bit_count(), Event(space, m).indices))]
+    return [Event(space, m) for m in sort_masks(space, shared)]
 
 
 @dataclass(frozen=True)
@@ -230,12 +228,9 @@ def distinguishability_report(sets) -> DistinguishabilityReport:
             pairwise[(sets[i].label, sets[j].label)] = [e.labels for e in shared]
     common = [e.labels for e in intersect_coevent_sets(sets)]
 
-    sector_pairs = first.df.space.final_sector_masks()
-    if sector_pairs is None:
-        sector_pairs = [("all", first.df.space.full_mask())]
     admissibility = {
         f: {s.label: any(c.support.mask & ~mask == 0 for c in s.coevents) for s in sets}
-        for f, mask in sector_pairs
+        for f, mask in first.df.sectors()
     }
     return DistinguishabilityReport(
         labels=labels, pairwise=pairwise, common=common, admissibility=admissibility

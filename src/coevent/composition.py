@@ -10,15 +10,13 @@ factors each pass it; both effects are what the report collects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
-from .errors import SpaceTooLargeError
 from .histories import DecoherenceFunctional, Event, HistorySpace, _validated
-from .limits import ASSEMBLY_LIMIT
 from .measure_analysis import (
     PartitionReport,
+    assemble_sector_masks,
     find_decoherent_partitions,
     find_zero_sets,
     is_decoherent_partition,
@@ -34,28 +32,20 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
 
     Product labels concatenate factor labels with a leading 'h' stripped
     from each, so h1 x h2 becomes h12.  Final-sector structure carries over
-    when both factors have it, as 'fa,fb' outcome pairs.
+    when both factors have it: sector 'fa,fb' is the rectangle of sectors fa
+    and fb, first system major.
     """
     labels = tuple(
         "h" + _label_suffix(la) + _label_suffix(lb)
         for la in a.space.labels for lb in b.space.labels
     )
-    final_outcomes = None
-    final_labels = None
-    if a.space.final_outcomes is not None and b.space.final_outcomes is not None:
-        nfb = len(b.space.final_labels)
-        final_labels = tuple(
-            f"{fa},{fb}" for fa in a.space.final_labels for fb in b.space.final_labels
+    sectors = None
+    if a.space.sectors is not None and b.space.sectors is not None:
+        sectors = tuple(
+            (f"{fa},{fb}", _pair_mask(ma, mb, b.size))
+            for fa, ma in a.space.sectors for fb, mb in b.space.sectors
         )
-        final_outcomes = tuple(
-            a.space.final_outcomes[i] * nfb + b.space.final_outcomes[k]
-            for i in range(a.size) for k in range(b.size)
-        )
-    space = HistorySpace(
-        labels=labels,
-        final_outcomes=final_outcomes,
-        final_labels=final_labels,
-    )
+    space = HistorySpace(labels=labels, sectors=sectors)
     return _validated(DecoherenceFunctional(space=space, matrix=np.kron(a.matrix, b.matrix)),
                       "product decoherence functional")
 
@@ -76,25 +66,6 @@ def _pair_mask(mask_a: int, mask_b: int, nb: int) -> int:
         ma >>= 1
         ia += 1
     return out
-
-
-def _all_zero_masks(catalog) -> list[int]:
-    """Every zero event of a catalog, assembled across sectors."""
-    per_sector = [sorted(s.zero_masks) for s in catalog.sectors]
-    total = 1
-    for masks in per_sector:
-        total *= len(masks)
-        if total > ASSEMBLY_LIMIT:
-            raise SpaceTooLargeError(
-                f"zero-event assembly exceeds ASSEMBLY_LIMIT = {ASSEMBLY_LIMIT} combinations"
-            )
-    out = []
-    for choice in iproduct(*per_sector):
-        m = 0
-        for part in choice:
-            m |= part
-        out.append(m)
-    return sorted(set(out))
 
 
 @dataclass(frozen=True)
@@ -149,8 +120,8 @@ def composition_anomalies(a: DecoherenceFunctional,
 
     na = a.size
     nb = b.size
-    zeros_a = [m for m in _all_zero_masks(cat_a) if m]
-    zeros_b = [m for m in _all_zero_masks(cat_b) if m]
+    zeros_a = [m for m in assemble_sector_masks([s.zero_masks for s in cat_a.sectors]) if m]
+    zeros_b = [m for m in assemble_sector_masks([s.zero_masks for s in cat_b.sectors]) if m]
 
     emergent = []
     for event in cat_p.zero_events_sectorwise():

@@ -101,16 +101,14 @@ class HistorySpace:
     """Enumerated histories with deterministic labels.
 
     For schema-backed spaces, ``outcome_tuples`` holds one outcome-index
-    tuple per history (time order) and ``final_outcomes`` the final-slice
-    outcome index per history.  Raw spaces (ingested matrices) carry labels
-    only.
+    tuple per history (time order) and ``sectors`` one (final label, member
+    mask) pair per final-slice outcome, in decomposition order.  Raw spaces
+    (ingested matrices) carry labels only.
     """
 
     labels: tuple[str, ...]
-    schema: HistorySchema | None = None
     outcome_tuples: tuple[tuple[int, ...], ...] | None = None
-    final_outcomes: tuple[int, ...] | None = None
-    final_labels: tuple[str, ...] | None = None
+    sectors: tuple[tuple[str, int], ...] | None = None
     _label_index: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -130,15 +128,6 @@ class HistorySpace:
 
     def full_mask(self) -> int:
         return (1 << self.size) - 1
-
-    def final_sector_masks(self) -> list[tuple[str, int]] | None:
-        """(final label, member mask) pairs in final-outcome order, or None."""
-        if self.final_outcomes is None or self.final_labels is None:
-            return None
-        masks = [0] * len(self.final_labels)
-        for i, f in enumerate(self.final_outcomes):
-            masks[f] |= 1 << i
-        return [(lab, masks[k]) for k, lab in enumerate(self.final_labels) if masks[k]]
 
 
 def raw_space(labels) -> HistorySpace:
@@ -204,12 +193,21 @@ class Event:
         return Event(self.space, self.space.full_mask() & ~self.mask)
 
 
+def sort_masks(space: HistorySpace, masks) -> list[int]:
+    """Masks in canonical order: by cardinality, then by member indices."""
+    return sorted(masks, key=lambda m: (int(m).bit_count(), Event(space, m).indices))
+
+
 def enumerate_histories(schema: HistorySchema) -> HistorySpace:
     """All histories of a schema, lexicographic in outcome indices.
 
     The first slice is the most significant position.  Labels concatenate
     the outcome labels in time order, e.g. h_{00xi2} or h_{+0+}.  Raises
     SpaceTooLargeError beyond the history-space cap (see ``limits``).
+
+    The final slice is the least significant position, so with d final
+    outcomes the sector of outcome f holds every d-th history from f: the
+    repunit mask (2^n - 1) / (2^d - 1) shifted left by f.
     """
     cap = max_omega()
     n = 1
@@ -225,12 +223,12 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
         "h_{" + "".join(schema.slices[k].decomposition.labels[t[k]] for k in range(len(t))) + "}"
         for t in tuples
     )
+    final = schema.slices[-1].decomposition
+    repunit = ((1 << n) - 1) // ((1 << len(final)) - 1)
     return HistorySpace(
         labels=labels,
-        schema=schema,
         outcome_tuples=tuples,
-        final_outcomes=tuple(t[-1] for t in tuples),
-        final_labels=schema.slices[-1].decomposition.labels,
+        sectors=tuple((lab, repunit << f) for f, lab in enumerate(final.labels)),
     )
 
 
@@ -339,11 +337,18 @@ class DecoherenceFunctional:
 
     def sectors_verified(self) -> bool:
         """True when final-sector block structure is known to hold."""
-        if self.space.final_outcomes is None:
+        if self.space.sectors is None:
             return False
         rep = self.validation
         return bool(rep and rep.block_applicable and rep.block_residual is not None
                     and rep.block_residual <= EPS_DF)
+
+    def sectors(self) -> tuple[tuple[str, int], ...]:
+        """(final label, member mask) pairs when block structure is verified;
+        otherwise the whole space as the single sector ("all", full mask)."""
+        if self.sectors_verified():
+            return self.space.sectors
+        return (("all", self.space.full_mask()),)
 
 
 def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
@@ -401,7 +406,7 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
     """Check the decoherence-functional axioms and report residuals.
 
     Block structure is checked whenever the space knows its final-slice
-    outcomes.  Bilinearity holds by construction of the event sum; it is
+    sectors.  Bilinearity holds by construction of the event sum; it is
     spot-checked on a few random disjoint event pairs for the report.
     """
     mat = df.matrix
@@ -410,12 +415,14 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
     norm = float(abs(mat.sum() - 1.0))
     min_eig = float(np.linalg.eigvalsh((mat + dagger(mat)) / 2)[0]) if n else 0.0
 
-    block_applicable = df.space.final_outcomes is not None
+    block_applicable = df.space.sectors is not None
     block_residual = None
     if block_applicable:
-        finals = np.asarray(df.space.final_outcomes)
-        differ = finals[:, None] != finals[None, :]
-        block_residual = float(np.max(np.abs(mat)[differ])) if differ.any() else 0.0
+        off_block = np.abs(mat)
+        for _, mask in df.space.sectors:
+            members = Event(df.space, mask).indices
+            off_block[np.ix_(members, members)] = 0.0
+        block_residual = float(np.max(off_block))
 
     rng = np.random.default_rng(BILINEARITY_SEED)
     bilin = 0.0
@@ -458,13 +465,3 @@ def measure(df: DecoherenceFunctional, event: Event) -> float:
         raise ImaginaryResidueError(f"measure has imaginary residue {val.imag:.3e}")
     return float(val.real)
 
-
-def final_sectors(df: DecoherenceFunctional) -> list[Event]:
-    """Partition of the space by final-slice outcome.
-
-    Returned per outcome (in decomposition order) only when block structure
-    is verified; otherwise the single all-histories event.
-    """
-    if df.sectors_verified():
-        return [Event(df.space, mask) for _, mask in df.space.final_sector_masks()]
-    return [Event.full(df.space)]

@@ -15,8 +15,8 @@ from itertools import product
 import numpy as np
 
 from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
-from .histories import DecoherenceFunctional, Event, final_sectors
-from .limits import PARTITION_SPACE_LIMIT, SECTOR_ENUMERATION_LIMIT
+from .histories import DecoherenceFunctional, Event, sort_masks
+from .limits import ASSEMBLY_LIMIT, PARTITION_SPACE_LIMIT, SECTOR_ENUMERATION_LIMIT
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 
@@ -72,8 +72,26 @@ class SectorZeroData:
     borderline_masks: tuple[int, ...]
 
 
-def _sort_key(space, mask: int):
-    return (int(mask).bit_count(), Event(space, mask).indices)
+def assemble_sector_masks(per_sector: list) -> set[int]:
+    """Every union of one mask from each sector's list.
+
+    Raises SpaceTooLargeError before assembling anything when the number of
+    combinations exceeds ASSEMBLY_LIMIT.
+    """
+    total = 1
+    for masks in per_sector:
+        total *= len(masks)
+        if total > ASSEMBLY_LIMIT:
+            raise SpaceTooLargeError(
+                f"zero-event assembly exceeds ASSEMBLY_LIMIT = {ASSEMBLY_LIMIT} combinations"
+            )
+    out = set()
+    for choice in product(*per_sector):
+        m = 0
+        for part in choice:
+            m |= part
+        out.add(m)
+    return out
 
 
 class ZeroSetCatalog:
@@ -91,7 +109,7 @@ class ZeroSetCatalog:
         space = self.df.space
         out = []
         for masks in mask_lists:
-            out.extend(Event(space, m) for m in sorted(masks, key=lambda m: _sort_key(space, m)))
+            out.extend(Event(space, m) for m in sort_masks(space, masks))
         return out
 
     def zero_events_sectorwise(self) -> list[Event]:
@@ -106,19 +124,13 @@ class ZeroSetCatalog:
         return self._events(s.borderline_masks for s in self.sectors)
 
     def maximal_zero_events(self) -> list[Event]:
-        """Inclusion-maximal zero events, assembled as unions across sectors."""
+        """Inclusion-maximal zero events, assembled as unions across sectors.
+
+        Raises SpaceTooLargeError beyond ASSEMBLY_LIMIT combinations.
+        """
         space = self.df.space
-        per_sector = []
-        for s in self.sectors:
-            masks = sorted(s.maximal_masks, key=lambda m: _sort_key(space, m))
-            per_sector.append(masks if masks else [0])
-        assembled = []
-        for choice in product(*per_sector):
-            m = 0
-            for part in choice:
-                m |= part
-            assembled.append(m)
-        return [Event(space, m) for m in sorted(set(assembled), key=lambda m: _sort_key(space, m))]
+        assembled = assemble_sector_masks([s.maximal_masks or (0,) for s in self.sectors])
+        return [Event(space, m) for m in sort_masks(space, assembled)]
 
     def counts(self) -> dict:
         return {
@@ -140,14 +152,9 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
         raise NotAZeroSetError(
             "refusing to catalog a decoherence functional that failed validation"
         )
-    sectors = final_sectors(df)
-    if df.sectors_verified():
-        names = [lab for lab, _ in df.space.final_sector_masks()]
-    else:
-        names = ["all"]
     data = []
-    for name, sector in zip(names, sectors):
-        members = sector.indices
+    for name, sector_mask in df.sectors():
+        members = Event(df.space, sector_mask).indices
         k = len(members)
         if k > SECTOR_ENUMERATION_LIMIT:
             raise SpaceTooLargeError(
@@ -172,7 +179,7 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
         ]
         data.append(SectorZeroData(
             label=name,
-            sector_mask=sector.mask,
+            sector_mask=sector_mask,
             members=members,
             zero_masks=frozenset(zero_masks),
             maximal_masks=tuple(_maximal_masks(zero_masks)),

@@ -251,8 +251,7 @@ def analyze_df(df: DecoherenceFunctional, label: str) -> tuple[dict, CoEventSet]
     }
     if df.sectors_verified():
         section["sector_measures"] = {
-            lab: measure(df, Event(space, mask))
-            for lab, mask in space.final_sector_masks()
+            lab: measure(df, Event(space, mask)) for lab, mask in df.sectors()
         }
     if df.size <= PARTITION_REPORT_LIMIT:
         section["decoherent_partitions"] = {

@@ -418,7 +418,7 @@ def test_criterion_8_property_suites():
             assert is_decoherent_partition(df, cells, "medium").passed, label
 
         if df.sectors_verified():
-            sector_masks = [m for _, m in df.space.final_sector_masks()]
+            sector_masks = [m for _, m in df.sectors()]
             for _ in range(50):
                 mask = int(rng.integers(0, 1 << df.size))
                 total = sum(

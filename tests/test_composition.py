@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coevent import (
     Event,
     HistorySchema,
+    ProjectiveDecomposition,
     Slice,
     SpaceTooLargeError,
     build_df,
@@ -22,7 +25,7 @@ from coevent import (
 )
 from coevent.composition import _pair_mask
 
-from conftest import scenario_dfs, support_set
+from conftest import brute_zero_masks, scenario_dfs, support_set
 
 
 def complex_grid(pairs):
@@ -69,7 +72,7 @@ def test_product_carries_sector_structure():
     v1 = scenario_dfs("pbr-v1")
     prod = tensor_df(v1["00"], v1["++"])
     assert prod.sectors_verified()
-    assert prod.space.final_labels == tuple(
+    assert tuple(lab for lab, _ in prod.space.sectors) == tuple(
         f"xi{i},xi{j}" for i in range(1, 5) for j in range(1, 5)
     )
     assert prod.space.labels[0] == "h_{xi1}_{xi1}"
@@ -138,10 +141,18 @@ def test_factor_zeros_still_explain_product_zeros():
     assert zero_masks == {0b0001, 0b0010, 0b0011}
 
 
+def uniform_computational_df(dim: int):
+    """One computational-basis slice on the uniform ket: dim singleton sectors."""
+    ket = np.ones(dim, dtype=complex) / np.sqrt(dim)
+    return build_df(HistorySchema.from_ket(ket, (Slice(computational_basis(dim)),)))
+
+
 def test_composition_size_guard():
-    a = raw_df(np.diag([1.0] + [0.0] * 17))
-    b = raw_df(np.diag([0.5, 0.5]))
-    with pytest.warns(UserWarning), pytest.raises(SpaceTooLargeError):
+    """Every catalog fits, so the factor partition search is the cap reached."""
+    a = uniform_computational_df(17)
+    b = uniform_computational_df(2)
+    with pytest.raises(SpaceTooLargeError, match="partition search over 17 histories "
+                                                 "exceeds PARTITION_SPACE_LIMIT = 16"):
         composition_anomalies(a, b)
 
 
@@ -156,6 +167,87 @@ def test_zero_event_assembly_cap():
                                         (Slice(computational_basis(2)),)))
     with pytest.raises(SpaceTooLargeError, match="ASSEMBLY_LIMIT = 100000"):
         composition_anomalies(a, b)
+
+
+ROTATED_KETS = {
+    2: [np.array([1, 1]) / np.sqrt(2.0), np.array([1, -1]) / np.sqrt(2.0)],
+    3: [np.array([1, 1, 1]) / np.sqrt(3.0), np.array([1, -1, 0]) / np.sqrt(2.0),
+        np.array([1, 1, -2]) / np.sqrt(6.0)],
+}
+
+
+def test_maximal_zero_event_assembly_cap():
+    """17 product sectors with two maximal zero events each: listing the
+    maximal zero events would assemble 2^17 unions."""
+    rotated = ProjectiveDecomposition.from_kets(ROTATED_KETS[3], ["u", "v", "w"])
+    x = build_df(HistorySchema.from_ket(np.array([1, -1, -1], dtype=complex) / np.sqrt(3.0),
+                                        (Slice(computational_basis(3)), Slice(rotated))))
+    u_sector = next(s for s in find_zero_sets(x).sectors if s.label == "u")
+    assert len(u_sector.maximal_masks) == 2
+    catalog = find_zero_sets(tensor_df(x, uniform_computational_df(17)))
+    with pytest.raises(SpaceTooLargeError, match="ASSEMBLY_LIMIT = 100000"):
+        catalog.maximal_zero_events()
+
+
+def small_decompositions(dim: int) -> list[ProjectiveDecomposition]:
+    """Computational, rotated, two-outcome coarse and one-outcome trivial
+    decompositions; their real +-1 overlaps make zero events common."""
+    comp = computational_basis(dim)
+    p0 = comp.projectors[0]
+    eye = np.eye(dim, dtype=complex)
+    return [
+        comp,
+        ProjectiveDecomposition.from_kets(ROTATED_KETS[dim], ["u", "v", "w"][:dim]),
+        ProjectiveDecomposition(dim, (p0, eye - p0), ("a", "b")),
+        ProjectiveDecomposition(dim, (eye,), ("e",)),
+    ]
+
+
+@st.composite
+def small_sectored_dfs(draw):
+    """Schema DFs of dim 2 or 3 with one or two slices and a ket over {-1, 0, 1}."""
+    dim = draw(st.sampled_from([2, 3]))
+    ket = np.array(draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=dim, max_size=dim)
+                        .filter(any)), dtype=complex)
+    options = small_decompositions(dim)
+    picks = draw(st.lists(st.integers(0, len(options) - 1), min_size=1, max_size=2))
+    schema = HistorySchema.from_ket(ket / np.linalg.norm(ket), [Slice(options[i]) for i in picks])
+    return build_df(schema), schema.slices[-1].decomposition.labels
+
+
+def final_label_of(df, final_labels) -> list[str]:
+    return [final_labels[t[-1]] for t in df.space.outcome_tuples]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_sectored_dfs(), small_sectored_dfs())
+def test_tensor_df_sectors_and_rectangle_rule_on_random_schemas(left, right):
+    """Product sectors follow the factor histories' final outcomes, a-major,
+    and Z_A x S_B and S_A x Z_B are product zero events for every factor zero
+    event Z and every event S."""
+    (a, labels_a), (b, labels_b) = left, right
+    na, nb = a.size, b.size
+    fin_a, fin_b = final_label_of(a, labels_a), final_label_of(b, labels_b)
+    for df, labels, fin in ((a, labels_a, fin_a), (b, labels_b, fin_b)):
+        assert df.space.sectors == tuple(
+            (lab, sum(1 << i for i in range(df.size) if fin[i] == lab)) for lab in labels
+        )
+
+    prod = tensor_df(a, b)
+    want = {f"{fa},{fb}": 0 for fa in labels_a for fb in labels_b}
+    for i in range(na):
+        for k in range(nb):
+            want[f"{fin_a[i]},{fin_b[k]}"] |= 1 << (i * nb + k)
+    assert prod.space.sectors == tuple(want.items())
+    assert prod.sectors_verified()
+
+    catalog = find_zero_sets(prod)
+    for za in brute_zero_masks(a):
+        for sb in range(1 << nb):
+            assert catalog.is_zero_event(Event(prod.space, _pair_mask(za, sb, nb)))
+    for zb in brute_zero_masks(b):
+        for sa in range(1 << na):
+            assert catalog.is_zero_event(Event(prod.space, _pair_mask(sa, zb, nb)))
 
 
 def test_tensor_df_of_two_eight_history_dfs():

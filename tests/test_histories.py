@@ -24,7 +24,6 @@ from coevent import (
     class_operator,
     computational_basis,
     enumerate_histories,
-    final_sectors,
     measure,
     raw_df,
     validate_df,
@@ -49,8 +48,7 @@ def test_enumeration_order_and_labels():
     space = enumerate_histories(qubit_schema())
     assert space.labels == ("h_{00}", "h_{01}", "h_{10}", "h_{11}")
     assert space.outcome_tuples == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert space.final_outcomes == (0, 1, 0, 1)
-    assert space.final_sector_masks() == [("0", 0b0101), ("1", 0b1010)]
+    assert space.sectors == (("0", 0b0101), ("1", 0b1010))
 
 
 def test_enumeration_size_caps(monkeypatch):
@@ -131,7 +129,7 @@ def test_df_entries_are_amplitude_products():
             df = build_df(entry.schema)
             space = df.space
             amps = np.array([amplitude(entry.schema, t) for t in space.outcome_tuples])
-            finals = np.asarray(space.final_outcomes)
+            finals = np.array([t[-1] for t in space.outcome_tuples])
             expected = np.where(
                 finals[:, None] == finals[None, :],
                 np.conjugate(amps)[:, None] * amps[None, :],
@@ -215,7 +213,7 @@ def test_sector_additivity():
     """Measures add across final sectors: mu(E) = sum of sector parts."""
     df = scenario_dfs("pbr-v2")["+0"]
     space = df.space
-    sectors = final_sectors(df)
+    sectors = [Event(space, mask) for _, mask in df.sectors()]
     assert len(sectors) == 4
     rng = np.random.default_rng(47)
     for _ in range(100):
@@ -248,7 +246,7 @@ def test_fine_graining_preserves_sector_measures():
         ket, (Slice(mid, evolution=u1), Slice(fin, evolution=u2))
     ))
     coarse_mu = [measure(coarse, Event(coarse.space, 1 << i)) for i in range(3)]
-    fine_mu = [measure(fine, s) for s in final_sectors(fine)]
+    fine_mu = [measure(fine, Event(fine.space, mask)) for _, mask in fine.sectors()]
     np.testing.assert_allclose(fine_mu, coarse_mu, atol=1e-9)
 
 
@@ -257,7 +255,8 @@ def test_v2_sectors_match_v1_measures():
     v2 = scenario_dfs("pbr-v2")
     for label in ("00", "0+", "+0", "++"):
         singles = [measure(v1[label], Event(v1[label].space, 1 << i)) for i in range(4)]
-        sector_mu = [measure(v2[label], s) for s in final_sectors(v2[label])]
+        sector_mu = [measure(v2[label], Event(v2[label].space, mask))
+                     for _, mask in v2[label].sectors()]
         np.testing.assert_allclose(sector_mu, singles, atol=1e-9)
 
 
@@ -266,7 +265,7 @@ def test_block_structure_verified():
     assert df.validation.block_applicable
     assert df.validation.block_residual <= 1e-12
     assert df.sectors_verified()
-    finals = np.asarray(df.space.final_outcomes)
+    finals = np.array([t[-1] for t in df.space.outcome_tuples])
     off = np.abs(df.matrix)[finals[:, None] != finals[None, :]]
     assert float(off.max()) <= 1e-12
 
@@ -296,7 +295,7 @@ def test_raw_df_paths():
     assert df.labels == ("h1", "h2")
     assert df.validation.passed
     assert not df.sectors_verified()
-    assert final_sectors(df) == [Event.full(df.space)]
+    assert df.sectors() == (("all", df.space.full_mask()),)
     with pytest.raises(ValidationFailedError):
         raw_df(np.diag([0.25, 0.25]))
     with pytest.raises(ValidationFailedError) as info:
