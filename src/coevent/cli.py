@@ -12,13 +12,7 @@ import sys
 
 import click
 
-from .errors import (
-    CoeventError,
-    MissingParameterError,
-    SpaceTooLargeError,
-    UnknownScenarioError,
-    ValidationFailedError,
-)
+from .errors import CoeventError, SpaceTooLargeError, ValidationFailedError
 from .histories import build_df
 from .scenarios import (
     ScenarioSpec,
@@ -115,16 +109,11 @@ def scenario_validate(path):
     try:
         schema = schema_from_json(doc)
         df = build_df(schema)
-    except ValidationFailedError as exc:
-        report["passed"] = False
-        report["error"] = str(exc)
-        if exc.report is not None:
-            report["validation"] = exc.report.as_dict()
-        _write(emit_report(report, "json"), None)
-        sys.exit(EXIT_VALIDATION)
     except (CoeventError, ValueError) as exc:
         report["passed"] = False
         report["error"] = str(exc)
+        if getattr(exc, "report", None) is not None:
+            report["validation"] = exc.report.as_dict()
         _write(emit_report(report, "json"), None)
         sys.exit(EXIT_VALIDATION)
     report["passed"] = bool(df.validation.passed)
@@ -178,9 +167,6 @@ def main(argv=None) -> int:
     except SpaceTooLargeError as exc:
         click.echo(f"enumeration cap exceeded: {exc}", err=True)
         return EXIT_CAP
-    except (UnknownScenarioError, MissingParameterError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_BAD_INPUT
     except (CoeventError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_BAD_INPUT

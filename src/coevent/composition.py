@@ -13,14 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .histories import DecoherenceFunctional, Event, HistorySpace, _validated
+from .errors import SpaceTooLargeError
+from .histories import (
+    DecoherenceFunctional,
+    Event,
+    HistorySpace,
+    _mask_bits,
+    _validated,
+    sort_masks,
+)
+from .limits import COMPOSITION_WORK_LIMIT
 from .measure_analysis import (
     PartitionReport,
-    assemble_sector_masks,
+    ZeroSetCatalog,
+    _STEP_ENTRIES,
+    _cell_index,
+    _cell_matrices,
+    _off_diagonal_residual,
     find_decoherent_partitions,
     find_zero_sets,
-    is_decoherent_partition,
 )
+from .tolerances import EPS_DF
 
 
 def _label_suffix(label: str) -> str:
@@ -51,21 +64,8 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
 
 
 def _pair_mask(mask_a: int, mask_b: int, nb: int) -> int:
-    out = 0
-    ia = 0
-    ma = mask_a
-    while ma:
-        if ma & 1:
-            mb = mask_b
-            ib = 0
-            while mb:
-                if mb & 1:
-                    out |= 1 << (ia * nb + ib)
-                mb >>= 1
-                ib += 1
-        ma >>= 1
-        ia += 1
-    return out
+    """The rectangle mask_a x mask_b as a product mask, first system major."""
+    return sum(mask_b << (i * nb) for i in range(mask_a.bit_length()) if mask_a >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -101,65 +101,99 @@ class CompositionReport:
         }
 
 
+def _emergent_zero_events(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
+                          cat_p: ZeroSetCatalog) -> list[Event]:
+    """Product zero events no union of rectangles Z_A x S_B and S_A x Z_B
+    covers, in the product catalog's sectorwise order.
+
+    Such a union covers column k of an event E by every factor-A zero event
+    inside that column.  Each of those is a union of one zero mask per
+    sector, the empty mask included, so the sector zero masks inside the
+    column cover the same set and nothing is assembled.  Rows likewise, with B.
+    """
+    na, nb = cat_a.df.size, cat_b.df.size
+    zeros_a = _mask_bits([m for s in cat_a.sectors for m in s.zero_masks if m], na)
+    zeros_b = _mask_bits([m for s in cat_b.sectors for m in s.zero_masks if m], nb)
+    space = cat_p.df.space
+    out = []
+    for sector in cat_p.sectors:
+        shape = _mask_bits([sector.sector_mask], na * nb).reshape(na, nb)
+        # Only factor zero masks inside the sector's rows (columns) fit in its events.
+        za = zeros_a[~(zeros_a & ~shape.any(axis=1)).any(axis=1)]
+        zb = zeros_b[~(zeros_b & ~shape.any(axis=0)).any(axis=1)]
+        masks = sort_masks(space, [m for m in sector.zero_masks if m])
+        step = max(1, _STEP_ENTRIES // (len(za) * nb + len(zb) * na + na * nb))
+        for start in range(0, len(masks), step):
+            chunk = masks[start:start + step]
+            events = _mask_bits(chunk, na * nb).reshape(-1, na, nb)
+            outside = ~events
+            covered = (za.T @ ~(za @ outside)) | (~(outside @ zb.T) @ zb)
+            emergent = (covered != events).any(axis=(1, 2))
+            out.extend(Event(space, m) for m, flag in zip(chunk, emergent) if flag)
+    return out
+
+
+def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
+                     product: DecoherenceFunctional, parts_a: list[PartitionReport],
+                     parts_b: list[PartitionReport]) -> list[WeakViolation]:
+    """Products of the given factor partitions that fail weak decoherence.
+
+    Product cells are a-major, so D(A x B, A' x B') = D_A(A, A') D_B(B, B')
+    makes a product partition's cell matrix kron(M_a, M_b); b's cell
+    matrices are stacked by cell count and checked against each M_a at once.
+    """
+    by_count: dict[int, list[int]] = {}
+    for i, p in enumerate(parts_b):
+        by_count.setdefault(len(p.cells), []).append(i)
+    groups = [(idx, _cell_matrices(b.matrix, np.array([_cell_index(b, parts_b[i].cells)
+                                                        for i in idx])))
+              for idx in by_count.values()]
+    out = []
+    for pa in parts_a:
+        mat_a = _cell_matrices(a.matrix, _cell_index(a, pa.cells))
+        failing = []
+        for idx, mats_b in groups:
+            c = mat_a.shape[-1] * mats_b.shape[-1]
+            step = max(1, _STEP_ENTRIES // (c * c))
+            for start in range(0, len(idx), step):
+                kron = mat_a[None, :, None, :, None] * mats_b[start:start + step, None, :, None, :]
+                residuals = _off_diagonal_residual(kron.reshape(-1, c, c), "weak")
+                failing.extend((idx[start + j], float(residuals[j]))
+                               for j in np.flatnonzero(residuals > EPS_DF))
+        for ib, residual in sorted(failing):
+            pb = parts_b[ib]
+            cells = tuple(Event(product.space, _pair_mask(ca.mask, cb.mask, b.size))
+                          for ca in pa.cells for cb in pb.cells)
+            out.append(WeakViolation(partition_a=pa, partition_b=pb, product_cells=cells,
+                                     residual=residual))
+    return out
+
+
 def composition_anomalies(a: DecoherenceFunctional,
                           b: DecoherenceFunctional) -> CompositionReport:
     """Compare a product DF against its factors.
 
     A product zero event (from the product catalog's sectorwise listing) is
     emergent when it is not a union of rectangles Z_A x S_B or S_A x Z_B
-    with a factor zero event on one side; every such rectangle is itself
-    zero by the rectangle rule, so any covered event is explained by the
-    factors alone.  Weak violations are found by checking the product of
-    every pair of weakly decoherent factor partitions against the product
-    DF.
+    with a factor zero event on one side; every such rectangle is zero by
+    the rectangle rule, so a covered event is explained by the factors.
+    Weak violations are products of weakly decoherent factor partitions
+    that fail weak decoherence; SpaceTooLargeError is raised before they
+    are checked when the work exceeds COMPOSITION_WORK_LIMIT.
     """
     product = tensor_df(a, b)
-    cat_a = find_zero_sets(a)
-    cat_b = find_zero_sets(b)
-    cat_p = find_zero_sets(product)
-
-    na = a.size
-    nb = b.size
-    zeros_a = [m for m in assemble_sector_masks([s.zero_masks for s in cat_a.sectors]) if m]
-    zeros_b = [m for m in assemble_sector_masks([s.zero_masks for s in cat_b.sectors]) if m]
-
-    emergent = []
-    for event in cat_p.zero_events_sectorwise():
-        covered = 0
-        for za in zeros_a:
-            cols = 0
-            for k in range(nb):
-                blk = _pair_mask(za, 1 << k, nb)
-                if blk & ~event.mask == 0:
-                    cols |= 1 << k
-            covered |= _pair_mask(za, cols, nb)
-        for zb in zeros_b:
-            rows = 0
-            for i in range(na):
-                blk = _pair_mask(1 << i, zb, nb)
-                if blk & ~event.mask == 0:
-                    rows |= 1 << i
-            covered |= _pair_mask(rows, zb, nb)
-        if covered != event.mask:
-            emergent.append(event)
-
+    emergent = _emergent_zero_events(find_zero_sets(a), find_zero_sets(b),
+                                     find_zero_sets(product))
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
     parts_b = find_decoherent_partitions(b, "weak", max_cells=b.size)
-    violations = []
-    for pa in parts_a:
-        for pb in parts_b:
-            cells = tuple(
-                Event(product.space, _pair_mask(ca.mask, cb.mask, nb))
-                for ca in pa.cells for cb in pb.cells
-            )
-            check = is_decoherent_partition(product, cells, "weak")
-            if not check.passed:
-                violations.append(WeakViolation(
-                    partition_a=pa, partition_b=pb, product_cells=cells,
-                    residual=check.residual,
-                ))
+    work = sum(len(p.cells) ** 2 for p in parts_a) * sum(len(p.cells) ** 2 for p in parts_b)
+    if work > COMPOSITION_WORK_LIMIT:
+        raise SpaceTooLargeError(
+            f"weak-violation check of {work} product cell-matrix entries exceeds "
+            f"COMPOSITION_WORK_LIMIT = {COMPOSITION_WORK_LIMIT}"
+        )
     return CompositionReport(
         product=product,
         emergent_zero=tuple(emergent),
-        weak_violations=tuple(violations),
+        weak_violations=tuple(_weak_violations(a, b, product, parts_a, parts_b)),
     )

@@ -17,6 +17,7 @@ DEFAULT_MAX_OMEGA = 2**20
 SECTOR_ENUMERATION_LIMIT = 20
 PARTITION_SPACE_LIMIT = 16
 ASSEMBLY_LIMIT = 100_000
+COMPOSITION_WORK_LIMIT = 250_000_000
 PARTITION_REPORT_LIMIT = 6
 
 

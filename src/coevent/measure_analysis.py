@@ -8,16 +8,21 @@ where the measure is additive and nonnegative across verified sectors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
-from .histories import DecoherenceFunctional, Event, sort_masks
+from .histories import DecoherenceFunctional, Event, _mask_bits, sort_masks
 from .limits import ASSEMBLY_LIMIT, PARTITION_SPACE_LIMIT, SECTOR_ENUMERATION_LIMIT
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
+
+# Array entries one vectorized step may hold: bounds the memory of the
+# partition and composition searches to a few MB.
+_STEP_ENTRIES = 1 << 17
 
 
 def _subset_measures(block: np.ndarray) -> np.ndarray:
@@ -72,28 +77,6 @@ class SectorZeroData:
     borderline_masks: tuple[int, ...]
 
 
-def assemble_sector_masks(per_sector: list) -> set[int]:
-    """Every union of one mask from each sector's list.
-
-    Raises SpaceTooLargeError before assembling anything when the number of
-    combinations exceeds ASSEMBLY_LIMIT.
-    """
-    total = 1
-    for masks in per_sector:
-        total *= len(masks)
-        if total > ASSEMBLY_LIMIT:
-            raise SpaceTooLargeError(
-                f"zero-event assembly exceeds ASSEMBLY_LIMIT = {ASSEMBLY_LIMIT} combinations"
-            )
-    out = set()
-    for choice in product(*per_sector):
-        m = 0
-        for part in choice:
-            m |= part
-        out.add(m)
-    return out
-
-
 class ZeroSetCatalog:
     """Per-sector zero events of a DF plus the union-assembly rule."""
 
@@ -128,9 +111,14 @@ class ZeroSetCatalog:
 
         Raises SpaceTooLargeError beyond ASSEMBLY_LIMIT combinations.
         """
-        space = self.df.space
-        assembled = assemble_sector_masks([s.maximal_masks or (0,) for s in self.sectors])
-        return [Event(space, m) for m in sort_masks(space, assembled)]
+        per_sector = [s.maximal_masks or (0,) for s in self.sectors]
+        if math.prod(len(masks) for masks in per_sector) > ASSEMBLY_LIMIT:
+            raise SpaceTooLargeError(
+                f"zero-event assembly exceeds ASSEMBLY_LIMIT = {ASSEMBLY_LIMIT} combinations"
+            )
+        # Sectors are disjoint, so one mask per sector sums to their union.
+        assembled = {sum(choice) for choice in product(*per_sector)}
+        return [Event(self.df.space, m) for m in sort_masks(self.df.space, assembled)]
 
     def counts(self) -> dict:
         return {
@@ -210,18 +198,36 @@ class PartitionReport:
         }
 
 
-def _check_partition(df: DecoherenceFunctional, cells) -> tuple[Event, ...]:
-    cells = tuple(cells)
-    if not cells or any(not c for c in cells):
+def _cell_index(df: DecoherenceFunctional, cells) -> np.ndarray:
+    """The cell of each history, for cells that partition the space."""
+    bits = _mask_bits([c.mask for c in cells], df.size)
+    if not len(bits) or not bits.any(axis=1).all():
         raise InvalidPartitionError("partition cells must be nonempty")
-    union = 0
-    total = 0
-    for c in cells:
-        union |= c.mask
-        total += len(c)
-    if union != df.space.full_mask() or total != df.size:
+    if not (bits.sum(axis=0) == 1).all():
         raise InvalidPartitionError("cells must be disjoint and cover the space")
-    return cells
+    return bits.argmax(axis=0)
+
+
+def _cell_matrices(matrix: np.ndarray, cell_index: np.ndarray) -> np.ndarray:
+    """Cell matrices M = P^T D P of partitions given as cell-index vectors.
+
+    cell_index has shape (..., n) with entries 0..c-1; P is the one-hot
+    history-to-cell matrix, so M[..., a, b] = D(cell a, cell b).  A cell no
+    history maps to gives a zero row and column.
+    """
+    onehot = (cell_index[..., :, None] == np.arange(int(cell_index.max()) + 1)).astype(float)
+    return np.swapaxes(onehot, -1, -2) @ matrix @ onehot
+
+
+def _off_diagonal_residual(cell_mats: np.ndarray, mode: str) -> np.ndarray:
+    """Largest off-diagonal |M| (medium) or |Re M| (weak) of each cell matrix."""
+    if mode not in ("medium", "weak"):
+        raise ValueError(f"unknown decoherence mode {mode!r}")
+    vals = np.abs(cell_mats) if mode == "medium" else np.abs(cell_mats.real)
+    c = vals.shape[-1]
+    flat = vals.reshape(vals.shape[:-2] + (c * c,))
+    flat[..., :: c + 1] = 0.0
+    return flat.max(axis=-1)
 
 
 def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> PartitionReport:
@@ -230,15 +236,9 @@ def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> Part
     mode 'medium' bounds |D(A, B)|, mode 'weak' bounds |Re D(A, B)|; both
     against EPS_DF.
     """
-    if mode not in ("medium", "weak"):
-        raise ValueError(f"unknown decoherence mode {mode!r}")
-    cells = _check_partition(df, cells)
-    residual = 0.0
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            val = df.event_value(cells[i], cells[j])
-            term = abs(val) if mode == "medium" else abs(val.real)
-            residual = max(residual, term)
+    cells = tuple(cells)
+    cell_mats = _cell_matrices(df.matrix, _cell_index(df, cells))
+    residual = float(_off_diagonal_residual(cell_mats, mode))
     return PartitionReport(cells=cells, mode=mode, residual=residual, passed=residual <= EPS_DF)
 
 
@@ -260,7 +260,7 @@ def iter_set_partitions(n: int, max_cells: int):
             a[i] = b
             yield from rec(i + 1, max(top, b))
 
-    yield from rec(1, 0) if n > 1 else iter([list(a)])
+    yield from rec(1, 0)
 
 
 def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
@@ -280,13 +280,12 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     if max_cells < 1:
         raise ValueError("max_cells must be at least 1")
     out = []
-    for rgs in iter_set_partitions(n, max_cells):
-        ncells = max(rgs) + 1
-        masks = [0] * ncells
-        for i, b in enumerate(rgs):
-            masks[b] |= 1 << i
-        cells = [Event(df.space, m) for m in masks]
-        rep = is_decoherent_partition(df, cells, mode)
-        if rep.passed:
-            out.append(rep)
+    strings = iter_set_partitions(n, max_cells)
+    while batch := list(islice(strings, max(1, _STEP_ENTRIES // (n * n or 1)))):
+        residuals = _off_diagonal_residual(_cell_matrices(df.matrix, np.array(batch)), mode)
+        for i in np.flatnonzero(residuals <= EPS_DF):
+            cells = tuple(Event(df.space, sum(1 << h for h, b in enumerate(batch[i]) if b == k))
+                          for k in range(max(batch[i]) + 1))
+            out.append(PartitionReport(cells=cells, mode=mode,
+                                       residual=float(residuals[i]), passed=True))
     return out

@@ -1,9 +1,10 @@
 """Named scenarios, the analysis pipeline, theta sweeps, and report emission.
 
 Reports are plain JSON-ready dictionaries.  Serialization is canonical:
-keys sorted, floats rounded to 12 significant digits, complex numbers as
-[re, im] pairs, UTF-8 with a trailing newline, so identical inputs and tool
-version produce byte-identical output.
+keys sorted, floats rounded to 12 significant digits with round-off
+(|x| <= ROUNDOFF_FLOOR) written as 0.0, complex numbers as [re, im] pairs,
+UTF-8 with a trailing newline, so identical inputs and tool version produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .tolerances import tolerance_summary
 
 TOOL_NAME = "coevent"
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+ROUNDOFF_FLOOR = 1e-14  # floats this close to zero are emitted as 0.0
 
 
 def report_header() -> dict:
@@ -90,6 +92,13 @@ def _ket_plus() -> np.ndarray:
     return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
+def _pure_state_build(states, slices) -> ScenarioBuild:
+    """One schema entry per (label, initial ket), all measured by the same slices."""
+    return ScenarioBuild(entries=tuple(
+        ScenarioEntry(label=lab, schema=HistorySchema.from_ket(ket, slices)) for lab, ket in states
+    ))
+
+
 def _pbr_states() -> list[tuple[str, np.ndarray]]:
     k0, kp = _ket0(), _ket_plus()
     return [
@@ -102,11 +111,7 @@ def _pbr_states() -> list[tuple[str, np.ndarray]]:
 
 def _build_pbr_v1(params: dict) -> ScenarioBuild:
     slices = (Slice(build_xi_basis()),)
-    entries = tuple(
-        ScenarioEntry(label=lab, schema=HistorySchema.from_ket(ket, slices))
-        for lab, ket in _pbr_states()
-    )
-    return ScenarioBuild(entries=entries)
+    return _pure_state_build(_pbr_states(), slices)
 
 
 def _build_pbr_v2(params: dict) -> ScenarioBuild:
@@ -114,11 +119,7 @@ def _build_pbr_v2(params: dict) -> ScenarioBuild:
         Slice(computational_basis(4, ["00", "01", "10", "11"])),
         Slice(build_xi_basis()),
     )
-    entries = tuple(
-        ScenarioEntry(label=lab, schema=HistorySchema.from_ket(ket, slices))
-        for lab, ket in _pbr_states()
-    )
-    return ScenarioBuild(entries=entries)
+    return _pure_state_build(_pbr_states(), slices)
 
 
 def _theta_states(theta: float) -> list[tuple[str, np.ndarray]]:
@@ -130,11 +131,7 @@ def _build_appendix_theta(params: dict) -> ScenarioBuild:
     theta = params["theta"]
     psi01, psipm = build_theta_bases(theta)
     slices = (Slice(psipm), Slice(psi01), Slice(psipm))
-    entries = tuple(
-        ScenarioEntry(label=lab, schema=HistorySchema.from_ket(ket, slices))
-        for lab, ket in _theta_states(theta)
-    )
-    return ScenarioBuild(entries=entries)
+    return _pure_state_build(_theta_states(theta), slices)
 
 
 def _build_appendix_hamiltonian(params: dict) -> ScenarioBuild:
@@ -146,11 +143,7 @@ def _build_appendix_hamiltonian(params: dict) -> ScenarioBuild:
         Slice(comp, unitary_from_hamiltonian(ham, math.pi / 4.0)),
         Slice(comp, unitary_from_hamiltonian(ham, 7.0 * math.pi / 4.0)),
     )
-    entries = tuple(
-        ScenarioEntry(label=lab, schema=HistorySchema.from_ket(ket, slices))
-        for lab, ket in _theta_states(theta)
-    )
-    return ScenarioBuild(entries=entries)
+    return _pure_state_build(_theta_states(theta), slices)
 
 
 def _build_composite_product(params: dict) -> ScenarioBuild:
@@ -394,8 +387,10 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
 
 
 def _round_sig(x: float) -> float:
-    if x == 0.0 or not math.isfinite(x):
-        return 0.0 if x == 0.0 else x
+    if not math.isfinite(x):
+        return x
+    if abs(x) <= ROUNDOFF_FLOOR:
+        return 0.0
     return float(f"{x:.12g}")
 
 

@@ -104,6 +104,60 @@ def brute_maximal_masks(zeros: set[int]) -> list[int]:
     )
 
 
+def brute_decoherent_partitions(df: DecoherenceFunctional, mode: str,
+                                max_cells: int) -> list[tuple[list[int], float]]:
+    """(cell masks, residual) of each partition into at most max_cells cells
+    whose largest off-diagonal |D(A, B)| (medium) or |Re D(A, B)| (weak) is
+    at most EPS, by direct submatrix sums, in restricted-growth-string order.
+    """
+    n = df.size
+
+    def strings(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for b in range(min(max(prefix) + 2, max_cells)):
+            yield from strings(prefix + [b])
+
+    out = []
+    for rgs in strings([0]):
+        cells = [[i for i in range(n) if rgs[i] == k] for k in range(max(rgs) + 1)]
+        residual = 0.0
+        for x in range(len(cells)):
+            for y in range(x + 1, len(cells)):
+                val = complex(df.matrix[np.ix_(cells[x], cells[y])].sum())
+                residual = max(residual, abs(val) if mode == "medium" else abs(val.real))
+        if residual <= EPS:
+            out.append(([sum(1 << i for i in c) for c in cells], residual))
+    return out
+
+
+def brute_emergent_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
+                         product: DecoherenceFunctional) -> set[int]:
+    """Product zero events lying in one product sector that are not the union
+    of the rectangles Z x S and S x Z inside them, Z any factor zero event and
+    S any factor event.  Every rectangle and zero event comes from a direct
+    scan over all masks; product indices are first system major.
+    """
+    na, nb = a.size, b.size
+
+    def rect(mask_a, mask_b):
+        return sum(mask_b << (i * nb) for i in range(na) if mask_a >> i & 1)
+
+    rects = {rect(z, s) for z in brute_zero_masks(a) for s in range(1 << nb)}
+    rects |= {rect(s, z) for z in brute_zero_masks(b) for s in range(1 << na)}
+    rects = np.array(sorted(rects), dtype=np.int64)
+    sectors = [m for _, m in product.sectors()]
+    events = np.array(sorted(m for m in brute_zero_masks(product)
+                             if m and any(m & ~s == 0 for s in sectors)), dtype=np.int64)
+    out = set()
+    for chunk in np.array_split(events, max(1, len(events) // 1024)):
+        inside = (rects[None, :] & ~chunk[:, None]) == 0
+        covered = np.bitwise_or.reduce(np.where(inside, rects[None, :], 0), axis=1)
+        out.update(chunk[covered != chunk].tolist())
+    return out
+
+
 def masks_to_labels(df: DecoherenceFunctional, masks) -> set[tuple[str, ...]]:
     return {tuple(sorted(Event(df.space, m).labels)) for m in masks}
 

@@ -25,7 +25,7 @@ def test_scenario_run_emits_valid_report(capsys):
     code, out, _ = run_cli(capsys, "scenario", "run", "pbr-v1")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["scenario"] == {"name": "pbr-v1", "parameters": {}}
     assert [e["label"] for e in doc["entries"]] == ["00", "0+", "+0", "++"]
     assert doc["intersection"] == []

@@ -75,7 +75,7 @@ def test_is_preclusive_matches_brute():
 def test_is_preclusive_rejects_empty_support():
     df = scenario_dfs("pbr-v1")["00"]
     with pytest.raises(EmptySupportError):
-        is_preclusive(Event.empty(df.space), find_zero_sets(df))
+        is_preclusive(Event(df.space, 0), find_zero_sets(df))
 
 
 def test_enumeration_matches_brute_on_scenarios():

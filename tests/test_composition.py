@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coevent import (
@@ -23,9 +25,10 @@ from coevent import (
     raw_df,
     tensor_df,
 )
+from coevent import composition, measure_analysis
 from coevent.composition import _pair_mask
 
-from conftest import brute_zero_masks, scenario_dfs, support_set
+from conftest import brute_emergent_masks, brute_zero_masks, scenario_dfs, support_set
 
 
 def complex_grid(pairs):
@@ -156,19 +159,6 @@ def test_composition_size_guard():
         composition_anomalies(a, b)
 
 
-def test_zero_event_assembly_cap():
-    """Ten sectors of ten histories with 2^9 or 2^10 zero events each: the
-    factor's zero events combine past ASSEMBLY_LIMIT, while every sector of
-    the factors and of the product stays under SECTOR_ENUMERATION_LIMIT."""
-    ket = np.eye(10, dtype=complex)[0]
-    basis = computational_basis(10)
-    a = build_df(HistorySchema.from_ket(ket, (Slice(basis), Slice(basis))))
-    b = build_df(HistorySchema.from_ket(np.eye(2, dtype=complex)[0],
-                                        (Slice(computational_basis(2)),)))
-    with pytest.raises(SpaceTooLargeError, match="ASSEMBLY_LIMIT = 100000"):
-        composition_anomalies(a, b)
-
-
 ROTATED_KETS = {
     2: [np.array([1, 1]) / np.sqrt(2.0), np.array([1, -1]) / np.sqrt(2.0)],
     3: [np.array([1, 1, 1]) / np.sqrt(3.0), np.array([1, -1, 0]) / np.sqrt(2.0),
@@ -176,17 +166,72 @@ ROTATED_KETS = {
 }
 
 
+def rotated_schema_df():
+    """X: a computational slice, then the u/v/w basis, on the ket (1, -1, -1)/sqrt 3;
+    9 histories in 3 final sectors."""
+    rotated = ProjectiveDecomposition.from_kets(ROTATED_KETS[3], ["u", "v", "w"])
+    return build_df(HistorySchema.from_ket(np.array([1, -1, -1], dtype=complex) / np.sqrt(3.0),
+                                           (Slice(computational_basis(3)), Slice(rotated))))
+
+
 def test_maximal_zero_event_assembly_cap():
     """17 product sectors with two maximal zero events each: listing the
     maximal zero events would assemble 2^17 unions."""
-    rotated = ProjectiveDecomposition.from_kets(ROTATED_KETS[3], ["u", "v", "w"])
-    x = build_df(HistorySchema.from_ket(np.array([1, -1, -1], dtype=complex) / np.sqrt(3.0),
-                                        (Slice(computational_basis(3)), Slice(rotated))))
+    x = rotated_schema_df()
     u_sector = next(s for s in find_zero_sets(x).sectors if s.label == "u")
     assert len(u_sector.maximal_masks) == 2
     catalog = find_zero_sets(tensor_df(x, uniform_computational_df(17)))
     with pytest.raises(SpaceTooLargeError, match="ASSEMBLY_LIMIT = 100000"):
         catalog.maximal_zero_events()
+
+
+def test_composition_needs_no_zero_event_assembly(monkeypatch):
+    """Composition reads factor zero events sector by sector: with
+    ASSEMBLY_LIMIT below X's cross-sector combinations, listing X's maximal
+    zero events fails while composition gives the same report."""
+    x, y3 = rotated_schema_df(), uniform_computational_df(3)
+    want = composition_anomalies(x, y3).as_dict()
+    monkeypatch.setattr(measure_analysis, "ASSEMBLY_LIMIT", 1)
+    with pytest.raises(SpaceTooLargeError, match="ASSEMBLY_LIMIT = 1 "):
+        find_zero_sets(x).maximal_zero_events()
+    assert composition_anomalies(x, y3).as_dict() == want
+
+
+def test_composition_of_nine_history_factors():
+    """X x X: 510 weak partitions per factor, 260,100 product partitions."""
+    x = rotated_schema_df()
+    start = time.perf_counter()
+    report = composition_anomalies(x, x)
+    assert time.perf_counter() - start < 10.0
+    for e in report.emergent_zero:
+        assert abs(measure(report.product, e)) <= 1e-9
+    parts = find_decoherent_partitions(x, "weak", x.size)
+    assert len(parts) == 510
+
+    def key(pa, pb):
+        return tuple(c.mask for c in pa.cells), tuple(c.mask for c in pb.cells)
+
+    failing = {key(v.partition_a, v.partition_b) for v in report.weak_violations}
+    rng = np.random.default_rng(11)
+    for i, j in rng.integers(0, len(parts), size=(200, 2)):
+        pa, pb = parts[i], parts[j]
+        cells = [Event(report.product.space, _pair_mask(ca.mask, cb.mask, x.size))
+                 for ca in pa.cells for cb in pb.cells]
+        check = is_decoherent_partition(report.product, cells, "weak")
+        assert check.passed == (key(pa, pb) not in failing)
+
+
+def test_composition_work_cap(monkeypatch):
+    """Every one of the Bell(9) = 21,147 partitions of a classical 9-history
+    factor is weakly decoherent, so the pair check is refused before it starts."""
+    y9 = uniform_computational_df(9)
+
+    def pair_loop(*args):
+        raise AssertionError("the pair check ran")
+
+    monkeypatch.setattr(composition, "_weak_violations", pair_loop)
+    with pytest.raises(SpaceTooLargeError, match="COMPOSITION_WORK_LIMIT = 250000000"):
+        composition_anomalies(y9, y9)
 
 
 def small_decompositions(dim: int) -> list[ProjectiveDecomposition]:
@@ -259,3 +304,57 @@ def test_tensor_df_of_two_eight_history_dfs():
     last = Event.from_labels(prod.space, ["h88"])
     assert last.mask == 1 << 63
     assert measure(prod, last) == pytest.approx(8.0 / 36.0 / 8.0)
+
+
+@st.composite
+def small_raw_dfs(draw):
+    """Raw DFs of 1 to 4 histories with planted zeros: amplitudes over
+    {0, +-1, +-i} in hidden blocks, D(i, j) = conj(a_i) a_j within a block."""
+    n = draw(st.integers(1, 4))
+    amps = np.array(draw(st.lists(st.sampled_from([0, 1, -1, 1j, -1j]), min_size=n, max_size=n)),
+                    dtype=complex)
+    blocks = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    mat = np.where(blocks[:, None] == blocks[None, :], np.conjugate(amps)[:, None] * amps, 0)
+    assume(float(np.real(mat.sum())) > 0.5)
+    return raw_df(mat / np.real(mat.sum()))
+
+
+# Raw factors are drawn twice as often: only their complex off-diagonal terms
+# can make a product partition fail weak decoherence.
+small_factors = st.one_of(
+    small_raw_dfs(),
+    small_raw_dfs(),
+    small_sectored_dfs().map(lambda pair: pair[0]).filter(lambda df: df.size <= 4),
+)
+
+
+# Two raw 4-history factors give an unsectored 16-history product, whose
+# zero-set table warns that it walks 2^16 subsets.
+@pytest.mark.filterwarnings("ignore:enumerating 2\\^16 subsets")
+@settings(max_examples=60, deadline=None)
+@given(small_factors, small_factors)
+def test_composition_matches_product_space_oracles(a, b):
+    """Emergent events equal the brute rectangle-cover oracle, and weak
+    violations equal the product-space check of every pair of weakly
+    decoherent factor partitions."""
+    report = composition_anomalies(a, b)
+    prod = report.product
+    emergent = brute_emergent_masks(a, b, prod)
+    assert [e.mask for e in report.emergent_zero] == [
+        e.mask for e in find_zero_sets(prod).zero_events_sectorwise() if e.mask in emergent
+    ]
+
+    want = []
+    for pa in find_decoherent_partitions(a, "weak", a.size):
+        for pb in find_decoherent_partitions(b, "weak", b.size):
+            cells = [Event(prod.space, _pair_mask(ca.mask, cb.mask, b.size))
+                     for ca in pa.cells for cb in pb.cells]
+            check = is_decoherent_partition(prod, cells, "weak")
+            if not check.passed:
+                want.append((pa.cell_labels(), pb.cell_labels(),
+                             [c.mask for c in cells], check.residual))
+    got = report.weak_violations
+    assert [(v.partition_a.cell_labels(), v.partition_b.cell_labels(),
+             [c.mask for c in v.product_cells]) for v in got] == [w[:3] for w in want]
+    for v, w in zip(got, want):
+        assert v.residual == pytest.approx(w[3], abs=1e-12)

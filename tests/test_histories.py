@@ -28,7 +28,7 @@ from coevent import (
     raw_df,
     validate_df,
 )
-from coevent.histories import raw_space
+from coevent.histories import raw_space, sort_masks
 
 from conftest import scenario_dfs, unvalidated_raw_df
 
@@ -140,8 +140,8 @@ def test_df_entries_are_amplitude_products():
 
 def test_measure_normalization_and_empty():
     for label, df in scenario_dfs("pbr-v1").items():
-        assert measure(df, Event.full(df.space)) == pytest.approx(1.0, abs=1e-9)
-        assert measure(df, Event.empty(df.space)) == 0.0
+        assert measure(df, Event(df.space, df.space.full_mask())) == pytest.approx(1.0, abs=1e-9)
+        assert measure(df, Event(df.space, 0)) == 0.0
 
 
 def test_quadratic_sum_rule_exhaustive():
@@ -277,7 +277,7 @@ def test_event_algebra():
     assert a.indices == (0, 2)
     assert a.labels == ("h1", "h3")
     assert len(a) == 2 and bool(a)
-    assert not Event.empty(space)
+    assert not Event(space, 0)
     assert a.union(b).mask == 0b111
     assert a.intersection(b).mask == 0
     assert a.complement().labels == ("h2",)
@@ -315,7 +315,7 @@ def test_raw_df_across_the_64_bit_boundary(n):
     last = Event.from_indices(df.space, np.array([n - 1], dtype=np.int64))
     assert last.mask == 1 << (n - 1)
     assert measure(df, last) == pytest.approx(1.0 / n)
-    assert measure(df, Event.full(df.space)) == pytest.approx(1.0)
+    assert measure(df, Event(df.space, df.space.full_mask())) == pytest.approx(1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -343,6 +343,23 @@ def test_event_algebra_across_the_64_bit_boundary(data):
     assert a.union(b).complement().is_subset_of(a.complement())
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sort_masks_orders_by_size_then_members(data):
+    """The canonical order is (cardinality, ascending member indices), also
+    for masks past the 64-bit boundary."""
+    n = data.draw(st.integers(60, 70))
+    space = raw_space(f"h{i}" for i in range(n))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
+    masks += data.draw(st.lists(st.sets(st.integers(n - 12, n - 1), max_size=4)
+                                .map(lambda s: sum(1 << i for i in s)), max_size=10))
+
+    def members(m):
+        return tuple(i for i in range(n) if m >> i & 1)
+
+    assert sort_masks(space, masks) == sorted(masks, key=lambda m: (len(members(m)), members(m)))
+
+
 def test_validate_df_failure_reports():
     neg = np.array([[0.2, 0.5], [0.5, -0.2]])
     report = validate_df(unvalidated_raw_df(neg))
@@ -356,7 +373,7 @@ def test_measure_imaginary_residue():
     mat = np.array([[0.5, 0.5j], [0.0, 0.5]])
     df = unvalidated_raw_df(mat)
     with pytest.raises(ImaginaryResidueError):
-        measure(df, Event.full(df.space))
+        measure(df, Event(df.space, df.space.full_mask()))
 
 
 def test_all_scenario_dfs_validate():
@@ -373,4 +390,3 @@ def test_all_scenario_dfs_validate():
             assert rep.hermiticity_residual <= 1e-9
             assert rep.normalization_residual <= 1e-9
             assert rep.min_eigenvalue >= -1e-9
-            assert rep.bilinearity_residual <= 1e-9

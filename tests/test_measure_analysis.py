@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coevent import (
     Event,
@@ -22,6 +24,7 @@ from coevent.measure_analysis import (
 )
 
 from conftest import (
+    brute_decoherent_partitions,
     brute_maximal_masks,
     brute_zero_masks,
     scenario_dfs,
@@ -181,7 +184,7 @@ def test_partition_validation_errors():
     with pytest.raises(InvalidPartitionError):
         is_decoherent_partition(df, good[:1], "medium")
     with pytest.raises(InvalidPartitionError):
-        is_decoherent_partition(df, good + [Event.empty(space)], "medium")
+        is_decoherent_partition(df, good + [Event(space, 0)], "medium")
     overlap = [Event.from_labels(space, ["h11", "h12", "h21"]), good[0]]
     with pytest.raises(InvalidPartitionError):
         is_decoherent_partition(df, overlap, "weak")
@@ -206,6 +209,23 @@ def test_find_decoherent_partitions_composite(composite_golden):
     assert [rep.cell_labels() for rep in sub_med] == [[["h1", "h2"]]]
     sub_weak = find_decoherent_partitions(dfs["D_A"], "weak", max_cells=2)
     assert [rep.cell_labels() for rep in sub_weak] == [[["h1", "h2"]], [["h1"], ["h2"]]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.sampled_from(["medium", "weak"]),
+       st.integers(1, 7))
+def test_partition_search_matches_direct_sums(seed, n, mode, max_cells):
+    """The batched cell-matrix search finds the partitions a loop over every
+    partition with direct submatrix sums finds, in the same order."""
+    from conftest import random_amplitude_df
+
+    df = random_amplitude_df(np.random.default_rng(seed), n)
+    got = find_decoherent_partitions(df, mode, max_cells)
+    want = brute_decoherent_partitions(df, mode, max_cells)
+    assert [[c.mask for c in rep.cells] for rep in got] == [cells for cells, _ in want]
+    for rep, (_, residual) in zip(got, want):
+        assert rep.passed and rep.mode == mode
+        assert rep.residual == pytest.approx(residual, abs=1e-12)
 
 
 def test_weak_contains_medium_appendix():

@@ -374,6 +374,19 @@ def test_emit_report_canonical_form():
         emit_report({"bad": float("nan")})
 
 
+def test_emit_report_writes_roundoff_as_zero():
+    """Residuals on either side of zero at round-off size emit the same bytes."""
+    def doc(x):
+        return {"residual": x, "pair": complex(x, -x), "values": [x, 1.0 + x]}
+
+    for fmt in ("json", "text"):
+        plus, minus = emit_report(doc(5e-17), fmt), emit_report(doc(-5e-17), fmt)
+        assert plus == minus == emit_report(doc(0.0), fmt)
+        assert b"e-17" not in plus and b"-0.0" not in plus
+    assert json.loads(emit_report({"x": 1e-14}))["x"] == 0.0
+    assert json.loads(emit_report({"x": -2e-14}))["x"] == -2e-14
+
+
 @pytest.mark.parametrize("name,params", [
     ("pbr-v2", {}),
     ("appendix-hamiltonian", {"theta": 0.7}),
