@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptySupportError, LabelMismatchError
+from .errors import LabelMismatchError
 from .histories import DecoherenceFunctional, Event, sort_masks
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
@@ -64,27 +64,6 @@ class CoEventSet:
 def _require_same_labels(space_a, space_b):
     if space_a is not space_b and space_a.labels != space_b.labels:
         raise LabelMismatchError("events live over different history label sets")
-
-
-def evaluate(coevent: CoEvent, event: Event) -> bool:
-    """Apply the co-event to an event: true iff the support is contained."""
-    _require_same_labels(coevent.support.space, event.space)
-    return coevent.support.mask & ~event.mask == 0
-
-
-def is_preclusive(support: Event, catalog: ZeroSetCatalog) -> bool:
-    """True iff the support is contained in no zero event of the catalog.
-
-    Checked sector by sector: the support fails only if every sector part
-    is covered by some maximal zero event of its sector.
-    """
-    if not support:
-        raise EmptySupportError("co-event supports must be nonempty")
-    for s in catalog.sectors:
-        part = support.mask & s.sector_mask
-        if not any(part & ~mx == 0 for mx in s.maximal_masks):
-            return True
-    return False
 
 
 def _bits(mask: int):

@@ -2,7 +2,8 @@
 
 The product DF of independent subsystems multiplies entrywise over pairs,
 D((i,k),(j,l)) = D_A(i,j) * D_B(k,l), with the first system major in the
-product index.  Composition can create zero events that no subsystem
+product index; its factor is the Kronecker product of the factors'
+factors.  Composition can create zero events that no subsystem
 combination explains, and can break weak decoherence of partitions whose
 factors each pass it; both effects are what the report collects.
 """
@@ -15,18 +16,19 @@ import numpy as np
 
 from .errors import SpaceTooLargeError
 from .histories import (
+    _STEP_ENTRIES,
     DecoherenceFunctional,
     Event,
     HistorySpace,
+    _attach,
     _mask_bits,
-    _validated,
     sort_masks,
+    validate_df,
 )
 from .limits import COMPOSITION_WORK_LIMIT
 from .measure_analysis import (
     PartitionReport,
     ZeroSetCatalog,
-    _STEP_ENTRIES,
     _cell_index,
     _cell_matrices,
     _off_diagonal_residual,
@@ -59,8 +61,8 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
             for fa, ma in a.space.sectors for fb, mb in b.space.sectors
         )
     space = HistorySpace(labels=labels, sectors=sectors)
-    return _validated(DecoherenceFunctional(space=space, matrix=np.kron(a.matrix, b.matrix)),
-                      "product decoherence functional")
+    product = DecoherenceFunctional(space, np.kron(a.factor, b.factor))
+    return _attach(product, validate_df(product), "product decoherence functional")
 
 
 def _pair_mask(mask_a: int, mask_b: int, nb: int) -> int:
@@ -145,12 +147,12 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     by_count: dict[int, list[int]] = {}
     for i, p in enumerate(parts_b):
         by_count.setdefault(len(p.cells), []).append(i)
-    groups = [(idx, _cell_matrices(b.matrix, np.array([_cell_index(b, parts_b[i].cells)
+    groups = [(idx, _cell_matrices(b.factor, np.array([_cell_index(b, parts_b[i].cells)
                                                         for i in idx])))
               for idx in by_count.values()]
     out = []
     for pa in parts_a:
-        mat_a = _cell_matrices(a.matrix, _cell_index(a, pa.cells))
+        mat_a = _cell_matrices(a.factor, _cell_index(a, pa.cells))
         failing = []
         for idx, mats_b in groups:
             c = mat_a.shape[-1] * mats_b.shape[-1]

@@ -27,20 +27,12 @@ class FinalSliceNotRankOneError(CoeventError):
     """Amplitudes were requested but the final slice projector has rank > 1."""
 
 
-class ImaginaryResidueError(CoeventError):
-    """An event measure came out with imaginary part above tolerance."""
-
-
 class NotAZeroSetError(CoeventError):
     """Zero sets were requested of a decoherence functional that failed validation."""
 
 
 class InvalidPartitionError(CoeventError):
     """Cells presented as a partition are not disjoint or do not cover Omega."""
-
-
-class EmptySupportError(CoeventError):
-    """A co-event support must be a nonempty event."""
 
 
 class LabelMismatchError(CoeventError):

@@ -1,4 +1,4 @@
-"""History spaces, class operators, and the decoherence functional.
+"""History spaces, branch factors, and the decoherence functional.
 
 A schema is an initial state plus a sequence of slices; each slice is a
 projective decomposition applied after an optional unitary evolution.  A
@@ -9,18 +9,20 @@ history picks one outcome per slice.  The decoherence functional is
 with the class operator C_i the right-to-left product of (projector after
 evolution) factors, earliest slice rightmost.  The first argument carries
 the dagger, so D(i, j) = conj(alpha_i) * alpha_j whenever both histories
-share a final outcome and the initial state is pure.
+share a final outcome and the initial state is pure.  With rho = R R^dagger
+and the branch v_i = C_i R flattened, D(i, j) = vdot(v_i, v_j): a
+DecoherenceFunctional stores only this Gram factor, one branch per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .errors import (
-    ImaginaryResidueError,
     IndexOutOfRangeError,
     MixedInitialStateError,
     FinalSliceNotRankOneError,
@@ -30,6 +32,10 @@ from .errors import (
 from .limits import MAX_OMEGA_ENV, max_omega
 from .linalg import ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary
 from .tolerances import EPS_DF, EPS_UNIT
+
+# Array entries one vectorized step may hold: bounds the memory of the block
+# check and of the partition and composition searches to a few MB.
+_STEP_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -94,14 +100,12 @@ class HistorySchema:
 class HistorySpace:
     """Enumerated histories with deterministic labels.
 
-    For schema-backed spaces, ``outcome_tuples`` holds one outcome-index
-    tuple per history (time order) and ``sectors`` one (final label, member
+    For schema-backed spaces, ``sectors`` holds one (final label, member
     mask) pair per final-slice outcome, in decomposition order.  Raw spaces
     (ingested matrices) carry labels only.
     """
 
     labels: tuple[str, ...]
-    outcome_tuples: tuple[tuple[int, ...], ...] | None = None
     sectors: tuple[tuple[str, int], ...] | None = None
     _label_index: dict = field(init=False, repr=False, default=None)
 
@@ -226,7 +230,6 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
     repunit = ((1 << n) - 1) // ((1 << len(final)) - 1)
     return HistorySpace(
         labels=labels,
-        outcome_tuples=tuples,
         sectors=tuple((lab, repunit << f) for f, lab in enumerate(final.labels)),
     )
 
@@ -243,16 +246,6 @@ def _check_outcomes(schema: HistorySchema, outcomes) -> tuple[int, ...]:
     return t
 
 
-def class_operator(schema: HistorySchema, outcomes) -> np.ndarray:
-    """Product of (projector after evolution) factors, earliest slice rightmost."""
-    t = _check_outcomes(schema, outcomes)
-    op = np.eye(schema.dim, dtype=complex)
-    for k, i in enumerate(t):
-        s = schema.slices[k]
-        op = s.decomposition.projectors[i] @ s.unitary() @ op
-    return op
-
-
 def amplitude(schema: HistorySchema, outcomes) -> complex:
     """<final outcome| C |initial ket>, defined for pure states only.
 
@@ -265,8 +258,10 @@ def amplitude(schema: HistorySchema, outcomes) -> complex:
     final = schema.slices[-1].decomposition
     if final.rank(t[-1]) != 1:
         raise FinalSliceNotRankOneError("final-slice projector has rank > 1")
-    vec = final.vector(t[-1])
-    return complex(np.vdot(vec, class_operator(schema, t) @ schema.ket))
+    branch = schema.ket
+    for s, i in zip(schema.slices, t):
+        branch = s.decomposition.projectors[i] @ (s.unitary() @ branch)
+    return complex(np.vdot(final.vector(t[-1]), branch))
 
 
 @dataclass(frozen=True)
@@ -302,17 +297,22 @@ class ValidationReport:
 
 @dataclass(eq=False)
 class DecoherenceFunctional:
-    """A validated |Omega| x |Omega| decoherence matrix over a history space."""
+    """A validated decoherence functional over a history space, stored as its
+    Gram factor V (one row per history): D(i, j) = vdot(V[i], V[j])."""
 
     space: HistorySpace
-    matrix: np.ndarray
+    factor: np.ndarray
     validation: ValidationReport | None = None
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        n = self.space.size
-        if self.matrix.shape != (n, n):
-            raise ValueError("matrix shape does not match the history space")
+        self.factor = np.asarray(self.factor, dtype=complex)
+        if self.factor.ndim != 2 or self.factor.shape[0] != self.space.size:
+            raise ValueError("factor shape does not match the history space")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense |Omega| x |Omega| matrix conj(V) V^T, built on first use."""
+        return np.conjugate(self.factor) @ self.factor.T
 
     @property
     def size(self) -> int:
@@ -323,14 +323,14 @@ class DecoherenceFunctional:
         return self.space.labels
 
     def entry(self, i: int, j: int) -> complex:
-        return complex(self.matrix[i, j])
+        return complex(np.vdot(self.factor[i], self.factor[j]))
+
+    def _branch_sum(self, event: Event) -> np.ndarray:
+        return self.factor[list(event.indices)].sum(axis=0)
 
     def event_value(self, a: Event, b: Event) -> complex:
         """Bilinear extension sum_{i in a, j in b} D(i, j)."""
-        ia, ib = a.indices, b.indices
-        if not ia or not ib:
-            return 0.0 + 0.0j
-        return complex(self.matrix[np.ix_(ia, ib)].sum())
+        return complex(np.vdot(self._branch_sum(a), self._branch_sum(b)))
 
     def sectors_verified(self) -> bool:
         """True when final-sector block structure is known to hold."""
@@ -348,78 +348,9 @@ class DecoherenceFunctional:
         return (("all", self.space.full_mask()),)
 
 
-def _sqrt_psd(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((rho + dagger(rho)) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
-def _validated(df: DecoherenceFunctional, what: str) -> DecoherenceFunctional:
-    """Attach the validation report, raising ValidationFailedError on failure."""
-    df.validation = validate_df(df)
-    if not df.validation.passed:
-        raise ValidationFailedError(
-            f"{what} failed validation: " + ", ".join(df.validation.failures),
-            report=df.validation,
-        )
-    return df
-
-
-def build_df(schema: HistorySchema) -> DecoherenceFunctional:
-    """Construct and validate the decoherence functional of a schema.
-
-    The matrix is assembled as a Gram matrix of per-history branch data, so
-    Hermiticity and positive semidefiniteness hold by construction; the
-    validation report is still computed and attached.
-    """
-    space = enumerate_histories(schema)
-    ops = [class_operator(schema, t) for t in space.outcome_tuples]
-    if schema.ket is not None:
-        branches = np.array([op @ schema.ket for op in ops])
-    else:
-        root = _sqrt_psd(schema.rho)
-        branches = np.array([(op @ root).reshape(-1) for op in ops])
-    mat = np.conjugate(branches) @ branches.T
-    return _validated(DecoherenceFunctional(space=space, matrix=mat),
-                      "constructed decoherence functional")
-
-
-def raw_df(matrix, labels=None) -> DecoherenceFunctional:
-    """Ingest an externally supplied decoherence matrix.
-
-    Labels default to h1, h2, ...  A matrix failing Hermiticity,
-    normalization, or strong positivity is rejected with
-    ValidationFailedError, whose ``report`` holds the residuals.
-    """
-    mat = as_complex_matrix(matrix)
-    n = mat.shape[0]
-    if labels is None:
-        labels = [f"h{i + 1}" for i in range(n)]
-    return _validated(DecoherenceFunctional(space=raw_space(labels), matrix=mat),
-                      "raw decoherence matrix")
-
-
-def validate_df(df: DecoherenceFunctional) -> ValidationReport:
-    """Check the decoherence-functional axioms and report residuals.
-
-    Block structure is checked whenever the space knows its final-slice
-    sectors.
-    """
-    mat = df.matrix
-    n = df.size
-    herm = float(np.max(np.abs(mat - dagger(mat)))) if n else 0.0
-    norm = float(abs(mat.sum() - 1.0))
-    min_eig = float(np.linalg.eigvalsh((mat + dagger(mat)) / 2)[0]) if n else 0.0
-
-    block_applicable = df.space.sectors is not None
-    block_residual = None
-    if block_applicable:
-        off_block = np.abs(mat)
-        for _, mask in df.space.sectors:
-            members = Event(df.space, mask).indices
-            off_block[np.ix_(members, members)] = 0.0
-        block_residual = float(np.max(off_block))
-
+def _report(size: int, herm: float, norm: float, min_eig: float,
+            block_residual: float | None) -> ValidationReport:
+    """The report of the axiom residuals; block_residual None means no sectors."""
     failures = []
     if herm > EPS_DF:
         failures.append(f"hermiticity residual {herm:.3e}")
@@ -429,23 +360,113 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
         failures.append(f"strong positivity violated, min eigenvalue {min_eig:.3e}")
     if block_residual is not None and block_residual > EPS_DF:
         failures.append(f"final-sector block residual {block_residual:.3e}")
-
     return ValidationReport(
-        size=n,
+        size=size,
         hermiticity_residual=herm,
         normalization_residual=norm,
         min_eigenvalue=min_eig,
-        block_applicable=block_applicable,
+        block_applicable=block_residual is not None,
         block_residual=block_residual,
         passed=not failures,
         failures=tuple(failures),
     )
 
 
-def measure(df: DecoherenceFunctional, event: Event) -> float:
-    """Quantum measure mu(event) = D(event, event); 0.0 for the empty event."""
-    val = df.event_value(event, event)
-    if abs(val.imag) > EPS_DF:
-        raise ImaginaryResidueError(f"measure has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+def _attach(df: DecoherenceFunctional, report: ValidationReport,
+            what: str) -> DecoherenceFunctional:
+    """Attach the validation report, raising ValidationFailedError on failure."""
+    if not report.passed:
+        raise ValidationFailedError(
+            f"{what} failed validation: " + ", ".join(report.failures), report=report
+        )
+    df.validation = report
+    return df
 
+
+def build_df(schema: HistorySchema) -> DecoherenceFunctional:
+    """Construct and validate the decoherence functional of a schema.
+
+    All branches are propagated together, slice by slice: each one is
+    multiplied by every (projector after evolution) of the next slice, the
+    new outcome least significant, so rows stay in history order.
+    """
+    space = enumerate_histories(schema)
+    if schema.ket is not None:
+        rows = schema.ket[None, :, None]
+    else:
+        w, v = np.linalg.eigh((schema.rho + dagger(schema.rho)) / 2)
+        rows = (v * np.sqrt(np.clip(w, 0.0, None)))[None]
+    for s in schema.slices:
+        steps = np.array(s.decomposition.projectors) @ s.unitary()
+        rows = np.einsum("kab,mbr->mkar", steps, rows).reshape(-1, schema.dim, rows.shape[-1])
+    df = DecoherenceFunctional(space, rows.reshape(space.size, -1))
+    return _attach(df, validate_df(df), "constructed decoherence functional")
+
+
+def raw_df(matrix, labels=None) -> DecoherenceFunctional:
+    """Ingest an externally supplied decoherence matrix.
+
+    Labels default to h1, h2, ...  A matrix failing Hermiticity,
+    normalization, or strong positivity is rejected with
+    ValidationFailedError, whose ``report`` holds the residuals of the
+    matrix as given.  The factor comes from the same eigendecomposition, so
+    ``matrix`` is the positive semidefinite part of the input.
+    """
+    mat = as_complex_matrix(matrix)
+    n = mat.shape[0]
+    if labels is None:
+        labels = [f"h{i + 1}" for i in range(n)]
+    w, u = np.linalg.eigh((mat + dagger(mat)) / 2)
+    keep = w > 0
+    df = DecoherenceFunctional(raw_space(labels), np.conjugate(u[:, keep]) * np.sqrt(w[keep]))
+    report = _report(n, herm=float(np.max(np.abs(mat - dagger(mat)))) if n else 0.0,
+                     norm=float(abs(mat.sum() - 1.0)), min_eig=float(w[0]) if n else 0.0,
+                     block_residual=None)
+    return _attach(df, report, "raw decoherence matrix")
+
+
+def _block_residual(df: DecoherenceFunctional) -> float:
+    """Largest |D(i, j)| over histories i, j in different final sectors: each
+    sector's factor rows, a chunk at a time, against the rows of later sectors."""
+    v = df.factor
+    later = np.ones(df.size, dtype=bool)
+    worst = 0.0
+    for inside in _mask_bits([mask for _, mask in df.space.sectors], df.size):
+        later &= ~inside
+        rows, others = v[inside], v[later].T
+        step = max(1, _STEP_ENTRIES // max(1, others.shape[1]))
+        for start in range(0, len(rows), step):
+            cross = np.conjugate(rows[start:start + step]) @ others
+            worst = max(worst, float(np.abs(cross).max(initial=0.0)))
+    return worst
+
+
+def validate_df(df: DecoherenceFunctional) -> ValidationReport:
+    """Check the decoherence-functional axioms on the factor and report residuals.
+
+    D = conj(V) V^T is Hermitian by construction.  The smallest eigenvalue
+    comes from the smaller of the n x n and c x c Gram matrices of the n x c
+    factor, which share their nonzero eigenvalues; for n > c, D also has the
+    eigenvalue 0.  Block structure is checked whenever the space knows its
+    final-slice sectors.
+    """
+    v = df.factor
+    n, c = v.shape
+    total = v.sum(axis=0)
+    if n > c:
+        min_eig = float(np.linalg.eigvalsh(v.T @ np.conjugate(v)).min(initial=0.0))
+    else:
+        min_eig = float(np.linalg.eigvalsh(np.conjugate(v) @ v.T)[0]) if n else 0.0
+    return _report(
+        n,
+        herm=0.0,
+        norm=abs(float(np.vdot(total, total).real) - 1.0),
+        min_eig=min_eig,
+        block_residual=_block_residual(df) if df.space.sectors is not None else None,
+    )
+
+
+def measure(df: DecoherenceFunctional, event: Event) -> float:
+    """Quantum measure mu(event) = |sum of its factor rows|^2; 0.0 when empty."""
+    total = df._branch_sum(event)
+    return float(np.vdot(total, total).real)

@@ -9,20 +9,15 @@ where the measure is additive and nonnegative across verified sectors.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import islice, product
 
 import numpy as np
 
 from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
-from .histories import DecoherenceFunctional, Event, _mask_bits, sort_masks
-from .limits import ASSEMBLY_LIMIT, PARTITION_SPACE_LIMIT, SECTOR_ENUMERATION_LIMIT
+from .histories import _STEP_ENTRIES, DecoherenceFunctional, Event, _mask_bits, sort_masks
+from .limits import ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, SECTOR_ENUMERATION_LIMIT
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
-
-# Array entries one vectorized step may hold: bounds the memory of the
-# partition and composition searches to a few MB.
-_STEP_ENTRIES = 1 << 17
 
 
 def _subset_measures(block: np.ndarray) -> np.ndarray:
@@ -149,9 +144,8 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
                 f"sector of {k} histories exceeds SECTOR_ENUMERATION_LIMIT = "
                 f"{SECTOR_ENUMERATION_LIMIT}"
             )
-        if k >= 16:
-            warnings.warn(f"enumerating 2^{k} subsets of one sector; this may be slow")
-        block = df.matrix[np.ix_(members, members)]
+        rows = df.factor[list(members)]
+        block = np.conjugate(rows) @ rows.T
         vals = _subset_measures(block)
         zero_local = np.flatnonzero(np.abs(vals) <= EPS_ZERO)
         border_local = np.flatnonzero((np.abs(vals) > EPS_ZERO) & (np.abs(vals) <= BORDERLINE_MAX))
@@ -208,15 +202,18 @@ def _cell_index(df: DecoherenceFunctional, cells) -> np.ndarray:
     return bits.argmax(axis=0)
 
 
-def _cell_matrices(matrix: np.ndarray, cell_index: np.ndarray) -> np.ndarray:
-    """Cell matrices M = P^T D P of partitions given as cell-index vectors.
+def _cell_matrices(factor: np.ndarray, cell_index: np.ndarray) -> np.ndarray:
+    """Cell matrices M = conj(W) W^T, W = P^T V, of partitions given as
+    cell-index vectors.
 
     cell_index has shape (..., n) with entries 0..c-1; P is the one-hot
-    history-to-cell matrix, so M[..., a, b] = D(cell a, cell b).  A cell no
-    history maps to gives a zero row and column.
+    history-to-cell matrix, so row a of W sums the factor rows of cell a and
+    M[..., a, b] = D(cell a, cell b).  A cell no history maps to gives a
+    zero row and column.
     """
     onehot = (cell_index[..., :, None] == np.arange(int(cell_index.max()) + 1)).astype(float)
-    return np.swapaxes(onehot, -1, -2) @ matrix @ onehot
+    cells = np.swapaxes(onehot, -1, -2) @ factor
+    return np.conjugate(cells) @ np.swapaxes(cells, -1, -2)
 
 
 def _off_diagonal_residual(cell_mats: np.ndarray, mode: str) -> np.ndarray:
@@ -237,7 +234,7 @@ def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> Part
     against EPS_DF.
     """
     cells = tuple(cells)
-    cell_mats = _cell_matrices(df.matrix, _cell_index(df, cells))
+    cell_mats = _cell_matrices(df.factor, _cell_index(df, cells))
     residual = float(_off_diagonal_residual(cell_mats, mode))
     return PartitionReport(cells=cells, mode=mode, residual=residual, passed=residual <= EPS_DF)
 
@@ -263,26 +260,40 @@ def iter_set_partitions(n: int, max_cells: int):
     yield from rec(1, 0)
 
 
+def _partition_count(n: int, max_cells: int) -> int:
+    """Set partitions of n elements into at most max_cells blocks, the sum of
+    the Stirling numbers S(n, k) over k <= max_cells.  The count grows with
+    the number of elements, so it stops at the first m <= n whose count
+    passes PARTITION_COUNT_LIMIT: exact up to the cap, a lower bound above."""
+    row = [1]  # S(m, k) for k <= min(m, max_cells), from m = 0
+    for m in range(1, n + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, len(row))] + [1] * (m <= max_cells)
+        if sum(row) > PARTITION_COUNT_LIMIT:
+            break
+    return sum(row)
+
+
 def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
                                max_cells: int) -> list[PartitionReport]:
     """All partitions into at most max_cells cells passing the mode's check.
 
     Partitions are enumerated as restricted-growth strings (lexicographic),
-    cells ordered by least member.  Guarded to spaces of at most
-    PARTITION_SPACE_LIMIT histories.
+    cells ordered by least member.  Raises SpaceTooLargeError before any
+    work when there are more than PARTITION_COUNT_LIMIT such partitions.
     """
     n = df.size
-    if n > PARTITION_SPACE_LIMIT:
-        raise SpaceTooLargeError(
-            f"partition search over {n} histories exceeds PARTITION_SPACE_LIMIT = "
-            f"{PARTITION_SPACE_LIMIT}"
-        )
     if max_cells < 1:
         raise ValueError("max_cells must be at least 1")
+    count = _partition_count(n, max_cells)
+    if count > PARTITION_COUNT_LIMIT:
+        raise SpaceTooLargeError(
+            f"partition search over {n} histories into at most {max_cells} cells has at "
+            f"least {count} partitions, above PARTITION_COUNT_LIMIT = {PARTITION_COUNT_LIMIT}"
+        )
     out = []
     strings = iter_set_partitions(n, max_cells)
     while batch := list(islice(strings, max(1, _STEP_ENTRIES // (n * n or 1)))):
-        residuals = _off_diagonal_residual(_cell_matrices(df.matrix, np.array(batch)), mode)
+        residuals = _off_diagonal_residual(_cell_matrices(df.factor, np.array(batch)), mode)
         for i in np.flatnonzero(residuals <= EPS_DF):
             cells = tuple(Event(df.space, sum(1 << h for h, b in enumerate(batch[i]) if b == k))
                           for k in range(max(batch[i]) + 1))

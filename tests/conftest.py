@@ -9,6 +9,7 @@ at most ~14 histories.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,14 @@ import os
 import numpy as np
 import pytest
 
-from coevent import DecoherenceFunctional, Event, build_df, build_scenario, raw_df, validate_df
+from coevent import (
+    DecoherenceFunctional,
+    Event,
+    ValidationFailedError,
+    build_df,
+    build_scenario,
+    raw_df,
+)
 from coevent.histories import raw_space
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -32,12 +40,22 @@ def scenario_dfs(name: str, **params) -> dict[str, DecoherenceFunctional]:
     return out
 
 
+def outcome_tuples(schema) -> list[tuple[int, ...]]:
+    """Outcome indices of every history in enumeration order: lexicographic,
+    first slice most significant."""
+    return list(itertools.product(*(range(len(s.decomposition)) for s in schema.slices)))
+
+
 def unvalidated_raw_df(matrix) -> DecoherenceFunctional:
-    """A raw DF that keeps its validation report even when the report fails."""
-    mat = np.asarray(matrix, dtype=complex)
-    df = DecoherenceFunctional(raw_space(f"h{i + 1}" for i in range(len(mat))), mat)
-    df.validation = validate_df(df)
-    return df
+    """A raw DF carrying the failing report raw_df rejected the matrix with.
+
+    Its factor is zero: only code that refuses failed DFs may read it.
+    """
+    n = len(matrix)
+    with pytest.raises(ValidationFailedError) as info:
+        raw_df(matrix)
+    return DecoherenceFunctional(raw_space(f"h{i + 1}" for i in range(n)),
+                                 np.zeros((n, 1)), info.value.report)
 
 
 def load_golden(name: str) -> dict:

@@ -1,4 +1,4 @@
-"""Multiplicative co-events: evaluation, preclusivity, enumeration."""
+"""Multiplicative co-events: enumeration and comparison across states."""
 
 from __future__ import annotations
 
@@ -8,20 +8,13 @@ import numpy as np
 import pytest
 
 from coevent import (
-    CoEvent,
-    EmptySupportError,
-    Event,
     LabelMismatchError,
     SpaceTooLargeError,
     distinguishability_report,
     enumerate_primitive_coevents,
-    evaluate,
-    find_zero_sets,
     intersect_coevent_sets,
-    is_preclusive,
     raw_df,
 )
-from coevent.histories import raw_space
 
 from conftest import (
     THETA_SPECIAL,
@@ -32,50 +25,6 @@ from conftest import (
     small_scenario_dfs,
     support_set,
 )
-
-
-def test_evaluate_exhaustive_truth_table():
-    space = raw_space(["h1", "h2", "h3", "h4"])
-    c = CoEvent(support=Event(space, 0b0101), classical=False)
-    for m in range(16):
-        assert evaluate(c, Event(space, m)) == (0b0101 & ~m == 0)
-    # multiplicativity over every pair of events
-    for m in range(16):
-        for k in range(16):
-            both = evaluate(c, Event(space, m)) and evaluate(c, Event(space, k))
-            assert evaluate(c, Event(space, m & k)) == both
-
-
-def test_evaluate_multiplicative_random():
-    space = raw_space([f"h{i}" for i in range(10)])
-    rng = np.random.default_rng(71)
-    for _ in range(300):
-        support = int(rng.integers(1, 1 << 10))
-        c = CoEvent(support=Event(space, support), classical=False)
-        e = Event(space, int(rng.integers(0, 1 << 10)))
-        f = Event(space, int(rng.integers(0, 1 << 10)))
-        assert evaluate(c, e.intersection(f)) == (evaluate(c, e) and evaluate(c, f))
-
-
-def test_evaluate_rejects_foreign_space():
-    c = CoEvent(support=Event(raw_space(["h1", "h2"]), 0b01), classical=True)
-    with pytest.raises(LabelMismatchError):
-        evaluate(c, Event(raw_space(["a", "b"]), 0b01))
-
-
-def test_is_preclusive_matches_brute():
-    for name, df in small_scenario_dfs():
-        catalog = find_zero_sets(df)
-        zeros = brute_zero_masks(df)
-        for m in range(1, 1 << df.size):
-            want = not any(m & ~z == 0 for z in zeros)
-            assert is_preclusive(Event(df.space, m), catalog) == want, (name, m)
-
-
-def test_is_preclusive_rejects_empty_support():
-    df = scenario_dfs("pbr-v1")["00"]
-    with pytest.raises(EmptySupportError):
-        is_preclusive(Event(df.space, 0), find_zero_sets(df))
 
 
 def test_enumeration_matches_brute_on_scenarios():

@@ -1,4 +1,4 @@
-"""History spaces, class operators, amplitudes, and DF construction."""
+"""History spaces, branch factors, amplitudes, and DF construction."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevent import (
+    DecoherenceFunctional,
     Event,
     FinalSliceNotRankOneError,
     HistorySchema,
-    ImaginaryResidueError,
     IndexOutOfRangeError,
     MixedInitialStateError,
     ProjectiveDecomposition,
@@ -21,7 +21,6 @@ from coevent import (
     amplitude,
     build_df,
     build_scenario,
-    class_operator,
     computational_basis,
     enumerate_histories,
     measure,
@@ -30,7 +29,7 @@ from coevent import (
 )
 from coevent.histories import raw_space, sort_masks
 
-from conftest import scenario_dfs, unvalidated_raw_df
+from conftest import outcome_tuples, scenario_dfs, unvalidated_raw_df
 
 
 def qubit_schema(ket=(1.0, 0.0)) -> HistorySchema:
@@ -47,7 +46,6 @@ def random_decomposition(rng, dim: int, labels) -> ProjectiveDecomposition:
 def test_enumeration_order_and_labels():
     space = enumerate_histories(qubit_schema())
     assert space.labels == ("h_{00}", "h_{01}", "h_{10}", "h_{11}")
-    assert space.outcome_tuples == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert space.sectors == (("0", 0b0101), ("1", 0b1010))
 
 
@@ -75,23 +73,37 @@ def test_schema_validation():
         HistorySchema.from_ket([1.0, 0.0, 0.0], (Slice(basis),))
 
 
-def test_class_operator_composition():
+def test_build_df_factor_rows_are_branch_products():
+    """Pure state: factor row i is the branch C_i psi = P2 U2 P1 U1 psi, the
+    earliest slice acting first.  Rank-deficient mixed state: the factor's
+    Gram matrix is Tr(C_i^dagger C_j rho).  The final slice has a rank-2
+    projector."""
     rng = np.random.default_rng(5)
     dim = 3
     dec1 = random_decomposition(rng, dim, ["a", "b", "c"])
-    dec2 = random_decomposition(rng, dim, ["x", "y", "z"])
+    basis = random_decomposition(rng, dim, ["x", "y", "z"]).projectors
+    dec2 = ProjectiveDecomposition(dim=dim, projectors=(basis[0] + basis[1], basis[2]),
+                                   labels=("p", "l"))
     u1, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     u2, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    schema = HistorySchema.from_ket(
-        np.eye(dim)[0], (Slice(dec1, evolution=u1), Slice(dec2, evolution=u2))
-    )
-    # earliest slice acts first, so its factor sits rightmost in the product
-    expected = dec2.projectors[2] @ u2 @ dec1.projectors[1] @ u1
-    np.testing.assert_allclose(class_operator(schema, (1, 2)), expected, atol=1e-12)
+    slices = (Slice(dec1, evolution=u1), Slice(dec2, evolution=u2))
+    ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    schema = HistorySchema.from_ket(ket / np.linalg.norm(ket), slices)
+    ops = [dec2.projectors[b] @ u2 @ dec1.projectors[a] @ u1 for a, b in outcome_tuples(schema)]
+
+    df = build_df(schema)
+    np.testing.assert_allclose(df.factor, [op @ schema.ket for op in ops], atol=1e-12)
+
+    q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+    rho = 0.3 * np.outer(q[:, 0], q[:, 0].conj()) + 0.7 * np.outer(q[:, 1], q[:, 1].conj())
+    mixed = build_df(HistorySchema.from_density(rho, slices))
+    expected = [[np.trace(oi.conj().T @ oj @ rho) for oj in ops] for oi in ops]
+    np.testing.assert_allclose(mixed.matrix, expected, atol=1e-12)
+    assert mixed.validation.passed
     with pytest.raises(IndexOutOfRangeError):
-        class_operator(schema, (1,))
+        amplitude(schema, (1,))
     with pytest.raises(IndexOutOfRangeError):
-        class_operator(schema, (1, 3))
+        amplitude(schema, (1, 2))
 
 
 def test_amplitude_known_value():
@@ -128,8 +140,10 @@ def test_df_entries_are_amplitude_products():
         for entry in build.entries:
             df = build_df(entry.schema)
             space = df.space
-            amps = np.array([amplitude(entry.schema, t) for t in space.outcome_tuples])
-            finals = np.array([t[-1] for t in space.outcome_tuples])
+            tuples = outcome_tuples(entry.schema)
+            assert len(tuples) == space.size
+            amps = np.array([amplitude(entry.schema, t) for t in tuples])
+            finals = np.array([t[-1] for t in tuples])
             expected = np.where(
                 finals[:, None] == finals[None, :],
                 np.conjugate(amps)[:, None] * amps[None, :],
@@ -265,7 +279,8 @@ def test_block_structure_verified():
     assert df.validation.block_applicable
     assert df.validation.block_residual <= 1e-12
     assert df.sectors_verified()
-    finals = np.array([t[-1] for t in df.space.outcome_tuples])
+    schema = build_scenario("pbr-v2").entries[0].schema
+    finals = np.array([t[-1] for t in outcome_tuples(schema)])
     off = np.abs(df.matrix)[finals[:, None] != finals[None, :]]
     assert float(off.max()) <= 1e-12
 
@@ -361,19 +376,54 @@ def test_sort_masks_orders_by_size_then_members(data):
 
 
 def test_validate_df_failure_reports():
-    neg = np.array([[0.2, 0.5], [0.5, -0.2]])
-    report = validate_df(unvalidated_raw_df(neg))
-    assert not report.passed
-    assert any("positivity" in f for f in report.failures)
+    neg = unvalidated_raw_df(np.array([[0.2, 0.5], [0.5, -0.2]]))
+    assert not neg.validation.passed
+    assert any("positivity" in f for f in neg.validation.failures)
     off = unvalidated_raw_df(np.diag([0.3, 0.3]))
     assert any("normalization" in f for f in off.validation.failures)
+    short = validate_df(DecoherenceFunctional(raw_space(["h1", "h2"]), 0.3 * np.eye(2)))
+    assert short.hermiticity_residual == 0.0
+    assert short.normalization_residual == pytest.approx(1.0 - 0.18)
+    assert [f.split()[0] for f in short.failures] == ["normalization"]
 
 
 def test_measure_imaginary_residue():
-    mat = np.array([[0.5, 0.5j], [0.0, 0.5]])
-    df = unvalidated_raw_df(mat)
-    with pytest.raises(ImaginaryResidueError):
-        measure(df, Event(df.space, df.space.full_mask()))
+    """A matrix whose event sums have an imaginary part is not Hermitian and
+    is rejected on ingestion; an accepted complex DF measures each event as
+    the real part of its submatrix sum, with no imaginary residue."""
+    with pytest.raises(ValidationFailedError):
+        raw_df(np.array([[0.5, 0.5j], [0.0, 0.5]]))
+    rng = np.random.default_rng(59)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    mat = a @ a.conj().T
+    mat /= mat.sum().real
+    df = raw_df(mat)
+    for m in range(16):
+        idx = [i for i in range(4) if m >> i & 1]
+        total = mat[np.ix_(idx, idx)].sum()
+        assert isinstance(measure(df, Event(df.space, m)), float)
+        assert measure(df, Event(df.space, m)) == pytest.approx(total.real, abs=1e-12)
+
+
+def test_raw_df_factor_reproduces_the_matrix():
+    rng = np.random.default_rng(61)
+    for n in range(1, 9):
+        for rank in sorted({1, (n + 1) // 2, n}):
+            a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+            mat = a @ a.conj().T
+            mat /= mat.sum().real
+            df = raw_df(mat)
+            assert df.factor.shape[0] == n
+            np.testing.assert_allclose(df.matrix, mat, atol=1e-12)
+
+
+def test_large_build_df_never_forms_the_matrix():
+    rng = np.random.default_rng(67)
+    slices = [Slice(random_decomposition(rng, 2, ["0", "1"])) for _ in range(14)]
+    df = build_df(HistorySchema.from_ket([1.0, 0.0], slices))
+    assert df.size == 2**14 and df.factor.shape == (2**14, 2)
+    assert df.validation.passed and df.sectors_verified()
+    assert "matrix" not in vars(df)
 
 
 def test_all_scenario_dfs_validate():

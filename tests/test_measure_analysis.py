@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevent import (
+    DecoherenceFunctional,
     Event,
     InvalidPartitionError,
     NotAZeroSetError,
@@ -18,7 +19,9 @@ from coevent import (
     measure,
     raw_df,
 )
+from coevent.histories import raw_space
 from coevent.measure_analysis import (
+    _partition_count,
     _subset_measures,
     iter_set_partitions,
 )
@@ -245,6 +248,23 @@ def test_classical_df_decoheres_everywhere():
 
 
 def test_partition_search_guard():
-    df = raw_df(np.eye(17) / 17.0)
-    with pytest.raises(SpaceTooLargeError):
-        find_decoherent_partitions(df, "medium", max_cells=2)
+    """The cap counts partitions, not histories: the 2^16 two-cell partitions
+    of 17 histories are searched, the Bell(12) partitions of 12 are refused."""
+    from conftest import random_strong_df
+
+    assert [_partition_count(n, n) for n in range(13)] == [
+        1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
+    assert _partition_count(17, 2) == 2**16
+    assert _partition_count(17, 1) == 1
+    df = random_strong_df(np.random.default_rng(73), 17)
+    found = find_decoherent_partitions(df, "medium", max_cells=2)
+    assert [len(p.cells) for p in found] == [1]
+    with pytest.raises(SpaceTooLargeError, match="12 histories into at most 12 cells has at "
+                                                 "least 4213597 partitions, above "
+                                                 "PARTITION_COUNT_LIMIT = 1000000"):
+        find_decoherent_partitions(raw_df(np.eye(12) / 12.0), "medium", max_cells=12)
+    n = 1 << 16
+    wide = DecoherenceFunctional(raw_space(f"h{i}" for i in range(n)), np.full((n, 1), 1.0 / n))
+    with pytest.raises(SpaceTooLargeError, match="at least 4213597 partitions"):
+        find_decoherent_partitions(wide, "weak", max_cells=n)
+    assert _partition_count(n, 1) == 1

@@ -18,7 +18,7 @@ from coevent import (
     UnknownScenarioError,
     ValidationFailedError,
 )
-from coevent.histories import amplitude, build_df, enumerate_histories
+from coevent.histories import amplitude, build_df
 from coevent.coevents import enumerate_primitive_coevents
 from coevent.scenarios import (
     SCHEMA_VERSION,
@@ -37,7 +37,7 @@ from coevent.scenarios import (
 
 from coevent.tolerances import EPS_DF
 
-from conftest import THETA_SPECIAL, load_golden, scenario_dfs, support_set
+from conftest import THETA_SPECIAL, load_golden, outcome_tuples, scenario_dfs, support_set
 
 ALL_NAMES = [
     "appendix-hamiltonian",
@@ -201,10 +201,8 @@ def test_appendix_hamiltonian_matches_theta_up_to_global_phase(theta):
     timed = build_scenario("appendix-hamiltonian", {"theta": theta})
     perm = _outer_flip_map()
     for et, eh in zip(direct.entries, timed.entries):
-        amps_t = [amplitude(et.schema, o)
-                  for o in enumerate_histories(et.schema).outcome_tuples]
-        amps_h = [amplitude(eh.schema, o)
-                  for o in enumerate_histories(eh.schema).outcome_tuples]
+        amps_t = [amplitude(et.schema, o) for o in outcome_tuples(et.schema)]
+        amps_h = [amplitude(eh.schema, o) for o in outcome_tuples(eh.schema)]
         ratios = [amps_h[perm[i]] / amps_t[i]
                   for i in range(8) if abs(amps_t[i]) > 1e-12]
         assert abs(ratios[0]) == pytest.approx(1.0, abs=1e-9)
