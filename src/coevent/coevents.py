@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LabelMismatchError
-from .histories import DecoherenceFunctional, Event, sort_masks
+from .histories import DecoherenceFunctional, Event, _bits, sort_masks
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
 
@@ -64,14 +64,6 @@ class CoEventSet:
 def _require_same_labels(space_a, space_b):
     if space_a is not space_b and space_a.labels != space_b.labels:
         raise LabelMismatchError("events live over different history label sets")
-
-
-def _bits(mask: int):
-    """Single-bit masks of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _minimal_preclusive_masks(members: tuple[int, ...], maximal: tuple[int, ...]) -> list[int]:

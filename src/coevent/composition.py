@@ -180,12 +180,10 @@ def composition_anomalies(a: DecoherenceFunctional,
     with a factor zero event on one side; every such rectangle is zero by
     the rectangle rule, so a covered event is explained by the factors.
     Weak violations are products of weakly decoherent factor partitions
-    that fail weak decoherence; SpaceTooLargeError is raised before they
-    are checked when the work exceeds COMPOSITION_WORK_LIMIT.
+    that fail weak decoherence.  Both factor partition searches and the
+    COMPOSITION_WORK_LIMIT check run first, so SpaceTooLargeError comes
+    before the product is built.
     """
-    product = tensor_df(a, b)
-    emergent = _emergent_zero_events(find_zero_sets(a), find_zero_sets(b),
-                                     find_zero_sets(product))
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
     parts_b = find_decoherent_partitions(b, "weak", max_cells=b.size)
     work = sum(len(p.cells) ** 2 for p in parts_a) * sum(len(p.cells) ** 2 for p in parts_b)
@@ -194,6 +192,9 @@ def composition_anomalies(a: DecoherenceFunctional,
             f"weak-violation check of {work} product cell-matrix entries exceeds "
             f"COMPOSITION_WORK_LIMIT = {COMPOSITION_WORK_LIMIT}"
         )
+    product = tensor_df(a, b)
+    emergent = _emergent_zero_events(find_zero_sets(a), find_zero_sets(b),
+                                     find_zero_sets(product))
     return CompositionReport(
         product=product,
         emergent_zero=tuple(emergent),

@@ -19,14 +19,6 @@ class IndexOutOfRangeError(CoeventError, IndexError):
     """An outcome index tuple does not address a valid history."""
 
 
-class MixedInitialStateError(CoeventError):
-    """Amplitudes were requested for a schema whose initial state is mixed."""
-
-
-class FinalSliceNotRankOneError(CoeventError):
-    """Amplitudes were requested but the final slice projector has rank > 1."""
-
-
 class NotAZeroSetError(CoeventError):
     """Zero sets were requested of a decoherence functional that failed validation."""
 

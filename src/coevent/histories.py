@@ -12,6 +12,9 @@ the dagger, so D(i, j) = conj(alpha_i) * alpha_j whenever both histories
 share a final outcome and the initial state is pure.  With rho = R R^dagger
 and the branch v_i = C_i R flattened, D(i, j) = vdot(v_i, v_j): a
 DecoherenceFunctional stores only this Gram factor, one branch per row.
+The inputs are factors too: a schema stores R, and each slice the unitary
+basis whose columns its outcomes own, so neither rho nor a projector is
+formed.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRangeError,
-    MixedInitialStateError,
-    FinalSliceNotRankOneError,
-    SpaceTooLargeError,
-    ValidationFailedError,
-)
+from .errors import IndexOutOfRangeError, SpaceTooLargeError, ValidationFailedError
 from .limits import MAX_OMEGA_ENV, max_omega
 from .linalg import ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary
 from .tolerances import EPS_DF, EPS_UNIT
@@ -53,23 +50,20 @@ class Slice:
 
 @dataclass
 class HistorySchema:
-    """Initial state plus an ordered tuple of slices on one Hilbert space."""
+    """Initial state plus an ordered tuple of slices on one Hilbert space.
 
-    dim: int
-    rho: np.ndarray
+    ``state`` is a d x r factor R of the initial density matrix, rho = R R^dagger:
+    one column for a ket, one column per eigenvector for a density matrix.
+    """
+
+    state: np.ndarray
     slices: tuple[Slice, ...]
-    ket: np.ndarray | None = None
 
     def __post_init__(self):
-        self.rho = as_complex_matrix(self.rho)
-        if self.rho.shape != (self.dim, self.dim):
-            raise ValueError("initial state has wrong dimension")
-        if np.max(np.abs(self.rho - dagger(self.rho))) > EPS_UNIT:
-            raise ValueError("initial density matrix is not Hermitian")
-        if abs(np.trace(self.rho) - 1.0) > EPS_UNIT:
-            raise ValueError("initial density matrix must have unit trace")
-        if float(np.linalg.eigvalsh((self.rho + dagger(self.rho)) / 2)[0]) < -EPS_UNIT:
-            raise ValueError("initial density matrix must be positive semidefinite")
+        self.state = np.asarray(self.state, dtype=complex)
+        self.slices = tuple(self.slices)
+        if self.state.ndim != 2:
+            raise ValueError("initial state factor must be a matrix")
         if not self.slices:
             raise ValueError("a schema needs at least one slice")
         for s in self.slices:
@@ -82,14 +76,29 @@ class HistorySchema:
 
     @classmethod
     def from_ket(cls, ket, slices) -> "HistorySchema":
-        v = as_ket(ket)
-        rho = np.outer(v, np.conjugate(v))
-        return cls(dim=v.size, rho=rho, slices=tuple(slices), ket=v)
+        return cls(as_ket(ket)[:, None], slices)
 
     @classmethod
     def from_density(cls, rho, slices) -> "HistorySchema":
+        """A schema whose state factor comes from the eigendecomposition of rho."""
         r = as_complex_matrix(rho)
-        return cls(dim=r.shape[0], rho=r, slices=tuple(slices), ket=None)
+        if np.max(np.abs(r - dagger(r))) > EPS_UNIT:
+            raise ValueError("initial density matrix is not Hermitian")
+        if abs(np.trace(r) - 1.0) > EPS_UNIT:
+            raise ValueError("initial density matrix must have unit trace")
+        w, v = np.linalg.eigh((r + dagger(r)) / 2)
+        if w[0] < -EPS_UNIT:
+            raise ValueError("initial density matrix must be positive semidefinite")
+        return cls(v * np.sqrt(np.clip(w, 0.0, None)), slices)
+
+    @property
+    def dim(self) -> int:
+        return self.state.shape[0]
+
+    @property
+    def ket(self) -> np.ndarray | None:
+        """The initial ket of a pure-state schema (one state column), else None."""
+        return self.state[:, 0] if self.state.shape[1] == 1 else None
 
     @property
     def n_slices(self) -> int:
@@ -132,6 +141,14 @@ def raw_space(labels) -> HistorySpace:
     return HistorySpace(labels=tuple(labels))
 
 
+def _bits(mask: int):
+    """Single-bit masks of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Event:
     """A subset of a history space, stored as a bitmask over history indices."""
@@ -158,7 +175,7 @@ class Event:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.space.size) if self.mask >> i & 1)
+        return tuple(b.bit_length() - 1 for b in _bits(self.mask))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -232,36 +249,6 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
         labels=labels,
         sectors=tuple((lab, repunit << f) for f, lab in enumerate(final.labels)),
     )
-
-
-def _check_outcomes(schema: HistorySchema, outcomes) -> tuple[int, ...]:
-    t = tuple(int(i) for i in outcomes)
-    if len(t) != schema.n_slices:
-        raise IndexOutOfRangeError(
-            f"expected {schema.n_slices} outcome indices, got {len(t)}"
-        )
-    for k, i in enumerate(t):
-        if not 0 <= i < len(schema.slices[k].decomposition):
-            raise IndexOutOfRangeError(f"outcome index {i} out of range at slice {k}")
-    return t
-
-
-def amplitude(schema: HistorySchema, outcomes) -> complex:
-    """<final outcome| C |initial ket>, defined for pure states only.
-
-    Requires the final-slice projector of the history to be rank one;
-    satisfies D(i, i) = |amplitude(i)|**2.
-    """
-    t = _check_outcomes(schema, outcomes)
-    if schema.ket is None:
-        raise MixedInitialStateError("amplitudes require a pure initial state")
-    final = schema.slices[-1].decomposition
-    if final.rank(t[-1]) != 1:
-        raise FinalSliceNotRankOneError("final-slice projector has rank > 1")
-    branch = schema.ket
-    for s, i in zip(schema.slices, t):
-        branch = s.decomposition.projectors[i] @ (s.unitary() @ branch)
-    return complex(np.vdot(final.vector(t[-1]), branch))
 
 
 @dataclass(frozen=True)
@@ -386,19 +373,18 @@ def _attach(df: DecoherenceFunctional, report: ValidationReport,
 def build_df(schema: HistorySchema) -> DecoherenceFunctional:
     """Construct and validate the decoherence functional of a schema.
 
-    All branches are propagated together, slice by slice: each one is
-    multiplied by every (projector after evolution) of the next slice, the
-    new outcome least significant, so rows stay in history order.
+    All branches are propagated together, slice by slice, starting from the
+    state factor.  Each branch is expanded in the slice's basis after the
+    evolution, and outcome k keeps the coefficients of the columns it owns,
+    the new outcome least significant, so rows stay in history order.
     """
     space = enumerate_histories(schema)
-    if schema.ket is not None:
-        rows = schema.ket[None, :, None]
-    else:
-        w, v = np.linalg.eigh((schema.rho + dagger(schema.rho)) / 2)
-        rows = (v * np.sqrt(np.clip(w, 0.0, None)))[None]
+    rows = schema.state[None]
+    d, r = schema.state.shape
     for s in schema.slices:
-        steps = np.array(s.decomposition.projectors) @ s.unitary()
-        rows = np.einsum("kab,mbr->mkar", steps, rows).reshape(-1, schema.dim, rows.shape[-1])
+        dec = s.decomposition
+        coeffs = np.einsum("bc,mcr->mbr", dagger(dec.basis) @ s.unitary(), rows)
+        rows = np.einsum("ab,kb,mbr->mkar", dec.basis, dec.owner, coeffs).reshape(-1, d, r)
     df = DecoherenceFunctional(space, rows.reshape(space.size, -1))
     return _attach(df, validate_df(df), "constructed decoherence functional")
 

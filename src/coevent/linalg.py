@@ -1,4 +1,4 @@
-"""Complex linear algebra helpers: kets, projective decompositions, evolutions.
+"""Complex linear algebra helpers: kets, measurement bases, evolutions.
 
 Everything is double-precision complex numpy.  Kets are 1-d arrays, operators
 are square 2-d arrays, and tensor products follow numpy's row-major Kronecker
@@ -45,9 +45,11 @@ def is_hermitian(m: np.ndarray, tol: float = EPS_UNIT) -> bool:
 
 
 def is_unitary(m: np.ndarray, tol: float = EPS_UNIT) -> bool:
+    """True for a square matrix with orthonormal columns."""
     m = np.asarray(m, dtype=complex)
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(dagger(m) @ m - eye)) <= tol)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return bool(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= tol)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -57,72 +59,48 @@ def tensor(a, b) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProjectiveDecomposition:
-    """A complete family of mutually orthogonal projectors with outcome labels.
+    """A complete family of orthogonal outcomes, stored as one unitary basis.
 
-    ``vectors`` holds the defining unit kets when every projector is rank one
-    (the usual case here); it is None for decompositions built directly from
-    higher-rank projectors.
+    Outcome i owns the next ``ranks[i]`` columns of ``basis``; its projector
+    is the sum of their outer products and is never formed.
     """
 
-    dim: int
-    projectors: tuple[np.ndarray, ...]
+    basis: np.ndarray
+    ranks: tuple[int, ...]
     labels: tuple[str, ...]
-    vectors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
-        if len(self.projectors) != len(self.labels):
-            raise ValueError("one label per projector is required")
+        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=complex))
+        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if len(self.ranks) != len(self.labels):
+            raise ValueError("one label per outcome is required")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("outcome labels must be distinct")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for p in self.projectors:
-            if p.shape != (self.dim, self.dim):
-                raise ValueError("projector has wrong dimension")
-            if np.max(np.abs(p - dagger(p))) > EPS_UNIT:
-                raise NonHermitianError("projector is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > EPS_UNIT:
-                raise ValueError("projector is not idempotent")
-            total = total + p
-        for i, p in enumerate(self.projectors):
-            for q in self.projectors[i + 1:]:
-                if np.max(np.abs(p @ q)) > EPS_UNIT:
-                    raise ValueError("projectors are not mutually orthogonal")
-        if np.max(np.abs(total - np.eye(self.dim))) > EPS_UNIT:
-            raise ValueError("projectors do not sum to the identity")
+        if not is_unitary(self.basis):
+            raise ValueError("decomposition basis is not unitary")
+        if min(self.ranks, default=0) < 1 or sum(self.ranks) != self.dim:
+            raise ValueError("outcome ranks must be positive and sum to the dimension")
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The k x d one-hot matrix whose row i marks the columns outcome i owns."""
+        return np.repeat(np.eye(len(self)), self.ranks, axis=1)
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self.ranks)
 
     @classmethod
     def from_kets(cls, kets, labels) -> "ProjectiveDecomposition":
         """Rank-one decomposition from an orthonormal basis of kets."""
-        vs = tuple(as_ket(k) for k in kets)
-        dim = vs[0].size
-        projs = tuple(np.outer(v, np.conjugate(v)) for v in vs)
-        return cls(dim=dim, projectors=projs, labels=tuple(labels), vectors=vs)
-
-    def rank(self, i: int) -> int:
-        return int(round(np.real(np.trace(self.projectors[i]))))
-
-    def all_rank_one(self) -> bool:
-        return all(self.rank(i) == 1 for i in range(len(self)))
-
-    def vector(self, i: int) -> np.ndarray:
-        """Unit ket spanning projector ``i`` (rank one required).
-
-        When the decomposition was not built from kets, the ket is extracted
-        from the projector's top eigenvector with its largest-magnitude entry
-        rotated to the positive real axis, so the choice is deterministic.
-        """
-        if self.vectors is not None:
-            return self.vectors[i]
-        if self.rank(i) != 1:
-            raise ValueError("projector has rank > 1, no single defining ket")
-        w, v = np.linalg.eigh(self.projectors[i])
-        ket = v[:, -1]
-        k = int(np.argmax(np.abs(ket)))
-        phase = ket[k] / abs(ket[k])
-        return ket / phase
+        vs = [as_ket(k) for k in kets]
+        if len({v.size for v in vs}) > 1:
+            raise ValueError("basis kets must all have the same dimension")
+        return cls(np.column_stack(vs), (1,) * len(vs), labels)
 
 
 def computational_basis(dim: int, labels=None) -> ProjectiveDecomposition:

@@ -451,17 +451,16 @@ def schema_to_json(schema: HistorySchema) -> dict:
     """Schema file form: dim, initial ket, slices with bases and labels.
 
     Only pure initial states and rank-one slices are representable in the
-    file format.
+    file format; each basis is written one ket (column) per row.
     """
     if schema.ket is None:
         raise ValueError("only pure initial states can be serialized")
     slices = []
     for s in schema.slices:
-        if not s.decomposition.all_rank_one():
+        if any(r != 1 for r in s.decomposition.ranks):
             raise ValueError("only rank-one decompositions can be serialized")
         entry = {
-            "basis": [[_complex_pair(z) for z in s.decomposition.vector(i)]
-                      for i in range(len(s.decomposition))],
+            "basis": _matrix_pairs(s.decomposition.basis.T),
             "labels": list(s.decomposition.labels),
         }
         if s.evolution is not None:

@@ -1,10 +1,10 @@
 """Numerical tolerances shared across modules.
 
-All structural checks (unitarity, projector algebra, completeness) use
-EPS_UNIT.  Decoherence-functional axiom residuals use EPS_DF.  An event is
-a zero set when its measure is at most EPS_ZERO; measures inside
-(EPS_ZERO, BORDERLINE_MAX] are reported as borderline instead of being
-silently classified either way.
+All structural checks (unitarity of evolutions and bases, ket norms,
+density-matrix trace and positivity) use EPS_UNIT.  Decoherence-functional
+axiom residuals use EPS_DF.  An event is a zero set when its measure is at
+most EPS_ZERO; measures inside (EPS_ZERO, BORDERLINE_MAX] are reported as
+borderline instead of being silently classified either way.
 """
 
 from __future__ import annotations

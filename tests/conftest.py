@@ -46,6 +46,24 @@ def outcome_tuples(schema) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(len(s.decomposition)) for s in schema.slices)))
 
 
+def projectors(dec) -> list[np.ndarray]:
+    """The outcome projectors of a decomposition, each the sum of the outer
+    products of the basis columns the outcome owns."""
+    return [(dec.basis * row) @ np.conjugate(dec.basis.T) for row in dec.owner]
+
+
+def amplitude(schema, outcomes) -> complex:
+    """<final basis ket| C |initial ket> of a pure-state history whose final
+    outcome is rank one, by class-operator products; |amplitude|^2 is the
+    history's measure."""
+    branch = schema.ket
+    for s, i in zip(schema.slices, outcomes):
+        branch = projectors(s.decomposition)[i] @ (s.unitary() @ branch)
+    final = schema.slices[-1].decomposition
+    assert final.ranks[outcomes[-1]] == 1
+    return complex(np.vdot(final.basis[:, final.owner[outcomes[-1]].argmax()], branch))
+
+
 def unvalidated_raw_df(matrix) -> DecoherenceFunctional:
     """A raw DF carrying the failing report raw_df rejected the matrix with.
 

@@ -27,11 +27,12 @@ from coevent import (
     run_scenario,
     validate_df,
 )
-from coevent.histories import amplitude, enumerate_histories
+from coevent.histories import enumerate_histories
 from coevent.scenarios import emit_report
 
 from conftest import (
     THETA_SPECIAL,
+    amplitude,
     brute_primitive_masks,
     brute_zero_masks,
     load_golden,

@@ -150,10 +150,16 @@ def uniform_computational_df(dim: int):
     return build_df(HistorySchema.from_ket(ket, (Slice(computational_basis(dim)),)))
 
 
-def test_composition_size_guard():
-    """Every catalog fits, so the factor partition search is the cap reached."""
+def test_composition_size_guard(monkeypatch):
+    """The factor partition search is the cap reached, before the product
+    DF is built."""
     a = uniform_computational_df(17)
     b = uniform_computational_df(2)
+
+    def product(*args):
+        raise AssertionError("the product was built")
+
+    monkeypatch.setattr(composition, "tensor_df", product)
     with pytest.raises(SpaceTooLargeError, match="partition search over 17 histories .* "
                                                  "above PARTITION_COUNT_LIMIT = 1000000"):
         composition_anomalies(a, b)
@@ -237,14 +243,12 @@ def test_composition_work_cap(monkeypatch):
 def small_decompositions(dim: int) -> list[ProjectiveDecomposition]:
     """Computational, rotated, two-outcome coarse and one-outcome trivial
     decompositions; their real +-1 overlaps make zero events common."""
-    comp = computational_basis(dim)
-    p0 = comp.projectors[0]
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(dim)
     return [
-        comp,
+        computational_basis(dim),
         ProjectiveDecomposition.from_kets(ROTATED_KETS[dim], ["u", "v", "w"][:dim]),
-        ProjectiveDecomposition(dim, (p0, eye - p0), ("a", "b")),
-        ProjectiveDecomposition(dim, (eye,), ("e",)),
+        ProjectiveDecomposition(eye, (1, dim - 1), ("a", "b")),
+        ProjectiveDecomposition(eye, (dim,), ("e",)),
     ]
 
 

@@ -70,7 +70,7 @@ def test_xi4_from_pm_product_states():
     plus = np.array([RT2, RT2], dtype=complex)
     minus = np.array([RT2, -RT2], dtype=complex)
     built = (tensor(plus, minus) + tensor(minus, plus)) * RT2
-    np.testing.assert_allclose(built, build_xi_basis().vector(3), atol=1e-12)
+    np.testing.assert_allclose(built, build_xi_basis().basis[:, 3], atol=1e-12)
 
 
 def test_xi_basis_vectors():
@@ -83,7 +83,7 @@ def test_xi_basis_vectors():
         [RT2, 0.0, 0.0, -RT2],
     ])
     for i in range(4):
-        np.testing.assert_allclose(basis.vector(i), expected[i], atol=1e-12)
+        np.testing.assert_allclose(basis.basis[:, i], expected[i], atol=1e-12)
     gram = expected @ expected.T
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-12)
 
@@ -95,7 +95,7 @@ def test_xi_orthogonality_pattern():
     states = [tensor(a, b) for a in (zero, plus) for b in (zero, plus)]
     basis = build_xi_basis()
     overlaps = np.array([
-        [abs(np.vdot(basis.vector(i), s)) for s in states] for i in range(4)
+        [abs(np.vdot(basis.basis[:, i], s)) for s in states] for i in range(4)
     ])
     zeros = overlaps < 1e-12
     # xi1 kills |00>, xi2 kills |0+>, xi3 kills |+0>, xi4 kills |++>
@@ -105,51 +105,36 @@ def test_xi_orthogonality_pattern():
 def test_computational_basis_defaults():
     basis = computational_basis(3)
     assert basis.labels == ("0", "1", "2")
-    assert basis.all_rank_one()
-    np.testing.assert_allclose(basis.vector(2), [0.0, 0.0, 1.0])
+    assert basis.ranks == (1, 1, 1)
+    np.testing.assert_allclose(basis.basis, np.eye(3))
 
 
 def test_projective_decomposition_rejects_bad_input():
     e0 = np.array([1.0, 0.0], dtype=complex)
     e1 = np.array([0.0, 1.0], dtype=complex)
     skew = np.array([RT2, RT2], dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unitary"):
         ProjectiveDecomposition.from_kets([e0, skew], ["a", "b"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unitary"):
+        ProjectiveDecomposition.from_kets([e0], ["a"])
+    with pytest.raises(ValueError, match="same dimension"):
+        ProjectiveDecomposition.from_kets([e0, np.array([0.0, 0.0, 1.0])], ["a", "b"])
+    with pytest.raises(ValueError, match="distinct"):
         ProjectiveDecomposition.from_kets([e0, e1], ["a", "a"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one label per outcome"):
         ProjectiveDecomposition.from_kets([e0, e1], ["a"])
-    p0 = np.outer(e0, e0)
-    with pytest.raises(ValueError):
-        ProjectiveDecomposition(dim=2, projectors=(p0,), labels=("a",))
-    with pytest.raises(ValueError):
-        ProjectiveDecomposition(dim=2, projectors=(0.5 * p0, np.eye(2) - 0.5 * p0),
-                                labels=("a", "b"))
-    with pytest.raises(NonHermitianError):
-        ProjectiveDecomposition(
-            dim=2,
-            projectors=(p0 + np.array([[0.0, 0.1], [0.0, 0.0]]), np.outer(e1, e1)),
-            labels=("a", "b"),
-        )
-
-
-def test_rank_and_vector_extraction():
-    plane = np.diag([1.0, 1.0, 0.0]).astype(complex)
-    line = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    dec = ProjectiveDecomposition(dim=3, projectors=(plane, line), labels=("p", "l"))
-    assert dec.rank(0) == 2
-    assert dec.rank(1) == 1
-    assert not dec.all_rank_one()
-    with pytest.raises(ValueError):
-        dec.vector(0)
-    np.testing.assert_allclose(dec.vector(1), [0.0, 0.0, 1.0], atol=1e-12)
-
-    v = np.array([RT2, RT2 * 1j])
-    p = np.outer(v, v.conj())
-    dec2 = ProjectiveDecomposition(dim=2, projectors=(p, np.eye(2) - p), labels=("v", "w"))
-    got = dec2.vector(0)
-    # phase fixed: the largest-magnitude entry lands on the positive real axis
-    np.testing.assert_allclose(got, v, atol=1e-12)
+    with pytest.raises(ValueError, match="not unitary"):
+        ProjectiveDecomposition(np.array([[1.0, RT2], [0.0, RT2]]), (1, 1), ("a", "b"))
+    with pytest.raises(ValueError, match="sum to the dimension"):
+        ProjectiveDecomposition(np.eye(3), (1, 1), ("a", "b"))
+    with pytest.raises(ValueError, match="positive"):
+        ProjectiveDecomposition(np.eye(2), (2, 0), ("a", "b"))
+    with pytest.raises(ValueError, match="one label per outcome"):
+        ProjectiveDecomposition(np.eye(2), (1, 1), ("a",))
+    with pytest.raises(ValueError, match="distinct"):
+        ProjectiveDecomposition(np.eye(2), (1, 1), ("a", "a"))
+    plane = ProjectiveDecomposition(np.eye(3), (2, 1), ("p", "l"))
+    assert len(plane) == 2 and plane.dim == 3 and plane.ranks == (2, 1)
 
 
 def test_theta_bases_over_grid():
@@ -159,13 +144,13 @@ def test_theta_bases_over_grid():
         assert psi01.labels == ("0", "1")
         assert psipm.labels == ("+", "-")
         np.testing.assert_allclose(
-            psi01.vector(0), [np.cos(theta), np.sin(theta)], atol=1e-12
+            psi01.basis[:, 0], [np.cos(theta), np.sin(theta)], atol=1e-12
         )
         np.testing.assert_allclose(
-            psi01.vector(1), [np.sin(theta), -np.cos(theta)], atol=1e-12
+            psi01.basis[:, 1], [np.sin(theta), -np.cos(theta)], atol=1e-12
         )
         np.testing.assert_allclose(
-            psipm.vector(0),
+            psipm.basis[:, 0],
             [np.cos(theta + np.pi / 4), np.sin(theta + np.pi / 4)],
             atol=1e-12,
         )
@@ -173,9 +158,9 @@ def test_theta_bases_over_grid():
 
 def test_theta_bases_at_zero():
     psi01, psipm = build_theta_bases(0.0)
-    np.testing.assert_allclose(psi01.vector(0), [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(psipm.vector(0), [RT2, RT2], atol=1e-12)
-    np.testing.assert_allclose(psipm.vector(1), [RT2, -RT2], atol=1e-12)
+    np.testing.assert_allclose(psi01.basis[:, 0], [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(psipm.basis[:, 0], [RT2, RT2], atol=1e-12)
+    np.testing.assert_allclose(psipm.basis[:, 1], [RT2, -RT2], atol=1e-12)
 
 
 def test_unitary_from_hamiltonian_closed_form():

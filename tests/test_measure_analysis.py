@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from coevent import (
     measure,
     raw_df,
 )
-from coevent.histories import raw_space
+from coevent.histories import HistorySpace, _report, raw_space
 from coevent.measure_analysis import (
     _partition_count,
     _subset_measures,
@@ -123,6 +125,23 @@ def test_sector_enumeration_limit():
     df = raw_df(np.eye(21) / 21.0)
     with pytest.raises(SpaceTooLargeError, match="SECTOR_ENUMERATION_LIMIT = 20"):
         find_zero_sets(df)
+
+
+def test_find_zero_sets_on_many_one_history_sectors():
+    """2^14 one-history sectors, one history carrying all the weight: each
+    sector's members come from a walk over its set bits, not over all 2^14
+    indices.  The report holds the exact residuals of this factor."""
+    n = 2**14
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)),
+                         sectors=tuple((str(i), 1 << i) for i in range(n)))
+    factor = np.zeros((n, 1), dtype=complex)
+    factor[0] = 1.0
+    df = DecoherenceFunctional(space, factor, _report(n, 0.0, 0.0, 0.0, block_residual=0.0))
+    start = time.perf_counter()
+    catalog = find_zero_sets(df)
+    assert time.perf_counter() - start < 10.0
+    assert catalog.counts() == {"sectors": n, "zero_sectorwise": n - 1,
+                                "nontrivial": 0, "borderline": 0}
 
 
 def test_partition_iterator_counts():

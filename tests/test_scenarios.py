@@ -18,7 +18,7 @@ from coevent import (
     UnknownScenarioError,
     ValidationFailedError,
 )
-from coevent.histories import amplitude, build_df
+from coevent.histories import build_df
 from coevent.coevents import enumerate_primitive_coevents
 from coevent.scenarios import (
     SCHEMA_VERSION,
@@ -37,7 +37,14 @@ from coevent.scenarios import (
 
 from coevent.tolerances import EPS_DF
 
-from conftest import THETA_SPECIAL, load_golden, outcome_tuples, scenario_dfs, support_set
+from conftest import (
+    THETA_SPECIAL,
+    amplitude,
+    load_golden,
+    outcome_tuples,
+    scenario_dfs,
+    support_set,
+)
 
 ALL_NAMES = [
     "appendix-hamiltonian",
@@ -427,11 +434,7 @@ def test_schema_to_json_rejects_unserializable():
     from coevent.histories import HistorySchema, Slice
     from coevent.linalg import ProjectiveDecomposition
 
-    plane = np.zeros((3, 3), dtype=complex)
-    plane[0, 0] = plane[1, 1] = 1.0
-    line = np.zeros((3, 3), dtype=complex)
-    line[2, 2] = 1.0
-    rank2 = ProjectiveDecomposition(3, (plane, line), ("p", "l"))
+    rank2 = ProjectiveDecomposition(np.eye(3), (2, 1), ("p", "l"))
     ket = np.array([1.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="rank-one"):
         schema_to_json(HistorySchema.from_ket(ket, (Slice(rank2),)))
