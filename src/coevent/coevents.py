@@ -36,9 +36,6 @@ class CoEvent:
     support: Event
     classical: bool
 
-    def __len__(self) -> int:
-        return len(self.support)
-
 
 @dataclass(eq=False)
 class CoEventSet:
@@ -54,9 +51,6 @@ class CoEventSet:
     def __iter__(self):
         return iter(self.coevents)
 
-    def supports(self) -> list[Event]:
-        return [c.support for c in self.coevents]
-
     def support_labels(self) -> list[list[str]]:
         return [list(c.support.labels) for c in self.coevents]
 
@@ -66,7 +60,7 @@ def _require_same_labels(space_a, space_b):
         raise LabelMismatchError("events live over different history label sets")
 
 
-def _minimal_preclusive_masks(members: tuple[int, ...], maximal: tuple[int, ...]) -> list[int]:
+def _minimal_preclusive_masks(sector: int, maximal: tuple[int, ...]) -> list[int]:
     """Minimal sub-supports of one sector not covered by any maximal mask.
 
     These are the minimal transversals of the edges ``sector & ~M``, one per
@@ -76,11 +70,9 @@ def _minimal_preclusive_masks(members: tuple[int, ...], maximal: tuple[int, ...]
     all as int bitmasks.  It splits on the uncovered edge with the fewest
     candidates and is cut as soon as a chosen vertex loses its last critical
     edge, so every output is minimal and appears once.  Recursion depth is
-    bounded by the sector size.  Output order is unspecified.
+    bounded by the sector size.  Output order is unspecified.  A sector that
+    is itself a zero event gives an empty edge and no supports.
     """
-    sector = 0
-    for i in members:
-        sector |= 1 << i
     edges = [sector & ~mx for mx in maximal] or [sector]
     if not all(edges):
         return []
@@ -123,12 +115,10 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
         catalog = find_zero_sets(df)
     masks: list[int] = []
     for s in catalog.sectors:
-        if s.sector_mask in s.zero_masks:
-            continue
-        masks.extend(_minimal_preclusive_masks(s.members, s.maximal_masks))
+        masks.extend(_minimal_preclusive_masks(s.sector_mask, s.maximal_masks))
     coevents = tuple(
         CoEvent(support=Event(df.space, m), classical=int(m).bit_count() == 1)
-        for m in sort_masks(df.space, masks)
+        for m in sort_masks(masks, df.size)
     )
     return CoEventSet(coevents=coevents, label=label, df=df)
 
@@ -149,7 +139,7 @@ def intersect_coevent_sets(sets) -> list[Event]:
     for other in sets[1:]:
         shared &= set(c.support.mask for c in other.coevents)
     space = first.df.space
-    return [Event(space, m) for m in sort_masks(space, shared)]
+    return [Event(space, m) for m in sort_masks(shared, space.size)]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .histories import (
     HistorySpace,
     _attach,
     _mask_bits,
-    sort_masks,
     validate_df,
 )
 from .limits import COMPOSITION_WORK_LIMIT
@@ -114,8 +113,8 @@ def _emergent_zero_events(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
     column cover the same set and nothing is assembled.  Rows likewise, with B.
     """
     na, nb = cat_a.df.size, cat_b.df.size
-    zeros_a = _mask_bits([m for s in cat_a.sectors for m in s.zero_masks if m], na)
-    zeros_b = _mask_bits([m for s in cat_b.sectors for m in s.zero_masks if m], nb)
+    zeros_a = _mask_bits([m for s in cat_a.sectors for m in s.zero_masks], na)
+    zeros_b = _mask_bits([m for s in cat_b.sectors for m in s.zero_masks], nb)
     space = cat_p.df.space
     out = []
     for sector in cat_p.sectors:
@@ -123,7 +122,7 @@ def _emergent_zero_events(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
         # Only factor zero masks inside the sector's rows (columns) fit in its events.
         za = zeros_a[~(zeros_a & ~shape.any(axis=1)).any(axis=1)]
         zb = zeros_b[~(zeros_b & ~shape.any(axis=0)).any(axis=1)]
-        masks = sort_masks(space, [m for m in sector.zero_masks if m])
+        masks = sector.zero_masks
         step = max(1, _STEP_ENTRIES // (len(za) * nb + len(zb) * na + na * nb))
         for start in range(0, len(masks), step):
             chunk = masks[start:start + step]

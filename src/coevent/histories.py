@@ -100,10 +100,6 @@ class HistorySchema:
         """The initial ket of a pure-state schema (one state column), else None."""
         return self.state[:, 0] if self.state.shape[1] == 1 else None
 
-    @property
-    def n_slices(self) -> int:
-        return len(self.slices)
-
 
 @dataclass(eq=False)
 class HistorySpace:
@@ -207,15 +203,15 @@ def _mask_bits(masks, n: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little") == 1
 
 
-def sort_masks(space: HistorySpace, masks) -> list[int]:
-    """Masks in canonical order: by cardinality, then by member indices.
+def sort_masks(masks, width: int) -> list[int]:
+    """Masks of ``width`` bits in canonical order: by cardinality, then by
+    member indices.
 
     Of two masks of equal size, the one holding the lowest index of their
     symmetric difference comes first: the one whose bit-reversed value is
     larger.
     """
-    n = space.size
-    return sorted(masks, key=lambda m: (int(m).bit_count(), -int(f"{int(m):0{n}b}"[::-1], 2)))
+    return sorted(masks, key=lambda m: (int(m).bit_count(), -int(f"{int(m):0{width}b}"[::-1], 2)))
 
 
 def enumerate_histories(schema: HistorySchema) -> HistorySpace:
@@ -308,9 +304,6 @@ class DecoherenceFunctional:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.space.labels
-
-    def entry(self, i: int, j: int) -> complex:
-        return complex(np.vdot(self.factor[i], self.factor[j]))
 
     def _branch_sum(self, event: Event) -> np.ndarray:
         return self.factor[list(event.indices)].sum(axis=0)
@@ -413,11 +406,13 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
 
 def _block_residual(df: DecoherenceFunctional) -> float:
     """Largest |D(i, j)| over histories i, j in different final sectors: each
-    sector's factor rows, a chunk at a time, against the rows of later sectors."""
+    sector's factor rows, a chunk at a time, against the rows of later sectors.
+    Sectors are unpacked one at a time, so memory stays O(n)."""
     v = df.factor
     later = np.ones(df.size, dtype=bool)
     worst = 0.0
-    for inside in _mask_bits([mask for _, mask in df.space.sectors], df.size):
+    for _, mask in df.space.sectors:
+        inside = _mask_bits([mask], df.size)[0]
         later &= ~inside
         rows, others = v[inside], v[later].T
         step = max(1, _STEP_ENTRIES // max(1, others.shape[1]))

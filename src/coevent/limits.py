@@ -15,8 +15,8 @@ import os
 MAX_OMEGA_ENV = "COEVENT_MAX_OMEGA"
 DEFAULT_MAX_OMEGA = 2**20
 SECTOR_ENUMERATION_LIMIT = 20
-# At about 125,000 partitions checked per second (2 vCPU), Bell(11) = 678,570
-# partitions take about 5 s; Bell(12) = 4,213,597 would take about 35 s.
+# At about 360,000 partitions checked per second (2 vCPU), Bell(11) = 678,570
+# partitions take about 2 s; Bell(12) = 4,213,597 would take about 12 s.
 PARTITION_COUNT_LIMIT = 1_000_000
 ASSEMBLY_LIMIT = 100_000
 COMPOSITION_WORK_LIMIT = 250_000_000

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -51,9 +51,9 @@ def _spread_mask(local_mask: int, members: tuple[int, ...]) -> int:
 
 
 def _maximal_masks(masks: list[int]) -> list[int]:
-    """Inclusion-maximal members of a family of bitmasks."""
+    """Inclusion-maximal members of a family of bitmasks ordered by cardinality."""
     out: list[int] = []
-    for m in sorted(masks, key=lambda x: -int(x).bit_count()):
+    for m in reversed(masks):
         if not any(m & ~kept == 0 for kept in out):
             out.append(m)
     return out
@@ -61,12 +61,16 @@ def _maximal_masks(masks: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class SectorZeroData:
-    """Exhaustive zero-set data for one final sector (global bitmasks)."""
+    """Exhaustive zero-set data for one final sector (global bitmasks).
+
+    The mask lists are in canonical order and leave out the empty event,
+    except that ``maximal_masks`` is (0,) when the empty event is the only
+    zero event of the sector.
+    """
 
     label: str
     sector_mask: int
-    members: tuple[int, ...]
-    zero_masks: frozenset[int]
+    zero_masks: tuple[int, ...]
     maximal_masks: tuple[int, ...]
     nontrivial_masks: tuple[int, ...]
     borderline_masks: tuple[int, ...]
@@ -80,19 +84,19 @@ class ZeroSetCatalog:
         self.sectors = sectors
 
     def is_zero_event(self, event: Event) -> bool:
-        """True iff every sector part of the event is a sector zero event."""
-        return all(event.mask & s.sector_mask in s.zero_masks for s in self.sectors)
+        """True iff every sector part of the event is empty or a sector zero event."""
+        for s in self.sectors:
+            part = event.mask & s.sector_mask
+            if part and part not in s.zero_masks:
+                return False
+        return True
 
     def _events(self, mask_lists) -> list[Event]:
-        space = self.df.space
-        out = []
-        for masks in mask_lists:
-            out.extend(Event(space, m) for m in sort_masks(space, masks))
-        return out
+        return [Event(self.df.space, m) for masks in mask_lists for m in masks]
 
     def zero_events_sectorwise(self) -> list[Event]:
         """Nonempty zero events lying inside a single sector, sector by sector."""
-        return self._events([m for m in s.zero_masks if m] for s in self.sectors)
+        return self._events(s.zero_masks for s in self.sectors)
 
     def nontrivial_zero_events(self) -> list[Event]:
         return self._events(s.nontrivial_masks for s in self.sectors)
@@ -106,19 +110,19 @@ class ZeroSetCatalog:
 
         Raises SpaceTooLargeError beyond ASSEMBLY_LIMIT combinations.
         """
-        per_sector = [s.maximal_masks or (0,) for s in self.sectors]
+        per_sector = [s.maximal_masks for s in self.sectors]
         if math.prod(len(masks) for masks in per_sector) > ASSEMBLY_LIMIT:
             raise SpaceTooLargeError(
                 f"zero-event assembly exceeds ASSEMBLY_LIMIT = {ASSEMBLY_LIMIT} combinations"
             )
         # Sectors are disjoint, so one mask per sector sums to their union.
         assembled = {sum(choice) for choice in product(*per_sector)}
-        return [Event(self.df.space, m) for m in sort_masks(self.df.space, assembled)]
+        return [Event(self.df.space, m) for m in sort_masks(assembled, self.df.size)]
 
     def counts(self) -> dict:
         return {
             "sectors": len(self.sectors),
-            "zero_sectorwise": sum(len([m for m in s.zero_masks if m]) for s in self.sectors),
+            "zero_sectorwise": sum(len(s.zero_masks) for s in self.sectors),
             "nontrivial": sum(len(s.nontrivial_masks) for s in self.sectors),
             "borderline": sum(len(s.borderline_masks) for s in self.sectors),
         }
@@ -130,6 +134,10 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     Enumeration runs per verified final sector, or over the whole space when
     no block structure is available.  Raises SpaceTooLargeError when any
     enumerated block exceeds SECTOR_ENUMERATION_LIMIT members.
+
+    A sector's masks are found and sorted in sector-local bits, bit b for
+    its b-th member.  Members ascend, so the local canonical order is the
+    global one, and each mask is spread to global bits once.
     """
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
@@ -145,28 +153,22 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
                 f"{SECTOR_ENUMERATION_LIMIT}"
             )
         rows = df.factor[list(members)]
-        block = np.conjugate(rows) @ rows.T
-        vals = _subset_measures(block)
-        zero_local = np.flatnonzero(np.abs(vals) <= EPS_ZERO)
-        border_local = np.flatnonzero((np.abs(vals) > EPS_ZERO) & (np.abs(vals) <= BORDERLINE_MAX))
-        diag_pos = [bool(vals[1 << b] > EPS_ZERO) for b in range(k)]
-        zero_masks = [_spread_mask(int(m), members) for m in zero_local]
+        vals = np.abs(_subset_measures(np.conjugate(rows) @ rows.T))
+        # The empty event comes first: its measure is exactly 0.
+        zero = [_spread_mask(m, members)
+                for m in sort_masks(np.flatnonzero(vals <= EPS_ZERO).tolist(), k)]
+        border = np.flatnonzero((vals > EPS_ZERO) & (vals <= BORDERLINE_MAX)).tolist()
         # Nontrivial: some proper subset has positive measure.  Under strong
         # positivity that is a singleton check, since Cauchy-Schwarz makes
         # every subset of an event of null histories null.
-        nontrivial = [
-            _spread_mask(int(m), members)
-            for m in zero_local
-            if int(m).bit_count() >= 2 and any(diag_pos[b] for b in range(k) if m >> b & 1)
-        ]
+        null = sum(m for m in zero if m.bit_count() == 1)
         data.append(SectorZeroData(
             label=name,
             sector_mask=sector_mask,
-            members=members,
-            zero_masks=frozenset(zero_masks),
-            maximal_masks=tuple(_maximal_masks(zero_masks)),
-            nontrivial_masks=tuple(nontrivial),
-            borderline_masks=tuple(_spread_mask(int(m), members) for m in border_local),
+            zero_masks=tuple(zero[1:]),
+            maximal_masks=tuple(_maximal_masks(zero)),
+            nontrivial_masks=tuple(m for m in zero if m.bit_count() >= 2 and m & ~null),
+            borderline_masks=tuple(_spread_mask(m, members) for m in sort_masks(border, k)),
         ))
     return ZeroSetCatalog(df, tuple(data))
 
@@ -239,38 +241,34 @@ def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> Part
     return PartitionReport(cells=cells, mode=mode, residual=residual, passed=residual <= EPS_DF)
 
 
-def iter_set_partitions(n: int, max_cells: int):
+def set_partition_strings(n: int, max_cells: int) -> np.ndarray:
     """Restricted-growth strings over n elements with at most max_cells blocks.
 
-    Yields lists ``a`` with a[0] = 0 and a[i] <= max(a[:i]) + 1, in
-    lexicographic order.
+    One int8 row per string ``a``, with a[0] = 0 and a[i] <= max(a[:i]) + 1,
+    rows in lexicographic order.  The strings grow one element per step,
+    each row r getting min(top_r + 2, max_cells) children, top_r its largest
+    value; the row count of the next step is the number of partitions of
+    one more element, so it is checked against PARTITION_COUNT_LIMIT before
+    the step and SpaceTooLargeError names the first count above the cap.
+    A value v needs Bell(v + 1) rows under the cap, so v <= 10 fits int8.
     """
-    if n == 0:
-        return
-    a = [0] * n
-
-    def rec(i: int, top: int):
-        if i == n:
-            yield list(a)
-            return
-        for b in range(min(top + 1, max_cells - 1) + 1):
-            a[i] = b
-            yield from rec(i + 1, max(top, b))
-
-    yield from rec(1, 0)
-
-
-def _partition_count(n: int, max_cells: int) -> int:
-    """Set partitions of n elements into at most max_cells blocks, the sum of
-    the Stirling numbers S(n, k) over k <= max_cells.  The count grows with
-    the number of elements, so it stops at the first m <= n whose count
-    passes PARTITION_COUNT_LIMIT: exact up to the cap, a lower bound above."""
-    row = [1]  # S(m, k) for k <= min(m, max_cells), from m = 0
-    for m in range(1, n + 1):
-        row = [0] + [k * row[k] + row[k - 1] for k in range(1, len(row))] + [1] * (m <= max_cells)
-        if sum(row) > PARTITION_COUNT_LIMIT:
-            break
-    return sum(row)
+    if max_cells < 1:
+        raise ValueError("max_cells must be at least 1")
+    # One cell allows only the all-zero string.  With two or more, every row
+    # has at least two children, so the cap stops the growth within 20 steps.
+    strings = np.zeros((min(n, 1), n if max_cells == 1 else min(n, 1)), dtype=np.int8)
+    while strings.shape[1] < n:
+        children = np.minimum(strings.max(axis=1).astype(np.int64) + 2, max_cells)
+        count = int(children.sum())
+        if count > PARTITION_COUNT_LIMIT:
+            raise SpaceTooLargeError(
+                f"partition search over {n} histories into at most {max_cells} cells has at "
+                f"least {count} partitions, above PARTITION_COUNT_LIMIT = {PARTITION_COUNT_LIMIT}"
+            )
+        first_child = np.repeat(np.cumsum(children) - children, children)
+        value = (np.arange(count) - first_child).astype(np.int8)
+        strings = np.column_stack((np.repeat(strings, children, axis=0), value))
+    return strings
 
 
 def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
@@ -278,25 +276,21 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     """All partitions into at most max_cells cells passing the mode's check.
 
     Partitions are enumerated as restricted-growth strings (lexicographic),
-    cells ordered by least member.  Raises SpaceTooLargeError before any
-    work when there are more than PARTITION_COUNT_LIMIT such partitions.
+    cells ordered by least member.  Raises SpaceTooLargeError, before any
+    cell matrix is built, when there are more than PARTITION_COUNT_LIMIT
+    such partitions.
     """
     n = df.size
-    if max_cells < 1:
-        raise ValueError("max_cells must be at least 1")
-    count = _partition_count(n, max_cells)
-    if count > PARTITION_COUNT_LIMIT:
-        raise SpaceTooLargeError(
-            f"partition search over {n} histories into at most {max_cells} cells has at "
-            f"least {count} partitions, above PARTITION_COUNT_LIMIT = {PARTITION_COUNT_LIMIT}"
-        )
+    strings = set_partition_strings(n, max_cells)
+    step = max(1, _STEP_ENTRIES // (n * n or 1))
     out = []
-    strings = iter_set_partitions(n, max_cells)
-    while batch := list(islice(strings, max(1, _STEP_ENTRIES // (n * n or 1)))):
-        residuals = _off_diagonal_residual(_cell_matrices(df.factor, np.array(batch)), mode)
+    for start in range(0, len(strings), step):
+        batch = strings[start:start + step]
+        residuals = _off_diagonal_residual(_cell_matrices(df.factor, batch), mode)
         for i in np.flatnonzero(residuals <= EPS_DF):
-            cells = tuple(Event(df.space, sum(1 << h for h, b in enumerate(batch[i]) if b == k))
-                          for k in range(max(batch[i]) + 1))
+            row = batch[i].tolist()
+            cells = tuple(Event(df.space, sum(1 << h for h, b in enumerate(row) if b == k))
+                          for k in range(max(row) + 1))
             out.append(PartitionReport(cells=cells, mode=mode,
                                        residual=float(residuals[i]), passed=True))
     return out

@@ -157,31 +157,11 @@ def _build_composite_product(params: dict) -> ScenarioBuild:
 
 
 SCENARIOS = {
-    "pbr-v1": {
-        "builder": _build_pbr_v1,
-        "required": (),
-        "description": "four two-qubit product states measured once in the xi basis",
-    },
-    "pbr-v2": {
-        "builder": _build_pbr_v2,
-        "required": (),
-        "description": "computational slice refined by the xi basis",
-    },
-    "appendix-theta": {
-        "builder": _build_appendix_theta,
-        "required": ("theta",),
-        "description": "three alternating qubit slices at angles theta, theta +/- pi/4",
-    },
-    "appendix-hamiltonian": {
-        "builder": _build_appendix_hamiltonian,
-        "required": ("theta",),
-        "description": "Hamiltonian realization of appendix-theta with timed evolutions",
-    },
-    "composite-product": {
-        "builder": _build_composite_product,
-        "required": (),
-        "description": "a rank-deficient qubit DF tensored with itself",
-    },
+    "pbr-v1": {"builder": _build_pbr_v1, "required": ()},
+    "pbr-v2": {"builder": _build_pbr_v2, "required": ()},
+    "appendix-theta": {"builder": _build_appendix_theta, "required": ("theta",)},
+    "appendix-hamiltonian": {"builder": _build_appendix_hamiltonian, "required": ("theta",)},
+    "composite-product": {"builder": _build_composite_product, "required": ()},
 }
 
 

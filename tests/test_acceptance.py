@@ -263,7 +263,7 @@ def test_criterion_4_product_functional_and_partitions():
     medium = find_decoherent_partitions(sub, "medium", max_cells=sub.size)
     assert len(medium) == 1 and len(medium[0].cells) == 1
 
-    assert prod.entry(0, 3).real == pytest.approx(-0.25, abs=TIGHT)
+    assert prod.matrix[0, 3].real == pytest.approx(-0.25, abs=TIGHT)
     comp = composition_anomalies(sub, sub)
     assert len(comp.weak_violations) == 1
     violation = comp.weak_violations[0]

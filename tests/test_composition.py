@@ -112,7 +112,7 @@ def test_composition_anomalies_on_paper_pair(composite_golden):
     )
     assert v.partition_a.cell_labels() == [["h1"], ["h2"]]
     assert v.partition_b.cell_labels() == [["h1"], ["h2"]]
-    assert report.product.entry(0, 3).real == pytest.approx(
+    assert report.product.matrix[0, 3].real == pytest.approx(
         composite_golden["re_d_h11_h22"], abs=1e-12
     )
     doc = report.as_dict()

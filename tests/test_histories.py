@@ -26,7 +26,7 @@ from coevent import (
     raw_df,
     validate_df,
 )
-from coevent.histories import raw_space, sort_masks
+from coevent.histories import HistorySpace, raw_space, sort_masks
 
 from conftest import amplitude, outcome_tuples, projectors, scenario_dfs, unvalidated_raw_df
 
@@ -354,7 +354,6 @@ def test_sort_masks_orders_by_size_then_members(data):
     """The canonical order is (cardinality, ascending member indices), also
     for masks past the 64-bit boundary."""
     n = data.draw(st.integers(60, 70))
-    space = raw_space(f"h{i}" for i in range(n))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=30))
     masks += data.draw(st.lists(st.sets(st.integers(n - 12, n - 1), max_size=4)
                                 .map(lambda s: sum(1 << i for i in s)), max_size=10))
@@ -362,7 +361,7 @@ def test_sort_masks_orders_by_size_then_members(data):
     def members(m):
         return tuple(i for i in range(n) if m >> i & 1)
 
-    assert sort_masks(space, masks) == sorted(masks, key=lambda m: (len(members(m)), members(m)))
+    assert sort_masks(masks, n) == sorted(masks, key=lambda m: (len(members(m)), members(m)))
 
 
 def test_validate_df_failure_reports():
@@ -432,6 +431,23 @@ def test_build_df_on_a_256_outcome_basis_stays_small():
     assert df.validation.passed
     mu = [measure(df, Event(df.space, 1 << i)) for i in range(dim)]
     np.testing.assert_allclose(mu, np.abs(dec.basis[0]) ** 2, atol=1e-12)
+
+
+def test_block_residual_memory_stays_linear_in_sectors():
+    """4,096 one-history sectors: the block check unpacks one sector at a
+    time, so validation holds O(n) bools, not one row per sector."""
+    n = 4096
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)),
+                         sectors=tuple((str(i), 1 << i) for i in range(n)))
+    df = DecoherenceFunctional(space, np.full((n, 1), 1.0 / n))
+    tracemalloc.start()
+    try:
+        report = validate_df(df)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert report.block_residual == pytest.approx(1.0 / n**2)
 
 
 def test_all_scenario_dfs_validate():

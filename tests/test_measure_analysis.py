@@ -21,12 +21,9 @@ from coevent import (
     measure,
     raw_df,
 )
-from coevent.histories import HistorySpace, _report, raw_space
-from coevent.measure_analysis import (
-    _partition_count,
-    _subset_measures,
-    iter_set_partitions,
-)
+from coevent.histories import HistorySpace, _report, raw_space, sort_masks
+from coevent.measure_analysis import _subset_measures, set_partition_strings
+from coevent.tolerances import EPS_DF
 
 from conftest import (
     brute_decoherent_partitions,
@@ -68,7 +65,9 @@ def test_catalog_matches_brute_on_random_dfs():
     for df in cases:
         catalog = find_zero_sets(df)
         zeros = brute_zero_masks(df)
-        assert {e.mask for e in catalog.zero_events_sectorwise()} == zeros - {0}
+        want = [m for _, sector in df.sectors()
+                for m in sort_masks([z for z in zeros if z and z & ~sector == 0], df.size)]
+        assert [e.mask for e in catalog.zero_events_sectorwise()] == want
         assert {e.mask for e in catalog.maximal_zero_events()} == set(
             brute_maximal_masks(zeros)
         )
@@ -145,12 +144,19 @@ def test_find_zero_sets_on_many_one_history_sectors():
 
 
 def test_partition_iterator_counts():
-    bell = [1, 2, 5, 15, 52, 203]
-    for n, want in zip(range(1, 7), bell):
-        assert sum(1 for _ in iter_set_partitions(n, n)) == want
+    """Row counts are Bell numbers, 2^(n-1) for two cells and 1 for one; rows
+    are restricted-growth strings in strictly increasing lexicographic order."""
+    bell = [1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570]
+    for n, want in zip(range(1, 12), bell):
+        strings = set_partition_strings(n, n)
+        assert strings.shape == (want, n) and strings.dtype == np.int8
+        tops = np.maximum.accumulate(strings, axis=1)
+        assert (strings[:, 0] == 0).all() and (strings[:, 1:] <= tops[:, :-1] + 1).all()
+        rows = strings.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
     for n in range(2, 7):
-        assert sum(1 for _ in iter_set_partitions(n, 2)) == 2 ** (n - 1)
-        assert sum(1 for _ in iter_set_partitions(n, 1)) == 1
+        assert len(set_partition_strings(n, 2)) == 2 ** (n - 1)
+        assert len(set_partition_strings(n, 1)) == 1
 
 
 def test_partition_iterator_matches_reference():
@@ -166,7 +172,7 @@ def test_partition_iterator_matches_reference():
 
     for n in range(1, 6):
         got = set()
-        for rgs in iter_set_partitions(n, n):
+        for rgs in set_partition_strings(n, n).tolist():
             cells = {}
             for i, b in enumerate(rgs):
                 cells.setdefault(b, []).append(i)
@@ -250,6 +256,24 @@ def test_partition_search_matches_direct_sums(seed, n, mode, max_cells):
         assert rep.residual == pytest.approx(residual, abs=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
+def test_weak_partitions_make_the_measure_additive(seed, n):
+    """On every weakly decoherent partition the quantum measure is additive:
+    mu of a union S of cells is the sum of their measures, up to the
+    |S|(|S| - 1) off-diagonal terms 2 Re D(A, B), each within EPS_DF."""
+    from conftest import random_amplitude_df
+
+    df = random_amplitude_df(np.random.default_rng(seed), n)
+    for rep in find_decoherent_partitions(df, "weak", n):
+        cell_mu = [measure(df, c) for c in rep.cells]
+        for pick in range(1, 1 << len(rep.cells)):
+            chosen = [i for i in range(len(rep.cells)) if pick >> i & 1]
+            union = Event(df.space, sum(rep.cells[i].mask for i in chosen))
+            assert measure(df, union) == pytest.approx(
+                sum(cell_mu[i] for i in chosen), rel=0, abs=len(chosen) ** 2 * EPS_DF)
+
+
 def test_weak_contains_medium_appendix():
     df = scenario_dfs("appendix-theta", theta=0.7)["phi1"]
     med = find_decoherent_partitions(df, "medium", max_cells=4)
@@ -271,10 +295,10 @@ def test_partition_search_guard():
     of 17 histories are searched, the Bell(12) partitions of 12 are refused."""
     from conftest import random_strong_df
 
-    assert [_partition_count(n, n) for n in range(13)] == [
-        1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
-    assert _partition_count(17, 2) == 2**16
-    assert _partition_count(17, 1) == 1
+    assert [len(set_partition_strings(n, n)) for n in range(1, 12)] == [
+        1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570]
+    assert len(set_partition_strings(17, 2)) == 2**16
+    assert len(set_partition_strings(17, 1)) == 1
     df = random_strong_df(np.random.default_rng(73), 17)
     found = find_decoherent_partitions(df, "medium", max_cells=2)
     assert [len(p.cells) for p in found] == [1]
@@ -286,4 +310,12 @@ def test_partition_search_guard():
     wide = DecoherenceFunctional(raw_space(f"h{i}" for i in range(n)), np.full((n, 1), 1.0 / n))
     with pytest.raises(SpaceTooLargeError, match="at least 4213597 partitions"):
         find_decoherent_partitions(wide, "weak", max_cells=n)
-    assert _partition_count(n, 1) == 1
+    assert set_partition_strings(n, 1).shape == (1, n)
+
+
+def test_one_cell_search_over_many_histories():
+    """max_cells=1 allows only the one-cell partition, whatever the size."""
+    n = 2000
+    df = DecoherenceFunctional(raw_space(f"h{i}" for i in range(n)), np.full((n, 1), 1.0 / n))
+    found = find_decoherent_partitions(df, "medium", max_cells=1)
+    assert [[c.mask for c in p.cells] for p in found] == [[(1 << n) - 1]]

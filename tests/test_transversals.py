@@ -54,7 +54,7 @@ def sectors_with_maximal_masks(draw):
 @given(sectors_with_maximal_masks())
 def test_minimal_preclusive_masks_match_transversal_oracle(case):
     members, maximal = case
-    got = _minimal_preclusive_masks(members, maximal)
+    got = _minimal_preclusive_masks(sum(1 << i for i in members), maximal)
     assert sorted(got) == brute_minimal_transversals(members, maximal)
 
 
@@ -78,7 +78,7 @@ def test_four_blocks_of_ten_give_ten_thousand_supports():
     blocks = [members[10 * b: 10 * b + 10] for b in range(4)]
     sector = sum(1 << i for i in members)
     maximal = tuple(sector & ~sum(1 << i for i in block) for block in blocks)
-    got = _minimal_preclusive_masks(members, maximal)
+    got = _minimal_preclusive_masks(sector, maximal)
     want = {sum(1 << i for i in pick) for pick in product(*blocks)}
     assert len(got) == len(want) == 10_000
     assert set(got) == want
