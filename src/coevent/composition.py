@@ -24,7 +24,7 @@ from .histories import (
     _mask_bits,
     validate_df,
 )
-from .limits import COMPOSITION_WORK_LIMIT
+from .limits import COMPOSITION_WORK_LIMIT, SECTOR_ENUMERATION_LIMIT
 from .measure_analysis import (
     PartitionReport,
     ZeroSetCatalog,
@@ -62,6 +62,14 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
     space = HistorySpace(labels=labels, sectors=sectors)
     product = DecoherenceFunctional(space, np.kron(a.factor, b.factor))
     return _attach(product, validate_df(product), "product decoherence functional")
+
+
+def _largest_block(space: HistorySpace) -> int:
+    """Histories in the largest final sector of a space, or in the whole
+    space when it has no sectors."""
+    if space.sectors is None:
+        return space.size
+    return max(mask.bit_count() for _, mask in space.sectors)
 
 
 def _pair_mask(mask_a: int, mask_b: int, nb: int) -> int:
@@ -179,10 +187,19 @@ def composition_anomalies(a: DecoherenceFunctional,
     with a factor zero event on one side; every such rectangle is zero by
     the rectangle rule, so a covered event is explained by the factors.
     Weak violations are products of weakly decoherent factor partitions
-    that fail weak decoherence.  Both factor partition searches and the
-    COMPOSITION_WORK_LIMIT check run first, so SpaceTooLargeError comes
-    before the product is built.
+    that fail weak decoherence.  The product's zero-set size check, both
+    factor partition searches and the COMPOSITION_WORK_LIMIT check run
+    first, so SpaceTooLargeError comes before the product is built.  The
+    product's catalog blocks are the rectangles of the factors' sectors, or
+    the whole product space, so none is smaller than the product of the
+    factors' largest blocks.
     """
+    block = _largest_block(a.space) * _largest_block(b.space)
+    if block > SECTOR_ENUMERATION_LIMIT:
+        raise SpaceTooLargeError(
+            f"sector of {block} histories exceeds SECTOR_ENUMERATION_LIMIT = "
+            f"{SECTOR_ENUMERATION_LIMIT}"
+        )
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
     parts_b = find_decoherent_partitions(b, "weak", max_cells=b.size)
     work = sum(len(p.cells) ** 2 for p in parts_a) * sum(len(p.cells) ** 2 for p in parts_b)

@@ -20,43 +20,66 @@ from .limits import ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, SECTOR_ENUMERATION_LI
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 
-def _subset_measures(block: np.ndarray) -> np.ndarray:
-    """mu of every subset of a k x k Hermitian block, indexed by bitmask.
+def _half_sums(rows: np.ndarray) -> np.ndarray:
+    """Sums of every subset of the rows, indexed by bitmask, by doubling."""
+    sums = np.zeros((1 << len(rows), rows.shape[1]))
+    for b, row in enumerate(rows):
+        np.add(sums[: 1 << b], row, out=sums[1 << b: 2 << b])
+    return sums
 
-    Built by doubling: adding member b to a mask adds D[b, b] plus twice the
-    real part of row b against the existing members.
+
+def _subset_measures(rows: np.ndarray) -> np.ndarray:
+    """mu of every subset of the histories with factor rows ``rows`` (k x c),
+    indexed by bitmask: mu(S) = |sum_{i in S} V_i|^2.
+
+    The bits split into a low half of h = k // 2 and a high half, whose
+    subset sums L and H of the real rows (2c columns) are built by doubling.
+    Mask hi * 2^h + lo has mu = |H_hi|^2 + |L_lo|^2 + 2 H_hi . L_lo, so one
+    real matrix product makes the table and no 2^k x c array is formed.
     """
-    k = block.shape[0]
-    vals = np.zeros(1 << k)
-    rows = 2.0 * np.real(block)
-    diag = np.real(np.diagonal(block))
-    for b in range(k):
-        cross = np.zeros(1 << b)
-        for j in range(b):
-            half = 1 << j
-            cross[half: half << 1] = cross[:half] + rows[b, j]
-        vals[1 << b: 1 << (b + 1)] = vals[: 1 << b] + diag[b] + cross
-    return vals
+    real = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
+    h = len(real) // 2
+    low, high = _half_sums(real[:h]), _half_sums(real[h:])
+    vals = high @ low.T
+    vals *= 2.0
+    vals += (high * high).sum(axis=1)[:, None]
+    vals += (low * low).sum(axis=1)
+    return vals.ravel()
 
 
-def _spread_mask(local_mask: int, members: tuple[int, ...]) -> int:
-    g = 0
-    b = 0
-    while local_mask:
-        if local_mask & 1:
-            g |= 1 << members[b]
-        local_mask >>= 1
-        b += 1
-    return g
+# Sort key of a sector-local mask of at most 24 bits, as the sum of one
+# entry per byte (row p for byte p): size << 24, plus 2^24 - 1 minus the
+# mask's 24-bit reversal.  Keys ascend in canonical order (by size, then by
+# descending bit-reversed value, as in sort_masks).
+_BYTE_BITS = np.arange(256, dtype=np.int64)[:, None] >> np.arange(8) & 1
+_ORDER_KEY = ((_BYTE_BITS.sum(axis=1) << 24)
+              - ((_BYTE_BITS @ (128 >> np.arange(8))) << np.array([[16], [8], [0]]))
+              + np.array([[0xFFFFFF], [0], [0]]))
+# Class of a measure candidate, added as class << 30: 0 zero, 1 borderline,
+# 2 neither (a measure below -BORDERLINE_MAX).
+_BANDS = np.array([EPS_ZERO, BORDERLINE_MAX])
+# The smallest keys of a zero mask of two or more histories, of a borderline
+# mask and of a mask of neither class.
+_SPLITS = np.array([2 << 24, 1 << 30, 2 << 30])
 
 
-def _maximal_masks(masks: list[int]) -> list[int]:
-    """Inclusion-maximal members of a family of bitmasks ordered by cardinality."""
-    out: list[int] = []
-    for m in reversed(masks):
-        if not any(m & ~kept == 0 for kept in out):
-            out.append(m)
-    return out
+def _spreader(members: tuple[int, ...]):
+    """The map from masks in sector-local bits (at most 24) to a tuple of
+    global masks: one lookup per byte, in tables of the global masks of the
+    256 values of each byte."""
+    tables = []
+    for j in range(0, 24, 8):
+        table = [0]
+        for g in members[j:j + 8]:
+            bit = 1 << g
+            table += [m | bit for m in table]
+        tables.append(table)
+    t0, t1, t2 = tables
+
+    def spread(local_masks) -> tuple[int, ...]:
+        return tuple([t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16] for m in local_masks])
+
+    return spread
 
 
 @dataclass(frozen=True)
@@ -135,9 +158,12 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     no block structure is available.  Raises SpaceTooLargeError when any
     enumerated block exceeds SECTOR_ENUMERATION_LIMIT members.
 
-    A sector's masks are found and sorted in sector-local bits, bit b for
-    its b-th member.  Members ascend, so the local canonical order is the
-    global one, and each mask is spread to global bits once.
+    A sector's 2^k measures come from its factor rows in one table
+    (_subset_measures).  The masks at most BORDERLINE_MAX are classified,
+    sorted and reduced to maximal masks with numpy, in sector-local bits,
+    bit b for its b-th member.  Members ascend, so the local canonical order
+    is the global one.  Each listed mask is spread to global bits once, by
+    lookups in per-sector byte tables.
     """
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
@@ -152,23 +178,39 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
                 f"sector of {k} histories exceeds SECTOR_ENUMERATION_LIMIT = "
                 f"{SECTOR_ENUMERATION_LIMIT}"
             )
-        rows = df.factor[list(members)]
-        vals = np.abs(_subset_measures(np.conjugate(rows) @ rows.T))
-        # The empty event comes first: its measure is exactly 0.
-        zero = [_spread_mask(m, members)
-                for m in sort_masks(np.flatnonzero(vals <= EPS_ZERO).tolist(), k)]
-        border = np.flatnonzero((vals > EPS_ZERO) & (vals <= BORDERLINE_MAX)).tolist()
-        # Nontrivial: some proper subset has positive measure.  Under strong
-        # positivity that is a singleton check, since Cauchy-Schwarz makes
-        # every subset of an event of null histories null.
-        null = sum(m for m in zero if m.bit_count() == 1)
+        vals = _subset_measures(df.factor[list(members)])
+        masks = (vals <= BORDERLINE_MAX).nonzero()[0]
+        keys = _ORDER_KEY[0][masks & 255]
+        for j in range(8, k, 8):
+            keys += _ORDER_KEY[j // 8][masks >> j & 255]
+        keys += _BANDS.searchsorted(np.abs(vals[masks])) << 30
+        order = keys.argsort()
+        masks = masks[order]
+        pairs, zeros_end, border_end = keys[order].searchsorted(_SPLITS).tolist()
+        local = masks.tolist()
+        # The empty event comes first (its measure is exactly 0), then the
+        # single histories.  Nontrivial: some proper subset has positive
+        # measure.  Under strong positivity that is a singleton check, since
+        # Cauchy-Schwarz makes every subset of an event of null histories null.
+        null = sum(local[1:pairs])
+        larger = masks[pairs:zeros_end]
+        nontrivial = larger[larger & ~null != 0].tolist()
+        # Greedy rounds: the last mask left is the largest in canonical
+        # order, so it is maximal; drop every mask inside it.
+        maximal = []
+        left = masks[:zeros_end]
+        while len(left):
+            top = int(left[-1])
+            maximal.append(top)
+            left = left[left & ~top != 0]
+        spread = _spreader(members)
         data.append(SectorZeroData(
             label=name,
             sector_mask=sector_mask,
-            zero_masks=tuple(zero[1:]),
-            maximal_masks=tuple(_maximal_masks(zero)),
-            nontrivial_masks=tuple(m for m in zero if m.bit_count() >= 2 and m & ~null),
-            borderline_masks=tuple(_spread_mask(m, members) for m in sort_masks(border, k)),
+            zero_masks=spread(local[1:zeros_end]),
+            maximal_masks=spread(maximal),
+            nontrivial_masks=spread(nontrivial),
+            borderline_masks=spread(local[zeros_end:border_end]),
         ))
     return ZeroSetCatalog(df, tuple(data))
 
@@ -287,10 +329,20 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     for start in range(0, len(strings), step):
         batch = strings[start:start + step]
         residuals = _off_diagonal_residual(_cell_matrices(df.factor, batch), mode)
-        for i in np.flatnonzero(residuals <= EPS_DF):
-            row = batch[i].tolist()
-            cells = tuple(Event(df.space, sum(1 << h for h, b in enumerate(row) if b == k))
-                          for k in range(max(row) + 1))
-            out.append(PartitionReport(cells=cells, mode=mode,
-                                       residual=float(residuals[i]), passed=True))
+        passing = np.flatnonzero(residuals <= EPS_DF)
+        if not len(passing):
+            continue
+        rows = batch[passing]
+        counts = rows.max(axis=1) + 1
+        # The one-hot rows of every cell, row by row, packed to bytes.
+        cells = np.arange(int(counts.max()), dtype=np.int8)
+        onehot = (rows[:, None, :] == cells[:, None])[cells < counts[:, None]]
+        raw = np.packbits(onehot, axis=-1, bitorder="little").tobytes()
+        width = (n + 7) // 8
+        masks = iter([int.from_bytes(raw[o:o + width], "little")
+                      for o in range(0, len(raw), width)])
+        for count, residual in zip(counts.tolist(), residuals[passing].tolist()):
+            out.append(PartitionReport(cells=tuple(Event(df.space, next(masks))
+                                                   for _ in range(count)),
+                                       mode=mode, residual=residual, passed=True))
     return out

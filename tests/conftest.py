@@ -86,14 +86,17 @@ def support_set(list_of_label_lists) -> set[tuple[str, ...]]:
     return {tuple(sorted(labels)) for labels in list_of_label_lists}
 
 
-def brute_zero_masks(df: DecoherenceFunctional) -> set[int]:
-    """Masks of every event with |mu| <= EPS, by direct scan over all masks."""
+def brute_measures(df: DecoherenceFunctional) -> np.ndarray:
+    """mu of every event, indexed by mask, by direct sums over the matrix."""
     n = df.size
-    mat = np.real(df.matrix)
     masks = np.arange(1 << n, dtype=np.int64)
     members = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-    mu = np.einsum("mi,ij,mj->m", members, mat, members)
-    return set(masks[np.abs(mu) <= EPS].tolist())
+    return np.einsum("mi,ij,mj->m", members, np.real(df.matrix), members)
+
+
+def brute_zero_masks(df: DecoherenceFunctional) -> set[int]:
+    """Masks of every event with |mu| <= EPS, by direct scan over all masks."""
+    return set(np.flatnonzero(np.abs(brute_measures(df)) <= EPS).tolist())
 
 
 def subset_measures_simple(block: np.ndarray) -> np.ndarray:

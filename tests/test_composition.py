@@ -165,6 +165,29 @@ def test_composition_size_guard(monkeypatch):
         composition_anomalies(a, b)
 
 
+def test_composition_refuses_an_uncatalogable_product_first(monkeypatch):
+    """Two 10-history raw factors have no sectors, so the product's zero-set
+    catalog would scan one block of 100 histories: the refusal comes before
+    either factor's partition search."""
+    rng = np.random.default_rng(17)
+
+    def rank_two(n):
+        v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        gram = np.conjugate(v) @ v.T
+        return raw_df(gram / gram.real.sum())
+
+    def search(*args, **kwargs):
+        raise AssertionError("a factor partition search ran")
+
+    monkeypatch.setattr(composition, "find_decoherent_partitions", search)
+    with pytest.raises(SpaceTooLargeError, match="sector of 100 histories exceeds "
+                                                 "SECTOR_ENUMERATION_LIMIT = 20"):
+        composition_anomalies(rank_two(10), rank_two(10))
+    # Sectors of 3 on one side, one block of 7 on the other.
+    with pytest.raises(SpaceTooLargeError, match="sector of 21 histories"):
+        composition_anomalies(rotated_schema_df(), rank_two(7))
+
+
 ROTATED_KETS = {
     2: [np.array([1, 1]) / np.sqrt(2.0), np.array([1, -1]) / np.sqrt(2.0)],
     3: [np.array([1, 1, 1]) / np.sqrt(3.0), np.array([1, -1, 0]) / np.sqrt(2.0),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from coevent import (
 )
 from coevent.histories import HistorySpace, _report, raw_space, sort_masks
 from coevent.measure_analysis import _subset_measures, set_partition_strings
-from coevent.tolerances import EPS_DF
+from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 from conftest import (
     brute_decoherent_partitions,
     brute_maximal_masks,
+    brute_measures,
     brute_zero_masks,
     scenario_dfs,
     small_scenario_dfs,
@@ -37,13 +39,17 @@ from conftest import (
 
 
 def test_subset_measures_against_reference():
+    """The split table over k x c factor rows, with both halves nonempty
+    from k = 2, against direct submatrix sums of the Gram block, for c
+    below, equal to and above k."""
     rng = np.random.default_rng(61)
-    for k in range(1, 9):
-        a = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        block = a @ np.conjugate(a.T)
-        np.testing.assert_allclose(
-            _subset_measures(block), subset_measures_simple(block), atol=1e-10
-        )
+    for k in range(0, 11):
+        for c in sorted({max(1, k - 2), max(1, k), k + 3}):
+            rows = rng.normal(size=(k, c)) + 1j * rng.normal(size=(k, c))
+            np.testing.assert_allclose(
+                _subset_measures(rows), subset_measures_simple(np.conjugate(rows) @ rows.T),
+                atol=1e-10,
+            )
 
 
 def test_catalog_matches_brute_oracle():
@@ -71,6 +77,88 @@ def test_catalog_matches_brute_on_random_dfs():
         assert {e.mask for e in catalog.maximal_zero_events()} == set(
             brute_maximal_masks(zeros)
         )
+
+
+def planted_df(rng: np.random.Generator, n: int) -> DecoherenceFunctional:
+    """A raw DF over one block of n histories with planted cancellations,
+    null histories and, from the amplitudes of size 3e-4, measures near the
+    borderline band: each history has one amplitude from a collision-prone
+    set in one of a few hidden columns of the factor."""
+    base = np.array([1.0, -1.0, 0.5, -0.5, 0.0, 1j, -1j, 3e-4, -3e-4j])
+    cols = max(2, n // 3)
+    while True:
+        factor = np.zeros((n, cols), dtype=complex)
+        factor[np.arange(n), rng.integers(0, cols, size=n)] = (
+            rng.choice(base, size=n) * (0.5 + rng.random()))
+        gram = np.conjugate(factor) @ factor.T
+        total = float(gram.real.sum())
+        if total > 1e-6:
+            return raw_df(gram / total)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_zero_set_lists_match_direct_scan(seed, n):
+    """Every list of the one-block catalog equals the direct scan's, in
+    canonical order (by size, then by member indices); the split table has
+    both halves nonempty from two histories on, at odd and even widths."""
+    df = planted_df(np.random.default_rng(seed), n)
+    size = np.abs(brute_measures(df))
+    masks = range(1, 1 << n)
+
+    def canonical(found, reverse=False):
+        return sorted(found, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]),
+                      reverse=reverse)
+
+    # inside[m]: some subset of m, m included, has positive measure.
+    inside = size > EPS_ZERO
+    for i in range(n):
+        with_bit = np.flatnonzero(np.arange(1 << n) >> i & 1)
+        inside[with_bit] |= inside[with_bit ^ (1 << i)]
+    zeros = {0} | {m for m in masks if size[m] <= EPS_ZERO}
+    catalog = find_zero_sets(df)
+    assert [s.label for s in catalog.sectors] == ["all"]
+    assert [e.mask for e in catalog.zero_events_sectorwise()] == canonical(zeros - {0})
+    assert [e.mask for e in catalog.nontrivial_zero_events()] == canonical(
+        m for m in zeros if m.bit_count() >= 2
+        and any(inside[m ^ (1 << i)] for i in range(n) if m >> i & 1))
+    assert [e.mask for e in catalog.borderline_events()] == canonical(
+        m for m in masks if EPS_ZERO < size[m] <= BORDERLINE_MAX)
+    assert list(catalog.sectors[0].maximal_masks) == canonical(
+        brute_maximal_masks(zeros), reverse=True)
+
+
+def test_zero_sets_of_a_twenty_history_sector_stay_small():
+    """The split table of 2^20 measures (8 MB) is most of what one
+    20-history sector allocates: the traced peak stays under 12 MB."""
+    rng = np.random.default_rng(79)
+    v = rng.normal(size=(20, 12)) + 1j * rng.normal(size=(20, 12))
+    gram = np.conjugate(v) @ v.T
+    df = raw_df(gram / gram.real.sum())
+    tracemalloc.start()
+    try:
+        catalog = find_zero_sets(df)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert catalog.counts()["zero_sectorwise"] == 0
+    assert peak < 12 * 2**20
+
+
+def test_zero_sets_reach_every_byte_of_a_sector():
+    """In one 18-history block, history 17 is null and histories 15 and 16
+    cancel; the other 15 are generic.  Local masks reaching the third byte
+    are spread to the right histories."""
+    rng = np.random.default_rng(83)
+    factor = rng.normal(size=(18, 6)) + 1j * rng.normal(size=(18, 6))
+    factor[16] = -factor[15]
+    factor[17] = 0.0
+    gram = np.conjugate(factor) @ factor.T
+    catalog = find_zero_sets(raw_df(gram / gram.real.sum()))
+    pair, null = (1 << 15) | (1 << 16), 1 << 17
+    assert [e.mask for e in catalog.zero_events_sectorwise()] == [null, pair, pair | null]
+    assert [e.mask for e in catalog.nontrivial_zero_events()] == [pair, pair | null]
+    assert catalog.sectors[0].maximal_masks == (pair | null,)
 
 
 def test_catalog_counts_and_sectorwise_v2():
@@ -272,6 +360,21 @@ def test_weak_partitions_make_the_measure_additive(seed, n):
             union = Event(df.space, sum(rep.cells[i].mask for i in chosen))
             assert measure(df, union) == pytest.approx(
                 sum(cell_mu[i] for i in chosen), rel=0, abs=len(chosen) ** 2 * EPS_DF)
+
+
+def test_classical_search_returns_every_partition_as_cells():
+    """Every partition of a classical 9-history DF decoheres: the search
+    returns all Bell(9) of them in restricted-growth-string order, each as
+    nonempty cells that partition the space, ordered by least member."""
+    n = 9
+    found = find_decoherent_partitions(raw_df(np.eye(n) / n), "medium", n)
+    strings = set_partition_strings(n, n).tolist()
+    assert len(found) == len(strings) == 21147
+    for rep, rgs in zip(found, strings):
+        masks = [c.mask for c in rep.cells]
+        assert all(masks) and sum(masks) == (1 << n) - 1
+        assert [next(c for c, m in enumerate(masks) if m >> i & 1) for i in range(n)] == rgs
+        assert rep.passed and rep.residual <= 1e-12
 
 
 def test_weak_contains_medium_appendix():
