@@ -132,6 +132,16 @@ class HistorySpace:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
+    def labels_of(self, mask: int) -> list[str]:
+        """Labels of the histories in ``mask``, in index order."""
+        labels = self.labels
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return out
+
 
 def raw_space(labels) -> HistorySpace:
     return HistorySpace(labels=tuple(labels))
@@ -175,25 +185,13 @@ class Event:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.space.labels[i] for i in self.indices)
+        return tuple(self.space.labels_of(self.mask))
 
     def __len__(self) -> int:
         return int(self.mask).bit_count()
 
     def __bool__(self) -> bool:
         return self.mask != 0
-
-    def is_subset_of(self, other: "Event") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def union(self, other: "Event") -> "Event":
-        return Event(self.space, self.mask | other.mask)
-
-    def intersection(self, other: "Event") -> "Event":
-        return Event(self.space, self.mask & other.mask)
-
-    def complement(self) -> "Event":
-        return Event(self.space, self.space.full_mask() & ~self.mask)
 
 
 def _mask_bits(masks, n: int) -> np.ndarray:
@@ -304,13 +302,6 @@ class DecoherenceFunctional:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.space.labels
-
-    def _branch_sum(self, event: Event) -> np.ndarray:
-        return self.factor[list(event.indices)].sum(axis=0)
-
-    def event_value(self, a: Event, b: Event) -> complex:
-        """Bilinear extension sum_{i in a, j in b} D(i, j)."""
-        return complex(np.vdot(self._branch_sum(a), self._branch_sum(b)))
 
     def sectors_verified(self) -> bool:
         """True when final-sector block structure is known to hold."""
@@ -449,5 +440,5 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
 
 def measure(df: DecoherenceFunctional, event: Event) -> float:
     """Quantum measure mu(event) = |sum of its factor rows|^2; 0.0 when empty."""
-    total = df._branch_sum(event)
+    total = df.factor[list(event.indices)].sum(axis=0)
     return float(np.vdot(total, total).real)

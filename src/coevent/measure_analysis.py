@@ -106,14 +106,6 @@ class ZeroSetCatalog:
         self.df = df
         self.sectors = sectors
 
-    def is_zero_event(self, event: Event) -> bool:
-        """True iff every sector part of the event is empty or a sector zero event."""
-        for s in self.sectors:
-            part = event.mask & s.sector_mask
-            if part and part not in s.zero_masks:
-                return False
-        return True
-
     def _events(self, mask_lists) -> list[Event]:
         return [Event(self.df.space, m) for masks in mask_lists for m in masks]
 
@@ -128,8 +120,9 @@ class ZeroSetCatalog:
         """Events whose measure falls inside the borderline warning band."""
         return self._events(s.borderline_masks for s in self.sectors)
 
-    def maximal_zero_events(self) -> list[Event]:
-        """Inclusion-maximal zero events, assembled as unions across sectors.
+    def maximal_masks(self) -> list[int]:
+        """Masks of the inclusion-maximal zero events, assembled as unions
+        across sectors, in canonical order.
 
         Raises SpaceTooLargeError beyond ASSEMBLY_LIMIT combinations.
         """
@@ -139,8 +132,11 @@ class ZeroSetCatalog:
                 f"zero-event assembly exceeds ASSEMBLY_LIMIT = {ASSEMBLY_LIMIT} combinations"
             )
         # Sectors are disjoint, so one mask per sector sums to their union.
-        assembled = {sum(choice) for choice in product(*per_sector)}
-        return [Event(self.df.space, m) for m in sort_masks(assembled, self.df.size)]
+        return sort_masks({sum(choice) for choice in product(*per_sector)}, self.df.size)
+
+    def maximal_zero_events(self) -> list[Event]:
+        """The maximal zero events of ``maximal_masks``."""
+        return self._events([self.maximal_masks()])
 
     def counts(self) -> dict:
         return {

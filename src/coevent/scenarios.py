@@ -25,11 +25,10 @@ from .coevents import (
 from .errors import MissingParameterError, UnknownScenarioError
 from .histories import (
     DecoherenceFunctional,
-    Event,
     HistorySchema,
     Slice,
+    _mask_bits,
     build_df,
-    measure,
     raw_df,
 )
 from .linalg import (
@@ -182,8 +181,11 @@ def build_scenario(spec: ScenarioSpec | str, parameters: dict | None = None) -> 
     for req in entry["required"]:
         if req not in params:
             raise MissingParameterError(f"scenario {spec.name!r} requires parameter {req!r}")
-        if not isinstance(params[req], (int, float)) or isinstance(params[req], bool):
-            raise MissingParameterError(f"parameter {req!r} must be a real number")
+        value = params[req]
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise MissingParameterError(
+                f"parameter {req!r} must be a finite real number, got {value!r}")
     for got in params:
         if got not in entry["required"]:
             raise MissingParameterError(f"scenario {spec.name!r} takes no parameter {got!r}")
@@ -198,34 +200,45 @@ def _matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [[_complex_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _squared_norms(rows: np.ndarray) -> list[float]:
+    """|row|^2 of each row: the measure of the event whose branches sum to it."""
+    return np.einsum("ij,ij->i", np.conjugate(rows), rows).real.tolist()
+
+
 def analyze_df(df: DecoherenceFunctional, label: str) -> tuple[dict, CoEventSet]:
-    """Run the full per-state pipeline and return (report section, co-events)."""
+    """Run the full per-state pipeline and return (report section, co-events).
+
+    Every listed event is decoded from its mask; the single-history measures
+    are the squared norms of the factor rows.
+    """
     catalog = find_zero_sets(df)
     coevents = enumerate_primitive_coevents(df, catalog, label=label)
     space = df.space
-    singles = [measure(df, Event(space, 1 << i)) for i in range(space.size)]
+    labels_of = space.labels_of
+    sectors = catalog.sectors
+    singles = _squared_norms(df.factor)
     section = {
         "label": label,
         "history_labels": list(space.labels),
         "validation": df.validation.as_dict(),
-        "measures": {lab: singles[i] for i, lab in enumerate(space.labels)},
+        "measures": dict(zip(space.labels, singles)),
         "measure_vector": singles,
         "zero_sets": {
             "counts": catalog.counts(),
-            "sectorwise": [list(e.labels) for e in catalog.zero_events_sectorwise()],
-            "nontrivial": [list(e.labels) for e in catalog.nontrivial_zero_events()],
-            "maximal": [list(e.labels) for e in catalog.maximal_zero_events()],
-            "borderline": [list(e.labels) for e in catalog.borderline_events()],
+            "sectorwise": [labels_of(m) for s in sectors for m in s.zero_masks],
+            "nontrivial": [labels_of(m) for s in sectors for m in s.nontrivial_masks],
+            "maximal": [labels_of(m) for m in catalog.maximal_masks()],
+            "borderline": [labels_of(m) for s in sectors for m in s.borderline_masks],
         },
         "coevents": [
-            {"support": list(c.support.labels), "classical": c.classical}
+            {"support": labels_of(c.support.mask), "classical": c.classical}
             for c in coevents
         ],
     }
     if df.sectors_verified():
-        section["sector_measures"] = {
-            lab: measure(df, Event(space, mask)) for lab, mask in df.sectors()
-        }
+        names, masks = zip(*df.sectors())
+        totals = _mask_bits(masks, space.size) @ df.factor
+        section["sector_measures"] = dict(zip(names, _squared_norms(totals)))
     if df.size <= PARTITION_REPORT_LIMIT:
         section["decoherent_partitions"] = {
             mode: [rep.as_dict() for rep in find_decoherent_partitions(df, mode, df.size)]
@@ -313,6 +326,9 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
     """
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
+    for name, value in (("start", start), ("end", end)):
+        if not math.isfinite(value):
+            raise ValueError(f"sweep {name} must be a finite number, got {value!r}")
     if not end > start:
         raise ValueError("sweep range must satisfy end > start")
     grid = [start + (end - start) * i / (steps - 1) for i in range(steps)]
@@ -374,54 +390,130 @@ def _round_sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _canonical(value):
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, bool):
-        return value
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_json(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"report values must be finite, got {x!r}")
+    return repr(_round_sig(x))
+
+
+def _builtin(value):
+    """The builtin value a numpy scalar or a subclass is written as; a
+    complex number is written as its [re, im] pair."""
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return _round_sig(float(value))
+        return float(value)
     if isinstance(value, (complex, np.complexfloating)):
-        return [_round_sig(float(value.real)), _round_sig(float(value.imag))]
-    if value is None or isinstance(value, str):
-        return value
+        return [float(value.real), float(value.imag)]
+    if isinstance(value, str):
+        return str.__str__(value)
     raise TypeError(f"cannot serialize value of type {type(value)!r}")
 
 
-def _render_text(doc: dict, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines = []
-    if isinstance(doc, dict):
-        for k in sorted(doc):
-            v = doc[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(doc, list):
-        for v in doc:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
+def _sorted_items(value: dict) -> list:
+    return sorted({str(k): v for k, v in value.items()}.items())
+
+
+# How each format writes a scalar of exactly these types; any other scalar is
+# first converted by _builtin.
+_JSON_SCALARS = {
+    str: _encode_str,
+    float: _float_json,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_TEXT_SCALARS = {
+    str: str,
+    float: lambda x: repr(_round_sig(x)),
+    int: str,
+    bool: str,
+    type(None): str,
+}
+
+
+def _write_json(value, pad: str, out: list) -> None:
+    """Append the indent-2 JSON text of ``value`` to ``out``; ``pad`` is the
+    indentation of the line it starts on."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in _sorted_items(value):
+            out.append(sep + _encode_str(k) + ": ")
+            _write_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for v in value:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
     else:
-        lines.append(f"{pad}{doc}")
-    return lines
+        _write_json(_builtin(value), pad, out)
+
+
+def _text_scalar(value) -> str | None:
+    """The text of a scalar; None for a value written as nested lines."""
+    scalar = _TEXT_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, (dict, list, tuple, complex, np.complexfloating)):
+        return None
+    value = _builtin(value)
+    return _TEXT_SCALARS[type(value)](value)
+
+
+def _write_text(value, pad: str, out: list) -> None:
+    """Append the text lines of a dict, list, tuple or complex number to
+    ``out``: one line per key or item, ``pad`` before each, nested entries
+    two spaces deeper."""
+    if isinstance(value, dict):
+        entries = [(k + ":", v) for k, v in _sorted_items(value)]
+    else:
+        items = value if isinstance(value, (list, tuple)) else _builtin(value)
+        entries = [("-", v) for v in items]
+    for head, v in entries:
+        text = _text_scalar(v)
+        if text is None:
+            out.append(pad + head)
+            _write_text(v, pad + "  ", out)
+        else:
+            out.append(f"{pad}{head} {text}")
 
 
 def emit_report(doc: dict, fmt: str = "json") -> bytes:
-    """Serialize a report document canonically as UTF-8 bytes."""
-    canon = _canonical(doc)
+    """Serialize a report document canonically as UTF-8 bytes, in one walk.
+
+    json is indent-2 with sorted keys and ASCII escapes; text is one line per
+    key or list item.  Both write floats by _round_sig, complex numbers as
+    [re, im] and keys as str(key), sorted; json refuses non-finite floats.
+    """
+    out = []
     if fmt == "json":
-        text = json.dumps(canon, sort_keys=True, indent=2, allow_nan=False)
+        _write_json(doc, "", out)
+        text = "".join(out)
     elif fmt == "text":
-        text = "\n".join(_render_text(canon))
+        line = _text_scalar(doc)
+        if line is None:
+            _write_text(doc, "", out)
+        else:
+            out.append(line)
+        text = "\n".join(out)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     return (text + "\n").encode("utf-8")

@@ -197,6 +197,27 @@ def brute_emergent_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
     return out
 
 
+def complement(event: Event) -> Event:
+    """The event of every history outside ``event``."""
+    return Event(event.space, event.space.full_mask() & ~event.mask)
+
+
+def event_value(df: DecoherenceFunctional, a: int, b: int) -> complex:
+    """Bilinear extension sum_{i in a, j in b} D(i, j) of two event masks,
+    from the sums of their factor rows."""
+    def branch_sum(mask):
+        return df.factor[[i for i in range(df.size) if mask >> i & 1]].sum(axis=0)
+
+    return complex(np.vdot(branch_sum(a), branch_sum(b)))
+
+
+def is_zero_event(catalog, mask: int) -> bool:
+    """The union-assembly rule: every sector part of ``mask`` is empty or
+    one of that sector's zero events."""
+    return all(not mask & s.sector_mask or mask & s.sector_mask in s.zero_masks
+               for s in catalog.sectors)
+
+
 def masks_to_labels(df: DecoherenceFunctional, masks) -> set[tuple[str, ...]]:
     return {tuple(sorted(Event(df.space, m).labels)) for m in masks}
 

@@ -35,6 +35,7 @@ from conftest import (
     amplitude,
     brute_primitive_masks,
     brute_zero_masks,
+    complement,
     load_golden,
     masks_to_labels,
     outcome_tuples,
@@ -415,7 +416,7 @@ def test_criterion_8_property_suites():
         for event in catalog.zero_events_sectorwise() + catalog.maximal_zero_events():
             if not event.mask or event.mask == everything:
                 continue
-            cells = [event, event.complement()]
+            cells = [event, complement(event)]
             assert is_decoherent_partition(df, cells, "medium").passed, label
 
         if df.sectors_verified():

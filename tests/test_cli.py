@@ -98,6 +98,20 @@ def test_sweep_bad_grid_exits_bad_input(capsys, args):
     assert "error" in err
 
 
+@pytest.mark.parametrize("args,name", [
+    (("run", "appendix-hamiltonian", "--theta", "inf"), "'theta'"),
+    (("run", "appendix-theta", "--theta", "nan"), "'theta'"),
+    (("run", "appendix-theta", "--theta-deg", "-inf"), "'theta'"),
+    (("sweep", "--start", "0", "--end", "inf", "--steps", "3"), "sweep end"),
+])
+def test_non_finite_angles_exit_bad_input(capsys, args, name):
+    code, out, err = run_cli(capsys, "scenario", *args)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and name in err and "finite" in err
+    assert "Warning" not in err
+
+
 def _write_schema(tmp_path, name, entry_index=0, **params):
     build = build_scenario(name, params)
     doc = schema_to_json(build.entries[entry_index].schema)

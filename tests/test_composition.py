@@ -28,7 +28,13 @@ from coevent import (
 from coevent import composition, measure_analysis
 from coevent.composition import _pair_mask
 
-from conftest import brute_emergent_masks, brute_zero_masks, scenario_dfs, support_set
+from conftest import (
+    brute_emergent_masks,
+    brute_zero_masks,
+    is_zero_event,
+    scenario_dfs,
+    support_set,
+)
 
 
 def complex_grid(pairs):
@@ -317,10 +323,10 @@ def test_tensor_df_sectors_and_rectangle_rule_on_random_schemas(left, right):
     catalog = find_zero_sets(prod)
     for za in brute_zero_masks(a):
         for sb in range(1 << nb):
-            assert catalog.is_zero_event(Event(prod.space, _pair_mask(za, sb, nb)))
+            assert is_zero_event(catalog, _pair_mask(za, sb, nb))
     for zb in brute_zero_masks(b):
         for sa in range(1 << na):
-            assert catalog.is_zero_event(Event(prod.space, _pair_mask(sa, zb, nb)))
+            assert is_zero_event(catalog, _pair_mask(sa, zb, nb))
 
 
 def test_tensor_df_of_two_eight_history_dfs():

@@ -11,12 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coevent import (
+    Event,
     HistorySchema,
     MissingParameterError,
     ProjectiveDecomposition,
     Slice,
     UnknownScenarioError,
     ValidationFailedError,
+    find_zero_sets,
+    measure,
 )
 from coevent.histories import build_df
 from coevent.coevents import enumerate_primitive_coevents
@@ -43,6 +46,7 @@ from conftest import (
     load_golden,
     outcome_tuples,
     scenario_dfs,
+    small_scenario_dfs,
     support_set,
 )
 
@@ -83,6 +87,15 @@ def test_build_scenario_missing_theta_raises(name):
 def test_build_scenario_rejects_non_real_theta(bad):
     with pytest.raises(MissingParameterError, match="real number"):
         build_scenario("appendix-theta", {"theta": bad})
+
+
+@pytest.mark.parametrize("name", ["appendix-theta", "appendix-hamiltonian"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_run_scenario_rejects_non_finite_theta(name, bad):
+    """Refused by name before any numpy work, so no RuntimeWarning (an error
+    under this suite's warning filter) is raised first."""
+    with pytest.raises(MissingParameterError, match="'theta' must be a finite real number"):
+        run_scenario(name, {"theta": bad})
 
 
 @pytest.mark.parametrize("name,params", [
@@ -253,6 +266,36 @@ def test_analyze_df_section_structure():
     assert all(c["classical"] == (len(c["support"]) == 1) for c in section["coevents"])
 
 
+def test_analyze_df_sections_match_event_listings():
+    """Sections read masks and the factor; the Event listings and measure()
+    are the reference: equal lists, and measures within a few ulps, since
+    the row norms sum in another order."""
+    cases = small_scenario_dfs() + [
+        (f"pbr-v2:{label}", df) for label, df in scenario_dfs("pbr-v2").items()]
+    cases.append(("borderline", scenario_dfs("appendix-theta",
+                                             theta=THETA_SPECIAL + 1e-4)["phi1"]))
+    for name, df in cases:
+        section, coevents = analyze_df(df, label="x")
+        catalog = find_zero_sets(df)
+        space = df.space
+        zs = section["zero_sets"]
+        assert zs["sectorwise"] == [list(e.labels) for e in catalog.zero_events_sectorwise()]
+        assert zs["nontrivial"] == [list(e.labels) for e in catalog.nontrivial_zero_events()]
+        assert zs["maximal"] == [list(e.labels) for e in catalog.maximal_zero_events()]
+        assert zs["borderline"] == [list(e.labels) for e in catalog.borderline_events()]
+        assert [c["support"] for c in section["coevents"]] == coevents.support_labels()
+        singles = [measure(df, Event(space, 1 << i)) for i in range(space.size)]
+        assert section["measure_vector"] == pytest.approx(singles, rel=1e-14, abs=1e-30)
+        assert list(section["measures"]) == list(space.labels)
+        assert list(section["measures"].values()) == section["measure_vector"]
+        if df.sectors_verified():
+            want = {lab: measure(df, Event(space, m)) for lab, m in df.sectors()}
+            assert section["sector_measures"] == pytest.approx(want, rel=1e-14, abs=1e-30)
+        else:
+            assert "sector_measures" not in section
+    assert zs["borderline"], "the last case lists a borderline event"
+
+
 def test_analyze_df_skips_partitions_for_large_spaces():
     df = scenario_dfs("pbr-v2")["00"]
     section, _ = analyze_df(df, label="00")
@@ -324,6 +367,17 @@ def test_theta_sweep_input_validation():
         theta_sweep(0.0, 1.0, 1)
     with pytest.raises(ValueError, match="end > start"):
         theta_sweep(1.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("start,end,name", [
+    (0.0, math.inf, "end"),
+    (-math.inf, 1.0, "start"),
+    (math.nan, 1.0, "start"),
+    (0.0, math.nan, "end"),
+])
+def test_theta_sweep_rejects_non_finite_range(start, end, name):
+    with pytest.raises(ValueError, match=f"sweep {name} must be a finite number"):
+        theta_sweep(start, end, 3)
 
 
 def test_flag_reasons_wrap_mod_pi():
