@@ -230,6 +230,44 @@ def test_version_flag(capsys):
     assert "coevent" in out
 
 
+# "DIR" stands for an existing directory.  Every usage error exits 4 with
+# one "error:" message on stderr and nothing on stdout; help and version go
+# to stdout; negative numbers, -inf among them, are values, not options.
+@pytest.mark.parametrize("args,code", [
+    ((), EXIT_BAD_INPUT),
+    (("scenario",), EXIT_BAD_INPUT),
+    (("nope",), EXIT_BAD_INPUT),
+    (("scenario", "run"), EXIT_BAD_INPUT),
+    (("scenario", "run", "pbr-v1", "--format", "xml"), EXIT_BAD_INPUT),
+    (("scenario", "run", "pbr-v1", "--bogus"), EXIT_BAD_INPUT),
+    (("scenario", "run", "pbr-v1", "--form", "text"), EXIT_BAD_INPUT),
+    (("scenario", "sweep", "--start", "a", "--end", "1", "--steps", "2"), EXIT_BAD_INPUT),
+    (("scenario", "sweep", "--start", "0", "--end", "1"), EXIT_BAD_INPUT),
+    (("scenario", "run", "pbr-v1", "--out", "DIR"), EXIT_BAD_INPUT),
+    (("scenario", "validate", "--file", "DIR"), EXIT_BAD_INPUT),
+    (("df", "analyze", "--file", "DIR"), EXIT_BAD_INPUT),
+    (("--help",), EXIT_OK),
+    (("scenario", "run", "--help"), EXIT_OK),
+    (("--version",), EXIT_OK),
+    (("scenario", "run", "appendix-theta", "--theta", "-1e-3"), EXIT_OK),
+    (("scenario", "run", "appendix-theta", "--theta-deg", "-45"), EXIT_OK),
+    (("scenario", "sweep", "--start", "-1e-5", "--end", "0.1", "--steps", "2"), EXIT_OK),
+])
+def test_usage_exit_codes_and_streams(capsys, tmp_path, args, code):
+    argv = [str(tmp_path) if a == "DIR" else a for a in args]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == EXIT_BAD_INPUT:
+        assert out == ""
+        assert err.startswith("error:")
+    elif "--help" in args:
+        assert out.lower().startswith("usage:") and err == ""
+    elif "--version" in args:
+        assert "coevent" in out and "0.1.0" in out
+    else:
+        assert json.loads(out)["schema_version"] == 2
+
+
 def test_module_entry_point_runs():
     # The child must import the same package as this process, installed or not.
     src = os.path.dirname(os.path.dirname(os.path.abspath(coevent.__file__)))
