@@ -1,21 +1,21 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation failure, 3 enumeration cap exceeded,
-4 bad input (unknown scenario, missing or malformed parameters or files).
+4 bad input (unknown command, option or scenario, missing or malformed
+parameters, unreadable or unwritable files).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 import sys
-
-import click
 
 from .errors import CoeventError, SpaceTooLargeError, ValidationFailedError
 from .histories import build_df
 from .scenarios import (
-    ScenarioSpec,
     analyze_df,
     emit_report,
     raw_df_from_json,
@@ -33,12 +33,31 @@ EXIT_CAP = 3
 EXIT_BAD_INPUT = 4
 
 
-def _write(data: bytes, out: str | None):
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line and exit EXIT_BAD_INPUT, since argparse's
+    own 2 is EXIT_VALIDATION here.  Options are never abbreviated; only --help is help."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
+        # A token that starts like a number, such as -1e-3 or -inf, is an
+        # option's value; argparse's default pattern reads both as options.
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message):
+        sys.stderr.write(f"error: {message}\n")
+        self.exit(EXIT_BAD_INPUT)
+
+
+def _write(data: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(data.decode("utf-8"))
-    else:
+        return
+    try:
         with open(out, "wb") as fh:
             fh.write(data)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -46,133 +65,118 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise click.UsageError(f"{path} is not valid JSON: {exc}")
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _resolve_theta(theta: float | None, theta_deg: float | None) -> dict:
-    if theta is not None and theta_deg is not None:
-        raise click.UsageError("--theta and --theta-deg are mutually exclusive")
-    if theta_deg is not None:
-        return {"theta": math.radians(theta_deg)}
-    if theta is not None:
-        return {"theta": theta}
-    return {}
-
-
-@click.group()
-@click.version_option(TOOL_VERSION, prog_name=TOOL_NAME)
-def cli():
-    """Quantum measure and co-event analysis over finite history spaces."""
-
-
-@cli.group()
-def scenario():
-    """Run, sweep, or validate scenarios."""
-
-
-@scenario.command("run")
-@click.argument("name")
-@click.option("--theta", type=float, default=None, help="Angle parameter in radians.")
-@click.option("--theta-deg", type=float, default=None, help="Angle parameter in degrees.")
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def scenario_run(name, theta, theta_deg, fmt, out):
+def _scenario_run(args) -> int:
     """Run a named scenario and emit its report."""
-    params = _resolve_theta(theta, theta_deg)
-    doc = run_scenario(ScenarioSpec(name=name, parameters=params))
-    _write(emit_report(doc, fmt), out)
+    if args.theta is not None and args.theta_deg is not None:
+        raise ValueError("--theta and --theta-deg are mutually exclusive")
+    theta = args.theta if args.theta_deg is None else math.radians(args.theta_deg)
+    doc = run_scenario(args.name, {} if theta is None else {"theta": theta})
+    _write(emit_report(doc, args.format), args.out)
+    return EXIT_OK
 
 
-@scenario.command("sweep")
-@click.option("--start", type=float, required=True)
-@click.option("--end", type=float, required=True)
-@click.option("--steps", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def scenario_sweep(start, end, steps, fmt, out):
+def _scenario_sweep(args) -> int:
     """Sweep appendix-theta over a grid of angles."""
-    try:
-        doc = theta_sweep(start, end, steps)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _write(emit_report(doc, fmt), out)
+    _write(emit_report(theta_sweep(args.start, args.end, args.steps), args.format), args.out)
+    return EXIT_OK
 
 
-@scenario.command("validate")
-@click.option("--file", "path", type=click.Path(dir_okay=False), required=True)
-def scenario_validate(path):
+def _scenario_validate(args) -> int:
     """Validate a schema file and report the DF axiom residuals."""
-    doc = _load_json(path)
-    report = {**report_header(), "file": path}
+    doc = _load_json(args.file)
+    report = {**report_header(), "file": args.file}
     try:
-        schema = schema_from_json(doc)
-        df = build_df(schema)
+        df = build_df(schema_from_json(doc))
     except (CoeventError, ValueError) as exc:
         report["passed"] = False
         report["error"] = str(exc)
         if getattr(exc, "report", None) is not None:
             report["validation"] = exc.report.as_dict()
         _write(emit_report(report, "json"), None)
-        sys.exit(EXIT_VALIDATION)
+        return EXIT_VALIDATION
     report["passed"] = bool(df.validation.passed)
     report["validation"] = df.validation.as_dict()
     report["history_labels"] = list(df.space.labels)
     _write(emit_report(report, "json"), None)
-    sys.exit(EXIT_OK if report["passed"] else EXIT_VALIDATION)
+    return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
-@cli.group()
-def df():
-    """Analyze externally supplied decoherence matrices."""
-
-
-@df.command("analyze")
-@click.option("--file", "path", type=click.Path(dir_okay=False), required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="json")
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
-def df_analyze(path, fmt, out):
+def _df_analyze(args) -> int:
     """Validate and analyze a raw DF file: zero sets, co-events, partitions."""
-    doc = _load_json(path)
-    report = {**report_header(), "file": path}
+    doc = _load_json(args.file)
+    report = {**report_header(), "file": args.file}
     try:
         functional = raw_df_from_json(doc)
     except ValidationFailedError as exc:
         report["passed"] = False
         report["validation"] = exc.report.as_dict()
-        _write(emit_report(report, fmt), out)
-        sys.exit(EXIT_VALIDATION)
+        _write(emit_report(report, args.format), args.out)
+        return EXIT_VALIDATION
     section, _ = analyze_df(functional, label="df")
     report["passed"] = True
     report.update(section)
-    _write(emit_report(report, fmt), out)
+    _write(emit_report(report, args.format), args.out)
+    return EXIT_OK
+
+
+def _command(group, name: str, handler, output: bool = True):
+    """A subcommand described by its handler's docstring, with --format and --out."""
+    parser = group.add_parser(name, help=handler.__doc__, description=handler.__doc__)
+    parser.set_defaults(handler=handler)
+    if output:
+        parser.add_argument("--format", choices=("json", "text"), default="json")
+        parser.add_argument("--out")
+    return parser
+
+
+def _parser() -> _Parser:
+    root = _Parser(prog=TOOL_NAME, description=(
+        "Quantum measure and co-event analysis over finite history spaces."))
+    root.add_argument("--version", action="version", help="Show the version and exit.",
+                      version=f"{TOOL_NAME}, version {TOOL_VERSION}")
+    groups = root.add_subparsers(metavar="COMMAND", required=True)
+
+    scenario = groups.add_parser("scenario", help="Run, sweep, or validate scenarios.")
+    commands = scenario.add_subparsers(metavar="COMMAND", required=True)
+    run = _command(commands, "run", _scenario_run)
+    run.add_argument("name")
+    run.add_argument("--theta", type=float, help="Angle parameter in radians.")
+    run.add_argument("--theta-deg", type=float, help="Angle parameter in degrees.")
+    sweep = _command(commands, "sweep", _scenario_sweep)
+    sweep.add_argument("--start", type=float, required=True)
+    sweep.add_argument("--end", type=float, required=True)
+    sweep.add_argument("--steps", type=int, required=True)
+    _command(commands, "validate", _scenario_validate, output=False).add_argument(
+        "--file", required=True)
+
+    df = groups.add_parser("df", help="Analyze externally supplied decoherence matrices.")
+    _command(df.add_subparsers(metavar="COMMAND", required=True), "analyze",
+             _df_analyze).add_argument("--file", required=True)
+    return root
 
 
 def main(argv=None) -> int:
     """Entry point mapping domain errors onto the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_BAD_INPUT
-    except click.ClickException as exc:
-        exc.show()
-        return EXIT_BAD_INPUT
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version or a usage error
+        return exc.code
+    try:
+        return args.handler(args)
     except ValidationFailedError as exc:
-        click.echo(f"validation failed: {exc}", err=True)
+        print(f"validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SpaceTooLargeError as exc:
-        click.echo(f"enumeration cap exceeded: {exc}", err=True)
+        print(f"enumeration cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (CoeventError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except click.Abort:
-        return EXIT_BAD_INPUT
-    return EXIT_OK
 
 
 if __name__ == "__main__":

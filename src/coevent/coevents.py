@@ -25,16 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LabelMismatchError
-from .histories import DecoherenceFunctional, Event, _bits, sort_masks
+from .histories import DecoherenceFunctional, Event, HistorySpace, _bits, sort_masks
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
 
 @dataclass(frozen=True)
 class CoEvent:
-    """A multiplicative co-event, identified by its support."""
+    """A multiplicative co-event, identified by its support mask over ``space``."""
 
-    support: Event
+    space: HistorySpace
+    mask: int
     classical: bool
+
+    @property
+    def support(self) -> Event:
+        return Event(self.space, self.mask)
 
 
 @dataclass(eq=False)
@@ -52,7 +57,7 @@ class CoEventSet:
         return iter(self.coevents)
 
     def support_labels(self) -> list[list[str]]:
-        return [list(c.support.labels) for c in self.coevents]
+        return [self.df.space.labels_of(c.mask) for c in self.coevents]
 
 
 def _require_same_labels(space_a, space_b):
@@ -116,10 +121,7 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
     masks: list[int] = []
     for s in catalog.sectors:
         masks.extend(_minimal_preclusive_masks(s.sector_mask, s.maximal_masks))
-    coevents = tuple(
-        CoEvent(support=Event(df.space, m), classical=int(m).bit_count() == 1)
-        for m in sort_masks(masks, df.size)
-    )
+    coevents = tuple(CoEvent(df.space, m, m.bit_count() == 1) for m in sort_masks(masks, df.size))
     return CoEventSet(coevents=coevents, label=label, df=df)
 
 
@@ -135,9 +137,9 @@ def intersect_coevent_sets(sets) -> list[Event]:
     first = sets[0]
     for other in sets[1:]:
         _require_same_labels(first.df.space, other.df.space)
-    shared = set(c.support.mask for c in first.coevents)
+    shared = set(c.mask for c in first.coevents)
     for other in sets[1:]:
-        shared &= set(c.support.mask for c in other.coevents)
+        shared &= set(c.mask for c in other.coevents)
     space = first.df.space
     return [Event(space, m) for m in sort_masks(shared, space.size)]
 
@@ -190,7 +192,7 @@ def distinguishability_report(sets) -> DistinguishabilityReport:
     common = [e.labels for e in intersect_coevent_sets(sets)]
 
     admissibility = {
-        f: {s.label: any(c.support.mask & ~mask == 0 for c in s.coevents) for s in sets}
+        f: {s.label: any(c.mask & ~mask == 0 for c in s.coevents) for s in sets}
         for f, mask in first.df.sectors()
     }
     return DistinguishabilityReport(

@@ -83,14 +83,19 @@ class WeakViolation:
 
     partition_a: PartitionReport
     partition_b: PartitionReport
-    product_cells: tuple[Event, ...]
+    space: HistorySpace
+    product_masks: tuple[int, ...]
     residual: float
+
+    @property
+    def product_cells(self) -> tuple[Event, ...]:
+        return tuple(Event(self.space, m) for m in self.product_masks)
 
     def as_dict(self) -> dict:
         return {
             "partition_a": self.partition_a.cell_labels(),
             "partition_b": self.partition_b.cell_labels(),
-            "product_cells": [list(c.labels) for c in self.product_cells],
+            "product_cells": [self.space.labels_of(m) for m in self.product_masks],
             "residual": self.residual,
         }
 
@@ -100,18 +105,22 @@ class CompositionReport:
     """Emergent zero events and weak-decoherence violations of a product DF."""
 
     product: DecoherenceFunctional
-    emergent_zero: tuple[Event, ...]
+    emergent_masks: tuple[int, ...]
     weak_violations: tuple[WeakViolation, ...]
+
+    @property
+    def emergent_zero(self) -> tuple[Event, ...]:
+        return tuple(Event(self.product.space, m) for m in self.emergent_masks)
 
     def as_dict(self) -> dict:
         return {
-            "emergent_zero": [list(e.labels) for e in self.emergent_zero],
+            "emergent_zero": [self.product.space.labels_of(m) for m in self.emergent_masks],
             "weak_violations": [v.as_dict() for v in self.weak_violations],
         }
 
 
-def _emergent_zero_events(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
-                          cat_p: ZeroSetCatalog) -> list[Event]:
+def _emergent_zero_masks(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
+                         cat_p: ZeroSetCatalog) -> list[int]:
     """Product zero events no union of rectangles Z_A x S_B and S_A x Z_B
     covers, in the product catalog's sectorwise order.
 
@@ -123,7 +132,6 @@ def _emergent_zero_events(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
     na, nb = cat_a.df.size, cat_b.df.size
     zeros_a = _mask_bits([m for s in cat_a.sectors for m in s.zero_masks], na)
     zeros_b = _mask_bits([m for s in cat_b.sectors for m in s.zero_masks], nb)
-    space = cat_p.df.space
     out = []
     for sector in cat_p.sectors:
         shape = _mask_bits([sector.sector_mask], na * nb).reshape(na, nb)
@@ -138,7 +146,7 @@ def _emergent_zero_events(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
             outside = ~events
             covered = (za.T @ ~(za @ outside)) | (~(outside @ zb.T) @ zb)
             emergent = (covered != events).any(axis=(1, 2))
-            out.extend(Event(space, m) for m, flag in zip(chunk, emergent) if flag)
+            out.extend(m for m, flag in zip(chunk, emergent) if flag)
     return out
 
 
@@ -153,13 +161,13 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     """
     by_count: dict[int, list[int]] = {}
     for i, p in enumerate(parts_b):
-        by_count.setdefault(len(p.cells), []).append(i)
-    groups = [(idx, _cell_matrices(b.factor, np.array([_cell_index(b, parts_b[i].cells)
+        by_count.setdefault(len(p.cell_masks), []).append(i)
+    groups = [(idx, _cell_matrices(b.factor, np.array([_cell_index(b, parts_b[i].cell_masks)
                                                         for i in idx])))
               for idx in by_count.values()]
     out = []
     for pa in parts_a:
-        mat_a = _cell_matrices(a.factor, _cell_index(a, pa.cells))
+        mat_a = _cell_matrices(a.factor, _cell_index(a, pa.cell_masks))
         failing = []
         for idx, mats_b in groups:
             c = mat_a.shape[-1] * mats_b.shape[-1]
@@ -171,10 +179,10 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
                                for j in np.flatnonzero(residuals > EPS_DF))
         for ib, residual in sorted(failing):
             pb = parts_b[ib]
-            cells = tuple(Event(product.space, _pair_mask(ca.mask, cb.mask, b.size))
-                          for ca in pa.cells for cb in pb.cells)
-            out.append(WeakViolation(partition_a=pa, partition_b=pb, product_cells=cells,
-                                     residual=residual))
+            masks = tuple(_pair_mask(ca, cb, b.size)
+                          for ca in pa.cell_masks for cb in pb.cell_masks)
+            out.append(WeakViolation(partition_a=pa, partition_b=pb, space=product.space,
+                                     product_masks=masks, residual=residual))
     return out
 
 
@@ -202,17 +210,18 @@ def composition_anomalies(a: DecoherenceFunctional,
         )
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
     parts_b = find_decoherent_partitions(b, "weak", max_cells=b.size)
-    work = sum(len(p.cells) ** 2 for p in parts_a) * sum(len(p.cells) ** 2 for p in parts_b)
+    work = (sum(len(p.cell_masks) ** 2 for p in parts_a)
+            * sum(len(p.cell_masks) ** 2 for p in parts_b))
     if work > COMPOSITION_WORK_LIMIT:
         raise SpaceTooLargeError(
             f"weak-violation check of {work} product cell-matrix entries exceeds "
             f"COMPOSITION_WORK_LIMIT = {COMPOSITION_WORK_LIMIT}"
         )
     product = tensor_df(a, b)
-    emergent = _emergent_zero_events(find_zero_sets(a), find_zero_sets(b),
-                                     find_zero_sets(product))
+    emergent = _emergent_zero_masks(find_zero_sets(a), find_zero_sets(b),
+                                    find_zero_sets(product))
     return CompositionReport(
         product=product,
-        emergent_zero=tuple(emergent),
+        emergent_masks=tuple(emergent),
         weak_violations=tuple(_weak_violations(a, b, product, parts_a, parts_b)),
     )

@@ -19,6 +19,7 @@ formed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -163,6 +164,7 @@ class Event:
     mask: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mask", operator.index(self.mask))
         if self.mask < 0 or self.mask >> self.space.size:
             raise ValueError("event mask addresses histories outside the space")
 
@@ -188,7 +190,7 @@ class Event:
         return tuple(self.space.labels_of(self.mask))
 
     def __len__(self) -> int:
-        return int(self.mask).bit_count()
+        return self.mask.bit_count()
 
     def __bool__(self) -> bool:
         return self.mask != 0

@@ -20,6 +20,9 @@ SECTOR_ENUMERATION_LIMIT = 20
 PARTITION_COUNT_LIMIT = 1_000_000
 ASSEMBLY_LIMIT = 100_000
 COMPOSITION_WORK_LIMIT = 250_000_000
+# A theta sweep runs one appendix-theta analysis per step, about 1.7 ms each
+# (2 vCPU): 10,000 steps take about 17 s.
+SWEEP_STEP_LIMIT = 10_000
 PARTITION_REPORT_LIMIT = 6
 
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
-from .histories import _STEP_ENTRIES, DecoherenceFunctional, Event, _mask_bits, sort_masks
+from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
+                        _mask_bits, sort_masks)
 from .limits import ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, SECTOR_ENUMERATION_LIMIT
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
@@ -116,10 +117,6 @@ class ZeroSetCatalog:
     def nontrivial_zero_events(self) -> list[Event]:
         return self._events(s.nontrivial_masks for s in self.sectors)
 
-    def borderline_events(self) -> list[Event]:
-        """Events whose measure falls inside the borderline warning band."""
-        return self._events(s.borderline_masks for s in self.sectors)
-
     def maximal_masks(self) -> list[int]:
         """Masks of the inclusion-maximal zero events, assembled as unions
         across sectors, in canonical order.
@@ -167,7 +164,7 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
         )
     data = []
     for name, sector_mask in df.sectors():
-        members = Event(df.space, sector_mask).indices
+        members = tuple(b.bit_length() - 1 for b in _bits(sector_mask))
         k = len(members)
         if k > SECTOR_ENUMERATION_LIMIT:
             raise SpaceTooLargeError(
@@ -213,15 +210,20 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
 
 @dataclass(frozen=True)
 class PartitionReport:
-    """Off-diagonal residual of one partition under one decoherence mode."""
+    """Off-diagonal residual of one partition, cells as masks over ``space``, in one mode."""
 
-    cells: tuple[Event, ...]
+    space: HistorySpace
+    cell_masks: tuple[int, ...]
     mode: str
     residual: float
     passed: bool
 
+    @property
+    def cells(self) -> tuple[Event, ...]:
+        return tuple(Event(self.space, m) for m in self.cell_masks)
+
     def cell_labels(self) -> list[list[str]]:
-        return [list(c.labels) for c in self.cells]
+        return [self.space.labels_of(m) for m in self.cell_masks]
 
     def as_dict(self) -> dict:
         return {
@@ -232,9 +234,9 @@ class PartitionReport:
         }
 
 
-def _cell_index(df: DecoherenceFunctional, cells) -> np.ndarray:
-    """The cell of each history, for cells that partition the space."""
-    bits = _mask_bits([c.mask for c in cells], df.size)
+def _cell_index(df: DecoherenceFunctional, masks) -> np.ndarray:
+    """The cell of each history, for cell masks that partition the space."""
+    bits = _mask_bits(masks, df.size)
     if not len(bits) or not bits.any(axis=1).all():
         raise InvalidPartitionError("partition cells must be nonempty")
     if not (bits.sum(axis=0) == 1).all():
@@ -273,10 +275,11 @@ def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> Part
     mode 'medium' bounds |D(A, B)|, mode 'weak' bounds |Re D(A, B)|; both
     against EPS_DF.
     """
-    cells = tuple(cells)
-    cell_mats = _cell_matrices(df.factor, _cell_index(df, cells))
+    masks = tuple(c.mask for c in cells)
+    cell_mats = _cell_matrices(df.factor, _cell_index(df, masks))
     residual = float(_off_diagonal_residual(cell_mats, mode))
-    return PartitionReport(cells=cells, mode=mode, residual=residual, passed=residual <= EPS_DF)
+    return PartitionReport(space=df.space, cell_masks=masks, mode=mode, residual=residual,
+                           passed=residual <= EPS_DF)
 
 
 def set_partition_strings(n: int, max_cells: int) -> np.ndarray:
@@ -338,7 +341,6 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
         masks = iter([int.from_bytes(raw[o:o + width], "little")
                       for o in range(0, len(raw), width)])
         for count, residual in zip(counts.tolist(), residuals[passing].tolist()):
-            out.append(PartitionReport(cells=tuple(Event(df.space, next(masks))
-                                                   for _ in range(count)),
+            out.append(PartitionReport(space=df.space, cell_masks=tuple(islice(masks, count)),
                                        mode=mode, residual=residual, passed=True))
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .coevents import (
     enumerate_primitive_coevents,
     intersect_coevent_sets,
 )
-from .errors import MissingParameterError, UnknownScenarioError
+from .errors import MissingParameterError, SpaceTooLargeError, UnknownScenarioError
 from .histories import (
     DecoherenceFunctional,
     HistorySchema,
@@ -41,7 +41,7 @@ from .linalg import (
     tensor,
     unitary_from_hamiltonian,
 )
-from .limits import PARTITION_REPORT_LIMIT
+from .limits import PARTITION_REPORT_LIMIT, SWEEP_STEP_LIMIT
 from .measure_analysis import find_decoherent_partitions, find_zero_sets
 from .tolerances import tolerance_summary
 
@@ -58,14 +58,6 @@ def report_header() -> dict:
         "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
         "tolerances": tolerance_summary(),
     }
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A scenario name plus its parameter assignment."""
-
-    name: str
-    parameters: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -168,19 +160,17 @@ def scenario_names() -> list[str]:
     return sorted(SCENARIOS)
 
 
-def build_scenario(spec: ScenarioSpec | str, parameters: dict | None = None) -> ScenarioBuild:
+def build_scenario(name: str, parameters: dict | None = None) -> ScenarioBuild:
     """Resolve a scenario name and parameters into analyzable entries."""
-    if isinstance(spec, str):
-        spec = ScenarioSpec(name=spec, parameters=dict(parameters or {}))
-    if spec.name not in SCENARIOS:
+    if name not in SCENARIOS:
         raise UnknownScenarioError(
-            f"unknown scenario {spec.name!r}; known: {', '.join(scenario_names())}"
+            f"unknown scenario {name!r}; known: {', '.join(scenario_names())}"
         )
-    entry = SCENARIOS[spec.name]
-    params = dict(spec.parameters)
+    entry = SCENARIOS[name]
+    params = dict(parameters or {})
     for req in entry["required"]:
         if req not in params:
-            raise MissingParameterError(f"scenario {spec.name!r} requires parameter {req!r}")
+            raise MissingParameterError(f"scenario {name!r} requires parameter {req!r}")
         value = params[req]
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
                 or not math.isfinite(value)):
@@ -188,7 +178,7 @@ def build_scenario(spec: ScenarioSpec | str, parameters: dict | None = None) -> 
                 f"parameter {req!r} must be a finite real number, got {value!r}")
     for got in params:
         if got not in entry["required"]:
-            raise MissingParameterError(f"scenario {spec.name!r} takes no parameter {got!r}")
+            raise MissingParameterError(f"scenario {name!r} takes no parameter {got!r}")
     return entry["builder"](params)
 
 
@@ -255,11 +245,10 @@ def _entry_df(entry: ScenarioEntry) -> DecoherenceFunctional:
     return entry.df if entry.df is not None else build_df(entry.schema)
 
 
-def run_scenario(spec: ScenarioSpec | str, parameters: dict | None = None) -> dict:
+def run_scenario(name: str, parameters: dict | None = None) -> dict:
     """Full pipeline over every entry of a scenario, as a report document."""
-    if isinstance(spec, str):
-        spec = ScenarioSpec(name=spec, parameters=dict(parameters or {}))
-    build = build_scenario(spec)
+    parameters = dict(parameters or {})
+    build = build_scenario(name, parameters)
     sections = []
     coevent_sets = []
     dfs = []
@@ -272,7 +261,7 @@ def run_scenario(spec: ScenarioSpec | str, parameters: dict | None = None) -> di
 
     doc = {
         **report_header(),
-        "scenario": {"name": spec.name, "parameters": dict(spec.parameters)},
+        "scenario": {"name": name, "parameters": parameters},
         "entries": sections,
     }
 
@@ -322,10 +311,14 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
     and whether the two states' co-event sets are disjoint.  Markers record
     zero-count changes between adjacent points; flagged cells bracket the
     special angles tan(theta) = 1/3, tan(theta) = -1/3, and theta = 0
-    (all mod pi).
+    (all mod pi).  Raises SpaceTooLargeError, before the grid is built, for
+    more than SWEEP_STEP_LIMIT steps.
     """
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
+    if steps > SWEEP_STEP_LIMIT:
+        raise SpaceTooLargeError(
+            f"sweep of {steps} steps exceeds SWEEP_STEP_LIMIT = {SWEEP_STEP_LIMIT}")
     for name, value in (("start", start), ("end", end)):
         if not math.isfinite(value):
             raise ValueError(f"sweep {name} must be a finite number, got {value!r}")
@@ -334,7 +327,7 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
     grid = [start + (end - start) * i / (steps - 1) for i in range(steps)]
     points = []
     for theta in grid:
-        build = build_scenario(ScenarioSpec("appendix-theta", {"theta": theta}))
+        build = build_scenario("appendix-theta", {"theta": theta})
         counts = {}
         zero_counts = {}
         borderline_counts = {}

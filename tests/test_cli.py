@@ -268,13 +268,35 @@ def test_usage_exit_codes_and_streams(capsys, tmp_path, args, code):
         assert json.loads(out)["schema_version"] == 2
 
 
-def test_module_entry_point_runs():
-    # The child must import the same package as this process, installed or not.
+def test_out_into_missing_directory_exits_bad_input(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "scenario", "run", "pbr-v1", "--out", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
+def _child_env() -> dict:
+    """The environment of a child that imports the same package as this
+    process, installed or not."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(coevent.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_cli_imports_no_click():
+    code = "import sys, coevent.cli; print('click' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "coevent.cli", "scenario", "run", "composite-product"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

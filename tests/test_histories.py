@@ -302,6 +302,17 @@ def test_event_algebra():
         Event(space, 1 << 3)
 
 
+def test_event_mask_is_stored_as_int():
+    space = raw_space(["h1", "h2", "h3"])
+    e = Event(space, np.int64(5))
+    assert type(e.mask) is int and e == Event(space, 5)
+    assert e.labels == ("h1", "h3") and e.indices == (0, 2) and len(e) == 2
+    with pytest.raises(TypeError):
+        Event(space, 5.0)
+    with pytest.raises(ValueError):
+        Event(space, np.uint8(8))
+
+
 def test_raw_df_paths():
     df = raw_df(np.diag([0.25, 0.75]))
     assert df.labels == ("h1", "h2")

@@ -124,7 +124,7 @@ def test_zero_set_lists_match_direct_scan(seed, n):
     assert [e.mask for e in catalog.nontrivial_zero_events()] == canonical(
         m for m in zeros if m.bit_count() >= 2
         and any(inside[m ^ (1 << i)] for i in range(n) if m >> i & 1))
-    assert [e.mask for e in catalog.borderline_events()] == canonical(
+    assert list(catalog.sectors[0].borderline_masks) == canonical(
         m for m in masks if EPS_ZERO < size[m] <= BORDERLINE_MAX)
     assert list(catalog.sectors[0].maximal_masks) == canonical(
         brute_maximal_masks(zeros), reverse=True)
@@ -199,7 +199,8 @@ def test_nontrivial_zero_listing_appendix(appendix_golden):
 def test_borderline_band():
     df = raw_df(np.diag([1e-8, 1.0 - 1e-8]))
     catalog = find_zero_sets(df)
-    assert [e.labels for e in catalog.borderline_events()] == [("h1",)]
+    assert [df.space.labels_of(m) for s in catalog.sectors
+            for m in s.borderline_masks] == [["h1"]]
     assert catalog.counts()["borderline"] == 1
     assert not is_zero_event(catalog, 0b1)
 

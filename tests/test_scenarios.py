@@ -16,16 +16,18 @@ from coevent import (
     MissingParameterError,
     ProjectiveDecomposition,
     Slice,
+    SpaceTooLargeError,
     UnknownScenarioError,
     ValidationFailedError,
     find_zero_sets,
     measure,
 )
+from coevent import scenarios
 from coevent.histories import build_df
+from coevent.limits import SWEEP_STEP_LIMIT
 from coevent.coevents import enumerate_primitive_coevents
 from coevent.scenarios import (
     SCHEMA_VERSION,
-    ScenarioSpec,
     _flag_reasons,
     analyze_df,
     build_scenario,
@@ -106,16 +108,6 @@ def test_run_scenario_rejects_non_finite_theta(name, bad):
 def test_build_scenario_rejects_unexpected_parameters(name, params):
     with pytest.raises(MissingParameterError, match="takes no parameter"):
         build_scenario(name, params)
-
-
-def test_build_scenario_accepts_spec_or_name():
-    via_spec = build_scenario(ScenarioSpec("appendix-theta", {"theta": 0.7}))
-    via_name = build_scenario("appendix-theta", {"theta": 0.7})
-    assert [e.label for e in via_spec.entries] == [e.label for e in via_name.entries]
-    for a, b in zip(via_spec.entries, via_name.entries):
-        np.testing.assert_allclose(
-            build_df(a.schema).matrix, build_df(b.schema).matrix, atol=1e-15
-        )
 
 
 def test_pbr_v1_report_matches_catalog(pbr_v1_golden):
@@ -282,7 +274,8 @@ def test_analyze_df_sections_match_event_listings():
         assert zs["sectorwise"] == [list(e.labels) for e in catalog.zero_events_sectorwise()]
         assert zs["nontrivial"] == [list(e.labels) for e in catalog.nontrivial_zero_events()]
         assert zs["maximal"] == [list(e.labels) for e in catalog.maximal_zero_events()]
-        assert zs["borderline"] == [list(e.labels) for e in catalog.borderline_events()]
+        assert zs["borderline"] == [space.labels_of(m) for s in catalog.sectors
+                                    for m in s.borderline_masks]
         assert [c["support"] for c in section["coevents"]] == coevents.support_labels()
         singles = [measure(df, Event(space, 1 << i)) for i in range(space.size)]
         assert section["measure_vector"] == pytest.approx(singles, rel=1e-14, abs=1e-30)
@@ -378,6 +371,16 @@ def test_theta_sweep_input_validation():
 def test_theta_sweep_rejects_non_finite_range(start, end, name):
     with pytest.raises(ValueError, match=f"sweep {name} must be a finite number"):
         theta_sweep(start, end, 3)
+
+
+def test_theta_sweep_step_cap(monkeypatch):
+    """One step over the cap is refused before the grid or any scenario is built."""
+    def no_build(*args):
+        raise AssertionError("a scenario was built")
+
+    monkeypatch.setattr(scenarios, "build_scenario", no_build)
+    with pytest.raises(SpaceTooLargeError, match=f"SWEEP_STEP_LIMIT = {SWEEP_STEP_LIMIT}"):
+        theta_sweep(0.0, 1.0, SWEEP_STEP_LIMIT + 1)
 
 
 def test_flag_reasons_wrap_mod_pi():
