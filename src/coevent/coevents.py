@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LabelMismatchError
-from .histories import DecoherenceFunctional, Event, HistorySpace, _bits, sort_masks
+from .histories import DecoherenceFunctional, Event, HistorySpace, _bits, _events, sort_masks
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
 
@@ -39,7 +39,7 @@ class CoEvent:
 
     @property
     def support(self) -> Event:
-        return Event(self.space, self.mask)
+        return _events(self.space, (self.mask,))[0]
 
 
 @dataclass(eq=False)
@@ -125,13 +125,10 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
     return CoEventSet(coevents=coevents, label=label, df=df)
 
 
-def intersect_coevent_sets(sets) -> list[Event]:
-    """Supports present in every given co-event set.
-
-    All sets must share one history label tuple; the result is expressed
-    over the first set's space, ordered by cardinality then member indices.
-    """
-    sets = list(sets)
+def _shared_masks(sets) -> list[int]:
+    """Support masks present in every given co-event set, ordered by
+    cardinality then member indices; all sets must share one history label
+    tuple."""
     if not sets:
         raise ValueError("need at least one co-event set")
     first = sets[0]
@@ -140,8 +137,18 @@ def intersect_coevent_sets(sets) -> list[Event]:
     shared = set(c.mask for c in first.coevents)
     for other in sets[1:]:
         shared &= set(c.mask for c in other.coevents)
-    space = first.df.space
-    return [Event(space, m) for m in sort_masks(shared, space.size)]
+    return sort_masks(shared, first.df.space.size)
+
+
+def intersect_coevent_sets(sets) -> list[Event]:
+    """Supports present in every given co-event set.
+
+    All sets must share one history label tuple; the result is expressed
+    over the first set's space, ordered by cardinality then member indices.
+    """
+    sets = list(sets)
+    masks = _shared_masks(sets)
+    return _events(sets[0].df.space, masks)
 
 
 @dataclass(frozen=True)
@@ -184,12 +191,13 @@ def distinguishability_report(sets) -> DistinguishabilityReport:
     if len(set(labels)) != len(labels):
         raise LabelMismatchError("co-event sets must carry distinct state labels")
 
+    labels_of = first.df.space.labels_of
     pairwise = {}
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
-            shared = intersect_coevent_sets([sets[i], sets[j]])
-            pairwise[(sets[i].label, sets[j].label)] = [e.labels for e in shared]
-    common = [e.labels for e in intersect_coevent_sets(sets)]
+            shared = _shared_masks([sets[i], sets[j]])
+            pairwise[(sets[i].label, sets[j].label)] = [tuple(labels_of(m)) for m in shared]
+    common = [tuple(labels_of(m)) for m in _shared_masks(sets)]
 
     admissibility = {
         f: {s.label: any(c.mask & ~mask == 0 for c in s.coevents) for s in sets}

@@ -21,6 +21,8 @@ from .histories import (
     Event,
     HistorySpace,
     _attach,
+    _bits,
+    _events,
     _mask_bits,
     validate_df,
 )
@@ -72,9 +74,17 @@ def _largest_block(space: HistorySpace) -> int:
     return max(mask.bit_count() for _, mask in space.sectors)
 
 
+def _columns(mask_a: int, nb: int) -> int:
+    """The product mask of mask_a x {history 0 of b}: one bit per a-member i,
+    at i * nb."""
+    return sum(1 << ((low.bit_length() - 1) * nb) for low in _bits(mask_a))
+
+
 def _pair_mask(mask_a: int, mask_b: int, nb: int) -> int:
-    """The rectangle mask_a x mask_b as a product mask, first system major."""
-    return sum(mask_b << (i * nb) for i in range(mask_a.bit_length()) if mask_a >> i & 1)
+    """The rectangle mask_a x mask_b as a product mask, first system major:
+    mask_b copied into the row of every a-member.  mask_b < 2^nb, so the
+    product mask_b * _columns(mask_a, nb) has no carries."""
+    return mask_b * _columns(mask_a, nb)
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class WeakViolation:
 
     @property
     def product_cells(self) -> tuple[Event, ...]:
-        return tuple(Event(self.space, m) for m in self.product_masks)
+        return tuple(_events(self.space, self.product_masks))
 
     def as_dict(self) -> dict:
         return {
@@ -110,7 +120,7 @@ class CompositionReport:
 
     @property
     def emergent_zero(self) -> tuple[Event, ...]:
-        return tuple(Event(self.product.space, m) for m in self.emergent_masks)
+        return tuple(_events(self.product.space, self.emergent_masks))
 
     def as_dict(self) -> dict:
         return {
@@ -168,6 +178,7 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     out = []
     for pa in parts_a:
         mat_a = _cell_matrices(a.factor, _cell_index(a, pa.cell_masks))
+        columns = [_columns(ca, b.size) for ca in pa.cell_masks]
         failing = []
         for idx, mats_b in groups:
             c = mat_a.shape[-1] * mats_b.shape[-1]
@@ -179,8 +190,7 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
                                for j in np.flatnonzero(residuals > EPS_DF))
         for ib, residual in sorted(failing):
             pb = parts_b[ib]
-            masks = tuple(_pair_mask(ca, cb, b.size)
-                          for ca in pa.cell_masks for cb in pb.cell_masks)
+            masks = tuple(cb * col for col in columns for cb in pb.cell_masks)
             out.append(WeakViolation(partition_a=pa, partition_b=pb, space=product.space,
                                      product_masks=masks, residual=residual))
     return out

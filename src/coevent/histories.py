@@ -22,7 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 
@@ -156,9 +156,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    """A subset of a history space, stored as a bitmask over history indices."""
+    """A subset of a history space, stored as a bitmask over history indices.
+
+    The constructor checks the mask; listings of masks the package built
+    itself come from ``_events``, which skips that check.
+    """
 
     space: HistorySpace
     mask: int
@@ -194,6 +198,19 @@ class Event:
 
     def __bool__(self) -> bool:
         return self.mask != 0
+
+
+def _events(space: HistorySpace, masks) -> list[Event]:
+    """Events over ``space`` of int masks the package built inside it.
+
+    The fields are set through the slot descriptors, so no per-object
+    __init__ or range check runs.
+    """
+    masks = list(masks)
+    events = list(map(object.__new__, repeat(Event, len(masks))))
+    list(map(Event.space.__set__, events, repeat(space)))
+    list(map(Event.mask.__set__, events, masks))
+    return events
 
 
 def _mask_bits(masks, n: int) -> np.ndarray:

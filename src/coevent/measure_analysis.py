@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, compress, islice, product
 
 import numpy as np
 
 from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
 from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
-                        _mask_bits, sort_masks)
+                        _events, _mask_bits, sort_masks)
 from .limits import ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, SECTOR_ENUMERATION_LIMIT
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
@@ -83,6 +83,31 @@ def _spreader(members: tuple[int, ...]):
     return spread
 
 
+def _nontrivial(vals: np.ndarray, larger: np.ndarray, null: int) -> list[bool]:
+    """Which of ``larger`` are nontrivial zero masks: those with a proper
+    subset of measure above EPS_ZERO.
+
+    ``vals`` is a sector's table of 2^k measures, ``larger`` its zero masks
+    of two or more histories and ``null`` the mask of its zero single
+    histories, all in sector-local bits.  A mask with a member outside
+    ``null`` has that member as such a subset.  A subset T of null members
+    has sqrt(mu(T)) = |sum_{i in T} V_i| <= sum_{i in T} sqrt(mu_i), so only
+    when that sum over all null members exceeds sqrt(EPS_ZERO) can a mask
+    of null members be nontrivial.  Then inside[m] marks every mask with a
+    subset above EPS_ZERO, by one pass per null member over the table; a
+    zero mask is not above EPS_ZERO itself, so for it the subset is proper.
+    """
+    keep = larger & ~null != 0
+    singles = list(_bits(null))
+    if sum(math.sqrt(abs(vals[bit])) for bit in singles) > math.sqrt(EPS_ZERO):
+        inside = np.abs(vals) > EPS_ZERO
+        for bit in singles:
+            halves = inside.reshape(-1, 2, bit)
+            halves[:, 1] |= halves[:, 0]
+        keep |= inside[larger]
+    return keep.tolist()
+
+
 @dataclass(frozen=True)
 class SectorZeroData:
     """Exhaustive zero-set data for one final sector (global bitmasks).
@@ -108,7 +133,7 @@ class ZeroSetCatalog:
         self.sectors = sectors
 
     def _events(self, mask_lists) -> list[Event]:
-        return [Event(self.df.space, m) for masks in mask_lists for m in masks]
+        return _events(self.df.space, chain.from_iterable(mask_lists))
 
     def zero_events_sectorwise(self) -> list[Event]:
         """Nonempty zero events lying inside a single sector, sector by sector."""
@@ -156,7 +181,8 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     sorted and reduced to maximal masks with numpy, in sector-local bits,
     bit b for its b-th member.  Members ascend, so the local canonical order
     is the global one.  Each listed mask is spread to global bits once, by
-    lookups in per-sector byte tables.
+    lookups in per-sector byte tables.  A zero event is nontrivial when some
+    proper subset has a measure above EPS_ZERO (``_nontrivial``).
     """
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
@@ -180,30 +206,30 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
         order = keys.argsort()
         masks = masks[order]
         pairs, zeros_end, border_end = keys[order].searchsorted(_SPLITS).tolist()
-        local = masks.tolist()
         # The empty event comes first (its measure is exactly 0), then the
-        # single histories.  Nontrivial: some proper subset has positive
-        # measure.  Under strong positivity that is a singleton check, since
-        # Cauchy-Schwarz makes every subset of an event of null histories null.
-        null = sum(local[1:pairs])
-        larger = masks[pairs:zeros_end]
-        nontrivial = larger[larger & ~null != 0].tolist()
+        # single histories.  The zero and borderline masks are spread to
+        # global bits once; the nontrivial ones are picked out by index.
+        local = masks[:border_end].tolist()
+        spread = _spreader(members)
+        listed = spread(local)
+        keep = _nontrivial(vals, masks[pairs:zeros_end], sum(local[1:pairs]))
         # Greedy rounds: the last mask left is the largest in canonical
-        # order, so it is maximal; drop every mask inside it.
+        # order, so it is maximal; drop every mask inside it.  The few
+        # maximal masks are spread on their own, which costs less than
+        # carrying their positions through the rounds.
         maximal = []
         left = masks[:zeros_end]
         while len(left):
             top = int(left[-1])
             maximal.append(top)
             left = left[left & ~top != 0]
-        spread = _spreader(members)
         data.append(SectorZeroData(
             label=name,
             sector_mask=sector_mask,
-            zero_masks=spread(local[1:zeros_end]),
+            zero_masks=listed[1:zeros_end],
             maximal_masks=spread(maximal),
-            nontrivial_masks=spread(nontrivial),
-            borderline_masks=spread(local[zeros_end:border_end]),
+            nontrivial_masks=tuple(compress(listed[pairs:zeros_end], keep)),
+            borderline_masks=listed[zeros_end:],
         ))
     return ZeroSetCatalog(df, tuple(data))
 
@@ -220,7 +246,7 @@ class PartitionReport:
 
     @property
     def cells(self) -> tuple[Event, ...]:
-        return tuple(Event(self.space, m) for m in self.cell_masks)
+        return tuple(_events(self.space, self.cell_masks))
 
     def cell_labels(self) -> list[list[str]]:
         return [self.space.labels_of(m) for m in self.cell_masks]

@@ -18,9 +18,9 @@ import numpy as np
 from .composition import composition_anomalies, tensor_df
 from .coevents import (
     CoEventSet,
+    _shared_masks,
     distinguishability_report,
     enumerate_primitive_coevents,
-    intersect_coevent_sets,
 )
 from .errors import MissingParameterError, SpaceTooLargeError, UnknownScenarioError
 from .histories import (
@@ -221,7 +221,7 @@ def analyze_df(df: DecoherenceFunctional, label: str) -> tuple[dict, CoEventSet]
             "borderline": [labels_of(m) for s in sectors for m in s.borderline_masks],
         },
         "coevents": [
-            {"support": labels_of(c.support.mask), "classical": c.classical}
+            {"support": labels_of(c.mask), "classical": c.classical}
             for c in coevents
         ],
     }
@@ -342,7 +342,7 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
             sets.append(ces)
         points.append({
             "theta": theta,
-            "disjoint": not intersect_coevent_sets(sets),
+            "disjoint": not _shared_masks(sets),
             "coevent_counts": counts,
             "zero_counts": zero_counts,
             "borderline_counts": borderline_counts,

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from coevent import (
     build_scenario,
     raw_df,
 )
+from coevent import histories
 from coevent.histories import raw_space
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -252,6 +254,30 @@ def random_amplitude_df(rng: np.random.Generator, n: int) -> DecoherenceFunction
         total = float(np.real(mat.sum()))
         if total > 1e-6:
             return raw_df(mat / total)
+
+
+@pytest.fixture
+def built_events(monkeypatch):
+    """Events built while a test runs: "checked" counts Event.__post_init__
+    calls, the public constructor's checks; "bulk" counts the events of
+    histories._events, in every coevent module that imported it."""
+    counts = {"checked": 0, "bulk": 0}
+    check, bulk = Event.__post_init__, histories._events
+
+    def counting_check(self):
+        counts["checked"] += 1
+        check(self)
+
+    def counting_bulk(space, masks):
+        events = bulk(space, masks)
+        counts["bulk"] += len(events)
+        return events
+
+    monkeypatch.setattr(Event, "__post_init__", counting_check)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "coevent" and getattr(module, "_events", None) is bulk:
+            monkeypatch.setattr(module, "_events", counting_bulk)
+    return counts
 
 
 @pytest.fixture(scope="session")

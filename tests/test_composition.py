@@ -77,6 +77,23 @@ def test_rectangle_rule_exhaustive():
             assert measure(prod, rect) == pytest.approx(mua * mub, abs=1e-12)
 
 
+def test_pair_mask_matches_the_bit_loop():
+    """mask_b * columns(mask_a) against one shifted copy of mask_b per
+    member of mask_a, on random masks up to 40 x 40 histories, with empty
+    and full masks (mask_b = 2^nb - 1 is the largest without a carry)."""
+    rng = np.random.default_rng(113)
+
+    def bit_loop(mask_a, mask_b, nb):
+        return sum(mask_b << (i * nb) for i in range(mask_a.bit_length()) if mask_a >> i & 1)
+
+    for _ in range(500):
+        na, nb = (int(x) for x in rng.integers(1, 41, size=2))
+        full_a, full_b = (1 << na) - 1, (1 << nb) - 1
+        for ma in (0, full_a, int.from_bytes(rng.bytes(5), "little") & full_a):
+            for mb in (0, full_b, int.from_bytes(rng.bytes(5), "little") & full_b):
+                assert _pair_mask(ma, mb, nb) == bit_loop(ma, mb, nb), (ma, mb, nb)
+
+
 def test_product_carries_sector_structure():
     v1 = scenario_dfs("pbr-v1")
     prod = tensor_df(v1["00"], v1["++"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from coevent import (
     raw_df,
     validate_df,
 )
-from coevent.histories import HistorySpace, raw_space, sort_masks
+from coevent.histories import HistorySpace, _events, raw_space, sort_masks
 
 from conftest import (
     amplitude,
@@ -311,6 +312,29 @@ def test_event_mask_is_stored_as_int():
         Event(space, 5.0)
     with pytest.raises(ValueError):
         Event(space, np.uint8(8))
+
+
+def test_event_is_slotted_and_frozen():
+    """Events keep no instance dict and refuse assignment; bulk-built events
+    equal, hash and print like the public constructor's; the constructor
+    still rejects masks outside the space."""
+    space = raw_space(["h1", "h2", "h3"])
+    masks = [0, 1, 0b101, 0b111]
+    public = [Event(space, m) for m in masks]
+    bulk = _events(space, masks)
+    assert bulk == public
+    assert [hash(e) for e in bulk] == [hash(e) for e in public]
+    assert [repr(e) for e in bulk] == [repr(e) for e in public]
+    assert all(type(e.mask) is int and e.space is space for e in bulk)
+    assert not hasattr(public[2], "__dict__") and not hasattr(bulk[2], "__dict__")
+    for event in (public[2], bulk[2]):
+        with pytest.raises(FrozenInstanceError):
+            event.mask = 1
+        with pytest.raises(FrozenInstanceError):
+            event.space = raw_space(["h1"])
+    for bad in (-1, 1 << 3):
+        with pytest.raises(ValueError):
+            Event(space, bad)
 
 
 def test_raw_df_paths():

@@ -13,9 +13,13 @@ from hypothesis import strategies as st
 from coevent import (
     DecoherenceFunctional,
     Event,
+    HistorySchema,
     InvalidPartitionError,
     NotAZeroSetError,
+    Slice,
     SpaceTooLargeError,
+    build_df,
+    build_theta_bases,
     find_decoherent_partitions,
     find_zero_sets,
     is_decoherent_partition,
@@ -85,13 +89,26 @@ def planted_df(rng: np.random.Generator, n: int) -> DecoherenceFunctional:
     """A raw DF over one block of n histories with planted cancellations,
     null histories and, from the amplitudes of size 3e-4, measures near the
     borderline band: each history has one amplitude from a collision-prone
-    set in one of a few hidden columns of the factor."""
+    set in one of a few hidden columns of the factor.
+
+    Half the time a cancelling group of 2m histories (m up to 3) gets +s and
+    -s in one column, s^2 between 0.3 and 0.95 EPS_ZERO of the total: each is
+    null, a same-sign pair is above EPS_ZERO and m >= 2 makes zero events
+    of null histories whose subsets are not all null.
+    """
     base = np.array([1.0, -1.0, 0.5, -0.5, 0.0, 1j, -1j, 3e-4, -3e-4j])
     cols = max(2, n // 3)
     while True:
         factor = np.zeros((n, cols), dtype=complex)
         factor[np.arange(n), rng.integers(0, cols, size=n)] = (
             rng.choice(base, size=n) * (0.5 + rng.random()))
+        if n >= 2 and rng.random() < 0.5:
+            m = int(rng.integers(1, min(3, n // 2) + 1))
+            group = rng.choice(n, size=2 * m, replace=False)
+            factor[group] = 0.0
+            total = float(np.vdot(factor.sum(axis=0), factor.sum(axis=0)).real)
+            s = np.sqrt(rng.uniform(0.3, 0.95) * EPS_ZERO * total)
+            factor[group, rng.integers(0, cols)] = np.repeat([s, -s], m)
         gram = np.conjugate(factor) @ factor.T
         total = float(gram.real.sum())
         if total > 1e-6:
@@ -128,6 +145,46 @@ def test_zero_set_lists_match_direct_scan(seed, n):
         m for m in masks if EPS_ZERO < size[m] <= BORDERLINE_MAX)
     assert list(catalog.sectors[0].maximal_masks) == canonical(
         brute_maximal_masks(zeros), reverse=True)
+
+
+def test_nontrivial_zero_events_at_the_tolerance_edge():
+    """Null histories whose same-sign pairs sum above EPS_ZERO: rows s, s,
+    -s, -s with s^2 = 0.9e-9, plus one unit row.  Every zero event of three
+    or four of them holds a pair {h1, h2} or {h3, h4} of measure 3.6e-9, so
+    it is nontrivial although all its members are null; the cancelling
+    pairs {h_i, h_j} hold only null singletons and stay trivial."""
+    s = np.sqrt(0.9e-9)
+    factor = np.array([[s, 0.0], [s, 0.0], [-s, 0.0], [-s, 0.0], [0.0, 1.0]])
+    catalog = find_zero_sets(raw_df(factor @ factor.T))
+    zero = [e.labels for e in catalog.zero_events_sectorwise()]
+    assert zero[4:] == [("h1", "h3"), ("h1", "h4"), ("h2", "h3"), ("h2", "h4"),
+                        ("h1", "h2", "h3"), ("h1", "h2", "h4"), ("h1", "h3", "h4"),
+                        ("h2", "h3", "h4"), ("h1", "h2", "h3", "h4")]
+    assert [e.labels for e in catalog.nontrivial_zero_events()] == zero[8:]
+    assert [e.labels for e in catalog.maximal_zero_events()] == [("h1", "h2", "h3", "h4")]
+
+
+def alternating_qubit_df() -> DecoherenceFunctional:
+    """phi1 = |0> measured five times in the appendix's +/- and 0/1 bases
+    at theta = 0.7, in turn: 32 histories in two final sectors."""
+    psi01, psipm = build_theta_bases(0.7)
+    return build_df(HistorySchema.from_ket(
+        [1.0, 0.0], [Slice(psipm if i % 2 == 0 else psi01) for i in range(5)]))
+
+
+def test_catalog_listings_are_built_unchecked(built_events):
+    """The three listings of the 32-history alternating-qubit catalog equal
+    the public constructor's events and call none of its checks."""
+    df = alternating_qubit_df()
+    catalog = find_zero_sets(df)
+    listings = [catalog.zero_events_sectorwise(), catalog.nontrivial_zero_events(),
+                catalog.maximal_zero_events()]
+    assert built_events == {"checked": 0, "bulk": sum(map(len, listings))}
+    masks = [[m for s in catalog.sectors for m in s.zero_masks],
+             [m for s in catalog.sectors for m in s.nontrivial_masks],
+             catalog.maximal_masks()]
+    assert listings == [[Event(df.space, m) for m in ms] for ms in masks]
+    assert built_events["checked"] == sum(map(len, masks)) > 0
 
 
 def test_zero_sets_of_a_twenty_history_sector_stay_small():

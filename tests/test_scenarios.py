@@ -407,6 +407,16 @@ def test_run_scenario_reports_are_deterministic(name):
     assert doc["scenario"]["name"] == name
 
 
+def test_reports_build_no_event(built_events):
+    """A shipped report reads masks: run_scenario plus emit_report of every
+    scenario, in both formats, builds no Event, checked or bulk."""
+    for name in ALL_NAMES:
+        doc = run_scenario(name, {"theta": 0.7} if name.startswith("appendix") else {})
+        emit_report(doc)
+        emit_report(doc, fmt="text")
+    assert built_events == {"checked": 0, "bulk": 0}
+
+
 def test_emit_report_canonical_form():
     doc = {
         "b": 1.0 / 3.0,
