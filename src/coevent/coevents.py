@@ -23,6 +23,7 @@ number of transversals rather than the 2^k subsets of the sector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import LabelMismatchError
 from .histories import DecoherenceFunctional, Event, HistorySpace, _bits, _events, sort_masks
@@ -151,36 +152,15 @@ def intersect_coevent_sets(sets) -> list[Event]:
     return _events(sets[0].df.space, masks)
 
 
-@dataclass(frozen=True)
-class DistinguishabilityReport:
-    """Shared-support and per-final-outcome admissibility summary.
+def distinguishability_report(sets) -> dict:
+    """Compare the co-event sets of several initial states on one space.
 
-    ``pairwise`` maps (label_i, label_j) to the supports common to both
-    sets; ``common`` is the intersection across the whole family;
-    ``admissibility`` maps each final outcome to, per set label, whether
-    some co-event support lies entirely inside that outcome's sector.
+    Returns the report sections ``intersection``, the supports common to
+    every set; ``pairwise_shared``, keyed "label_i&label_j", the supports
+    common to each pair of sets; and ``admissibility``, which maps each
+    final outcome to, per set label, whether some co-event support lies
+    entirely inside that outcome's sector.  Supports are label lists.
     """
-
-    labels: tuple[str, ...]
-    pairwise: dict
-    common: list
-    admissibility: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "pairwise": {f"{a}&{b}": [list(s) for s in v]
-                         for (a, b), v in sorted(self.pairwise.items())},
-            "common": [list(s) for s in self.common],
-            "admissibility": {
-                f: {lab: bool(v) for lab, v in row.items()}
-                for f, row in self.admissibility.items()
-            },
-        }
-
-
-def distinguishability_report(sets) -> DistinguishabilityReport:
-    """Compare the co-event sets of several initial states on one space."""
     sets = list(sets)
     if len(sets) < 2:
         raise ValueError("need at least two co-event sets to compare")
@@ -192,17 +172,12 @@ def distinguishability_report(sets) -> DistinguishabilityReport:
         raise LabelMismatchError("co-event sets must carry distinct state labels")
 
     labels_of = first.df.space.labels_of
-    pairwise = {}
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            shared = _shared_masks([sets[i], sets[j]])
-            pairwise[(sets[i].label, sets[j].label)] = [tuple(labels_of(m)) for m in shared]
-    common = [tuple(labels_of(m)) for m in _shared_masks(sets)]
-
-    admissibility = {
-        f: {s.label: any(c.mask & ~mask == 0 for c in s.coevents) for s in sets}
-        for f, mask in first.df.sectors()
+    return {
+        "intersection": [labels_of(m) for m in _shared_masks(sets)],
+        "pairwise_shared": {f"{a.label}&{b.label}": [labels_of(m) for m in _shared_masks([a, b])]
+                            for a, b in combinations(sets, 2)},
+        "admissibility": {
+            f: {s.label: any(c.mask & ~mask == 0 for c in s.coevents) for s in sets}
+            for f, mask in first.df.sectors()
+        },
     }
-    return DistinguishabilityReport(
-        labels=labels, pairwise=pairwise, common=common, admissibility=admissibility
-    )

@@ -26,12 +26,13 @@ from .histories import (
     _mask_bits,
     validate_df,
 )
-from .limits import COMPOSITION_WORK_LIMIT, SECTOR_ENUMERATION_LIMIT
+from .limits import COMPOSITION_WORK_LIMIT
 from .measure_analysis import (
     PartitionReport,
     ZeroSetCatalog,
     _cell_index,
     _cell_matrices,
+    _check_sector_size,
     _off_diagonal_residual,
     find_decoherent_partitions,
     find_zero_sets,
@@ -96,10 +97,6 @@ class WeakViolation:
     space: HistorySpace
     product_masks: tuple[int, ...]
     residual: float
-
-    @property
-    def product_cells(self) -> tuple[Event, ...]:
-        return tuple(_events(self.space, self.product_masks))
 
     def as_dict(self) -> dict:
         return {
@@ -212,12 +209,7 @@ def composition_anomalies(a: DecoherenceFunctional,
     the whole product space, so none is smaller than the product of the
     factors' largest blocks.
     """
-    block = _largest_block(a.space) * _largest_block(b.space)
-    if block > SECTOR_ENUMERATION_LIMIT:
-        raise SpaceTooLargeError(
-            f"sector of {block} histories exceeds SECTOR_ENUMERATION_LIMIT = "
-            f"{SECTOR_ENUMERATION_LIMIT}"
-        )
+    _check_sector_size(_largest_block(a.space) * _largest_block(b.space))
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
     parts_b = find_decoherent_partitions(b, "weak", max_cells=b.size)
     work = (sum(len(p.cell_masks) ** 2 for p in parts_a)

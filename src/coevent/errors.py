@@ -15,10 +15,6 @@ class SpaceTooLargeError(CoeventError):
     """A history space or enumeration exceeds its configured cap."""
 
 
-class IndexOutOfRangeError(CoeventError, IndexError):
-    """An outcome index tuple does not address a valid history."""
-
-
 class NotAZeroSetError(CoeventError):
     """Zero sets were requested of a decoherence functional that failed validation."""
 

@@ -20,13 +20,13 @@ formed.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
 
 import numpy as np
 
-from .errors import IndexOutOfRangeError, SpaceTooLargeError, ValidationFailedError
+from .errors import SpaceTooLargeError, ValidationFailedError
 from .limits import MAX_OMEGA_ENV, max_omega
 from .linalg import ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary
 from .tolerances import EPS_DF, EPS_UNIT
@@ -113,22 +113,14 @@ class HistorySpace:
 
     labels: tuple[str, ...]
     sectors: tuple[tuple[str, int], ...] | None = None
-    _label_index: dict = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("history labels must be distinct")
-        self._label_index = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self._label_index[label]
-        except KeyError as exc:
-            raise KeyError(f"unknown history label {label!r}") from exc
 
     def full_mask(self) -> int:
         return (1 << self.size) - 1
@@ -171,19 +163,6 @@ class Event:
         object.__setattr__(self, "mask", operator.index(self.mask))
         if self.mask < 0 or self.mask >> self.space.size:
             raise ValueError("event mask addresses histories outside the space")
-
-    @classmethod
-    def from_indices(cls, space: HistorySpace, indices) -> "Event":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < space.size:
-                raise IndexOutOfRangeError(f"history index {i} out of range")
-            mask |= 1 << int(i)
-        return cls(space, mask)
-
-    @classmethod
-    def from_labels(cls, space: HistorySpace, labels) -> "Event":
-        return cls.from_indices(space, [space.index_of(lab) for lab in labels])
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -251,11 +230,8 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
             f"history space has {n} histories, above {MAX_OMEGA_ENV} = {cap}; "
             f"set {MAX_OMEGA_ENV} to raise it"
         )
-    tuples = tuple(product(*[range(len(s.decomposition)) for s in schema.slices]))
-    labels = tuple(
-        "h_{" + "".join(schema.slices[k].decomposition.labels[t[k]] for k in range(len(t))) + "}"
-        for t in tuples
-    )
+    labels = tuple("h_{" + "".join(outcomes) + "}"
+                   for outcomes in product(*[s.decomposition.labels for s in schema.slices]))
     final = schema.slices[-1].decomposition
     repunit = ((1 << n) - 1) // ((1 << len(final)) - 1)
     return HistorySpace(
@@ -266,7 +242,8 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Residuals for the decoherence-functional axioms.
+    """Residuals for the decoherence-functional axioms; ``block_residual`` is
+    None when the space has no final sectors.
 
     ``passed`` requires Hermiticity, normalization, and (when applicable)
     final-sector block structure within EPS_DF, plus a smallest eigenvalue
@@ -277,10 +254,28 @@ class ValidationReport:
     hermiticity_residual: float
     normalization_residual: float
     min_eigenvalue: float
-    block_applicable: bool
     block_residual: float | None
-    passed: bool
-    failures: tuple[str, ...]
+
+    @property
+    def block_applicable(self) -> bool:
+        return self.block_residual is not None
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        out = []
+        if self.hermiticity_residual > EPS_DF:
+            out.append(f"hermiticity residual {self.hermiticity_residual:.3e}")
+        if self.normalization_residual > EPS_DF:
+            out.append(f"normalization residual {self.normalization_residual:.3e}")
+        if self.min_eigenvalue < -EPS_DF:
+            out.append(f"strong positivity violated, min eigenvalue {self.min_eigenvalue:.3e}")
+        if self.block_applicable and self.block_residual > EPS_DF:
+            out.append(f"final-sector block residual {self.block_residual:.3e}")
+        return tuple(out)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def as_dict(self) -> dict:
         return {
@@ -318,17 +313,12 @@ class DecoherenceFunctional:
     def size(self) -> int:
         return self.space.size
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.space.labels
-
     def sectors_verified(self) -> bool:
         """True when final-sector block structure is known to hold."""
         if self.space.sectors is None:
             return False
         rep = self.validation
-        return bool(rep and rep.block_applicable and rep.block_residual is not None
-                    and rep.block_residual <= EPS_DF)
+        return bool(rep and rep.block_residual is not None and rep.block_residual <= EPS_DF)
 
     def sectors(self) -> tuple[tuple[str, int], ...]:
         """(final label, member mask) pairs when block structure is verified;
@@ -336,30 +326,6 @@ class DecoherenceFunctional:
         if self.sectors_verified():
             return self.space.sectors
         return (("all", self.space.full_mask()),)
-
-
-def _report(size: int, herm: float, norm: float, min_eig: float,
-            block_residual: float | None) -> ValidationReport:
-    """The report of the axiom residuals; block_residual None means no sectors."""
-    failures = []
-    if herm > EPS_DF:
-        failures.append(f"hermiticity residual {herm:.3e}")
-    if norm > EPS_DF:
-        failures.append(f"normalization residual {norm:.3e}")
-    if min_eig < -EPS_DF:
-        failures.append(f"strong positivity violated, min eigenvalue {min_eig:.3e}")
-    if block_residual is not None and block_residual > EPS_DF:
-        failures.append(f"final-sector block residual {block_residual:.3e}")
-    return ValidationReport(
-        size=size,
-        hermiticity_residual=herm,
-        normalization_residual=norm,
-        min_eigenvalue=min_eig,
-        block_applicable=block_residual is not None,
-        block_residual=block_residual,
-        passed=not failures,
-        failures=tuple(failures),
-    )
 
 
 def _attach(df: DecoherenceFunctional, report: ValidationReport,
@@ -408,9 +374,13 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
     w, u = np.linalg.eigh((mat + dagger(mat)) / 2)
     keep = w > 0
     df = DecoherenceFunctional(raw_space(labels), np.conjugate(u[:, keep]) * np.sqrt(w[keep]))
-    report = _report(n, herm=float(np.max(np.abs(mat - dagger(mat)))) if n else 0.0,
-                     norm=float(abs(mat.sum() - 1.0)), min_eig=float(w[0]) if n else 0.0,
-                     block_residual=None)
+    report = ValidationReport(
+        size=n,
+        hermiticity_residual=float(np.max(np.abs(mat - dagger(mat)))) if n else 0.0,
+        normalization_residual=float(abs(mat.sum() - 1.0)),
+        min_eigenvalue=float(w[0]) if n else 0.0,
+        block_residual=None,
+    )
     return _attach(df, report, "raw decoherence matrix")
 
 
@@ -448,11 +418,11 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
         min_eig = float(np.linalg.eigvalsh(v.T @ np.conjugate(v)).min(initial=0.0))
     else:
         min_eig = float(np.linalg.eigvalsh(np.conjugate(v) @ v.T)[0]) if n else 0.0
-    return _report(
-        n,
-        herm=0.0,
-        norm=abs(float(np.vdot(total, total).real) - 1.0),
-        min_eig=min_eig,
+    return ValidationReport(
+        size=n,
+        hermiticity_residual=0.0,
+        normalization_residual=abs(float(np.vdot(total, total).real) - 1.0),
+        min_eigenvalue=min_eig,
         block_residual=_block_residual(df) if df.space.sectors is not None else None,
     )
 

@@ -25,12 +25,12 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def as_ket(v, *, normalized: bool = True) -> np.ndarray:
-    """Coerce to a finite complex vector, checking the norm when asked."""
+def as_ket(v) -> np.ndarray:
+    """Coerce to a finite complex vector of unit norm, within EPS_UNIT."""
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.size == 0 or not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("ket must be a nonempty finite vector")
-    if normalized and abs(np.linalg.norm(a) - 1.0) > EPS_UNIT:
+    if abs(np.linalg.norm(a) - 1.0) > EPS_UNIT:
         raise ValueError(f"ket is not normalized: |v| = {np.linalg.norm(a)!r}")
     return a
 
@@ -39,17 +39,18 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(m, -1, -2))
 
 
-def is_hermitian(m: np.ndarray, tol: float = EPS_UNIT) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
+    """True for a matrix equal to its adjoint within EPS_UNIT."""
     m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+    return bool(np.max(np.abs(m - dagger(m))) <= EPS_UNIT)
 
 
-def is_unitary(m: np.ndarray, tol: float = EPS_UNIT) -> bool:
-    """True for a square matrix with orthonormal columns."""
+def is_unitary(m: np.ndarray) -> bool:
+    """True for a square matrix with orthonormal columns, within EPS_UNIT."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= EPS_UNIT)
 
 
 def tensor(a, b) -> np.ndarray:

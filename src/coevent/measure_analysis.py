@@ -1,9 +1,14 @@
 """Zero-set catalogs and decoherent-partition search for a validated DF.
 
 Zero events are enumerated exhaustively per final sector and stored with a
-union-assembly rule: an event is a zero event iff its part in every sector
-is one of that sector's zero events.  This is exact under strong positivity,
-where the measure is additive and nonnegative across verified sectors.
+union-assembly rule: an event is a zero event iff every sector part has
+|mu| <= EPS_ZERO, that is, is empty or one of that sector's zero events.
+Across verified sectors the measure is additive and nonnegative, so the rule
+is exact for exact zeros.  At the tolerance it is not: the parts' measures
+add, so a union of sector zero events can exceed EPS_ZERO.  With a ket
+sqrt(1 - d)|p> + sqrt(d)|m>, d = 1.2e-9, measured in the basis p/m and then
+the computational basis, {h_{m0}, h_{m1}} is a maximal zero event of
+mu = 1.2e-9, each sector part having 0.6e-9.
 """
 
 from __future__ import annotations
@@ -108,6 +113,16 @@ def _nontrivial(vals: np.ndarray, larger: np.ndarray, null: int) -> list[bool]:
     return keep.tolist()
 
 
+def _check_sector_size(k: int) -> None:
+    """Raise SpaceTooLargeError for a zero-set block of more than
+    SECTOR_ENUMERATION_LIMIT histories."""
+    if k > SECTOR_ENUMERATION_LIMIT:
+        raise SpaceTooLargeError(
+            f"sector of {k} histories exceeds SECTOR_ENUMERATION_LIMIT = "
+            f"{SECTOR_ENUMERATION_LIMIT}"
+        )
+
+
 @dataclass(frozen=True)
 class SectorZeroData:
     """Exhaustive zero-set data for one final sector (global bitmasks).
@@ -192,11 +207,7 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     for name, sector_mask in df.sectors():
         members = tuple(b.bit_length() - 1 for b in _bits(sector_mask))
         k = len(members)
-        if k > SECTOR_ENUMERATION_LIMIT:
-            raise SpaceTooLargeError(
-                f"sector of {k} histories exceeds SECTOR_ENUMERATION_LIMIT = "
-                f"{SECTOR_ENUMERATION_LIMIT}"
-            )
+        _check_sector_size(k)
         vals = _subset_measures(df.factor[list(members)])
         masks = (vals <= BORDERLINE_MAX).nonzero()[0]
         keys = _ORDER_KEY[0][masks & 255]

@@ -267,11 +267,7 @@ def run_scenario(name: str, parameters: dict | None = None) -> dict:
 
     shared_labels = len(dfs) >= 2 and all(d.space.labels == dfs[0].space.labels for d in dfs)
     if shared_labels:
-        rep = distinguishability_report(coevent_sets)
-        rd = rep.as_dict()
-        doc["intersection"] = rd["common"]
-        doc["pairwise_shared"] = rd["pairwise"]
-        doc["admissibility"] = rd["admissibility"]
+        doc.update(distinguishability_report(coevent_sets))
 
     if build.composition_pair is not None:
         a, b = build.composition_pair

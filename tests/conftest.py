@@ -97,7 +97,14 @@ def brute_measures(df: DecoherenceFunctional) -> np.ndarray:
 
 
 def brute_zero_masks(df: DecoherenceFunctional) -> set[int]:
-    """Masks of every event with |mu| <= EPS, by direct scan over all masks."""
+    """Masks of every event with |mu| <= EPS, by direct scan over all masks.
+
+    The catalog implements the union-assembly rule "every sector part
+    <= EPS_ZERO" (EPS here).  Across verified sectors the parts' measures are
+    nonnegative and add, so every event this scan finds passes that rule;
+    the catalog lists more only when parts within the tolerance add up to
+    more than EPS, as in test_union_assembly_rule_at_the_tolerance_edge.
+    """
     return set(np.flatnonzero(np.abs(brute_measures(df)) <= EPS).tolist())
 
 
@@ -197,6 +204,16 @@ def brute_emergent_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
         covered = np.bitwise_or.reduce(np.where(inside, rects[None, :], 0), axis=1)
         out.update(chunk[covered != chunk].tolist())
     return out
+
+
+def mask_of(indices) -> int:
+    """The mask of the given history indices; a repeated index counts once."""
+    return sum(1 << int(i) for i in set(indices))
+
+
+def label_mask(space, labels) -> int:
+    """The mask of the histories of ``space`` with the given labels."""
+    return mask_of(space.labels.index(lab) for lab in labels)
 
 
 def complement(event: Event) -> Event:

@@ -36,6 +36,7 @@ from conftest import (
     brute_primitive_masks,
     brute_zero_masks,
     complement,
+    label_mask,
     load_golden,
     masks_to_labels,
     outcome_tuples,
@@ -256,9 +257,9 @@ def test_criterion_4_product_functional_and_partitions():
     sub, prod = dfs["D_A"], dfs["D_AB"]
     np.testing.assert_allclose(prod.matrix, reference, atol=TIGHT)
 
-    anti = Event.from_labels(prod.space, ("h11", "h22"))
+    anti = Event(prod.space, label_mask(prod.space, ("h11", "h22")))
     assert abs(measure(prod, anti)) <= TIGHT
-    rest = Event.from_labels(prod.space, ("h12", "h21"))
+    rest = Event(prod.space, label_mask(prod.space, ("h12", "h21")))
     assert is_decoherent_partition(prod, [anti, rest], "medium").passed
 
     medium = find_decoherent_partitions(sub, "medium", max_cells=sub.size)

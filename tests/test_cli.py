@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -228,6 +229,15 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == EXIT_OK
     assert "coevent" in out
+
+
+def test_version_agrees_with_pyproject(capsys):
+    """One version: pyproject.toml, coevent.__version__ and --version."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        declared = re.search(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE).group(1)
+    assert coevent.__version__ == declared
+    assert run_cli(capsys, "--version")[1] == f"coevent, version {declared}\n"
 
 
 # "DIR" stands for an existing directory.  Every usage error exits 4 with

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_global_fallback_warns_and_caps():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cset = enumerate_primitive_coevents(df)
-    assert cset.support_labels() == [[lab] for lab in df.labels]
+    assert cset.support_labels() == [[lab] for lab in df.space.labels]
     df21 = raw_df(np.diag(np.full(21, 1.0 / 21.0)))
     with pytest.raises(SpaceTooLargeError, match="SECTOR_ENUMERATION_LIMIT"):
         enumerate_primitive_coevents(df21)
@@ -118,19 +119,19 @@ def test_distinguishability_report_v1(pbr_v1_golden):
     dfs = scenario_dfs("pbr-v1")
     sets = [enumerate_primitive_coevents(df, label=lab) for lab, df in dfs.items()]
     report = distinguishability_report(sets)
-    assert report.labels == tuple(dfs)
-    assert report.common == []
-    for pair, shared in report.pairwise.items():
+    assert set(report) == {"intersection", "pairwise_shared", "admissibility"}
+    assert report["intersection"] == []
+    assert set(report["pairwise_shared"]) == {f"{a}&{b}" for a, b in combinations(dfs, 2)}
+    for pair, shared in report["pairwise_shared"].items():
         assert len(shared) == 2, pair
         assert all(len(s) == 1 for s in shared)
     # each state is inadmissible exactly at the xi outcome it is orthogonal to
     blocked = {"00": "xi1", "0+": "xi2", "+0": "xi3", "++": "xi4"}
-    for outcome, row in report.admissibility.items():
+    assert set(report["admissibility"]) == {"xi1", "xi2", "xi3", "xi4"}
+    for outcome, row in report["admissibility"].items():
+        assert list(row) == list(dfs)
         for state, ok in row.items():
             assert ok == (blocked[state] != outcome)
-    doc = report.as_dict()
-    assert "00&0+" in doc["pairwise"]
-    assert set(doc["admissibility"]) == {"xi1", "xi2", "xi3", "xi4"}
 
 
 def test_distinguishability_report_errors():

@@ -32,6 +32,7 @@ from conftest import (
     brute_emergent_masks,
     brute_zero_masks,
     is_zero_event,
+    label_mask,
     scenario_dfs,
     support_set,
 )
@@ -50,7 +51,7 @@ def test_tensor_df_matches_golden(composite_golden):
     np.testing.assert_allclose(
         prod.matrix, complex_grid(composite_golden["product_matrix"]), atol=1e-12
     )
-    assert list(prod.labels) == composite_golden["label_order"]
+    assert list(prod.space.labels) == composite_golden["label_order"]
     assert prod.validation.passed
     np.testing.assert_allclose(prod.matrix, np.kron(sub.matrix, sub.matrix), atol=1e-12)
 
@@ -351,8 +352,8 @@ def test_tensor_df_of_two_eight_history_dfs():
     b = raw_df(np.eye(8) / 8.0)
     prod = tensor_df(a, b)
     assert prod.size == 64 and prod.validation.passed
-    assert prod.labels[-1] == "h88"
-    last = Event.from_labels(prod.space, ["h88"])
+    assert prod.space.labels[-1] == "h88"
+    last = Event(prod.space, label_mask(prod.space, ["h88"]))
     assert last.mask == 1 << 63
     assert measure(prod, last) == pytest.approx(8.0 / 36.0 / 8.0)
 
@@ -403,6 +404,6 @@ def test_composition_matches_product_space_oracles(a, b):
                              [c.mask for c in cells], check.residual))
     got = report.weak_violations
     assert [(v.partition_a.cell_labels(), v.partition_b.cell_labels(),
-             [c.mask for c in v.product_cells]) for v in got] == [w[:3] for w in want]
+             list(v.product_masks)) for v in got] == [w[:3] for w in want]
     for v, w in zip(got, want):
         assert v.residual == pytest.approx(w[3], abs=1e-12)

@@ -16,17 +16,19 @@ from coevent import (
     HistorySchema,
     InvalidPartitionError,
     NotAZeroSetError,
+    ProjectiveDecomposition,
     Slice,
     SpaceTooLargeError,
     build_df,
     build_theta_bases,
+    computational_basis,
     find_decoherent_partitions,
     find_zero_sets,
     is_decoherent_partition,
     measure,
     raw_df,
 )
-from coevent.histories import HistorySpace, _report, raw_space, sort_masks
+from coevent.histories import HistorySpace, ValidationReport, raw_space, sort_masks
 from coevent.measure_analysis import _subset_measures, set_partition_strings
 from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
@@ -37,6 +39,7 @@ from conftest import (
     brute_zero_masks,
     complement,
     is_zero_event,
+    label_mask,
     scenario_dfs,
     small_scenario_dfs,
     subset_measures_simple,
@@ -164,6 +167,29 @@ def test_nontrivial_zero_events_at_the_tolerance_edge():
     assert [e.labels for e in catalog.maximal_zero_events()] == [("h1", "h2", "h3", "h4")]
 
 
+def test_union_assembly_rule_at_the_tolerance_edge():
+    """The catalog's rule is "every sector part <= EPS_ZERO", not "the event
+    <= EPS_ZERO".  Ket sqrt(1 - d)|p> + sqrt(d)|m>, d = 1.2e-9, measured in
+    the basis p/m, then the computational basis: h_{m0} and h_{m1} have
+    0.6e-9 each, in different sectors, so their union is a maximal zero event
+    of measure 1.2e-9 > EPS_ZERO.  A change of the rule must change this test."""
+    r = np.sqrt(0.5)
+    p, m = np.array([r, r]), np.array([r, -r])
+    pm = ProjectiveDecomposition.from_kets([p, m], ["p", "m"])
+    delta = 1.2e-9
+    ket = np.sqrt(1.0 - delta) * p + np.sqrt(delta) * m
+    df = build_df(HistorySchema.from_ket(ket, (Slice(pm), Slice(computational_basis(2)))))
+    assert df.space.labels == ("h_{p0}", "h_{p1}", "h_{m0}", "h_{m1}") and df.sectors_verified()
+    catalog = find_zero_sets(df)
+    union = label_mask(df.space, ["h_{m0}", "h_{m1}"])
+    assert catalog.maximal_masks() == [union]
+    assert measure(df, Event(df.space, union)) == pytest.approx(delta, rel=1e-6)
+    assert measure(df, Event(df.space, union)) > EPS_ZERO
+    parts = [measure(df, Event(df.space, union & s.sector_mask)) for s in catalog.sectors]
+    assert parts == pytest.approx([delta / 2, delta / 2], rel=1e-6)
+    assert is_zero_event(catalog, union) and union not in brute_zero_masks(df)
+
+
 def alternating_qubit_df() -> DecoherenceFunctional:
     """phi1 = |0> measured five times in the appendix's +/- and 0/1 bases
     at theta = 0.7, in turn: 32 histories in two final sectors."""
@@ -283,7 +309,9 @@ def test_find_zero_sets_on_many_one_history_sectors():
                          sectors=tuple((str(i), 1 << i) for i in range(n)))
     factor = np.zeros((n, 1), dtype=complex)
     factor[0] = 1.0
-    df = DecoherenceFunctional(space, factor, _report(n, 0.0, 0.0, 0.0, block_residual=0.0))
+    report = ValidationReport(size=n, hermiticity_residual=0.0, normalization_residual=0.0,
+                              min_eigenvalue=0.0, block_residual=0.0)
+    df = DecoherenceFunctional(space, factor, report)
     start = time.perf_counter()
     catalog = find_zero_sets(df)
     assert time.perf_counter() - start < 10.0
@@ -334,7 +362,8 @@ def test_partition_iterator_matches_reference():
 def test_is_decoherent_partition_product_values(composite_golden):
     df = scenario_dfs("composite-product")["D_AB"]
     space = df.space
-    anti = [Event.from_labels(space, ["h11", "h22"]), Event.from_labels(space, ["h12", "h21"])]
+    anti = [Event(space, label_mask(space, ["h11", "h22"])),
+            Event(space, label_mask(space, ["h12", "h21"]))]
     fine = [Event(space, 1 << i) for i in range(4)]
     assert is_decoherent_partition(df, anti, "medium").passed
     med = is_decoherent_partition(df, fine, "medium")
@@ -345,7 +374,8 @@ def test_is_decoherent_partition_product_values(composite_golden):
     assert weak.residual == pytest.approx(
         abs(composite_golden["re_d_h11_h22"]), abs=1e-12
     )
-    split = [Event.from_labels(space, ["h11", "h21"]), Event.from_labels(space, ["h12", "h22"])]
+    split = [Event(space, label_mask(space, ["h11", "h21"])),
+             Event(space, label_mask(space, ["h12", "h22"]))]
     rep = is_decoherent_partition(df, split, "medium")
     assert not rep.passed and rep.residual == pytest.approx(0.5, abs=1e-12)
     assert is_decoherent_partition(df, split, "weak").passed
@@ -354,14 +384,15 @@ def test_is_decoherent_partition_product_values(composite_golden):
 def test_partition_validation_errors():
     df = scenario_dfs("composite-product")["D_AB"]
     space = df.space
-    good = [Event.from_labels(space, ["h11", "h22"]), Event.from_labels(space, ["h12", "h21"])]
+    good = [Event(space, label_mask(space, ["h11", "h22"])),
+            Event(space, label_mask(space, ["h12", "h21"]))]
     with pytest.raises(ValueError):
         is_decoherent_partition(df, good, "strong")
     with pytest.raises(InvalidPartitionError):
         is_decoherent_partition(df, good[:1], "medium")
     with pytest.raises(InvalidPartitionError):
         is_decoherent_partition(df, good + [Event(space, 0)], "medium")
-    overlap = [Event.from_labels(space, ["h11", "h12", "h21"]), good[0]]
+    overlap = [Event(space, label_mask(space, ["h11", "h12", "h21"])), good[0]]
     with pytest.raises(InvalidPartitionError):
         is_decoherent_partition(df, overlap, "weak")
     with pytest.raises(ValueError):

@@ -493,7 +493,7 @@ def test_schema_json_round_trip_on_random_schemas(seed, dim, n_slices):
     schema = HistorySchema.from_ket(haar_unitary(rng, dim)[:, 0], slices)
     restored = schema_from_json(json.loads(json.dumps(schema_to_json(schema))))
     original, rebuilt = build_df(schema), build_df(restored)
-    assert rebuilt.labels == original.labels
+    assert rebuilt.space.labels == original.space.labels
     assert np.max(np.abs(rebuilt.matrix - original.matrix)) <= EPS_DF
 
 
