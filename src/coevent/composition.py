@@ -30,7 +30,6 @@ from .limits import COMPOSITION_WORK_LIMIT
 from .measure_analysis import (
     PartitionReport,
     ZeroSetCatalog,
-    _cell_index,
     _cell_matrices,
     _check_sector_size,
     _off_diagonal_residual,
@@ -157,39 +156,53 @@ def _emergent_zero_masks(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
     return out
 
 
+def _partition_bits(df: DecoherenceFunctional, parts: list[PartitionReport]):
+    """Yield the partitions of each cell count in chunks of at most
+    _STEP_ENTRIES one-hot entries: the chunk's indices into ``parts`` and
+    its one-hot cells (partitions x count x n), from one decode of the
+    chunk's cell masks."""
+    by_count: dict[int, list[int]] = {}
+    for i, p in enumerate(parts):
+        by_count.setdefault(len(p.cell_masks), []).append(i)
+    n = df.size
+    for count, idx in by_count.items():
+        step = max(1, _STEP_ENTRIES // (count * n))
+        for first in range(0, len(idx), step):
+            chunk = idx[first:first + step]
+            bits = _mask_bits([m for i in chunk for m in parts[i].cell_masks], n)
+            yield chunk, bits.reshape(len(chunk), count, n)
+
+
 def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
                      product: DecoherenceFunctional, parts_a: list[PartitionReport],
                      parts_b: list[PartitionReport]) -> list[WeakViolation]:
-    """Products of the given factor partitions that fail weak decoherence.
+    """Products of the given factor partitions that fail weak decoherence,
+    ordered by a's partition, then b's.
 
     Product cells are a-major, so D(A x B, A' x B') = D_A(A, A') D_B(B, B')
-    makes a product partition's cell matrix kron(M_a, M_b); b's cell
-    matrices are stacked by cell count and checked against each M_a at once.
+    makes a product partition's cell matrix kron(M_a, M_b).  Both factors'
+    cell matrices come a chunk of partitions of one cell count at a time;
+    b's are all kept and checked against each M_a at once.
     """
-    by_count: dict[int, list[int]] = {}
-    for i, p in enumerate(parts_b):
-        by_count.setdefault(len(p.cell_masks), []).append(i)
-    groups = [(idx, _cell_matrices(b.factor, np.array([_cell_index(b, parts_b[i].cell_masks)
-                                                        for i in idx])))
-              for idx in by_count.values()]
+    groups = [(idx, _cell_matrices(b.factor, onehot)) for idx, onehot in _partition_bits(b, parts_b)]
+    failing = []
+    for idx_a, onehot_a in _partition_bits(a, parts_a):
+        for ia, mat_a in zip(idx_a, _cell_matrices(a.factor, onehot_a)):
+            for idx, mats_b in groups:
+                c = mat_a.shape[-1] * mats_b.shape[-1]
+                step = max(1, _STEP_ENTRIES // (c * c))
+                for start in range(0, len(idx), step):
+                    kron = (mat_a[None, :, None, :, None]
+                            * mats_b[start:start + step, None, :, None, :])
+                    residuals = _off_diagonal_residual(kron.reshape(-1, c, c), "weak")
+                    failing.extend((ia, idx[start + j], float(residuals[j]))
+                                   for j in np.flatnonzero(residuals > EPS_DF))
     out = []
-    for pa in parts_a:
-        mat_a = _cell_matrices(a.factor, _cell_index(a, pa.cell_masks))
-        columns = [_columns(ca, b.size) for ca in pa.cell_masks]
-        failing = []
-        for idx, mats_b in groups:
-            c = mat_a.shape[-1] * mats_b.shape[-1]
-            step = max(1, _STEP_ENTRIES // (c * c))
-            for start in range(0, len(idx), step):
-                kron = mat_a[None, :, None, :, None] * mats_b[start:start + step, None, :, None, :]
-                residuals = _off_diagonal_residual(kron.reshape(-1, c, c), "weak")
-                failing.extend((idx[start + j], float(residuals[j]))
-                               for j in np.flatnonzero(residuals > EPS_DF))
-        for ib, residual in sorted(failing):
-            pb = parts_b[ib]
-            masks = tuple(cb * col for col in columns for cb in pb.cell_masks)
-            out.append(WeakViolation(partition_a=pa, partition_b=pb, space=product.space,
-                                     product_masks=masks, residual=residual))
+    for ia, ib, residual in sorted(failing):
+        pa, pb = parts_a[ia], parts_b[ib]
+        masks = tuple(cb * _columns(ca, b.size) for ca in pa.cell_masks for cb in pb.cell_masks)
+        out.append(WeakViolation(partition_a=pa, partition_b=pb, space=product.space,
+                                 product_masks=masks, residual=residual))
     return out
 
 

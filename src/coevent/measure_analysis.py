@@ -40,17 +40,20 @@ def _subset_measures(rows: np.ndarray) -> np.ndarray:
 
     The bits split into a low half of h = k // 2 and a high half, whose
     subset sums L and H of the real rows (2c columns) are built by doubling.
-    Mask hi * 2^h + lo has mu = |H_hi|^2 + |L_lo|^2 + 2 H_hi . L_lo, so one
-    real matrix product makes the table and no 2^k x c array is formed.
+    Mask hi * 2^h + lo has mu = 2 H_hi . L_lo + |H_hi|^2 + |L_lo|^2, the
+    product of rows [2H | |H|^2 | 1] and [L | 1 | |L|^2], so one real matrix
+    product makes the table and no 2^k x c array is formed.  A product with
+    an empty half adds exact zeros, so the empty mask gets exactly 0.0 and a
+    single history exactly its row's squared norm.
     """
     real = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
     h = len(real) // 2
     low, high = _half_sums(real[:h]), _half_sums(real[h:])
-    vals = high @ low.T
-    vals *= 2.0
-    vals += (high * high).sum(axis=1)[:, None]
-    vals += (low * low).sum(axis=1)
-    return vals.ravel()
+    high = np.concatenate((2.0 * high, (high * high).sum(axis=1, keepdims=True),
+                           np.ones((len(high), 1))), axis=1)
+    low = np.concatenate((low, np.ones((len(low), 1)), (low * low).sum(axis=1, keepdims=True)),
+                         axis=1)
+    return (high @ low.T).ravel()
 
 
 # Sort key of a sector-local mask of at most 24 bits, as the sum of one
@@ -271,28 +274,31 @@ class PartitionReport:
         }
 
 
-def _cell_index(df: DecoherenceFunctional, masks) -> np.ndarray:
-    """The cell of each history, for cell masks that partition the space."""
+def _cell_bits(df: DecoherenceFunctional, masks) -> np.ndarray:
+    """The one-hot cells (cells x n) of cell masks that partition the space."""
     bits = _mask_bits(masks, df.size)
     if not len(bits) or not bits.any(axis=1).all():
         raise InvalidPartitionError("partition cells must be nonempty")
     if not (bits.sum(axis=0) == 1).all():
         raise InvalidPartitionError("cells must be disjoint and cover the space")
-    return bits.argmax(axis=0)
+    return bits
 
 
-def _cell_matrices(factor: np.ndarray, cell_index: np.ndarray) -> np.ndarray:
-    """Cell matrices M = conj(W) W^T, W = P^T V, of partitions given as
-    cell-index vectors.
+def _cell_matrices(factor: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Cell matrices M = conj(W) W^T, W = P V, of partitions given as
+    one-hot cells.
 
-    cell_index has shape (..., n) with entries 0..c-1; P is the one-hot
-    history-to-cell matrix, so row a of W sums the factor rows of cell a and
-    M[..., a, b] = D(cell a, cell b).  A cell no history maps to gives a
-    zero row and column.
+    onehot has shape (..., cells, n), true where a history is in a cell, so
+    row a of W sums the factor rows of cell a and M[..., a, b] = D(cell a,
+    cell b).  Every W of the stack comes from one real product of the
+    one-hot rows with the factor's real view (n x 2c).  An empty cell gives
+    a zero row and column.
     """
-    onehot = (cell_index[..., :, None] == np.arange(int(cell_index.max()) + 1)).astype(float)
-    cells = np.swapaxes(onehot, -1, -2) @ factor
-    return np.conjugate(cells) @ np.swapaxes(cells, -1, -2)
+    n, c = factor.shape
+    real = np.ascontiguousarray(factor, dtype=complex).view(np.float64)
+    sums = (onehot.reshape(-1, n).astype(np.float64) @ real).view(complex)
+    sums = sums.reshape(onehot.shape[:-1] + (c,))
+    return np.conjugate(sums) @ np.swapaxes(sums, -1, -2)
 
 
 def _off_diagonal_residual(cell_mats: np.ndarray, mode: str) -> np.ndarray:
@@ -313,7 +319,7 @@ def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> Part
     against EPS_DF.
     """
     masks = tuple(c.mask for c in cells)
-    cell_mats = _cell_matrices(df.factor, _cell_index(df, masks))
+    cell_mats = _cell_matrices(df.factor, _cell_bits(df, masks))
     residual = float(_off_diagonal_residual(cell_mats, mode))
     return PartitionReport(space=df.space, cell_masks=masks, mode=mode, residual=residual,
                            passed=residual <= EPS_DF)
@@ -361,20 +367,20 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     n = df.size
     strings = set_partition_strings(n, max_cells)
     step = max(1, _STEP_ENTRIES // (n * n or 1))
+    width = (n + 7) // 8
     out = []
     for start in range(0, len(strings), step):
         batch = strings[start:start + step]
-        residuals = _off_diagonal_residual(_cell_matrices(df.factor, batch), mode)
+        cells = np.arange(int(batch.max()) + 1, dtype=np.int8)
+        onehot = batch[:, None, :] == cells[:, None]
+        residuals = _off_diagonal_residual(_cell_matrices(df.factor, onehot), mode)
         passing = np.flatnonzero(residuals <= EPS_DF)
         if not len(passing):
             continue
-        rows = batch[passing]
-        counts = rows.max(axis=1) + 1
-        # The one-hot rows of every cell, row by row, packed to bytes.
-        cells = np.arange(int(counts.max()), dtype=np.int8)
-        onehot = (rows[:, None, :] == cells[:, None])[cells < counts[:, None]]
-        raw = np.packbits(onehot, axis=-1, bitorder="little").tobytes()
-        width = (n + 7) // 8
+        counts = batch[passing].max(axis=1) + 1
+        # The one-hot rows of every nonempty cell, row by row, packed to bytes.
+        raw = np.packbits(onehot[passing][cells < counts[:, None]], axis=-1,
+                          bitorder="little").tobytes()
         masks = iter([int.from_bytes(raw[o:o + width], "little")
                       for o in range(0, len(raw), width)])
         for count, residual in zip(counts.tolist(), residuals[passing].tolist()):

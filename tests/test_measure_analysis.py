@@ -28,6 +28,7 @@ from coevent import (
     measure,
     raw_df,
 )
+from coevent import measure_analysis
 from coevent.histories import HistorySpace, ValidationReport, raw_space, sort_masks
 from coevent.measure_analysis import _subset_measures, set_partition_strings
 from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
@@ -59,6 +60,26 @@ def test_subset_measures_against_reference():
                 _subset_measures(rows), subset_measures_simple(np.conjugate(rows) @ rows.T),
                 atol=1e-10,
             )
+
+
+def test_subset_measures_exact_where_the_catalog_needs_it():
+    """What find_zero_sets relies on, at k = 11..20 with a null row in
+    each: the empty mask is exactly 0.0, each single history exactly its
+    row's squared norm (the sum of squares of its real view), and sampled
+    masks agree with a direct |sum_{i in S} V_i|^2."""
+    rng = np.random.default_rng(89)
+    for k in range(11, 21):
+        c = int(rng.integers(1, 7))
+        rows = (rng.normal(size=(k, c)) + 1j * rng.normal(size=(k, c))) * rng.uniform(1e-5, 1.0)
+        rows[rng.integers(k)] = 0.0
+        vals = _subset_measures(rows)
+        assert vals.shape == (1 << k,) and vals[0] == 0.0
+        real = rows.view(np.float64)
+        assert [vals[1 << i] for i in range(k)] == [(r * r).sum() for r in real]
+        scale = k * float((real * real).sum())
+        for m in rng.integers(0, 1 << k, size=64).tolist():
+            total = rows[[i for i in range(k) if m >> i & 1]].sum(axis=0)
+            assert vals[m] == pytest.approx(np.vdot(total, total).real, rel=0, abs=1e-13 * scale)
 
 
 def test_catalog_matches_brute_oracle():
@@ -433,6 +454,47 @@ def test_partition_search_matches_direct_sums(seed, n, mode, max_cells):
     for rep, (_, residual) in zip(got, want):
         assert rep.passed and rep.mode == mode
         assert rep.residual == pytest.approx(residual, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_partition_search_across_batches(monkeypatch, n):
+    """With _STEP_ENTRIES = 300 a batch holds 300 // n^2 partitions (12 at
+    n = 5, 4 at n = 8), so the search crosses hundreds of batch boundaries.
+    Both modes find the oracle's partitions in its order with its residuals,
+    and is_decoherent_partition gives the batch's residual."""
+    from conftest import random_amplitude_df
+
+    monkeypatch.setattr(measure_analysis, "_STEP_ENTRIES", 300)
+    df = random_amplitude_df(np.random.default_rng(97 + n), n)
+    for mode in ("medium", "weak"):
+        got = find_decoherent_partitions(df, mode, n)
+        want = brute_decoherent_partitions(df, mode, n)
+        assert [list(rep.cell_masks) for rep in got] == [cells for cells, _ in want]
+        assert len(got) > 1
+        for rep, (_, residual) in zip(got, want):
+            assert rep.residual == pytest.approx(residual, abs=1e-12)
+        worst = max(got, key=lambda rep: rep.residual)
+        single = is_decoherent_partition(df, worst.cells, mode)
+        assert single.passed and single.residual == pytest.approx(worst.residual, rel=0,
+                                                                   abs=1e-15)
+
+
+def test_weak_search_working_set_is_capped():
+    """A generic weak search over Bell(10) = 115,975 partitions finds only
+    the one-cell partition, and its traced peak stays under 16 MB: a batch
+    holds at most _STEP_ENTRIES cell-matrix entries, whatever the count."""
+    rng = np.random.default_rng(101)
+    v = rng.normal(size=(10, 4)) + 1j * rng.normal(size=(10, 4))
+    gram = np.conjugate(v) @ v.T
+    df = raw_df(gram / gram.real.sum())
+    tracemalloc.start()
+    try:
+        found = find_decoherent_partitions(df, "weak", 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [rep.cell_masks for rep in found] == [((1 << 10) - 1,)]
+    assert peak < 16 * 2**20
 
 
 @settings(max_examples=25, deadline=None)
