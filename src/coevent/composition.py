@@ -31,7 +31,7 @@ from .measure_analysis import (
     PartitionReport,
     ZeroSetCatalog,
     _cell_matrices,
-    _check_sector_size,
+    _check_zero_set_work,
     _off_diagonal_residual,
     find_decoherent_partitions,
     find_zero_sets,
@@ -66,12 +66,14 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
     return _attach(product, validate_df(product), "product decoherence functional")
 
 
-def _largest_block(space: HistorySpace) -> int:
-    """Histories in the largest final sector of a space, or in the whole
-    space when it has no sectors."""
-    if space.sectors is None:
-        return space.size
-    return max(mask.bit_count() for _, mask in space.sectors)
+def _largest_product_block(a: DecoherenceFunctional, b: DecoherenceFunctional) -> int:
+    """A lower bound on the histories of the product catalog's largest
+    block: the rectangle of the factors' largest sectors when both spaces
+    have sectors, else the whole product space, which then has none."""
+    if a.space.sectors is None or b.space.sectors is None:
+        return a.size * b.size
+    return (max(mask.bit_count() for _, mask in a.space.sectors)
+            * max(mask.bit_count() for _, mask in b.space.sectors))
 
 
 def _columns(mask_a: int, nb: int) -> int:
@@ -198,9 +200,12 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
                     failing.extend((ia, idx[start + j], float(residuals[j]))
                                    for j in np.flatnonzero(residuals > EPS_DF))
     out = []
+    columns: dict[int, list[int]] = {}
     for ia, ib, residual in sorted(failing):
         pa, pb = parts_a[ia], parts_b[ib]
-        masks = tuple(cb * _columns(ca, b.size) for ca in pa.cell_masks for cb in pb.cell_masks)
+        if ia not in columns:
+            columns[ia] = [_columns(ca, b.size) for ca in pa.cell_masks]
+        masks = tuple(cb * col for col in columns[ia] for cb in pb.cell_masks)
         out.append(WeakViolation(partition_a=pa, partition_b=pb, space=product.space,
                                  product_masks=masks, residual=residual))
     return out
@@ -215,14 +220,15 @@ def composition_anomalies(a: DecoherenceFunctional,
     with a factor zero event on one side; every such rectangle is zero by
     the rectangle rule, so a covered event is explained by the factors.
     Weak violations are products of weakly decoherent factor partitions
-    that fail weak decoherence.  The product's zero-set size check, both
-    factor partition searches and the COMPOSITION_WORK_LIMIT check run
-    first, so SpaceTooLargeError comes before the product is built.  The
-    product's catalog blocks are the rectangles of the factors' sectors, or
-    the whole product space, so none is smaller than the product of the
-    factors' largest blocks.
+    that fail weak decoherence.  The product's ZERO_SET_WORK_LIMIT check
+    comes before both factor partition searches, and those and the
+    COMPOSITION_WORK_LIMIT check before the product is built, so
+    SpaceTooLargeError comes before the product exists.  The product's
+    catalog blocks are the rectangles of the factors' sectors, or the whole
+    product space when either factor has none, and its factor has
+    c_a * c_b columns.
     """
-    _check_sector_size(_largest_block(a.space) * _largest_block(b.space))
+    _check_zero_set_work(_largest_product_block(a, b), a.factor.shape[1] * b.factor.shape[1])
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
     parts_b = find_decoherent_partitions(b, "weak", max_cells=b.size)
     work = (sum(len(p.cell_masks) ** 2 for p in parts_a)

@@ -9,12 +9,20 @@ add, so a union of sector zero events can exceed EPS_ZERO.  With a ket
 sqrt(1 - d)|p> + sqrt(d)|m>, d = 1.2e-9, measured in the basis p/m and then
 the computational basis, {h_{m0}, h_{m1}} is a maximal zero event of
 mu = 1.2e-9, each sector part having 0.6e-9.
+
+A sector of k histories splits into a low half of k // 2 and a high half,
+with subset sums L and H.  Up to _TABLE_MAX histories one matrix product of
+the halves gives all 2^k measures; above it a grid join of H and L finds the
+events of measure at most BORDERLINE_MAX without forming the 2^k table, so
+the work grows as 2^(k/2) plus the output.  ZERO_SET_WORK_LIMIT bounds the
+tables and ZERO_SET_CANDIDATE_LIMIT the candidates of the join.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress, islice, product
 
 import numpy as np
@@ -22,8 +30,15 @@ import numpy as np
 from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
 from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
                         _events, _mask_bits, sort_masks)
-from .limits import ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, SECTOR_ENUMERATION_LIMIT
+from .limits import (ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, ZERO_SET_CANDIDATE_LIMIT,
+                     ZERO_SET_WORK_LIMIT)
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
+
+# The largest sector whose zero sets come from the 2^k table; larger ones
+# use the grid join.  Timed on generic and planted rows with c = 1, 2 and 4
+# (2 vCPU, one BLAS thread), the table was faster up to k = 16, the two were
+# about even at k = 17 and the grid join was faster from k = 18.
+_TABLE_MAX = 16
 
 
 def _half_sums(rows: np.ndarray) -> np.ndarray:
@@ -56,74 +71,189 @@ def _subset_measures(rows: np.ndarray) -> np.ndarray:
     return (high @ low.T).ravel()
 
 
-# Sort key of a sector-local mask of at most 24 bits, as the sum of one
-# entry per byte (row p for byte p): size << 24, plus 2^24 - 1 minus the
-# mask's 24-bit reversal.  Keys ascend in canonical order (by size, then by
+def _check_zero_set_work(k: int, c: int, extra: int = 0) -> None:
+    """Raise SpaceTooLargeError when the zero-set search of a k-history
+    sector with c factor columns, plus ``extra`` entries, would hold more
+    than ZERO_SET_WORK_LIMIT table entries.  The search holds two half-sum
+    tables, 2^(k // 2) and 2^(k - k // 2) rows of 2c reals, plus the 2^k
+    measures up to _TABLE_MAX histories."""
+    h = k // 2
+    work = ((1 << h) + (1 << (k - h))) * 2 * c + extra
+    if k <= _TABLE_MAX:
+        work += 1 << k
+    if work > ZERO_SET_WORK_LIMIT:
+        raise SpaceTooLargeError(
+            f"zero-set search over a sector of {k} histories with {c} factor columns needs "
+            f"more than ZERO_SET_WORK_LIMIT = {ZERO_SET_WORK_LIMIT} table entries"
+        )
+
+
+# Cells of the grid join are 3 d r wide in each of the d coordinates it keys
+# on (r the probe radius), so that -H +- r crosses about 2/3 cell edges in
+# all and each H probes about 2 cells.  They are shifted so that 0 sits at
+# the golden fraction of a cell: simple amplitudes and their sums are then
+# rarely near a cell edge.
+_PROBE_RADIUS = math.sqrt(BORDERLINE_MAX) * (1.0 + 1e-6)
+_GRID_OFFSET = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@cache
+def _cell_multipliers(d: int) -> np.ndarray:
+    """d odd int64 multipliers of the cell keys: 1..d mixed by the
+    splitmix64 finalizer, so no small combination of them vanishes mod 2^64.
+    Unmixed, (1..d) * 0x9E3779B97F4A7C15 | 1 has m_1 + m_4 = m_2 + m_3: the
+    cells q + e_1 + e_4 and q + e_2 + e_3 would share a key, and an H probing
+    both would list their events twice."""
+    z = np.arange(1, d + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return (z ^ z >> np.uint64(31) | np.uint64(1)).view(np.int64)
+
+
+def _grid_band(real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sector-local masks and measures of every event of the sector with
+    real factor rows ``real`` (k x 2c) whose measure is at most BORDERLINE_MAX.
+
+    Mask hi * 2^h + lo has mu = |H_hi + L_lo|^2, with L and H the subset
+    sums of the low h = k // 2 rows and of the rest.  A member of the band
+    has |H_j + L_j| <= r = sqrt(BORDERLINE_MAX) in every coordinate j, so
+    L_lo lies in the cell of -H_hi or, in each coordinate where -H_hi +- r
+    crosses a cell edge, the next cell; cells are wider than 2r, so each
+    H_hi probes one cell per combination of its crossings.  Cells are keyed
+    by the dot product of their integer coordinates with odd multipliers,
+    and L's keys are sorted once; a key collision only adds a candidate.
+    Every candidate pair gets its measure directly, so no measure is
+    negative, the empty mask gets exactly 0.0 and a single history its
+    row's sum of squares.  Work runs in blocks of about _STEP_ENTRIES
+    entries.  Raises SpaceTooLargeError, before the pairs are formed, when
+    the candidates exceed ZERO_SET_CANDIDATE_LIMIT.
+    """
+    k = len(real)
+    h = k // 2
+    low, high = _half_sums(real[:h]), _half_sums(real[h:])
+    # Only coordinates whose rows' absolute sum exceeds r can tell events
+    # apart; dropping the others merges cells, which keeps every candidate.
+    cols = np.flatnonzero(np.abs(real).sum(axis=0) > _PROBE_RADIUS)
+    d = max(len(cols), 1)
+    width = 3 * d * _PROBE_RADIUS
+    mult = _cell_multipliers(len(cols))
+    keys = np.floor(low[:, cols] / width + _GRID_OFFSET).astype(np.int64) @ mult
+    order = keys.argsort()
+    keys = keys[order]
+    reach = _PROBE_RADIUS / width
+    step = max(1, _STEP_ENTRIES // real.shape[1])
+    candidates = 0
+    masks, measures = [], []
+    for start in range(0, len(high), step):
+        near = high[start:start + step, cols] / -width + _GRID_OFFSET
+        base = np.floor(near - reach)
+        crossing = np.floor(near + reach) > base
+        rows = np.arange(start, start + len(near))
+        probes = base.astype(np.int64) @ mult
+        for j in np.flatnonzero(crossing.any(axis=0)).tolist():
+            more = np.flatnonzero(crossing[rows - start, j])
+            rows = np.concatenate((rows, rows[more]))
+            probes = np.concatenate((probes, probes[more] + mult[j]))
+        begin = keys.searchsorted(probes)
+        counts = keys.searchsorted(probes, "right") - begin
+        found = int(counts.sum())
+        candidates += found
+        if candidates > ZERO_SET_CANDIDATE_LIMIT:
+            raise SpaceTooLargeError(
+                f"zero-set search over a sector of {k} histories has more than "
+                f"ZERO_SET_CANDIDATE_LIMIT = {ZERO_SET_CANDIDATE_LIMIT} candidate events"
+            )
+        his = np.repeat(rows, counts)
+        los = order[np.arange(found) + np.repeat(begin - (np.cumsum(counts) - counts), counts)]
+        for part in range(0, found, step):
+            hi, lo = his[part:part + step], los[part:part + step]
+            diff = high[hi] + low[lo]
+            mu = (diff * diff).sum(axis=1)
+            band = mu <= BORDERLINE_MAX
+            masks.append(hi[band] << h | lo[band])
+            measures.append(mu[band])
+    return np.concatenate(masks), np.concatenate(measures)
+
+
+def _subset_index(bits: list[int]) -> np.ndarray:
+    """The sector-local masks of the subsets of ``bits``, indexed by
+    bit-local mask (bit j for bits[j]), by doubling."""
+    index = np.zeros(1 << len(bits), dtype=np.int64)
+    for j, b in enumerate(bits):
+        index[1 << j: 2 << j] = index[: 1 << j] | 1 << b
+    return index
+
+
+# Sort key of a sector-local mask of at most 40 bits, as the sum of one
+# entry per byte (row p for byte p): size << 40, plus 2^40 - 1 minus the
+# mask's 40-bit reversal.  Keys ascend in canonical order (by size, then by
 # descending bit-reversed value, as in sort_masks).
 _BYTE_BITS = np.arange(256, dtype=np.int64)[:, None] >> np.arange(8) & 1
-_ORDER_KEY = ((_BYTE_BITS.sum(axis=1) << 24)
-              - ((_BYTE_BITS @ (128 >> np.arange(8))) << np.array([[16], [8], [0]]))
-              + np.array([[0xFFFFFF], [0], [0]]))
-# Class of a measure candidate, added as class << 30: 0 zero, 1 borderline,
-# 2 neither (a measure below -BORDERLINE_MAX).
+_ORDER_KEY = ((_BYTE_BITS.sum(axis=1) << 40)
+              - ((_BYTE_BITS @ (128 >> np.arange(8))) << np.arange(32, -1, -8)[:, None])
+              + np.array([[(1 << 40) - 1], [0], [0], [0], [0]]))
+# Class of a measure candidate, added as class << 46: 0 zero, 1 borderline,
+# 2 neither (a table measure below -BORDERLINE_MAX).
 _BANDS = np.array([EPS_ZERO, BORDERLINE_MAX])
 # The smallest keys of a zero mask of two or more histories, of a borderline
 # mask and of a mask of neither class.
-_SPLITS = np.array([2 << 24, 1 << 30, 2 << 30])
+_SPLITS = np.array([2 << 40, 1 << 46, 2 << 46])
 
 
 def _spreader(members: tuple[int, ...]):
-    """The map from masks in sector-local bits (at most 24) to a tuple of
+    """The map from masks in sector-local bits (at most 40) to a tuple of
     global masks: one lookup per byte, in tables of the global masks of the
     256 values of each byte."""
     tables = []
-    for j in range(0, 24, 8):
+    for j in range(0, len(members), 8):
         table = [0]
         for g in members[j:j + 8]:
             bit = 1 << g
             table += [m | bit for m in table]
         tables.append(table)
-    t0, t1, t2 = tables
+    t0, t1, t2, t3, t4 = tables + [[0]] * (5 - len(tables))
 
-    def spread(local_masks) -> tuple[int, ...]:
-        return tuple([t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16] for m in local_masks])
+    if len(members) <= 24:
+        def spread(local_masks) -> tuple[int, ...]:
+            return tuple([t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16] for m in local_masks])
+    else:
+        def spread(local_masks) -> tuple[int, ...]:
+            return tuple([t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
+                          | t3[m >> 24 & 255] | t4[m >> 32] for m in local_masks])
 
     return spread
 
 
-def _nontrivial(vals: np.ndarray, larger: np.ndarray, null: int) -> list[bool]:
+def _nontrivial(larger: np.ndarray, null: int, null_mu, null_measures) -> list[bool]:
     """Which of ``larger`` are nontrivial zero masks: those with a proper
     subset of measure above EPS_ZERO.
 
-    ``vals`` is a sector's table of 2^k measures, ``larger`` its zero masks
-    of two or more histories and ``null`` the mask of its zero single
-    histories, all in sector-local bits.  A mask with a member outside
+    ``larger`` holds a sector's zero masks of two or more histories and
+    ``null`` the mask of its zero single histories, in sector-local bits;
+    ``null_mu`` holds their measures.  A mask with a member outside
     ``null`` has that member as such a subset.  A subset T of null members
     has sqrt(mu(T)) = |sum_{i in T} V_i| <= sum_{i in T} sqrt(mu_i), so only
     when that sum over all null members exceeds sqrt(EPS_ZERO) can a mask
-    of null members be nontrivial.  Then inside[m] marks every mask with a
-    subset above EPS_ZERO, by one pass per null member over the table; a
-    zero mask is not above EPS_ZERO itself, so for it the subset is proper.
+    of null members be nontrivial.  Then ``null_measures(bits)``, for the
+    list of null members' local bits, gives the measures of every subset of
+    them, indexed by null-local mask (bit j for bits[j]), and inside[m]
+    marks every subset with a subset above EPS_ZERO, by one pass per null
+    member; a zero mask is not above EPS_ZERO itself, so for it the subset
+    is proper.
     """
     keep = larger & ~null != 0
-    singles = list(_bits(null))
-    if sum(math.sqrt(abs(vals[bit])) for bit in singles) > math.sqrt(EPS_ZERO):
-        inside = np.abs(vals) > EPS_ZERO
-        for bit in singles:
-            halves = inside.reshape(-1, 2, bit)
+    if sum(math.sqrt(abs(mu)) for mu in null_mu) > math.sqrt(EPS_ZERO):
+        bits = [b.bit_length() - 1 for b in _bits(null)]
+        inside = np.abs(null_measures(bits)) > EPS_ZERO
+        for j in range(len(bits)):
+            halves = inside.reshape(-1, 2, 1 << j)
             halves[:, 1] |= halves[:, 0]
-        keep |= inside[larger]
+        rest = np.flatnonzero(~keep)
+        local = np.zeros(len(rest), dtype=np.int64)
+        for j, b in enumerate(bits):
+            local |= (larger[rest] >> b & 1) << j
+        keep[rest] = inside[local]
     return keep.tolist()
-
-
-def _check_sector_size(k: int) -> None:
-    """Raise SpaceTooLargeError for a zero-set block of more than
-    SECTOR_ENUMERATION_LIMIT histories."""
-    if k > SECTOR_ENUMERATION_LIMIT:
-        raise SpaceTooLargeError(
-            f"sector of {k} histories exceeds SECTOR_ENUMERATION_LIMIT = "
-            f"{SECTOR_ENUMERATION_LIMIT}"
-        )
 
 
 @dataclass(frozen=True)
@@ -191,16 +321,22 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     """Exhaustively catalog measure-zero events of a validated DF.
 
     Enumeration runs per verified final sector, or over the whole space when
-    no block structure is available.  Raises SpaceTooLargeError when any
-    enumerated block exceeds SECTOR_ENUMERATION_LIMIT members.
+    no block structure is available.  Raises SpaceTooLargeError, before the
+    block's tables are built, when a block's search would hold more than
+    ZERO_SET_WORK_LIMIT table entries (_check_zero_set_work), and when a
+    grid join finds more than ZERO_SET_CANDIDATE_LIMIT candidate events.
 
-    A sector's 2^k measures come from its factor rows in one table
-    (_subset_measures).  The masks at most BORDERLINE_MAX are classified,
-    sorted and reduced to maximal masks with numpy, in sector-local bits,
-    bit b for its b-th member.  Members ascend, so the local canonical order
-    is the global one.  Each listed mask is spread to global bits once, by
-    lookups in per-sector byte tables.  A zero event is nontrivial when some
-    proper subset has a measure above EPS_ZERO (``_nontrivial``).
+    A sector of at most _TABLE_MAX histories gets all 2^k measures from its
+    factor rows in one table (_subset_measures); a larger one gets the
+    events of measure at most BORDERLINE_MAX from a grid join of its half
+    sums (_grid_band).  Those masks are classified, sorted and reduced to
+    maximal masks with numpy, in sector-local bits, bit b for its b-th
+    member; the sort key holds masks of up to 40 bits.  Members ascend, so
+    the local canonical order is the global one.  Each listed mask is
+    spread to global bits once, by lookups in per-sector byte tables.  A
+    zero event is nontrivial when some proper subset has a measure above
+    EPS_ZERO (``_nontrivial``); its subsets of null members are read from
+    the 2^k table, or measured over the null members only.
     """
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
@@ -210,13 +346,26 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     for name, sector_mask in df.sectors():
         members = tuple(b.bit_length() - 1 for b in _bits(sector_mask))
         k = len(members)
-        _check_sector_size(k)
-        vals = _subset_measures(df.factor[list(members)])
-        masks = (vals <= BORDERLINE_MAX).nonzero()[0]
+        rows = df.factor[list(members)]
+        _check_zero_set_work(k, rows.shape[1])
+        if k <= _TABLE_MAX:
+            vals = _subset_measures(rows)
+            masks = (vals <= BORDERLINE_MAX).nonzero()[0]
+            measures = vals[masks]
+
+            def null_measures(bits):
+                return vals[_subset_index(bits)]
+        else:
+            masks, measures = _grid_band(np.ascontiguousarray(rows, dtype=complex)
+                                         .view(np.float64))
+
+            def null_measures(bits):
+                _check_zero_set_work(k, rows.shape[1], 1 << len(bits))
+                return _subset_measures(rows[bits])
         keys = _ORDER_KEY[0][masks & 255]
         for j in range(8, k, 8):
             keys += _ORDER_KEY[j // 8][masks >> j & 255]
-        keys += _BANDS.searchsorted(np.abs(vals[masks])) << 30
+        keys += _BANDS.searchsorted(np.abs(measures)) << 46
         order = keys.argsort()
         masks = masks[order]
         pairs, zeros_end, border_end = keys[order].searchsorted(_SPLITS).tolist()
@@ -226,7 +375,9 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
         local = masks[:border_end].tolist()
         spread = _spreader(members)
         listed = spread(local)
-        keep = _nontrivial(vals, masks[pairs:zeros_end], sum(local[1:pairs]))
+        null = sum(local[1:pairs])
+        null_mu = measures[order[1:pairs]] if null else ()
+        keep = _nontrivial(masks[pairs:zeros_end], null, null_mu, null_measures)
         # Greedy rounds: the last mask left is the largest in canonical
         # order, so it is maximal; drop every mask inside it.  The few
         # maximal masks are spread on their own, which costs less than

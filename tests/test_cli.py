@@ -215,6 +215,22 @@ def test_enumeration_cap_exits_cap_code(capsys, monkeypatch):
     assert "COEVENT_MAX_OMEGA = 8" in err
 
 
+def test_zero_set_caps_exit_cap_code(capsys, tmp_path):
+    """A classical block of 32 histories is over the zero-set work cap; 24
+    histories of which 23 carry amplitude 1e-6 have 2^23 zero events, over
+    the candidate cap.  Both exit 3 and name their cap."""
+    path = _write_df(tmp_path, [[[1.0 / 32 if i == j else 0.0, 0.0] for j in range(32)]
+                                for i in range(32)])
+    code, _, err = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert code == EXIT_CAP
+    assert "ZERO_SET_WORK_LIMIT = 4194304" in err
+    amps = [1.0 - 23e-6] + [1e-6] * 23
+    path = _write_df(tmp_path, [[[a * b, 0.0] for b in amps] for a in amps])
+    code, _, err = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert code == EXIT_CAP
+    assert "ZERO_SET_CANDIDATE_LIMIT = 1048576" in err
+
+
 def test_text_format_renders_lines(capsys):
     code, out, _ = run_cli(capsys, "scenario", "run", "pbr-v1", "--format", "text")
     assert code == EXIT_OK
@@ -297,6 +313,16 @@ def _child_env() -> dict:
 
 def test_cli_imports_no_click():
     code = "import sys, coevent.cli; print('click' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_imports_no_numpy_random():
+    """numpy.random is not imported with the package: loading it raises the
+    start time and memory of every command."""
+    code = "import sys, coevent.cli; print('numpy.random' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr

@@ -88,9 +88,9 @@ def test_global_fallback_warns_and_caps():
         warnings.simplefilter("error")
         cset = enumerate_primitive_coevents(df)
     assert cset.support_labels() == [[lab] for lab in df.space.labels]
-    df21 = raw_df(np.diag(np.full(21, 1.0 / 21.0)))
-    with pytest.raises(SpaceTooLargeError, match="SECTOR_ENUMERATION_LIMIT"):
-        enumerate_primitive_coevents(df21)
+    df32 = raw_df(np.diag(np.full(32, 1.0 / 32.0)))
+    with pytest.raises(SpaceTooLargeError, match="ZERO_SET_WORK_LIMIT"):
+        enumerate_primitive_coevents(df32)
 
 
 def test_intersection_at_special_angle(appendix_golden):

@@ -233,7 +233,8 @@ def test_composition_size_guard(monkeypatch):
 def test_composition_refuses_an_uncatalogable_product_first(monkeypatch):
     """Two 10-history raw factors have no sectors, so the product's zero-set
     catalog would scan one block of 100 histories: the refusal comes before
-    either factor's partition search."""
+    either factor's partition search.  With sectors on one side only the
+    product has none either, so its block is the whole product space."""
     rng = np.random.default_rng(17)
 
     def rank_two(n):
@@ -245,12 +246,29 @@ def test_composition_refuses_an_uncatalogable_product_first(monkeypatch):
         raise AssertionError("a factor partition search ran")
 
     monkeypatch.setattr(composition, "find_decoherent_partitions", search)
-    with pytest.raises(SpaceTooLargeError, match="sector of 100 histories exceeds "
-                                                 "SECTOR_ENUMERATION_LIMIT = 20"):
+    with pytest.raises(SpaceTooLargeError, match="sector of 100 histories .* "
+                                                 "ZERO_SET_WORK_LIMIT = 4194304"):
         composition_anomalies(rank_two(10), rank_two(10))
     # Sectors of 3 on one side, one block of 7 on the other.
-    with pytest.raises(SpaceTooLargeError, match="sector of 21 histories"):
+    with pytest.raises(SpaceTooLargeError, match="sector of 63 histories .* ZERO_SET_WORK_LIMIT"):
         composition_anomalies(rotated_schema_df(), rank_two(7))
+
+
+def test_composition_refuses_a_one_sided_product_before_searching(monkeypatch):
+    """phi1 of appendix-theta has two sectors of 4 histories and a raw
+    5-history DF has none, so the product has no sectors either: its one
+    block holds all 40 histories, above the work cap, and the refusal comes
+    before either factor's partition search.  The product of the factors'
+    largest blocks, 4 x 5 = 20, would have let both searches run."""
+    phi1 = scenario_dfs("appendix-theta", theta=0.7)["phi1"]
+    assert [m.bit_count() for _, m in phi1.sectors()] == [4, 4]
+
+    def search(*args, **kwargs):
+        raise AssertionError("a factor partition search ran")
+
+    monkeypatch.setattr(composition, "find_decoherent_partitions", search)
+    with pytest.raises(SpaceTooLargeError, match="sector of 40 histories .* ZERO_SET_WORK_LIMIT"):
+        composition_anomalies(phi1, raw_df(np.diag([0.3, 0.25, 0.2, 0.15, 0.1])))
 
 
 ROTATED_KETS = {

@@ -27,6 +27,7 @@ from coevent import (
     is_decoherent_partition,
     measure,
     raw_df,
+    validate_df,
 )
 from coevent import measure_analysis
 from coevent.histories import HistorySpace, ValidationReport, raw_space, sort_masks
@@ -139,15 +140,11 @@ def planted_df(rng: np.random.Generator, n: int) -> DecoherenceFunctional:
             return raw_df(gram / total)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
-def test_zero_set_lists_match_direct_scan(seed, n):
-    """Every list of the one-block catalog equals the direct scan's, in
-    canonical order (by size, then by member indices); the split table has
-    both halves nonempty from two histories on, at odd and even widths."""
-    df = planted_df(np.random.default_rng(seed), n)
-    size = np.abs(brute_measures(df))
-    masks = range(1, 1 << n)
+def assert_lists_match_scan(df: DecoherenceFunctional, size: np.ndarray) -> None:
+    """Every list of the one-block catalog of ``df`` equals the one read off
+    ``size``, the direct scan's |mu| of every mask, in canonical order (by
+    size, then by member indices)."""
+    n = df.size
 
     def canonical(found, reverse=False):
         return sorted(found, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]),
@@ -158,7 +155,7 @@ def test_zero_set_lists_match_direct_scan(seed, n):
     for i in range(n):
         with_bit = np.flatnonzero(np.arange(1 << n) >> i & 1)
         inside[with_bit] |= inside[with_bit ^ (1 << i)]
-    zeros = {0} | {m for m in masks if size[m] <= EPS_ZERO}
+    zeros = set(np.flatnonzero(size <= EPS_ZERO).tolist())
     catalog = find_zero_sets(df)
     assert [s.label for s in catalog.sectors] == ["all"]
     assert [e.mask for e in catalog.zero_events_sectorwise()] == canonical(zeros - {0})
@@ -166,9 +163,45 @@ def test_zero_set_lists_match_direct_scan(seed, n):
         m for m in zeros if m.bit_count() >= 2
         and any(inside[m ^ (1 << i)] for i in range(n) if m >> i & 1))
     assert list(catalog.sectors[0].borderline_masks) == canonical(
-        m for m in masks if EPS_ZERO < size[m] <= BORDERLINE_MAX)
+        np.flatnonzero((size > EPS_ZERO) & (size <= BORDERLINE_MAX)).tolist())
     assert list(catalog.sectors[0].maximal_masks) == canonical(
         brute_maximal_masks(zeros), reverse=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_zero_set_lists_match_direct_scan(seed, n):
+    """Every list of the one-block catalog equals the direct scan's, in
+    canonical order; the split table has both halves nonempty from two
+    histories on, at odd and even widths."""
+    df = planted_df(np.random.default_rng(seed), n)
+    assert_lists_match_scan(df, np.abs(brute_measures(df)))
+
+
+def chunked_measures(df: DecoherenceFunctional) -> np.ndarray:
+    """mu of every event by direct sums over the matrix, as brute_measures
+    takes them, 2^14 masks at a time."""
+    n = df.size
+    gram = np.real(df.matrix)
+    out = np.empty(1 << n)
+    for start in range(0, 1 << n, 1 << 14):
+        masks = np.arange(start, min(start + (1 << 14), 1 << n))
+        members = (masks[:, None] >> np.arange(n) & 1).astype(float)
+        out[masks] = ((members @ gram) * members).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", range(15, 21))
+def test_zero_set_lists_across_the_crossover(monkeypatch, n):
+    """At n = 15..20 both the 2^k table and the grid join of the half sums
+    give the direct scan's lists, in order: the catalog's own choice
+    (the table up to 16 histories) and each path forced."""
+    df = planted_df(np.random.default_rng(1000 + n), n)
+    size = np.abs(chunked_measures(df))
+    assert_lists_match_scan(df, size)
+    for table_max in (0, 20):
+        monkeypatch.setattr(measure_analysis, "_TABLE_MAX", table_max)
+        assert_lists_match_scan(df, size)
 
 
 def test_nontrivial_zero_events_at_the_tolerance_edge():
@@ -235,8 +268,9 @@ def test_catalog_listings_are_built_unchecked(built_events):
 
 
 def test_zero_sets_of_a_twenty_history_sector_stay_small():
-    """The split table of 2^20 measures (8 MB) is most of what one
-    20-history sector allocates: the traced peak stays under 12 MB."""
+    """A 20-history sector is joined on the grid of its half sums, 2^10
+    rows each: the traced peak stays under 4 MB, half of what the 2^20
+    table of measures alone would take (8 MB)."""
     rng = np.random.default_rng(79)
     v = rng.normal(size=(20, 12)) + 1j * rng.normal(size=(20, 12))
     gram = np.conjugate(v) @ v.T
@@ -248,7 +282,7 @@ def test_zero_sets_of_a_twenty_history_sector_stay_small():
     finally:
         tracemalloc.stop()
     assert catalog.counts()["zero_sectorwise"] == 0
-    assert peak < 12 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_zero_sets_reach_every_byte_of_a_sector():
@@ -265,6 +299,157 @@ def test_zero_sets_reach_every_byte_of_a_sector():
     assert [e.mask for e in catalog.zero_events_sectorwise()] == [null, pair, pair | null]
     assert [e.mask for e in catalog.nontrivial_zero_events()] == [pair, pair | null]
     assert catalog.sectors[0].maximal_masks == (pair | null,)
+
+
+def factor_df(rows: np.ndarray) -> DecoherenceFunctional:
+    """The validated one-block DF of factor rows ``rows``, scaled to unit
+    total measure, with no eigendecomposition of its matrix."""
+    total = rows.sum(axis=0)
+    df = DecoherenceFunctional(raw_space([f"h{i + 1}" for i in range(len(rows))]),
+                               rows / np.sqrt(np.vdot(total, total).real))
+    return DecoherenceFunctional(df.space, df.factor, validate_df(df))
+
+
+def paired_rows(rng: np.random.Generator, k: int, m: int) -> tuple[np.ndarray, list[int]]:
+    """k rows with c = 2 in a seeded order, m cancelling pairs (v, -v) of
+    generic directions and distinct norms and k - 2m generic rows, and the
+    masks of the pairs."""
+    v = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    v *= np.linspace(0.5, 1.5, m)[:, None]
+    rest = rng.normal(size=(k - 2 * m, 2)) + 1j * rng.normal(size=(k - 2 * m, 2))
+    order = rng.permutation(k)
+    at = np.argsort(order).tolist()
+    return (np.concatenate((v, -v, rest))[order],
+            [1 << at[i] | 1 << at[m + i] for i in range(m)])
+
+
+@pytest.mark.parametrize("k, m, seed", [(22, 4, 22), (26, 5, 26), (32, 6, 32), (34, 6, 32)])
+def test_cancelling_pairs_above_twenty_histories(k, m, seed):
+    """m cancelling pairs among generic rows: the zero events are exactly
+    the 2^m - 1 nonempty unions of pairs, all nontrivial, the union of all
+    pairs is the one maximal zero event and nothing is borderline.  At
+    k = 34 a pair holds history 34, in the fifth byte of the sort key."""
+    rows, pairs = paired_rows(np.random.default_rng(seed), k, m)
+    catalog = find_zero_sets(factor_df(rows))
+    unions = [sum(p for i, p in enumerate(pairs) if pick >> i & 1) for pick in range(1, 1 << m)]
+    sector = catalog.sectors[0]
+    assert list(sector.zero_masks) == sort_masks(unions, k)
+    assert sector.nontrivial_masks == sector.zero_masks
+    assert sector.maximal_masks == (sum(pairs),)
+    assert sector.borderline_masks == ()
+    if k > 32:
+        assert max(unions).bit_length() == k
+
+
+@pytest.mark.parametrize("c, k", [(1, 14), (1, 18), (2, 18)])
+def test_grid_join_near_cell_edges(monkeypatch, c, k):
+    """Rows of about 3e-4 beside one unit row: their subset sums spread over
+    a few cells of the grid, and hundreds to thousands of events fall in
+    the borderline band, many with -H + r or -H - r across a cell edge.
+    The grid join lists every one of them, as the direct scan does."""
+    rng = np.random.default_rng(100 + k + c)
+    rows = (rng.normal(size=(k, c)) + 1j * rng.normal(size=(k, c))) * 3e-4
+    rows[0] = 1.0
+    df = factor_df(rows)
+    size = np.abs(chunked_measures(df))
+    monkeypatch.setattr(measure_analysis, "_TABLE_MAX", 0)
+    assert_lists_match_scan(df, size)
+
+
+def test_zero_set_memory_grows_as_the_half_sums():
+    """Six cancelling pairs among generic rows at k = 24, 28 and 32: the
+    output stays at 63 zero events while the traced peak grows by at most
+    about 2^2 per four histories, as the half sums do (the 2^k table would
+    grow by 2^4 and take 32 GB at k = 32)."""
+    peaks = []
+    for k in (24, 28, 32):
+        df = factor_df(paired_rows(np.random.default_rng(k), k, 6)[0])
+        tracemalloc.start()
+        try:
+            catalog = find_zero_sets(df)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert catalog.counts()["zero_sectorwise"] == 63
+    assert peaks[1] < 5 * peaks[0] and peaks[2] < 5 * peaks[1]
+    assert peaks[2] < 24 * 2**20
+
+
+def test_null_members_of_a_large_sector(monkeypatch):
+    """The s, s, -s, -s rows of the tolerance-edge case (s^2 = 0.9e-9),
+    spread over both halves of an 18-history sector of generic rows: the
+    catalog equals the direct scan, the zero events of three or four of
+    them are nontrivial, and their subset measures come from one table over
+    the 4 null rows, not over the sector."""
+    rng = np.random.default_rng(97)
+    rows = np.zeros((18, 3), dtype=complex)
+    rows[:, 1:] = rng.normal(size=(18, 2)) + 1j * rng.normal(size=(18, 2))
+    null = [1, 8, 12, 17]
+    rows[null] = 0.0
+    # s^2 = 0.9e-9 of the total measure, which the null rows do not change.
+    s = np.sqrt(0.9e-9 * np.vdot(rows.sum(axis=0), rows.sum(axis=0)).real)
+    rows[null, 0] = [s, s, -s, -s]
+    df = factor_df(rows)
+    tables = []
+
+    def subset_measures(block):
+        tables.append(len(block))
+        return _subset_measures(block)
+
+    monkeypatch.setattr(measure_analysis, "_subset_measures", subset_measures)
+    assert_lists_match_scan(df, np.abs(chunked_measures(df)))
+    assert tables == [4]
+    masks = [sum(1 << null[i] for i in pick) for pick in
+             [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2, 3)]]
+    assert find_zero_sets(df).sectors[0].nontrivial_masks == tuple(masks)
+
+
+def test_zero_set_caps():
+    """The work cap admits a 40-history block, the width of the sort key,
+    only with c = 1, and no wider block; a block whose candidates exceed
+    the output cap is refused before they are formed."""
+    measure_analysis._check_zero_set_work(40, 1)
+    measure_analysis._check_zero_set_work(38, 2)
+    with pytest.raises(SpaceTooLargeError, match="sector of 41 histories with 1 factor columns "
+                                                 ".* ZERO_SET_WORK_LIMIT = 4194304 "):
+        measure_analysis._check_zero_set_work(41, 1)
+    # 23 rows of 1e-6: every one of their 2^23 subsets is a zero event.
+    rows = np.full((24, 1), 1e-6, dtype=complex)
+    rows[0] = 1.0
+    df = factor_df(rows)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpaceTooLargeError, match="sector of 24 histories has more than "
+                                                     "ZERO_SET_CANDIDATE_LIMIT = 1048576 "):
+            find_zero_sets(df)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_a_random_six_slice_qubit_schema():
+    """Six Haar-random qubit slices: 64 histories in two sectors of 32,
+    catalogued within the caps.  A sector's 2^32 events have their sums in
+    two real dimensions, so by chance dozens fall at or below EPS_ZERO and
+    thousands in the borderline band; each is measured directly."""
+    rng = np.random.default_rng(5)
+
+    def haar(d):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    slices = [Slice(ProjectiveDecomposition.from_kets(list(haar(2).T), ["0", "1"]), haar(2))
+              for _ in range(6)]
+    df = build_df(HistorySchema.from_ket([1.0, 0.0], slices))
+    assert [m.bit_count() for _, m in df.sectors()] == [32, 32]
+    catalog = find_zero_sets(df)
+    assert catalog.counts()["zero_sectorwise"] > 0 and catalog.counts()["borderline"] > 1000
+    for event in catalog.zero_events_sectorwise():
+        assert measure(df, event) <= EPS_ZERO
+    for s in catalog.sectors:
+        for m in s.borderline_masks:
+            assert EPS_ZERO < measure(df, Event(df.space, m)) <= BORDERLINE_MAX
 
 
 def test_catalog_counts_and_sectorwise_v2():
@@ -316,8 +501,11 @@ def test_find_zero_sets_refuses_invalid_df():
 
 
 def test_sector_enumeration_limit():
-    df = raw_df(np.eye(21) / 21.0)
-    with pytest.raises(SpaceTooLargeError, match="SECTOR_ENUMERATION_LIMIT = 20"):
+    """A classical block of 32 histories has 32 factor columns: its half
+    sums would hold 2 * 2^16 rows of 64 reals, above the work cap."""
+    df = raw_df(np.eye(32) / 32.0)
+    with pytest.raises(SpaceTooLargeError, match="sector of 32 histories with 32 factor columns "
+                                                 ".* ZERO_SET_WORK_LIMIT = 4194304"):
         find_zero_sets(df)
 
 
