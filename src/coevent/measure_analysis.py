@@ -175,15 +175,6 @@ def _grid_band(real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(masks), np.concatenate(measures)
 
 
-def _subset_index(bits: list[int]) -> np.ndarray:
-    """The sector-local masks of the subsets of ``bits``, indexed by
-    bit-local mask (bit j for bits[j]), by doubling."""
-    index = np.zeros(1 << len(bits), dtype=np.int64)
-    for j, b in enumerate(bits):
-        index[1 << j: 2 << j] = index[: 1 << j] | 1 << b
-    return index
-
-
 # Sort key of a sector-local mask of at most 40 bits, as the sum of one
 # entry per byte (row p for byte p): size << 40, plus 2^40 - 1 minus the
 # mask's 40-bit reversal.  Keys ascend in canonical order (by size, then by
@@ -202,8 +193,9 @@ _SPLITS = np.array([2 << 40, 1 << 46, 2 << 46])
 
 def _spreader(members: tuple[int, ...]):
     """The map from masks in sector-local bits (at most 40) to a tuple of
-    global masks: one lookup per byte, in tables of the global masks of the
-    256 values of each byte."""
+    global masks: one lookup for each of the five bytes, in tables of the
+    global masks of the 256 values of each byte; a byte past the sector's
+    members is always 0 and looks up [0]."""
     tables = []
     for j in range(0, len(members), 8):
         table = [0]
@@ -213,38 +205,36 @@ def _spreader(members: tuple[int, ...]):
         tables.append(table)
     t0, t1, t2, t3, t4 = tables + [[0]] * (5 - len(tables))
 
-    if len(members) <= 24:
-        def spread(local_masks) -> tuple[int, ...]:
-            return tuple([t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16] for m in local_masks])
-    else:
-        def spread(local_masks) -> tuple[int, ...]:
-            return tuple([t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
-                          | t3[m >> 24 & 255] | t4[m >> 32] for m in local_masks])
+    def spread(local_masks) -> tuple[int, ...]:
+        return tuple([t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
+                      | t3[m >> 24 & 255] | t4[m >> 32] for m in local_masks])
 
     return spread
 
 
-def _nontrivial(larger: np.ndarray, null: int, null_mu, null_measures) -> list[bool]:
+def _nontrivial(larger: np.ndarray, null: int, null_mu, rows: np.ndarray) -> list[bool]:
     """Which of ``larger`` are nontrivial zero masks: those with a proper
     subset of measure above EPS_ZERO.
 
     ``larger`` holds a sector's zero masks of two or more histories and
     ``null`` the mask of its zero single histories, in sector-local bits;
-    ``null_mu`` holds their measures.  A mask with a member outside
-    ``null`` has that member as such a subset.  A subset T of null members
-    has sqrt(mu(T)) = |sum_{i in T} V_i| <= sum_{i in T} sqrt(mu_i), so only
-    when that sum over all null members exceeds sqrt(EPS_ZERO) can a mask
-    of null members be nontrivial.  Then ``null_measures(bits)``, for the
-    list of null members' local bits, gives the measures of every subset of
-    them, indexed by null-local mask (bit j for bits[j]), and inside[m]
-    marks every subset with a subset above EPS_ZERO, by one pass per null
-    member; a zero mask is not above EPS_ZERO itself, so for it the subset
-    is proper.
+    ``null_mu`` holds their measures and ``rows`` the sector's factor rows.
+    A mask with a member outside ``null`` has that member as such a subset.
+    A subset T of null members has sqrt(mu(T)) = |sum_{i in T} V_i| <=
+    sum_{i in T} sqrt(mu_i), so only when that sum over all null members
+    exceeds sqrt(EPS_ZERO) can a mask of null members be nontrivial.  Then
+    the measures of every subset of the z null members come from their rows
+    alone (2^z entries, charged to ZERO_SET_WORK_LIMIT), indexed by
+    null-local mask (bit j for the j-th null member), and inside[m] marks
+    every subset with a subset above EPS_ZERO, by one pass per null member;
+    a zero mask is not above EPS_ZERO itself, so for it the subset is
+    proper.
     """
     keep = larger & ~null != 0
     if sum(math.sqrt(abs(mu)) for mu in null_mu) > math.sqrt(EPS_ZERO):
         bits = [b.bit_length() - 1 for b in _bits(null)]
-        inside = np.abs(null_measures(bits)) > EPS_ZERO
+        _check_zero_set_work(len(rows), rows.shape[1], 1 << len(bits))
+        inside = np.abs(_subset_measures(rows[bits])) > EPS_ZERO
         for j in range(len(bits)):
             halves = inside.reshape(-1, 2, 1 << j)
             halves[:, 1] |= halves[:, 0]
@@ -335,8 +325,8 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     the local canonical order is the global one.  Each listed mask is
     spread to global bits once, by lookups in per-sector byte tables.  A
     zero event is nontrivial when some proper subset has a measure above
-    EPS_ZERO (``_nontrivial``); its subsets of null members are read from
-    the 2^k table, or measured over the null members only.
+    EPS_ZERO (``_nontrivial``); its subsets of null members are measured
+    over the null members only.
     """
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
@@ -352,16 +342,9 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
             vals = _subset_measures(rows)
             masks = (vals <= BORDERLINE_MAX).nonzero()[0]
             measures = vals[masks]
-
-            def null_measures(bits):
-                return vals[_subset_index(bits)]
         else:
             masks, measures = _grid_band(np.ascontiguousarray(rows, dtype=complex)
                                          .view(np.float64))
-
-            def null_measures(bits):
-                _check_zero_set_work(k, rows.shape[1], 1 << len(bits))
-                return _subset_measures(rows[bits])
         keys = _ORDER_KEY[0][masks & 255]
         for j in range(8, k, 8):
             keys += _ORDER_KEY[j // 8][masks >> j & 255]
@@ -377,7 +360,7 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
         listed = spread(local)
         null = sum(local[1:pairs])
         null_mu = measures[order[1:pairs]] if null else ()
-        keep = _nontrivial(masks[pairs:zeros_end], null, null_mu, null_measures)
+        keep = _nontrivial(masks[pairs:zeros_end], null, null_mu, rows)
         # Greedy rounds: the last mask left is the largest in canonical
         # order, so it is maximal; drop every mask inside it.  The few
         # maximal masks are spread on their own, which costs less than
