@@ -11,6 +11,7 @@ factors each pass it; both effects are what the report collects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -28,9 +29,9 @@ from .histories import (
 )
 from .limits import COMPOSITION_WORK_LIMIT
 from .measure_analysis import (
+    PartitionListing,
     PartitionReport,
     ZeroSetCatalog,
-    _cell_matrices,
     _check_zero_set_work,
     _off_diagonal_residual,
     find_decoherent_partitions,
@@ -158,26 +159,9 @@ def _emergent_zero_masks(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
     return out
 
 
-def _partition_bits(df: DecoherenceFunctional, parts: list[PartitionReport]):
-    """Yield the partitions of each cell count in chunks of at most
-    _STEP_ENTRIES one-hot entries: the chunk's indices into ``parts`` and
-    its one-hot cells (partitions x count x n), from one decode of the
-    chunk's cell masks."""
-    by_count: dict[int, list[int]] = {}
-    for i, p in enumerate(parts):
-        by_count.setdefault(len(p.cell_masks), []).append(i)
-    n = df.size
-    for count, idx in by_count.items():
-        step = max(1, _STEP_ENTRIES // (count * n))
-        for first in range(0, len(idx), step):
-            chunk = idx[first:first + step]
-            bits = _mask_bits([m for i in chunk for m in parts[i].cell_masks], n)
-            yield chunk, bits.reshape(len(chunk), count, n)
-
-
 def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
-                     product: DecoherenceFunctional, parts_a: list[PartitionReport],
-                     parts_b: list[PartitionReport]) -> list[WeakViolation]:
+                     product: DecoherenceFunctional, parts_a: PartitionListing,
+                     parts_b: PartitionListing) -> list[WeakViolation]:
     """Products of the given factor partitions that fail weak decoherence,
     ordered by a's partition, then b's.
 
@@ -186,10 +170,10 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     cell matrices come a chunk of partitions of one cell count at a time;
     b's are all kept and checked against each M_a at once.
     """
-    groups = [(idx, _cell_matrices(b.factor, onehot)) for idx, onehot in _partition_bits(b, parts_b)]
+    groups = list(parts_b.cell_matrix_chunks(b.factor))
     failing = []
-    for idx_a, onehot_a in _partition_bits(a, parts_a):
-        for ia, mat_a in zip(idx_a, _cell_matrices(a.factor, onehot_a)):
+    for idx_a, mats_a in parts_a.cell_matrix_chunks(a.factor):
+        for ia, mat_a in zip(idx_a, mats_a):
             for idx, mats_b in groups:
                 c = mat_a.shape[-1] * mats_b.shape[-1]
                 step = max(1, _STEP_ENTRIES // (c * c))
@@ -200,12 +184,11 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
                     failing.extend((ia, idx[start + j], float(residuals[j]))
                                    for j in np.flatnonzero(residuals > EPS_DF))
     out = []
-    columns: dict[int, list[int]] = {}
+    report_a, report_b = cache(parts_a.__getitem__), cache(parts_b.__getitem__)
+    columns = cache(lambda ia: [_columns(ca, b.size) for ca in report_a(ia).cell_masks])
     for ia, ib, residual in sorted(failing):
-        pa, pb = parts_a[ia], parts_b[ib]
-        if ia not in columns:
-            columns[ia] = [_columns(ca, b.size) for ca in pa.cell_masks]
-        masks = tuple(cb * col for col in columns[ia] for cb in pb.cell_masks)
+        pa, pb = report_a(ia), report_b(ib)
+        masks = tuple(cb * col for col in columns(ia) for cb in pb.cell_masks)
         out.append(WeakViolation(partition_a=pa, partition_b=pb, space=product.space,
                                  product_masks=masks, residual=residual))
     return out
@@ -231,8 +214,7 @@ def composition_anomalies(a: DecoherenceFunctional,
     _check_zero_set_work(_largest_product_block(a, b), a.factor.shape[1] * b.factor.shape[1])
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
     parts_b = find_decoherent_partitions(b, "weak", max_cells=b.size)
-    work = (sum(len(p.cell_masks) ** 2 for p in parts_a)
-            * sum(len(p.cell_masks) ** 2 for p in parts_b))
+    work = int((parts_a.counts ** 2).sum()) * int((parts_b.counts ** 2).sum())
     if work > COMPOSITION_WORK_LIMIT:
         raise SpaceTooLargeError(
             f"weak-violation check of {work} product cell-matrix entries exceeds "

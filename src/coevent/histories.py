@@ -364,15 +364,15 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
     Labels default to h1, h2, ...  A matrix failing Hermiticity,
     normalization, or strong positivity is rejected with
     ValidationFailedError, whose ``report`` holds the residuals of the
-    matrix as given.  The factor comes from the same eigendecomposition, so
-    ``matrix`` is the positive semidefinite part of the input.
+    matrix as given.  The factor comes from the same eigendecomposition: the
+    eigenvectors of the eigenvalues above n eps lambda_max, eps the machine epsilon.
     """
     mat = as_complex_matrix(matrix)
     n = mat.shape[0]
     if labels is None:
         labels = [f"h{i + 1}" for i in range(n)]
     w, u = np.linalg.eigh((mat + dagger(mat)) / 2)
-    keep = w > 0
+    keep = w > n * np.finfo(float).eps * w.max(initial=0.0)
     df = DecoherenceFunctional(raw_space(labels), np.conjugate(u[:, keep]) * np.sqrt(w[keep]))
     report = ValidationReport(
         size=n,

@@ -29,11 +29,11 @@ ZERO_SET_WORK_LIMIT = 2**22
 # (2^20 - 1 listed zero events of 21 histories took 0.55 s, and the process
 # peaked at 197 MB; 2 vCPU).
 ZERO_SET_CANDIDATE_LIMIT = 2**20
-# A search over Bell(11) = 678,570 partitions of 11 histories takes about
-# 1.2 s (0.85-1.4 s) when only the one-cell partition passes (a generic weak
-# search) and about 7 s (5.5-7.4 s) when every partition passes (a classical
-# medium search, where building one report per partition dominates): 2 vCPU,
-# one BLAS thread.  Bell(12) = 4,213,597 would take about six times as long.
+# A search over Bell(11) = 678,570 partitions of 11 histories took 0.90-0.95 s
+# when only the one-cell partition passes (a generic weak search, c = 4) and
+# 1.3-1.5 s when every partition passes (the medium search of the classical
+# raw_df(eye(11) / 11)): 3 runs each, 2 vCPU, one BLAS thread.  Bell(12) =
+# 4,213,597 would take about six times as long.
 PARTITION_COUNT_LIMIT = 1_000_000
 ASSEMBLY_LIMIT = 100_000
 COMPOSITION_WORK_LIMIT = 250_000_000

@@ -21,9 +21,11 @@ tables and ZERO_SET_CANDIDATE_LIMIT the candidates of the join.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, islice, product
+from itertools import chain, compress, product
 
 import numpy as np
 
@@ -408,14 +410,9 @@ class PartitionReport:
         }
 
 
-def _cell_bits(df: DecoherenceFunctional, masks) -> np.ndarray:
-    """The one-hot cells (cells x n) of cell masks that partition the space."""
-    bits = _mask_bits(masks, df.size)
-    if not len(bits) or not bits.any(axis=1).all():
-        raise InvalidPartitionError("partition cells must be nonempty")
-    if not (bits.sum(axis=0) == 1).all():
-        raise InvalidPartitionError("cells must be disjoint and cover the space")
-    return bits
+def _onehot(strings: np.ndarray, count: int) -> np.ndarray:
+    """The one-hot cells (strings x count x n) of restricted-growth strings."""
+    return strings[:, None, :] == np.arange(count, dtype=np.int8)[:, None]
 
 
 def _cell_matrices(factor: np.ndarray, onehot: np.ndarray) -> np.ndarray:
@@ -453,7 +450,12 @@ def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> Part
     against EPS_DF.
     """
     masks = tuple(c.mask for c in cells)
-    cell_mats = _cell_matrices(df.factor, _cell_bits(df, masks))
+    bits = _mask_bits(masks, df.size)
+    if not len(bits) or not bits.any(axis=1).all():
+        raise InvalidPartitionError("partition cells must be nonempty")
+    if not (bits.sum(axis=0) == 1).all():
+        raise InvalidPartitionError("cells must be disjoint and cover the space")
+    cell_mats = _cell_matrices(df.factor, bits)
     residual = float(_off_diagonal_residual(cell_mats, mode))
     return PartitionReport(space=df.space, cell_masks=masks, mode=mode, residual=residual,
                            passed=residual <= EPS_DF)
@@ -489,8 +491,37 @@ def set_partition_strings(n: int, max_cells: int) -> np.ndarray:
     return strings
 
 
+class PartitionListing(Sequence):
+    """The partitions of ``space`` that passed one search in ``mode``: their
+    restricted-growth strings (int8 rows, lexicographic), their residuals and
+    cell counts.  Item j (an int) is built as a PartitionReport on read."""
+
+    def __init__(self, space: HistorySpace, mode: str, strings, residuals):
+        self.space, self.mode, self.strings, self.residuals = space, mode, strings, residuals
+        self.counts = strings.max(axis=1, initial=-1).astype(np.int64) + 1
+
+    def __len__(self) -> int:
+        return len(self.strings)
+
+    def __getitem__(self, j) -> PartitionReport:
+        row = self.strings[operator.index(j)].tolist()
+        masks = [sum(1 << i for i, c in enumerate(row) if c == a) for a in range(max(row) + 1)]
+        return PartitionReport(space=self.space, cell_masks=tuple(masks), mode=self.mode,
+                               residual=float(self.residuals[j]), passed=True)
+
+    def cell_matrix_chunks(self, factor: np.ndarray):
+        """Yield the indices and cell matrices over ``factor`` of the partitions
+        of each cell count, in chunks of at most _STEP_ENTRIES one-hot entries."""
+        for count in np.unique(self.counts).tolist():
+            idx = np.flatnonzero(self.counts == count)
+            step = max(1, _STEP_ENTRIES // (count * self.strings.shape[1]))
+            for first in range(0, len(idx), step):
+                chunk = idx[first:first + step]
+                yield chunk.tolist(), _cell_matrices(factor, _onehot(self.strings[chunk], count))
+
+
 def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
-                               max_cells: int) -> list[PartitionReport]:
+                               max_cells: int) -> PartitionListing:
     """All partitions into at most max_cells cells passing the mode's check.
 
     Partitions are enumerated as restricted-growth strings (lexicographic),
@@ -501,23 +532,10 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     n = df.size
     strings = set_partition_strings(n, max_cells)
     step = max(1, _STEP_ENTRIES // (n * n or 1))
-    width = (n + 7) // 8
-    out = []
+    residuals = np.empty(len(strings))
     for start in range(0, len(strings), step):
         batch = strings[start:start + step]
-        cells = np.arange(int(batch.max()) + 1, dtype=np.int8)
-        onehot = batch[:, None, :] == cells[:, None]
-        residuals = _off_diagonal_residual(_cell_matrices(df.factor, onehot), mode)
-        passing = np.flatnonzero(residuals <= EPS_DF)
-        if not len(passing):
-            continue
-        counts = batch[passing].max(axis=1) + 1
-        # The one-hot rows of every nonempty cell, row by row, packed to bytes.
-        raw = np.packbits(onehot[passing][cells < counts[:, None]], axis=-1,
-                          bitorder="little").tobytes()
-        masks = iter([int.from_bytes(raw[o:o + width], "little")
-                      for o in range(0, len(raw), width)])
-        for count, residual in zip(counts.tolist(), residuals[passing].tolist()):
-            out.append(PartitionReport(space=df.space, cell_masks=tuple(islice(masks, count)),
-                                       mode=mode, residual=residual, passed=True))
-    return out
+        cell_mats = _cell_matrices(df.factor, _onehot(batch, int(batch.max()) + 1))
+        residuals[start:start + step] = _off_diagonal_residual(cell_mats, mode)
+    passing = residuals <= EPS_DF
+    return PartitionListing(df.space, mode, strings[passing], residuals[passing])

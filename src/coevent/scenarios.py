@@ -541,6 +541,16 @@ def _pair_to_complex(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
+def _listed(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _pair_rows(rows, what: str) -> list[list[complex]]:
+    return [[_pair_to_complex(p) for p in _listed(row, what)] for row in _listed(rows, what)]
+
+
 def schema_from_json(doc: dict) -> HistorySchema:
     """Parse and validate the schema file form."""
     if not isinstance(doc, dict):
@@ -549,9 +559,9 @@ def schema_from_json(doc: dict) -> HistorySchema:
         if key not in doc:
             raise ValueError(f"schema document missing key {key!r}")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError("dim must be a positive integer")
-    ket = as_ket([_pair_to_complex(p) for p in doc["initial"]])
+    ket = as_ket([_pair_to_complex(p) for p in _listed(doc["initial"], "initial")])
     if ket.size != dim:
         raise ValueError("initial ket length does not match dim")
     slices = []
@@ -560,17 +570,14 @@ def schema_from_json(doc: dict) -> HistorySchema:
     for s in doc["slices"]:
         if not isinstance(s, dict) or "basis" not in s or "labels" not in s:
             raise ValueError("each slice needs 'basis' and 'labels'")
-        kets = [np.array([_pair_to_complex(p) for p in vec], dtype=complex)
-                for vec in s["basis"]]
-        labels = [str(x) for x in s["labels"]]
+        kets = [np.array(vec, dtype=complex) for vec in _pair_rows(s["basis"], "slice basis")]
+        labels = [str(x) for x in _listed(s["labels"], "slice labels")]
         if len(labels) != len(kets):
             raise ValueError("slice labels must match the basis size")
         decomposition = ProjectiveDecomposition.from_kets(kets, labels)
         evolution = None
         if "unitary" in s and s["unitary"] is not None:
-            evolution = as_complex_matrix(
-                [[_pair_to_complex(p) for p in row] for row in s["unitary"]]
-            )
+            evolution = as_complex_matrix(_pair_rows(s["unitary"], "slice unitary"))
         slices.append(Slice(decomposition, evolution))
     return HistorySchema.from_ket(ket, tuple(slices))
 
@@ -582,8 +589,7 @@ def raw_df_from_json(doc: dict) -> DecoherenceFunctional:
     """
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError("raw DF document needs an 'entries' matrix")
-    mat = [[_pair_to_complex(p) for p in row] for row in doc["entries"]]
     labels = doc.get("labels")
     if labels is not None:
-        labels = [str(x) for x in labels]
-    return raw_df(mat, labels=labels)
+        labels = [str(x) for x in _listed(labels, "labels")]
+    return raw_df(_pair_rows(doc["entries"], "entries"), labels=labels)

@@ -207,6 +207,47 @@ def test_df_analyze_missing_entries_exits_bad_input(capsys, tmp_path):
     assert "entries" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"entries": 5},
+    {"entries": [5]},
+    {"entries": [[[1.0, 0.0]]], "labels": 3},
+    {"entries": [[[1.0, 0.0]]], "labels": "h"},
+])
+def test_df_analyze_non_list_field_exits_bad_input(capsys, tmp_path, doc):
+    """A raw-DF file whose entries, a row of them, or labels is not a list
+    is malformed: one error line and exit 4, no traceback."""
+    path = tmp_path / "df.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert re.fullmatch(r"error: (entries|labels) must be a list, got \S+\n", err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("initial", 5), ("dim", True), ("basis", 5), ("basis", [5, 5]), ("labels", 7),
+    ("unitary", 3), ("unitary", [3]),
+])
+def test_scenario_validate_non_list_field_fails_validation(capsys, tmp_path, field, value):
+    """A schema file with a non-list field, or a bool dim, reports passed
+    false with the error and exits 2, as dim 0 does.  The bool dim sits in a
+    one-dimensional schema, which true would otherwise pass as dim 1."""
+    path, doc = _write_schema(tmp_path, "pbr-v1")
+    if field == "dim":
+        doc = {"dim": value, "initial": [[1.0, 0.0]],
+               "slices": [{"basis": [[[1.0, 0.0]]], "labels": ["a"]}]}
+    elif field == "initial":
+        doc[field] = value
+    else:
+        doc["slices"][0][field] = value
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "scenario", "validate", "--file", str(path))
+    assert code == EXIT_VALIDATION
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert field in report["error"]
+
+
 def test_enumeration_cap_exits_cap_code(capsys, monkeypatch):
     monkeypatch.setenv("COEVENT_MAX_OMEGA", "8")
     code, _, err = run_cli(capsys, "scenario", "run", "pbr-v2")

@@ -26,8 +26,7 @@ from coevent import (
     tensor_df,
 )
 from coevent import composition, measure_analysis
-from coevent.composition import _pair_mask, _partition_bits
-from coevent.measure_analysis import set_partition_strings
+from coevent.composition import _pair_mask
 
 from conftest import (
     brute_emergent_masks,
@@ -96,37 +95,19 @@ def test_pair_mask_matches_the_bit_loop():
                 assert _pair_mask(ma, mb, nb) == bit_loop(ma, mb, nb), (ma, mb, nb)
 
 
-@pytest.mark.parametrize("step_entries", [1 << 17, 60])
-def test_partition_decode_round_trips(monkeypatch, step_entries):
-    """Every partition of a classical 6-history DF passes; decoding their
-    cell masks by cell count, in one chunk per count or (with
-    _STEP_ENTRIES = 60) in chunks of 1 to 10 partitions, gives one-hot cells
-    whose cell of each history is the partition's restricted-growth string."""
-    monkeypatch.setattr(composition, "_STEP_ENTRIES", step_entries)
-    n = 6
-    df = raw_df(np.eye(n) / n)
-    parts = find_decoherent_partitions(df, "medium", n)
-    strings = set_partition_strings(n, n)
-    groups = list(_partition_bits(df, parts))
-    assert sorted(i for idx, _ in groups for i in idx) == list(range(len(strings))) == list(
-        range(len(parts)))
-    for idx, onehot in groups:
-        assert onehot.shape == (len(idx), len(parts[idx[0]].cell_masks), n)
-        assert (onehot.sum(axis=1) == 1).all()
-        np.testing.assert_array_equal(onehot.argmax(axis=1), strings[idx])
-
-
 def test_weak_violations_do_not_depend_on_the_chunks(monkeypatch):
     """Two 4-history factors with all 15 partitions weakly decoherent give
-    100 weak violations; with _STEP_ENTRIES = 20 each factor's partitions
-    come at most two per chunk, and the violations and their order are the
-    same as with the whole factor in one chunk per cell count."""
+    100 weak violations; with _STEP_ENTRIES = 20 in both the listing's
+    chunks and the product check, each factor's partitions come at most two
+    per chunk, and the violations and their order are the same as with the
+    whole factor in one chunk per cell count."""
     from conftest import random_amplitude_df
 
     rng = np.random.default_rng(0)
     a, b = random_amplitude_df(rng, 4), random_amplitude_df(rng, 4)
     whole = composition_anomalies(a, b).weak_violations
     monkeypatch.setattr(composition, "_STEP_ENTRIES", 20)
+    monkeypatch.setattr(measure_analysis, "_STEP_ENTRIES", 20)
     chunked = composition_anomalies(a, b).weak_violations
     assert len(whole) == 100
     assert [(v.partition_a.cell_masks, v.partition_b.cell_masks, v.product_masks)

@@ -341,6 +341,19 @@ def test_cancelling_pairs_above_twenty_histories(k, m, seed):
         assert max(unions).bit_length() == k
 
 
+def test_raw_rank_two_gram_keeps_two_columns():
+    """The Gram matrix of 20 generic rows and 6 cancelling pairs (c = 2)
+    ingested as a raw DF gets a factor of 2 columns, not one per
+    rounding-level eigenvalue, so its 32-history block fits the work cap
+    and all 63 zero events, the unions of pairs, are catalogued."""
+    rows, pairs = paired_rows(np.random.default_rng(32), 32, 6)
+    gram = np.conjugate(rows) @ rows.T
+    df = raw_df(gram / gram.real.sum())
+    assert df.factor.shape == (32, 2)
+    unions = [sum(p for i, p in enumerate(pairs) if pick >> i & 1) for pick in range(1, 64)]
+    assert list(find_zero_sets(df).sectors[0].zero_masks) == sort_masks(unions, 32)
+
+
 @pytest.mark.parametrize("c, k", [(1, 14), (1, 18), (2, 18)])
 def test_grid_join_near_cell_edges(monkeypatch, c, k):
     """Rows of about 3e-4 beside one unit row: their subset sums spread over
@@ -632,12 +645,17 @@ def test_find_decoherent_partitions_composite(composite_golden):
        st.integers(1, 7))
 def test_partition_search_matches_direct_sums(seed, n, mode, max_cells):
     """The batched cell-matrix search finds the partitions a loop over every
-    partition with direct submatrix sums finds, in the same order."""
+    partition with direct submatrix sums finds, in the same order, both as
+    the listing's strings and residuals and as the reports read from it."""
     from conftest import random_amplitude_df
 
     df = random_amplitude_df(np.random.default_rng(seed), n)
     got = find_decoherent_partitions(df, mode, max_cells)
     want = brute_decoherent_partitions(df, mode, max_cells)
+    assert got.strings.tolist() == [
+        [next(a for a, m in enumerate(cells) if m >> i & 1) for i in range(n)]
+        for cells, _ in want]
+    np.testing.assert_allclose(got.residuals, [r for _, r in want], rtol=0, atol=1e-12)
     assert [[c.mask for c in rep.cells] for rep in got] == [cells for cells, _ in want]
     for rep, (_, residual) in zip(got, want):
         assert rep.passed and rep.mode == mode
@@ -716,6 +734,47 @@ def test_classical_search_returns_every_partition_as_cells():
         assert all(masks) and sum(masks) == (1 << n) - 1
         assert [next(c for c, m in enumerate(masks) if m >> i & 1) for i in range(n)] == rgs
         assert rep.passed and rep.residual <= 1e-12
+
+
+def test_classical_search_keeps_strings_not_reports():
+    """All Bell(10) = 115,975 partitions of a classical 10-history DF pass a
+    medium search; the listing keeps their strings and residuals, so the
+    traced peak stays under 16 MB."""
+    df = raw_df(np.eye(10) / 10)
+    tracemalloc.start()
+    try:
+        found = find_decoherent_partitions(df, "medium", 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 115975
+    assert peak < 16 * 2**20
+    np.testing.assert_array_equal(found.strings, set_partition_strings(10, 10))
+
+
+def test_listing_builds_reports_only_on_read(monkeypatch):
+    """The search builds no PartitionReport; each int read builds one,
+    negative indices count from the end, an index past the end raises
+    IndexError and a slice raises TypeError."""
+    built, real = [], measure_analysis.PartitionReport
+
+    def report(**fields):
+        built.append(fields["cell_masks"])
+        return real(**fields)
+
+    df = raw_df(np.diag([0.4, 0.3, 0.2, 0.1]))
+    monkeypatch.setattr(measure_analysis, "PartitionReport", report)
+    found = find_decoherent_partitions(df, "medium", 4)
+    assert len(found) == 15 and built == []
+    assert found[-1].cell_masks == (1, 2, 4, 8) == found[14].cell_masks
+    assert found[-15].cell_masks == (15,) == found[0].cell_masks
+    assert len(built) == 4
+    for bad in (15, -16):
+        with pytest.raises(IndexError):
+            found[bad]
+    with pytest.raises(TypeError):
+        found[1:3]
+    assert [rep.cell_masks for rep in found] == built[4:]
 
 
 def test_weak_contains_medium_appendix():

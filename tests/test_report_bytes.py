@@ -73,6 +73,33 @@ def test_report_bytes_match_golden(key):
     assert sha256(key) == _golden()[key]
 
 
+# SHA-256 of `df analyze` on the rank-2 raw DF below, a file named df.json.
+RANK_TWO_REPORTS = {
+    "json": "d228a38ffd96c0ac041616eaf3dad2ecb21452d595b7059616b3d942d46c3f14",
+    "text": "70cb7e0d377f4565239a96662be1da5dff0d79de0febb94e2445e4c31ca0fdea",
+}
+
+
+def rank_two_entries() -> list:
+    """The Gram matrix of 10 random complex rows of length 2, of unit sum,
+    as [re, im] pairs: a rank-2 raw DF of 10 histories."""
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
+    gram = np.conjugate(v) @ v.T
+    return [[[z.real, z.imag] for z in row] for row in (gram / gram.real.sum()).tolist()]
+
+
+@pytest.mark.parametrize("fmt", sorted(RANK_TWO_REPORTS))
+def test_rank_two_raw_df_report_bytes(capsys, monkeypatch, tmp_path, fmt):
+    from coevent.cli import EXIT_OK, main
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "df.json").write_text(json.dumps({"entries": rank_two_entries()}))
+    assert main(["df", "analyze", "--file", "df.json", "--format", fmt]) == EXIT_OK
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == RANK_TWO_REPORTS[fmt]
+
+
 def _reference_round(x: float) -> float:
     if not math.isfinite(x):
         return x
