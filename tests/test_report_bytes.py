@@ -3,7 +3,8 @@
 ``tests/golden/report_sha256.json`` holds the SHA-256 of ``emit_report`` for
 eight scenario documents in json and text, and for one 60-step sweep in
 json and text.  ``appendix-theta@atan(1/3)+1e-4`` is the pinned report with a
-non-empty borderline list.
+non-empty borderline list.  ``RANK_TWO_REPORTS`` below pins the
+``df analyze`` report of one rank-2 raw DF, in json and text.
 A change that alters a report on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_report_bytes.py
@@ -82,7 +83,8 @@ RANK_TWO_REPORTS = {
 
 def rank_two_entries() -> list:
     """The Gram matrix of 10 random complex rows of length 2, of unit sum,
-    as [re, im] pairs: a rank-2 raw DF of 10 histories."""
+    as [re, im] pairs: a rank-2 raw DF of 10 histories whose eigensolver
+    also returns five positive eigenvalues at the rounding level."""
     rng = np.random.default_rng(8)
     v = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
     gram = np.conjugate(v) @ v.T
