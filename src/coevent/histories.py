@@ -199,15 +199,27 @@ def _mask_bits(masks, n: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little") == 1
 
 
+# Byte b holds the bits of b in reverse order.
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def sort_masks(masks, width: int) -> list[int]:
     """Masks of ``width`` bits in canonical order: by cardinality, then by
     member indices.
 
     Of two masks of equal size, the one holding the lowest index of their
     symmetric difference comes first: the one whose bit-reversed value is
-    larger.
+    larger.  The reversal runs over whole bytes, which shifts every key by
+    the same amount and keeps the order.
     """
-    return sorted(masks, key=lambda m: (int(m).bit_count(), -int(f"{int(m):0{width}b}"[::-1], 2)))
+    size = (width + 7) // 8
+
+    def key(m):
+        m = int(m)
+        return m.bit_count(), -int.from_bytes(m.to_bytes(size, "little")
+                                              .translate(_REVERSED_BYTES), "big")
+
+    return sorted(masks, key=key)
 
 
 def enumerate_histories(schema: HistorySchema) -> HistorySpace:
@@ -366,21 +378,29 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
     ValidationFailedError, whose ``report`` holds the residuals of the
     matrix as given.  The factor comes from the same eigendecomposition: the
     eigenvectors of the eigenvalues above n eps lambda_max, eps the machine epsilon.
+    A matrix whose Hermitian part, eigenvalues or residuals overflow raises
+    ValueError.
     """
     mat = as_complex_matrix(matrix)
     n = mat.shape[0]
     if labels is None:
         labels = [f"h{i + 1}" for i in range(n)]
-    w, u = np.linalg.eigh((mat + dagger(mat)) / 2)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            w, u = np.linalg.eigh((mat + dagger(mat)) / 2)
+            if not np.isfinite(w).all():
+                raise FloatingPointError("overflow encountered in eigh")
+            report = ValidationReport(
+                size=n,
+                hermiticity_residual=float(np.max(np.abs(mat - dagger(mat)))) if n else 0.0,
+                normalization_residual=float(abs(mat.sum() - 1.0)),
+                min_eigenvalue=float(w[0]) if n else 0.0,
+                block_residual=None,
+            )
+    except FloatingPointError as exc:
+        raise ValueError(f"raw decoherence matrix overflows double precision ({exc})") from None
     keep = w > n * np.finfo(float).eps * w.max(initial=0.0)
     df = DecoherenceFunctional(raw_space(labels), np.conjugate(u[:, keep]) * np.sqrt(w[keep]))
-    report = ValidationReport(
-        size=n,
-        hermiticity_residual=float(np.max(np.abs(mat - dagger(mat)))) if n else 0.0,
-        normalization_residual=float(abs(mat.sum() - 1.0)),
-        min_eigenvalue=float(w[0]) if n else 0.0,
-        block_residual=None,
-    )
     return _attach(df, report, "raw decoherence matrix")
 
 

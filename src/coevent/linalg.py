@@ -7,6 +7,7 @@ convention (left factor major).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,14 @@ def as_complex_matrix(m) -> np.ndarray:
 
 
 def as_ket(v) -> np.ndarray:
-    """Coerce to a finite complex vector of unit norm, within EPS_UNIT."""
+    """Coerce to a finite complex vector of unit norm, within EPS_UNIT.  The
+    norm is scaled as it is summed, so no finite entry overflows it."""
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.size == 0 or not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("ket must be a nonempty finite vector")
-    if abs(np.linalg.norm(a) - 1.0) > EPS_UNIT:
-        raise ValueError(f"ket is not normalized: |v| = {np.linalg.norm(a)!r}")
+    norm = math.hypot(*a.real.tolist(), *a.imag.tolist())
+    if abs(norm - 1.0) > EPS_UNIT:
+        raise ValueError(f"ket is not normalized: |v| = {norm!r}")
     return a
 
 
@@ -50,7 +53,9 @@ def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= EPS_UNIT)
+    # Entries far above 1 overflow the product to inf or nan, which fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.max(np.abs(dagger(m) @ m - np.eye(m.shape[0]))) <= EPS_UNIT)
 
 
 def tensor(a, b) -> np.ndarray:

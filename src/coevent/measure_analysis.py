@@ -24,8 +24,8 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, compress, product
+from functools import cache, cached_property
+from itertools import chain, compress, islice, product
 
 import numpy as np
 
@@ -122,8 +122,9 @@ def _grid_band(real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     L_lo lies in the cell of -H_hi or, in each coordinate where -H_hi +- r
     crosses a cell edge, the next cell; cells are wider than 2r, so each
     H_hi probes one cell per combination of its crossings.  Cells are keyed
-    by the dot product of their integer coordinates with odd multipliers,
-    and L's keys are sorted once; a key collision only adds a candidate.
+    by the dot product of their integer coordinates with odd multipliers;
+    L's keys are sorted once and each block's probes before they are looked
+    up.  A key collision only adds a candidate.
     Every candidate pair gets its measure directly, so no measure is
     negative, the empty mask gets exactly 0.0 and a single history its
     row's sum of squares.  Work runs in blocks of about _STEP_ENTRIES
@@ -156,6 +157,10 @@ def _grid_band(real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             more = np.flatnonzero(crossing[rows - start, j])
             rows = np.concatenate((rows, rows[more]))
             probes = np.concatenate((probes, probes[more] + mult[j]))
+        # Sorted probes walk L's keys in order; the final key sort of
+        # find_zero_sets fixes the order of the listed masks.
+        by = probes.argsort()
+        rows, probes = rows[by], probes[by]
         begin = keys.searchsorted(probes)
         counts = keys.searchsorted(probes, "right") - begin
         found = int(counts.sum())
@@ -194,22 +199,23 @@ _SPLITS = np.array([2 << 40, 1 << 46, 2 << 46])
 
 
 def _spreader(members: tuple[int, ...]):
-    """The map from masks in sector-local bits (at most 40) to a tuple of
-    global masks: one lookup for each of the five bytes, in tables of the
-    global masks of the 256 values of each byte; a byte past the sector's
-    members is always 0 and looks up [0]."""
+    """The map from an int64 array of masks in sector-local bits (at most 40)
+    to a tuple of global masks: one gather per byte of the sector, in object
+    arrays of the global masks of that byte's values, ORed together.  Object
+    arrays hold Python ints, so the global masks may have any width."""
     tables = []
-    for j in range(0, len(members), 8):
+    for j in range(0, max(len(members), 1), 8):
         table = [0]
         for g in members[j:j + 8]:
             bit = 1 << g
             table += [m | bit for m in table]
-        tables.append(table)
-    t0, t1, t2, t3, t4 = tables + [[0]] * (5 - len(tables))
+        tables.append(np.array(table, dtype=object))
 
-    def spread(local_masks) -> tuple[int, ...]:
-        return tuple([t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255]
-                      | t3[m >> 24 & 255] | t4[m >> 32] for m in local_masks])
+    def spread(local: np.ndarray) -> tuple[int, ...]:
+        out = tables[0][local & 255]
+        for j, table in enumerate(tables[1:], 1):
+            out |= table[local >> 8 * j & 255]
+        return tuple(out.tolist())
 
     return spread
 
@@ -266,21 +272,36 @@ class SectorZeroData:
 
 
 class ZeroSetCatalog:
-    """Per-sector zero events of a DF plus the union-assembly rule."""
+    """Per-sector zero events of a DF plus the union-assembly rule.
+
+    The Events of the zero masks are built on the first listing and kept, one
+    per mask; the nontrivial listing hands out the same objects.
+    """
 
     def __init__(self, df: DecoherenceFunctional, sectors: tuple[SectorZeroData, ...]):
         self.df = df
         self.sectors = sectors
 
-    def _events(self, mask_lists) -> list[Event]:
-        return _events(self.df.space, chain.from_iterable(mask_lists))
+    @cached_property
+    def _zero_events(self) -> list[Event]:
+        return _events(self.df.space, chain.from_iterable(s.zero_masks for s in self.sectors))
 
     def zero_events_sectorwise(self) -> list[Event]:
         """Nonempty zero events lying inside a single sector, sector by sector."""
-        return self._events(s.zero_masks for s in self.sectors)
+        return list(self._zero_events)
 
     def nontrivial_zero_events(self) -> list[Event]:
-        return self._events(s.nontrivial_masks for s in self.sectors)
+        """The zero events with a proper subset of measure above EPS_ZERO; each
+        sector's are a subset of its zero events, in the same order, so a
+        sector whose zero events are all nontrivial hands them all out."""
+        out, events = [], iter(self._zero_events)
+        for s in self.sectors:
+            mine = islice(events, len(s.zero_masks))
+            if len(s.nontrivial_masks) < len(s.zero_masks):
+                wanted = set(s.nontrivial_masks)
+                mine = compress(mine, map(wanted.__contains__, s.zero_masks))
+            out.extend(mine)
+        return out
 
     def maximal_masks(self) -> list[int]:
         """Masks of the inclusion-maximal zero events, assembled as unions
@@ -298,7 +319,7 @@ class ZeroSetCatalog:
 
     def maximal_zero_events(self) -> list[Event]:
         """The maximal zero events of ``maximal_masks``."""
-        return self._events([self.maximal_masks()])
+        return _events(self.df.space, self.maximal_masks())
 
     def counts(self) -> dict:
         return {
@@ -325,7 +346,7 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     maximal masks with numpy, in sector-local bits, bit b for its b-th
     member; the sort key holds masks of up to 40 bits.  Members ascend, so
     the local canonical order is the global one.  Each listed mask is
-    spread to global bits once, by lookups in per-sector byte tables.  A
+    spread to global bits once, by gathers from per-sector byte tables.  A
     zero event is nontrivial when some proper subset has a measure above
     EPS_ZERO (``_nontrivial``); its subsets of null members are measured
     over the null members only.
@@ -357,10 +378,9 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
         # The empty event comes first (its measure is exactly 0), then the
         # single histories.  The zero and borderline masks are spread to
         # global bits once; the nontrivial ones are picked out by index.
-        local = masks[:border_end].tolist()
         spread = _spreader(members)
-        listed = spread(local)
-        null = sum(local[1:pairs])
+        listed = spread(masks[:border_end])
+        null = int(np.bitwise_or.reduce(masks[1:pairs]))
         null_mu = measures[order[1:pairs]] if null else ()
         keep = _nontrivial(masks[pairs:zeros_end], null, null_mu, rows)
         # Greedy rounds: the last mask left is the largest in canonical
@@ -377,7 +397,7 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
             label=name,
             sector_mask=sector_mask,
             zero_masks=listed[1:zeros_end],
-            maximal_masks=spread(maximal),
+            maximal_masks=spread(np.array(maximal, dtype=np.int64)),
             nontrivial_masks=tuple(compress(listed[pairs:zeros_end], keep)),
             borderline_masks=listed[zeros_end:],
         ))
@@ -467,27 +487,46 @@ def set_partition_strings(n: int, max_cells: int) -> np.ndarray:
     One int8 row per string ``a``, with a[0] = 0 and a[i] <= max(a[:i]) + 1,
     rows in lexicographic order.  The strings grow one element per step,
     each row r getting min(top_r + 2, max_cells) children, top_r its largest
-    value; the row count of the next step is the number of partitions of
-    one more element, so it is checked against PARTITION_COUNT_LIMIT before
-    the step and SpaceTooLargeError names the first count above the cap.
-    A value v needs Bell(v + 1) rows under the cap, so v <= 10 fits int8.
+    value.  The row count of every step follows from the counts of rows by
+    top value (Stirling numbers of the second kind), so each count is checked
+    against PARTITION_COUNT_LIMIT before any row is made, SpaceTooLargeError
+    naming the first count above the cap.  The strings then grow in place in
+    one array of the final size: each step moves the rows, last first, to
+    their children's places, a block of rows at a time.  A value v needs
+    Bell(v + 1) rows under the cap, so v <= 10 fits int8.
     """
     if max_cells < 1:
         raise ValueError("max_cells must be at least 1")
+    cells = min(max_cells, max(n, 1))
     # One cell allows only the all-zero string.  With two or more, every row
     # has at least two children, so the cap stops the growth within 20 steps.
-    strings = np.zeros((min(n, 1), n if max_cells == 1 else min(n, 1)), dtype=np.int8)
-    while strings.shape[1] < n:
-        children = np.minimum(strings.max(axis=1).astype(np.int64) + 2, max_cells)
-        count = int(children.sum())
+    steps = range(1, n if cells > 1 else 1)
+    # tops[t]: strings of the current length whose largest value is t.
+    tops = [min(n, 1)]
+    for _ in steps:
+        count = sum(r * min(t + 2, cells) for t, r in enumerate(tops))
         if count > PARTITION_COUNT_LIMIT:
             raise SpaceTooLargeError(
                 f"partition search over {n} histories into at most {max_cells} cells has at "
                 f"least {count} partitions, above PARTITION_COUNT_LIMIT = {PARTITION_COUNT_LIMIT}"
             )
-        first_child = np.repeat(np.cumsum(children) - children, children)
-        value = (np.arange(count) - first_child).astype(np.int8)
-        strings = np.column_stack((np.repeat(strings, children, axis=0), value))
+        tops = [r * (t + 1) + (tops[t - 1] if t else 0) for t, r in enumerate(tops + [0])]
+        tops = tops[:cells]
+    strings = np.zeros((sum(tops), n), dtype=np.int8)
+    rows = min(n, 1)
+    step = max(1, _STEP_ENTRIES // (2 * cells))
+    for m in steps:
+        children = np.minimum(strings[:rows, :m].max(axis=1) + 2, cells)
+        ends = np.cumsum(children, dtype=np.int64)
+        for stop in range(rows, 0, -step):
+            first = max(0, stop - step)
+            kids = children[first:stop]
+            begin = int(ends[first] - kids[0])
+            block = slice(begin, int(ends[stop - 1]))
+            strings[block, :m] = np.repeat(strings[first:stop, :m], kids, axis=0)
+            strings[block, m] = np.arange(block.stop - begin) - np.repeat(
+                ends[first:stop] - kids - begin, kids)
+        rows = int(ends[-1])
     return strings
 
 

@@ -547,6 +547,13 @@ def _listed(value, what: str) -> list:
     return value
 
 
+def _strings(value, what: str) -> list[str]:
+    items = _listed(value, what)
+    if not all(isinstance(x, str) for x in items):
+        raise ValueError(f"{what} must be strings, got {items!r}")
+    return items
+
+
 def _pair_rows(rows, what: str) -> list[list[complex]]:
     return [[_pair_to_complex(p) for p in _listed(row, what)] for row in _listed(rows, what)]
 
@@ -571,7 +578,7 @@ def schema_from_json(doc: dict) -> HistorySchema:
         if not isinstance(s, dict) or "basis" not in s or "labels" not in s:
             raise ValueError("each slice needs 'basis' and 'labels'")
         kets = [np.array(vec, dtype=complex) for vec in _pair_rows(s["basis"], "slice basis")]
-        labels = [str(x) for x in _listed(s["labels"], "slice labels")]
+        labels = _strings(s["labels"], "slice labels")
         if len(labels) != len(kets):
             raise ValueError("slice labels must match the basis size")
         decomposition = ProjectiveDecomposition.from_kets(kets, labels)
@@ -591,5 +598,5 @@ def raw_df_from_json(doc: dict) -> DecoherenceFunctional:
         raise ValueError("raw DF document needs an 'entries' matrix")
     labels = doc.get("labels")
     if labels is not None:
-        labels = [str(x) for x in _listed(labels, "labels")]
+        labels = _strings(labels, "labels")
     return raw_df(_pair_rows(doc["entries"], "entries"), labels=labels)

@@ -211,6 +211,12 @@ def mask_of(indices) -> int:
     return sum(1 << int(i) for i in set(indices))
 
 
+def spread_bits(local: int, members) -> int:
+    """The global mask of a sector-local mask: bit b of ``local`` stands for
+    history ``members[b]``, taken one bit at a time."""
+    return sum(1 << g for b, g in enumerate(members) if local >> b & 1)
+
+
 def label_mask(space, labels) -> int:
     """The mask of the histories of ``space`` with the given labels."""
     return mask_of(space.labels.index(lab) for lab in labels)

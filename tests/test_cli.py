@@ -224,6 +224,79 @@ def test_df_analyze_non_list_field_exits_bad_input(capsys, tmp_path, doc):
     assert re.fullmatch(r"error: (entries|labels) must be a list, got \S+\n", err)
 
 
+@pytest.mark.parametrize("entries", [
+    [[[1e308, 0.0]]],
+    [[[1e308, 0.0], [-1e308, 0.0]], [[-1e308, 0.0], [1e308, 0.0]]],
+    [[[8e307, 0.0]] * 3] * 3,
+])
+def test_df_analyze_overflow_exits_bad_input(capsys, tmp_path, entries):
+    """A raw matrix whose Hermitian part, or (for the 3 x 3 of 8e307, whose
+    sum of halves stays finite) whose largest eigenvalue, overflows is bad
+    input: one error line that names the overflow, exit 4 and no numpy
+    warning."""
+    path = _write_df(tmp_path, entries)
+    code, out, err = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert re.fullmatch(r"error: raw decoherence matrix overflows double precision "
+                        r"\(overflow encountered in \w+\)\n", err)
+
+
+def test_df_analyze_huge_finite_matrix_fails_validation(capsys, tmp_path):
+    """Entries of 1e200 stay finite through validation: the matrix fails
+    normalization with exit 2 and a report, not an overflow error."""
+    path = _write_df(tmp_path, [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]])
+    code, out, err = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert code == EXIT_VALIDATION and err == ""
+    report = json.loads(out)
+    assert report["validation"]["normalization_residual"] == 2e200
+    assert report["validation"]["failures"] == ["normalization residual 2.000e+200"]
+
+
+@pytest.mark.parametrize("labels", [[1], [["a"]], [None], [True]])
+def test_df_analyze_labels_must_be_strings(capsys, tmp_path, labels):
+    """Labels that are not JSON strings are malformed, not stringified."""
+    path = _write_df(tmp_path, [[[1.0, 0.0]]], labels=labels)
+    code, out, err = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err == f"error: labels must be strings, got {labels!r}\n"
+
+
+@pytest.mark.parametrize("field, scale, message", [
+    ("initial", 1e308, "ket is not normalized: |v| = 1e+308"),
+    ("initial", 1e200, "ket is not normalized: |v| = 1e+200"),
+    ("initial", 1.0, "ket is not normalized: |v| = 1.4142135623730951"),
+    ("basis", 1e308, "ket is not normalized: |v| = 1e+308"),
+    ("unitary", 1e308, "slice evolution is not unitary"),
+    ("unitary", 1e200, "slice evolution is not unitary"),
+    ("labels", None, "slice labels must be strings, got [0, 1]"),
+], ids=["ket-1e308", "ket-1e200", "ket-unnormalized", "basis-1e308", "unitary-1e308",
+        "unitary-1e200", "int-labels"])
+def test_scenario_validate_huge_entries_and_labels(capsys, tmp_path, field, scale, message):
+    """Schema entries far from unit size fail validation with exit 2, a
+    plain float in the error and no numpy warning, whether or not their
+    squares overflow; slice labels that are not strings fail the same way.
+    The ket rows are [scale, 0] and [0, 0], or [1, 1] at scale 1; every
+    unitary entry is the scale."""
+    path, doc = _write_schema(tmp_path, "appendix-hamiltonian", theta=0.7)
+    first = doc["slices"][0]
+    if field == "initial":
+        doc["initial"] = [[scale, 0.0], [scale if scale == 1.0 else 0.0, 0.0]]
+    elif field == "basis":
+        first["basis"][0] = [[scale, 0.0], [0.0, 0.0]]
+    elif field == "unitary":
+        first["unitary"] = [[[scale, 0.0]] * 2] * 2
+    else:
+        first["labels"] = [0, 1]
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "scenario", "validate", "--file", str(path))
+    assert code == EXIT_VALIDATION and err == ""
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["error"] == message
+
+
 @pytest.mark.parametrize("field, value", [
     ("initial", 5), ("dim", True), ("basis", 5), ("basis", [5, 5]), ("labels", 7),
     ("unitary", 3), ("unitary", [3]),

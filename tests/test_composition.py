@@ -420,9 +420,7 @@ small_factors = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_factors, small_factors)
-def test_composition_matches_product_space_oracles(a, b):
+def assert_matches_product_space_oracles(a, b):
     """Emergent events equal the brute rectangle-cover oracle, and weak
     violations equal the product-space check of every pair of weakly
     decoherent factor partitions."""
@@ -447,3 +445,38 @@ def test_composition_matches_product_space_oracles(a, b):
              list(v.product_masks)) for v in got] == [w[:3] for w in want]
     for v, w in zip(got, want):
         assert v.residual == pytest.approx(w[3], abs=1e-12)
+    return report
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_factors, small_factors)
+def test_composition_matches_product_space_oracles(a, b):
+    """Composition of small factors matches the product-space oracles."""
+    assert_matches_product_space_oracles(a, b)
+
+
+def test_composition_with_a_grid_joined_product_block(monkeypatch):
+    """Planted raw factors of 3 and 6 histories, rows over {1, i, 1/2} with
+    one cancelling pair in the second: their 18-history product is one block
+    above _TABLE_MAX, so its zero sets come from the grid join.  Its 8
+    emergent zero events and 5 weak violations match the product-space
+    oracles."""
+    def planted(rows):
+        rows = np.asarray(rows, dtype=complex)
+        gram = np.conjugate(rows) @ rows.T
+        return raw_df(gram / gram.real.sum())
+
+    a = planted([[1, 0], [1j, 0], [0.5, 1]])
+    b = planted([[1, 0], [1j, 0], [0, 1], [0, -1], [1j, 0.5], [0.5j, 0.5]])
+    joined = []
+
+    def grid_band(real):
+        joined.append(len(real))
+        return grid(real)
+
+    grid = measure_analysis._grid_band
+    monkeypatch.setattr(measure_analysis, "_grid_band", grid_band)
+    report = assert_matches_product_space_oracles(a, b)
+    assert [m.bit_count() for _, m in report.product.sectors()] == [18]
+    assert 18 > measure_analysis._TABLE_MAX and set(joined) == {18}
+    assert (len(report.emergent_zero), len(report.weak_violations)) == (8, 5)

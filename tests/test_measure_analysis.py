@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 import time
+from itertools import product
 import tracemalloc
 
 import numpy as np
@@ -44,6 +46,7 @@ from conftest import (
     label_mask,
     scenario_dfs,
     small_scenario_dfs,
+    spread_bits,
     subset_measures_simple,
     unvalidated_raw_df,
 )
@@ -254,12 +257,19 @@ def alternating_qubit_df() -> DecoherenceFunctional:
 
 def test_catalog_listings_are_built_unchecked(built_events):
     """The three listings of the 32-history alternating-qubit catalog equal
-    the public constructor's events and call none of its checks."""
+    the public constructor's events and call none of its checks.  The
+    catalog builds one Event per zero mask, once: a second listing builds
+    nothing, and the nontrivial events are the zero listing's objects."""
     df = alternating_qubit_df()
     catalog = find_zero_sets(df)
     listings = [catalog.zero_events_sectorwise(), catalog.nontrivial_zero_events(),
                 catalog.maximal_zero_events()]
-    assert built_events == {"checked": 0, "bulk": sum(map(len, listings))}
+    assert built_events == {"checked": 0, "bulk": len(listings[0]) + len(listings[2])}
+    again = catalog.zero_events_sectorwise()
+    assert again is not listings[0] and all(map(operator.is_, again, listings[0]))
+    assert built_events["bulk"] == len(listings[0]) + len(listings[2])
+    zero_objects = {id(e) for e in listings[0]}
+    assert listings[1] and all(id(e) in zero_objects for e in listings[1])
     masks = [[m for s in catalog.sectors for m in s.zero_masks],
              [m for s in catalog.sectors for m in s.nontrivial_masks],
              catalog.maximal_masks()]
@@ -299,6 +309,73 @@ def test_zero_sets_reach_every_byte_of_a_sector():
     assert [e.mask for e in catalog.zero_events_sectorwise()] == [null, pair, pair | null]
     assert [e.mask for e in catalog.nontrivial_zero_events()] == [pair, pair | null]
     assert catalog.sectors[0].maximal_masks == (pair | null,)
+
+
+def test_listings_of_a_seventy_history_space():
+    """Five sectors of 14 histories at stride 5 (sector f holds f, f + 5,
+    ..., f + 65), each with its own two factor columns: cancelling pairs in
+    the last rows, a null history, rows s, s, -s, -s with s^2 = 0.9e-9 of
+    the total, a borderline history and generic rows.  Global masks reach
+    bit 69, past int64.  Every listing equals a direct scan of each sector's 2^14 masks,
+    spread to global bits one bit at a time, in canonical order."""
+    rng = np.random.default_rng(70)
+    k, sectors, n = 14, 5, 70
+    members = [list(range(f, n, sectors)) for f in range(sectors)]
+    blocks = [rng.normal(size=(k, 2)) + 1j * rng.normal(size=(k, 2)) for _ in range(sectors)]
+    for rows, pairs in zip(blocks, (3, 2, 0, 1, 1)):
+        rows[k - 2 * pairs:k - pairs] = -rows[k - pairs:]
+    blocks[1][4] = blocks[2][:4] = blocks[3][2] = 0.0
+
+    def total():
+        return sum(np.vdot(r.sum(axis=0), r.sum(axis=0)).real for r in blocks)
+
+    blocks[2][:4, 0] = np.sqrt(0.9e-9 * total()) * np.array([1, 1, -1, -1])
+    blocks[3][2, 0] = np.sqrt(5e-8 * total())
+    factor = np.zeros((n, 2 * sectors), dtype=complex)
+    for f, rows in enumerate(blocks):
+        factor[members[f], 2 * f:2 * f + 2] = rows
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)),
+                         sectors=tuple((str(f), sum(1 << g for g in members[f]))
+                                       for f in range(sectors)))
+    df = DecoherenceFunctional(space, factor / np.sqrt(total()))
+    df = DecoherenceFunctional(space, df.factor, validate_df(df))
+    assert df.sectors_verified()
+
+    def canonical(masks):
+        return sorted(masks, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
+
+    local = np.arange(1 << k)
+    bits = (local[:, None] >> np.arange(k) & 1).astype(float)
+    want = {"zero": [], "nontrivial": [], "borderline": []}
+    maximal = []
+    for f in range(sectors):
+        sums = bits @ df.factor[members[f]]
+        mu = (np.abs(sums) ** 2).sum(axis=1)
+        inside = mu > EPS_ZERO
+        for i in range(k):
+            with_bit = np.flatnonzero(local >> i & 1)
+            inside[with_bit] |= inside[with_bit ^ (1 << i)]
+        zeros = set(np.flatnonzero(mu <= EPS_ZERO).tolist())
+        found = {
+            "zero": zeros - {0},
+            "nontrivial": {m for m in zeros if m.bit_count() >= 2
+                           and any(inside[m ^ (1 << i)] for i in range(k) if m >> i & 1)},
+            "borderline": set(np.flatnonzero((mu > EPS_ZERO) & (mu <= BORDERLINE_MAX)).tolist()),
+        }
+        for name, masks in found.items():
+            want[name] += canonical(spread_bits(m, members[f]) for m in masks)
+        maximal.append([spread_bits(m, members[f]) for m in brute_maximal_masks(zeros)])
+    catalog = find_zero_sets(df)
+    zero_events = catalog.zero_events_sectorwise()
+    assert [e.mask for e in zero_events] == want["zero"]
+    assert [e.mask for e in catalog.nontrivial_zero_events()] == want["nontrivial"]
+    assert [m for s in catalog.sectors for m in s.borderline_masks] == want["borderline"]
+    assert [e.mask for e in catalog.maximal_zero_events()] == canonical(
+        {sum(pick) for pick in product(*maximal)})
+    assert [len(want[name]) for name in want] == [7 + 7 + 13 + 1 + 1, 7 + 6 + 5 + 1 + 1, 2 + 2]
+    assert max(want["zero"]).bit_length() == n
+    zero_objects = {id(e) for e in zero_events}
+    assert all(id(e) in zero_objects for e in catalog.nontrivial_zero_events())
 
 
 def factor_df(rows: np.ndarray) -> DecoherenceFunctional:
@@ -814,6 +891,19 @@ def test_partition_search_guard():
     with pytest.raises(SpaceTooLargeError, match="at least 4213597 partitions"):
         find_decoherent_partitions(wide, "weak", max_cells=n)
     assert set_partition_strings(n, 1).shape == (1, n)
+
+
+def test_partition_strings_grow_in_place():
+    """The Bell(11) = 678,570 strings of 11 elements grow in one int8 array
+    of the final size: the traced peak stays within 1.5 times the result."""
+    tracemalloc.start()
+    try:
+        strings = set_partition_strings(11, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert strings.shape == (678570, 11)
+    assert peak <= 1.5 * strings.nbytes
 
 
 def test_one_cell_search_over_many_histories():
