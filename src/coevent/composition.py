@@ -10,6 +10,7 @@ factors each pass it; both effects are what the report collects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -32,8 +33,9 @@ from .measure_analysis import (
     PartitionListing,
     PartitionReport,
     ZeroSetCatalog,
+    _cell_sums,
     _check_zero_set_work,
-    _off_diagonal_residual,
+    _count_chunks,
     find_decoherent_partitions,
     find_zero_sets,
 )
@@ -159,6 +161,15 @@ def _emergent_zero_masks(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
     return out
 
 
+def _cell_matrix_parts(factor: np.ndarray, strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re M and Im M (k x k x P) of the cell matrices M[a, b] = D(cell a,
+    cell b) = sum over columns of conj(W_a) W_b of the strings' partitions."""
+    sums = _cell_sums(factor, strings)
+    flat = sums.reshape(-1, *sums.shape[2:])
+    cross = np.einsum("cap,cbp->abp", sums[:, 0], sums[:, 1])
+    return np.einsum("xap,xbp->abp", flat, flat), cross - cross.transpose(1, 0, 2)
+
+
 def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
                      product: DecoherenceFunctional, parts_a: PartitionListing,
                      parts_b: PartitionListing) -> list[WeakViolation]:
@@ -166,30 +177,48 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     ordered by a's partition, then b's.
 
     Product cells are a-major, so D(A x B, A' x B') = D_A(A, A') D_B(B, B')
-    makes a product partition's cell matrix kron(M_a, M_b).  Both factors'
-    cell matrices come a chunk of partitions of one cell count at a time;
-    b's are all kept and checked against each M_a at once.
+    makes a product partition's cell matrix kron(M_a, M_b), and its weak
+    residual the largest |Re M_a Re M_b - Im M_a Im M_b| over the product's
+    off-diagonal entries.  Each factor's partitions come in count-sorted
+    chunks (_count_chunks) padded to their own largest count k, k^2 entries
+    a partition: a's hold at most isqrt(_STEP_ENTRIES) entries, and b's at
+    most _STEP_ENTRIES over the entries of a's largest chunk.  b's are all
+    kept, and each chunk of a is checked against each chunk of b by
+    broadcasting, a block of at most _STEP_ENTRIES product entries unless
+    one partition alone holds more.
     """
-    groups = list(parts_b.cell_matrix_chunks(b.factor))
-    failing = []
-    for idx_a, mats_a in parts_a.cell_matrix_chunks(a.factor):
-        for ia, mat_a in zip(idx_a, mats_a):
-            for idx, mats_b in groups:
-                c = mat_a.shape[-1] * mats_b.shape[-1]
-                step = max(1, _STEP_ENTRIES // (c * c))
-                for start in range(0, len(idx), step):
-                    kron = (mat_a[None, :, None, :, None]
-                            * mats_b[start:start + step, None, :, None, :])
-                    residuals = _off_diagonal_residual(kron.reshape(-1, c, c), "weak")
-                    failing.extend((ia, idx[start + j], float(residuals[j]))
-                                   for j in np.flatnonzero(residuals > EPS_DF))
-    out = []
+    def square(k):
+        return k * k
+
+    chunks_a = list(_count_chunks(parts_a.counts, square, math.isqrt(_STEP_ENTRIES)))
+    widest = max(len(idx) * square(int(parts_a.counts[idx].max())) for idx in chunks_a)
+    kept = [(idx, *_cell_matrix_parts(b.factor, parts_b.strings[idx]))
+            for idx in _count_chunks(parts_b.counts, square, _STEP_ENTRIES // widest)]
+    found = []
+    for idx_a in chunks_a:
+        re_a, im_a = _cell_matrix_parts(a.factor, parts_a.strings[idx_a])
+        ka = len(re_a)
+        re_a, im_a = re_a[:, :, None, None, :, None], im_a[:, :, None, None, :, None]
+        for idx_b, re_b, im_b in kept:
+            # Axes (i, i', j, j', a's partition, b's partition).
+            vals = re_a * re_b[:, :, None]
+            vals -= im_a * im_b[:, :, None]
+            np.abs(vals, out=vals)
+            da, db = np.arange(ka)[:, None], np.arange(len(re_b))
+            vals[da, da, db, db] = 0.0
+            residuals = vals.reshape(-1, len(idx_a), len(idx_b)).max(axis=0)
+            ja, jb = np.nonzero(residuals > EPS_DF)
+            found.append((idx_a[ja], idx_b[jb], residuals[ja, jb]))
+    # The one-cell partition always passes, so neither listing is empty.
+    ia, ib, residuals = (np.concatenate(parts) for parts in zip(*found))
+    order = np.lexsort((ib, ia))
     report_a, report_b = cache(parts_a.__getitem__), cache(parts_b.__getitem__)
-    columns = cache(lambda ia: [_columns(ca, b.size) for ca in report_a(ia).cell_masks])
-    for ia, ib, residual in sorted(failing):
-        pa, pb = report_a(ia), report_b(ib)
-        masks = tuple(cb * col for col in columns(ia) for cb in pb.cell_masks)
-        out.append(WeakViolation(partition_a=pa, partition_b=pb, space=product.space,
+    columns = cache(lambda i: [_columns(ca, b.size) for ca in report_a(i).cell_masks])
+    out = []
+    for i, j, residual in zip(ia[order].tolist(), ib[order].tolist(), residuals[order].tolist()):
+        pb = report_b(j)
+        masks = tuple([cb * col for col in columns(i) for cb in pb.cell_masks])
+        out.append(WeakViolation(partition_a=report_a(i), partition_b=pb, space=product.space,
                                  product_masks=masks, residual=residual))
     return out
 

@@ -430,53 +430,94 @@ class PartitionReport:
         }
 
 
-def _onehot(strings: np.ndarray, count: int) -> np.ndarray:
-    """The one-hot cells (strings x count x n) of restricted-growth strings."""
-    return strings[:, None, :] == np.arange(count, dtype=np.int8)[:, None]
-
-
-def _cell_matrices(factor: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """Cell matrices M = conj(W) W^T, W = P V, of partitions given as
-    one-hot cells.
-
-    onehot has shape (..., cells, n), true where a history is in a cell, so
-    row a of W sums the factor rows of cell a and M[..., a, b] = D(cell a,
-    cell b).  Every W of the stack comes from one real product of the
-    one-hot rows with the factor's real view (n x 2c).  An empty cell gives
-    a zero row and column.
-    """
-    n, c = factor.shape
-    real = np.ascontiguousarray(factor, dtype=complex).view(np.float64)
-    sums = (onehot.reshape(-1, n).astype(np.float64) @ real).view(complex)
-    sums = sums.reshape(onehot.shape[:-1] + (c,))
-    return np.conjugate(sums) @ np.swapaxes(sums, -1, -2)
-
-
-def _off_diagonal_residual(cell_mats: np.ndarray, mode: str) -> np.ndarray:
-    """Largest off-diagonal |M| (medium) or |Re M| (weak) of each cell matrix."""
+def _check_mode(mode: str) -> None:
     if mode not in ("medium", "weak"):
         raise ValueError(f"unknown decoherence mode {mode!r}")
-    vals = np.abs(cell_mats) if mode == "medium" else np.abs(cell_mats.real)
-    c = vals.shape[-1]
-    flat = vals.reshape(vals.shape[:-2] + (c * c,))
-    flat[..., :: c + 1] = 0.0
-    return flat.max(axis=-1)
+
+
+def _cell_sums(factor: np.ndarray, strings: np.ndarray) -> np.ndarray:
+    """Cell sums W of partitions given as strings (P x n, cell of each
+    history), as an array (c, 2, k, P): [:, 0, a, p] and [:, 1, a, p] are
+    the real and imaginary parts of the sum of the factor rows in cell a of
+    string p, k one more than the largest value.  A missing cell sums to
+    zero.  One real product of the factor's transposed real view (2c x n)
+    with the strings' one-hot cells (n x k P) gives them all."""
+    n, c = factor.shape
+    count = int(strings.max(initial=0)) + 1
+    real = np.ascontiguousarray(factor, dtype=complex).view(np.float64)
+    onehot = strings.T[:, None, :] == np.arange(count, dtype=strings.dtype)[:, None]
+    sums = real.T @ onehot.reshape(n, -1).astype(np.float64)
+    return sums.reshape(c, 2, count, len(strings))
+
+
+# (Re, -Im) of cell a times (Im, Re) of cell b, summed, is Im D(a, b).
+_FLIP = np.array([1.0, -1.0])[:, None]
+
+
+def _pair_residuals(sums: np.ndarray, mode: str) -> np.ndarray:
+    """Largest |D(A, B)| (medium) or |Re D(A, B)| (weak) over the cell
+    pairs a < b of each partition, from its cell sums (c, 2, k, P):
+    D(a, b) = sum over columns of conj(W_a) W_b.  Cell a is paired with
+    every later cell at once, by sums of elementwise products along the
+    partition axis (einsum, no matrix product); medium takes the largest
+    Re^2 + Im^2 and its square root at the end."""
+    worst = np.zeros(sums.shape[-1])
+    for a in range(sums.shape[2] - 1):
+        x, y = sums[:, :, a], sums[:, :, a + 1:]
+        vals = np.einsum("crp,crbp->bp", x, y)
+        if mode == "medium":
+            im = np.einsum("crp,crbp->bp", x * _FLIP, y[:, ::-1])
+            vals *= vals
+            vals += im * im
+        else:
+            np.abs(vals, out=vals)
+        np.maximum(worst, vals.max(axis=0), out=worst)
+    return np.sqrt(worst, out=worst) if mode == "medium" else worst
+
+
+def _count_chunks(counts: np.ndarray, width, budget: int):
+    """Index arrays of strings by ascending cell count (indices ascending
+    within a count), in chunks padded to their own largest count k that
+    hold at most budget // width(k) strings, at least one.  Strings left
+    over from a count join the next count's first chunk.  Strings that fit
+    in one chunk at their largest count are that chunk, in their order."""
+    top = int(counts.max(initial=0))
+    if len(counts) * width(top) <= budget:
+        yield np.arange(len(counts))
+        return
+    left = np.empty(0, dtype=np.intp)
+    for count in range(1, top + 1):
+        step = max(1, budget // width(count))
+        if len(left) >= step:
+            yield left
+            left = left[:0]
+        idx = np.concatenate((left, np.flatnonzero(counts == count)))
+        full = len(idx) - len(idx) % step
+        for first in range(0, full, step):
+            yield idx[first:first + step]
+        left = idx[full:]
+    if len(left):
+        yield left
 
 
 def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> PartitionReport:
     """Check pairwise off-diagonal terms of a partition.
 
     mode 'medium' bounds |D(A, B)|, mode 'weak' bounds |Re D(A, B)|; both
-    against EPS_DF.
+    against EPS_DF.  The cells must be nonempty, disjoint, inside the DF's
+    histories and cover them.
     """
+    _check_mode(mode)
     masks = tuple(c.mask for c in cells)
+    if any(m >> df.size for m in masks):
+        raise InvalidPartitionError(f"partition cells must lie in the {df.size} histories")
     bits = _mask_bits(masks, df.size)
     if not len(bits) or not bits.any(axis=1).all():
         raise InvalidPartitionError("partition cells must be nonempty")
     if not (bits.sum(axis=0) == 1).all():
         raise InvalidPartitionError("cells must be disjoint and cover the space")
-    cell_mats = _cell_matrices(df.factor, bits)
-    residual = float(_off_diagonal_residual(cell_mats, mode))
+    string = bits.argmax(axis=0)[None]
+    residual = float(_pair_residuals(_cell_sums(df.factor, string), mode)[0])
     return PartitionReport(space=df.space, cell_masks=masks, mode=mode, residual=residual,
                            passed=residual <= EPS_DF)
 
@@ -544,19 +585,11 @@ class PartitionListing(Sequence):
 
     def __getitem__(self, j) -> PartitionReport:
         row = self.strings[operator.index(j)].tolist()
-        masks = [sum(1 << i for i, c in enumerate(row) if c == a) for a in range(max(row) + 1)]
+        masks = [0] * (max(row) + 1)
+        for i, c in enumerate(row):
+            masks[c] |= 1 << i
         return PartitionReport(space=self.space, cell_masks=tuple(masks), mode=self.mode,
                                residual=float(self.residuals[j]), passed=True)
-
-    def cell_matrix_chunks(self, factor: np.ndarray):
-        """Yield the indices and cell matrices over ``factor`` of the partitions
-        of each cell count, in chunks of at most _STEP_ENTRIES one-hot entries."""
-        for count in np.unique(self.counts).tolist():
-            idx = np.flatnonzero(self.counts == count)
-            step = max(1, _STEP_ENTRIES // (count * self.strings.shape[1]))
-            for first in range(0, len(idx), step):
-                chunk = idx[first:first + step]
-                yield chunk.tolist(), _cell_matrices(factor, _onehot(self.strings[chunk], count))
 
 
 def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
@@ -565,16 +598,18 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
 
     Partitions are enumerated as restricted-growth strings (lexicographic),
     cells ordered by least member.  Raises SpaceTooLargeError, before any
-    cell matrix is built, when there are more than PARTITION_COUNT_LIMIT
-    such partitions.
+    cell sum is formed, when there are more than PARTITION_COUNT_LIMIT
+    such partitions.  The strings are checked in count-sorted chunks
+    (_count_chunks) padded to their own largest count k, whose one-hot
+    cells and cell sums hold at most _STEP_ENTRIES entries, k (n + 2c) a
+    string; the residuals are written back in the strings' order.
     """
-    n = df.size
+    _check_mode(mode)
+    n, c = df.factor.shape
     strings = set_partition_strings(n, max_cells)
-    step = max(1, _STEP_ENTRIES // (n * n or 1))
     residuals = np.empty(len(strings))
-    for start in range(0, len(strings), step):
-        batch = strings[start:start + step]
-        cell_mats = _cell_matrices(df.factor, _onehot(batch, int(batch.max()) + 1))
-        residuals[start:start + step] = _off_diagonal_residual(cell_mats, mode)
+    for idx in _count_chunks(strings.max(axis=1, initial=0) + 1, lambda k: k * (n + 2 * c),
+                             _STEP_ENTRIES):
+        residuals[idx] = _pair_residuals(_cell_sums(df.factor, strings[idx]), mode)
     passing = residuals <= EPS_DF
     return PartitionListing(df.space, mode, strings[passing], residuals[passing])

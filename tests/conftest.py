@@ -257,20 +257,24 @@ def random_strong_df(rng: np.random.Generator, n: int) -> DecoherenceFunctional:
             return raw_df(gram / total)
 
 
-def random_amplitude_df(rng: np.random.Generator, n: int) -> DecoherenceFunctional:
+def random_amplitude_df(rng: np.random.Generator, n: int,
+                        sectors: int | None = None) -> DecoherenceFunctional:
     """Strongly positive DF with planted zero events.
 
     Histories get amplitudes from a small collision-prone set and a random
-    hidden sector; D(i, j) = conj(a_i) a_j within a sector and 0 across, a
-    Gram matrix by construction.  The sector assignment is not exposed, so
-    catalogs must fall back to the global search.
+    hidden sector out of ``sectors`` (default max(2, n // 3)); D(i, j) =
+    conj(a_i) a_j within a sector and 0 across, a Gram matrix by
+    construction, whose factor has one column per sector holding a nonzero
+    amplitude.  The sector assignment is not exposed, so catalogs must fall
+    back to the global search.
     """
     base = np.array([1.0, -1.0, 0.5, -0.5, 0.0, 1j, -1j])
+    count = sectors or max(2, n // 3)
     while True:
         amps = rng.choice(base, size=n) * (0.5 + rng.random())
-        sectors = rng.integers(0, max(2, n // 3), size=n)
+        hidden = rng.integers(0, count, size=n)
         mat = np.where(
-            sectors[:, None] == sectors[None, :],
+            hidden[:, None] == hidden[None, :],
             np.conjugate(amps)[:, None] * amps[None, :],
             0.0,
         )

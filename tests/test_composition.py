@@ -97,19 +97,33 @@ def test_pair_mask_matches_the_bit_loop():
 
 def test_weak_violations_do_not_depend_on_the_chunks(monkeypatch):
     """Two 4-history factors with all 15 partitions weakly decoherent give
-    100 weak violations; with _STEP_ENTRIES = 20 in both the listing's
-    chunks and the product check, each factor's partitions come at most two
-    per chunk, and the violations and their order are the same as with the
-    whole factor in one chunk per cell count."""
+    100 weak violations.  With _STEP_ENTRIES = 20, a's chunks hold at most
+    isqrt(20) = 4 cell-matrix entries and b's at most 20 over a's largest
+    chunk (16 entries, the four-cell partition), so both factors' 15
+    partitions come in more chunks than they have cell counts, each
+    partition once; the violations and their order are the same as with
+    each factor in one chunk."""
     from conftest import random_amplitude_df
 
     rng = np.random.default_rng(0)
     a, b = random_amplitude_df(rng, 4), random_amplitude_df(rng, 4)
     whole = composition_anomalies(a, b).weak_violations
+    chunks = {"a": [], "b": []}
+    cell_sums = composition._cell_sums
+
+    def spy(factor, strings):
+        chunks["a" if factor is a.factor else "b"].append(strings.tolist())
+        return cell_sums(factor, strings)
+
+    monkeypatch.setattr(composition, "_cell_sums", spy)
     monkeypatch.setattr(composition, "_STEP_ENTRIES", 20)
     monkeypatch.setattr(measure_analysis, "_STEP_ENTRIES", 20)
     chunked = composition_anomalies(a, b).weak_violations
     assert len(whole) == 100
+    for side in chunks.values():
+        strings = [row for chunk in side for row in chunk]
+        assert len(strings) == len({tuple(row) for row in strings}) == 15
+        assert len(side) > len({max(row) for row in strings}) == 4
     assert [(v.partition_a.cell_masks, v.partition_b.cell_masks, v.product_masks)
             for v in chunked] == [(v.partition_a.cell_masks, v.partition_b.cell_masks,
                                    v.product_masks) for v in whole]

@@ -698,6 +698,29 @@ def test_partition_validation_errors():
         find_decoherent_partitions(df, "medium", max_cells=0)
 
 
+def test_partition_cells_outside_the_space_are_refused():
+    """Cells of a 3-history space on a 2-history DF: the cell {h1, h2}
+    holds a history the DF does not have, so the partition is refused, not
+    read by its bits inside the space as the cells {h0} and {h1}."""
+    df = raw_df(np.eye(2) / 2)
+    space3 = raw_space(["h0", "h1", "h2"])
+    cells = [Event(space3, 0b001), Event(space3, 0b110)]
+    for mode in ("medium", "weak"):
+        with pytest.raises(InvalidPartitionError, match="2 histories"):
+            is_decoherent_partition(df, cells, mode)
+
+
+def test_unknown_mode_is_refused_before_the_strings(monkeypatch):
+    """A search in an unknown mode fails on the mode before any
+    restricted-growth string is made."""
+    def strings(*args):
+        raise AssertionError("strings were built")
+
+    monkeypatch.setattr(measure_analysis, "set_partition_strings", strings)
+    with pytest.raises(ValueError, match="unknown decoherence mode 'strong'"):
+        find_decoherent_partitions(raw_df(np.eye(3) / 3), "strong", 3)
+
+
 def test_find_decoherent_partitions_composite(composite_golden):
     dfs = scenario_dfs("composite-product")
     med = find_decoherent_partitions(dfs["D_AB"], "medium", max_cells=4)
@@ -739,23 +762,41 @@ def test_partition_search_matches_direct_sums(seed, n, mode, max_cells):
         assert rep.residual == pytest.approx(residual, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8])
-def test_partition_search_across_batches(monkeypatch, n):
-    """With _STEP_ENTRIES = 300 a batch holds 300 // n^2 partitions (12 at
-    n = 5, 4 at n = 8), so the search crosses hundreds of batch boundaries.
-    Both modes find the oracle's partitions in its order with its residuals,
-    and is_decoherent_partition gives the batch's residual."""
+@pytest.mark.parametrize("n, c, max_cells, seed", [
+    (5, 2, 5, 100), (6, 3, 4, 98), (7, 5, 7, 103), (8, 4, 6, 98), (8, 6, 8, 191)],
+    ids=["5", "6", "7", "8", "8c6"])
+def test_partition_search_across_batches(monkeypatch, n, c, max_cells, seed):
+    """With _STEP_ENTRIES = 300 a chunk padded to k cells holds at most
+    300 // (k (n + 2c)) strings (7 at k = 2 and 1 at k = 8 for n = 8,
+    c = 6), so the search makes hundreds of chunks: some split the strings
+    of one cell count, and some hold the strings left over from one count
+    together with the next count's.  Both modes find the oracle's
+    partitions in its order with its residuals, and is_decoherent_partition
+    gives the chunk's residual."""
     from conftest import random_amplitude_df
 
+    chunks = []
+    cell_sums = measure_analysis._cell_sums
+
+    def spy(factor, strings):
+        chunks.append(set((strings.max(axis=1) + 1).tolist()))
+        return cell_sums(factor, strings)
+
     monkeypatch.setattr(measure_analysis, "_STEP_ENTRIES", 300)
-    df = random_amplitude_df(np.random.default_rng(97 + n), n)
+    monkeypatch.setattr(measure_analysis, "_cell_sums", spy)
+    df = random_amplitude_df(np.random.default_rng(seed), n, c)
+    assert df.factor.shape[1] == c
     for mode in ("medium", "weak"):
-        got = find_decoherent_partitions(df, mode, n)
-        want = brute_decoherent_partitions(df, mode, n)
-        assert [list(rep.cell_masks) for rep in got] == [cells for cells, _ in want]
-        assert len(got) > 1
-        for rep, (_, residual) in zip(got, want):
-            assert rep.residual == pytest.approx(residual, abs=1e-12)
+        chunks.clear()
+        got = find_decoherent_partitions(df, mode, max_cells)
+        want = brute_decoherent_partitions(df, mode, max_cells)
+        assert any(len(counts) > 1 for counts in chunks)
+        assert any(sum(count in counts for counts in chunks) > 1 for count in range(2, n))
+        assert got.strings.tolist() == [
+            [next(a for a, m in enumerate(cells) if m >> i & 1) for i in range(n)]
+            for cells, _ in want]
+        np.testing.assert_allclose(got.residuals, [r for _, r in want], rtol=0, atol=1e-12)
+        assert 1 < len(got) < len(set_partition_strings(n, max_cells))
         worst = max(got, key=lambda rep: rep.residual)
         single = is_decoherent_partition(df, worst.cells, mode)
         assert single.passed and single.residual == pytest.approx(worst.residual, rel=0,
