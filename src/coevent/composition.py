@@ -179,21 +179,21 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     Product cells are a-major, so D(A x B, A' x B') = D_A(A, A') D_B(B, B')
     makes a product partition's cell matrix kron(M_a, M_b), and its weak
     residual the largest |Re M_a Re M_b - Im M_a Im M_b| over the product's
-    off-diagonal entries.  Each factor's partitions come in count-sorted
-    chunks (_count_chunks) padded to their own largest count k, k^2 entries
-    a partition: a's hold at most isqrt(_STEP_ENTRIES) entries, and b's at
-    most _STEP_ENTRIES over the entries of a's largest chunk.  b's are all
-    kept, and each chunk of a is checked against each chunk of b by
-    broadcasting, a block of at most _STEP_ENTRIES product entries unless
-    one partition alone holds more.
+    off-diagonal entries.  Each factor's partitions come in chunks
+    (_count_chunks) padded to their own largest count k, k^2 cell-matrix
+    entries a partition: a's chunks hold at most isqrt(_STEP_ENTRIES)
+    entries.  b's hold at most _STEP_ENTRIES over the entries of a's largest
+    chunk, and their cell sums, k (n_b + 2 c_b) entries a partition, at most
+    _STEP_ENTRIES.  b's are all kept, and each chunk of a is checked against
+    each chunk of b by broadcasting, a block of at most _STEP_ENTRIES
+    product entries unless one partition alone holds more.
     """
-    def square(k):
-        return k * k
-
-    chunks_a = list(_count_chunks(parts_a.counts, square, math.isqrt(_STEP_ENTRIES)))
-    widest = max(len(idx) * square(int(parts_a.counts[idx].max())) for idx in chunks_a)
+    chunks_a = list(_count_chunks(parts_a.counts, lambda k: k * k, math.isqrt(_STEP_ENTRIES)))
+    widest = max(len(idx) * int(parts_a.counts[idx].max()) ** 2 for idx in chunks_a)
+    n_b, c_b = b.factor.shape
     kept = [(idx, *_cell_matrix_parts(b.factor, parts_b.strings[idx]))
-            for idx in _count_chunks(parts_b.counts, square, _STEP_ENTRIES // widest)]
+            for idx in _count_chunks(parts_b.counts,
+                                     lambda k: k * max(k * widest, n_b + 2 * c_b), _STEP_ENTRIES)]
     found = []
     for idx_a in chunks_a:
         re_a, im_a = _cell_matrix_parts(a.factor, parts_a.strings[idx_a])

@@ -29,9 +29,9 @@ ZERO_SET_WORK_LIMIT = 2**22
 # (2^20 - 1 listed zero events of 21 histories took 0.55 s, and the process
 # peaked at 197 MB; 2 vCPU).
 ZERO_SET_CANDIDATE_LIMIT = 2**20
-# A search over Bell(11) = 678,570 partitions of 11 histories took 0.24-0.28 s
+# A search over Bell(11) = 678,570 partitions of 11 histories took 0.19-0.25 s
 # when only the one-cell partition passes (a generic weak search, c = 4) and
-# 0.65-0.90 s when every partition passes (the medium search of the classical
+# 0.70-0.79 s when every partition passes (the medium search of the classical
 # raw_df(eye(11) / 11), traced peak 31 MB): 3 runs each, 2 vCPU, one BLAS
 # thread.  Bell(12) = 4,213,597 would take about six times as long and hold
 # about six times the strings and residuals.

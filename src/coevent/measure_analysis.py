@@ -476,28 +476,20 @@ def _pair_residuals(sums: np.ndarray, mode: str) -> np.ndarray:
 
 
 def _count_chunks(counts: np.ndarray, width, budget: int):
-    """Index arrays of strings by ascending cell count (indices ascending
-    within a count), in chunks padded to their own largest count k that
-    hold at most budget // width(k) strings, at least one.  Strings left
-    over from a count join the next count's first chunk.  Strings that fit
-    in one chunk at their largest count are that chunk, in their order."""
+    """Index arrays of strings in chunks padded to their own largest count
+    k, each of at most budget // width(k) strings, at least one.  Strings
+    that fit in one chunk at their largest count are that chunk, in their
+    order; otherwise each chunk holds strings of one count, by ascending
+    count (indices ascending within a count)."""
     top = int(counts.max(initial=0))
     if len(counts) * width(top) <= budget:
         yield np.arange(len(counts))
         return
-    left = np.empty(0, dtype=np.intp)
     for count in range(1, top + 1):
+        idx = np.flatnonzero(counts == count)
         step = max(1, budget // width(count))
-        if len(left) >= step:
-            yield left
-            left = left[:0]
-        idx = np.concatenate((left, np.flatnonzero(counts == count)))
-        full = len(idx) - len(idx) % step
-        for first in range(0, full, step):
+        for first in range(0, len(idx), step):
             yield idx[first:first + step]
-        left = idx[full:]
-    if len(left):
-        yield left
 
 
 def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> PartitionReport:
@@ -599,10 +591,10 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     Partitions are enumerated as restricted-growth strings (lexicographic),
     cells ordered by least member.  Raises SpaceTooLargeError, before any
     cell sum is formed, when there are more than PARTITION_COUNT_LIMIT
-    such partitions.  The strings are checked in count-sorted chunks
-    (_count_chunks) padded to their own largest count k, whose one-hot
-    cells and cell sums hold at most _STEP_ENTRIES entries, k (n + 2c) a
-    string; the residuals are written back in the strings' order.
+    such partitions.  The strings are checked in chunks (_count_chunks)
+    padded to their own largest count k, whose one-hot cells and cell sums
+    hold at most _STEP_ENTRIES entries, k (n + 2c) a string; the residuals
+    are written back in the strings' order.
     """
     _check_mode(mode)
     n, c = df.factor.shape

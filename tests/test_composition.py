@@ -131,6 +131,32 @@ def test_weak_violations_do_not_depend_on_the_chunks(monkeypatch):
                                                           rel=0, abs=1e-15)
 
 
+def test_weak_check_budgets_the_cell_sums_of_b(monkeypatch):
+    """Against a one-history factor a (largest chunk 1 entry), b's chunks
+    are bounded by their cell sums, k (n + 2c) entries a partition, not by
+    the k^2 entries of their cell matrices: with _STEP_ENTRIES = 200 and
+    n + 2c = 13, no chunk of several partitions forms more than 200 sums."""
+    from conftest import random_amplitude_df
+
+    a, b = raw_df(np.eye(1)), random_amplitude_df(np.random.default_rng(6), 7, 3)
+    n, c = b.factor.shape
+    assert n + 2 * c == 13
+    sizes = []
+    cell_sums = composition._cell_sums
+
+    def spy(factor, strings):
+        if factor is b.factor:
+            sizes.append((len(strings), int(strings.max()) + 1))
+        return cell_sums(factor, strings)
+
+    monkeypatch.setattr(composition, "_cell_sums", spy)
+    monkeypatch.setattr(composition, "_STEP_ENTRIES", 200)
+    assert composition_anomalies(a, b).weak_violations == ()
+    assert sum(p for p, _ in sizes) == len(find_decoherent_partitions(b, "weak", n))
+    assert max(p for p, _ in sizes) > 1
+    assert all(p * k * (n + 2 * c) <= 200 for p, k in sizes if p > 1)
+
+
 def test_product_carries_sector_structure():
     v1 = scenario_dfs("pbr-v1")
     prod = tensor_df(v1["00"], v1["++"])

@@ -768,11 +768,11 @@ def test_partition_search_matches_direct_sums(seed, n, mode, max_cells):
 def test_partition_search_across_batches(monkeypatch, n, c, max_cells, seed):
     """With _STEP_ENTRIES = 300 a chunk padded to k cells holds at most
     300 // (k (n + 2c)) strings (7 at k = 2 and 1 at k = 8 for n = 8,
-    c = 6), so the search makes hundreds of chunks: some split the strings
-    of one cell count, and some hold the strings left over from one count
-    together with the next count's.  Both modes find the oracle's
-    partitions in its order with its residuals, and is_decoherent_partition
-    gives the chunk's residual."""
+    c = 6), so the strings do not fit in one chunk and the search makes
+    hundreds of chunks of one cell count each: chunk edges fall between
+    counts, and the strings of some counts are split across chunks.  Both
+    modes find the oracle's partitions in its order with its residuals, and
+    is_decoherent_partition gives the chunk's residual."""
     from conftest import random_amplitude_df
 
     chunks = []
@@ -790,7 +790,8 @@ def test_partition_search_across_batches(monkeypatch, n, c, max_cells, seed):
         chunks.clear()
         got = find_decoherent_partitions(df, mode, max_cells)
         want = brute_decoherent_partitions(df, mode, max_cells)
-        assert any(len(counts) > 1 for counts in chunks)
+        assert all(len(counts) == 1 for counts in chunks)
+        assert len({count for counts in chunks for count in counts}) == min(n, max_cells)
         assert any(sum(count in counts for counts in chunks) > 1 for count in range(2, n))
         assert got.strings.tolist() == [
             [next(a for a, m in enumerate(cells) if m >> i & 1) for i in range(n)]
