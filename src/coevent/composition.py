@@ -11,8 +11,8 @@ factors each pass it; both effects are what the report collects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -25,19 +25,18 @@ from .histories import (
     _attach,
     _bits,
     _events,
-    _mask_bits,
     validate_df,
 )
 from .limits import COMPOSITION_WORK_LIMIT
 from .measure_analysis import (
     PartitionListing,
     PartitionReport,
-    ZeroSetCatalog,
     _cell_sums,
     _check_zero_set_work,
     _count_chunks,
+    _sector_bands,
+    _spreader,
     find_decoherent_partitions,
-    find_zero_sets,
 )
 from .tolerances import EPS_DF
 
@@ -70,7 +69,7 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
 
 
 def _largest_product_block(a: DecoherenceFunctional, b: DecoherenceFunctional) -> int:
-    """A lower bound on the histories of the product catalog's largest
+    """A lower bound on the histories of the product's largest zero-set
     block: the rectangle of the factors' largest sectors when both spaces
     have sectors, else the whole product space, which then has none."""
     if a.space.sectors is None or b.space.sectors is None:
@@ -92,7 +91,7 @@ def _pair_mask(mask_a: int, mask_b: int, nb: int) -> int:
     return mask_b * _columns(mask_a, nb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeakViolation:
     """A weak-decoherence failure of a product of passing factor partitions."""
 
@@ -130,34 +129,49 @@ class CompositionReport:
         }
 
 
-def _emergent_zero_masks(cat_a: ZeroSetCatalog, cat_b: ZeroSetCatalog,
-                         cat_p: ZeroSetCatalog) -> list[int]:
+def _rectangles(bands, axis: np.ndarray, stride: int, shifts: np.ndarray) -> np.ndarray:
+    """The nonempty zero masks Z of a factor's sector searches ``bands``
+    that lie in ``axis`` (ascending factor histories), as int64 masks with
+    history axis[p] at bit p * stride, each shifted by every one of ``shifts``."""
+    out = []
+    for _, _, members, _, masks, _, (_, zeros_end, _) in bands:
+        pos = axis.searchsorted(members)
+        inside = axis[np.minimum(pos, len(axis) - 1)] == members
+        bits = masks[1:zeros_end, None] >> np.arange(len(members)) & 1
+        bits = bits[~bits[:, ~inside].any(axis=1)]
+        out.append(np.bitwise_or.reduce(bits << np.where(inside, pos * stride, 0), axis=1))
+    return (np.concatenate(out)[:, None] << shifts).ravel()
+
+
+def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
+                         product: DecoherenceFunctional) -> list[int]:
     """Product zero events no union of rectangles Z_A x S_B and S_A x Z_B
-    covers, in the product catalog's sectorwise order.
+    covers, in find_zero_sets' sectorwise order.
 
     Such a union covers column k of an event E by every factor-A zero event
-    inside that column.  Each of those is a union of one zero mask per
-    sector, the empty mask included, so the sector zero masks inside the
-    column cover the same set and nothing is assembled.  Rows likewise, with B.
+    inside that column.  Each is a union of one zero mask per sector, the
+    empty mask included, so the rectangles Z x {k} of the sector zero masks
+    Z inside the column cover the same set.  Rows likewise, with B.  A
+    product sector is the rectangle of its rows and columns, members in
+    row-major order, so each such rectangle is one sector-local mask, and E
+    is emergent when the OR of the rectangles inside it is not E.  Chunks
+    hold at most _STEP_ENTRIES masks x rectangles; only emergent masks are
+    spread to global bits.
     """
-    na, nb = cat_a.df.size, cat_b.df.size
-    zeros_a = _mask_bits([m for s in cat_a.sectors for m in s.zero_masks], na)
-    zeros_b = _mask_bits([m for s in cat_b.sectors for m in s.zero_masks], nb)
+    bands_a, bands_b = list(_sector_bands(a)), list(_sector_bands(b))
     out = []
-    for sector in cat_p.sectors:
-        shape = _mask_bits([sector.sector_mask], na * nb).reshape(na, nb)
-        # Only factor zero masks inside the sector's rows (columns) fit in its events.
-        za = zeros_a[~(zeros_a & ~shape.any(axis=1)).any(axis=1)]
-        zb = zeros_b[~(zeros_b & ~shape.any(axis=0)).any(axis=1)]
-        masks = sector.zero_masks
-        step = max(1, _STEP_ENTRIES // (len(za) * nb + len(zb) * na + na * nb))
-        for start in range(0, len(masks), step):
-            chunk = masks[start:start + step]
-            events = _mask_bits(chunk, na * nb).reshape(-1, na, nb)
-            outside = ~events
-            covered = (za.T @ ~(za @ outside)) | (~(outside @ zb.T) @ zb)
-            emergent = (covered != events).any(axis=(1, 2))
-            out.extend(m for m, flag in zip(chunk, emergent) if flag)
+    for _, _, members, _, masks, _, (_, zeros_end, _) in _sector_bands(product):
+        rows, cols = (np.unique(x) for x in np.divmod(members, b.size))
+        w = len(cols)
+        rects = np.concatenate((_rectangles(bands_a, rows, w, np.arange(w)),
+                                _rectangles(bands_b, cols, 1, np.arange(len(rows)) * w)))[:, None]
+        events = masks[1:zeros_end]
+        step = max(1, _STEP_ENTRIES // max(len(rects), 1))
+        found = np.concatenate([
+            chunk[np.bitwise_or.reduce(rects * (rects & ~chunk == 0), axis=0) != chunk]
+            for chunk in np.split(events, range(step, len(events), step))])
+        if len(found):
+            out.extend(_spreader(members)(found))
     return out
 
 
@@ -212,14 +226,18 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     # The one-cell partition always passes, so neither listing is empty.
     ia, ib, residuals = (np.concatenate(parts) for parts in zip(*found))
     order = np.lexsort((ib, ia))
-    report_a, report_b = cache(parts_a.__getitem__), cache(parts_b.__getitem__)
-    columns = cache(lambda i: [_columns(ca, b.size) for ca in report_a(i).cell_masks])
-    out = []
-    for i, j, residual in zip(ia[order].tolist(), ib[order].tolist(), residuals[order].tolist()):
-        pb = report_b(j)
-        masks = tuple([cb * col for col in columns(i) for cb in pb.cell_masks])
-        out.append(WeakViolation(partition_a=report_a(i), partition_b=pb, space=product.space,
-                                 product_masks=masks, residual=residual))
+    ia, ib = ia[order].tolist(), ib[order].tolist()
+    # One report per partition; fields set through the slots, as in histories._events.
+    reports_a = {i: parts_a[i] for i in set(ia)}
+    reports_b = {j: parts_b[j] for j in set(ib)}
+    columns = {i: [_columns(ca, b.size) for ca in r.cell_masks] for i, r in reports_a.items()}
+    masks = [tuple([cb * col for col in columns[i] for cb in reports_b[j].cell_masks])
+             for i, j in zip(ia, ib)]
+    out = list(map(object.__new__, repeat(WeakViolation, len(ia))))
+    for field, values in zip(fields(WeakViolation), (
+            map(reports_a.get, ia), map(reports_b.get, ib), repeat(product.space), masks,
+            residuals[order].tolist())):
+        list(map(getattr(WeakViolation, field.name).__set__, out, values))
     return out
 
 
@@ -227,18 +245,19 @@ def composition_anomalies(a: DecoherenceFunctional,
                           b: DecoherenceFunctional) -> CompositionReport:
     """Compare a product DF against its factors.
 
-    A product zero event (from the product catalog's sectorwise listing) is
-    emergent when it is not a union of rectangles Z_A x S_B or S_A x Z_B
-    with a factor zero event on one side; every such rectangle is zero by
-    the rectangle rule, so a covered event is explained by the factors.
-    Weak violations are products of weakly decoherent factor partitions
-    that fail weak decoherence.  The product's ZERO_SET_WORK_LIMIT check
-    comes before both factor partition searches, and those and the
+    A product zero event (in find_zero_sets' sectorwise order) is emergent
+    when it is not a union of rectangles Z_A x S_B or S_A x Z_B with a
+    factor zero event on one side; every such rectangle is zero by the
+    rectangle rule, so a covered event is explained by the factors.  Weak
+    violations are products of weakly decoherent factor partitions that
+    fail weak decoherence.  The product's ZERO_SET_WORK_LIMIT check comes
+    before both factor partition searches, and those and the
     COMPOSITION_WORK_LIMIT check before the product is built, so
     SpaceTooLargeError comes before the product exists.  The product's
-    catalog blocks are the rectangles of the factors' sectors, or the whole
-    product space when either factor has none, and its factor has
-    c_a * c_b columns.
+    zero-set blocks are the rectangles of the factors' sectors, or the whole
+    product space when either factor has none, and its factor has c_a * c_b
+    columns.  Zero sets come from the sector searches of both factors and
+    the product (_sector_bands), with no ZeroSetCatalog.
     """
     _check_zero_set_work(_largest_product_block(a, b), a.factor.shape[1] * b.factor.shape[1])
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
@@ -250,10 +269,8 @@ def composition_anomalies(a: DecoherenceFunctional,
             f"COMPOSITION_WORK_LIMIT = {COMPOSITION_WORK_LIMIT}"
         )
     product = tensor_df(a, b)
-    emergent = _emergent_zero_masks(find_zero_sets(a), find_zero_sets(b),
-                                    find_zero_sets(product))
     return CompositionReport(
         product=product,
-        emergent_masks=tuple(emergent),
+        emergent_masks=tuple(_emergent_zero_masks(a, b, product)),
         weak_violations=tuple(_weak_violations(a, b, product, parts_a, parts_b)),
     )

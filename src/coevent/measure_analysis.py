@@ -330,32 +330,24 @@ class ZeroSetCatalog:
         }
 
 
-def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
-    """Exhaustively catalog measure-zero events of a validated DF.
+def _sector_bands(df: DecoherenceFunctional):
+    """Per final sector of a validated DF (the whole space when no block
+    structure is verified): its label, mask, members (ascending), factor
+    rows, its sector-local masks (bit b for member b, up to 40 bits) of
+    measure at most BORDERLINE_MAX in _ORDER_KEY order, which is canonical
+    as members ascend, their measures, and the _SPLITS bounds of the empty
+    mask and single histories, zero and borderline masks.
 
-    Enumeration runs per verified final sector, or over the whole space when
-    no block structure is available.  Raises SpaceTooLargeError, before the
-    block's tables are built, when a block's search would hold more than
-    ZERO_SET_WORK_LIMIT table entries (_check_zero_set_work), and when a
-    grid join finds more than ZERO_SET_CANDIDATE_LIMIT candidate events.
-
-    A sector of at most _TABLE_MAX histories gets all 2^k measures from its
-    factor rows in one table (_subset_measures); a larger one gets the
-    events of measure at most BORDERLINE_MAX from a grid join of its half
-    sums (_grid_band).  Those masks are classified, sorted and reduced to
-    maximal masks with numpy, in sector-local bits, bit b for its b-th
-    member; the sort key holds masks of up to 40 bits.  Members ascend, so
-    the local canonical order is the global one.  Each listed mask is
-    spread to global bits once, by gathers from per-sector byte tables.  A
-    zero event is nontrivial when some proper subset has a measure above
-    EPS_ZERO (``_nontrivial``); its subsets of null members are measured
-    over the null members only.
+    Sectors of up to _TABLE_MAX histories take all 2^k measures from one
+    table (_subset_measures), larger ones a grid join (_grid_band).  Raises
+    NotAZeroSetError for a DF that failed validation, and SpaceTooLargeError
+    beyond ZERO_SET_WORK_LIMIT (_check_zero_set_work, before a sector's
+    tables are built) or ZERO_SET_CANDIDATE_LIMIT.
     """
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
             "refusing to catalog a decoherence functional that failed validation"
         )
-    data = []
     for name, sector_mask in df.sectors():
         members = tuple(b.bit_length() - 1 for b in _bits(sector_mask))
         k = len(members)
@@ -373,16 +365,25 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
             keys += _ORDER_KEY[j // 8][masks >> j & 255]
         keys += _BANDS.searchsorted(np.abs(measures)) << 46
         order = keys.argsort()
-        masks = masks[order]
-        pairs, zeros_end, border_end = keys[order].searchsorted(_SPLITS).tolist()
-        # The empty event comes first (its measure is exactly 0), then the
-        # single histories.  The zero and borderline masks are spread to
-        # global bits once; the nontrivial ones are picked out by index.
+        yield (name, sector_mask, members, rows, masks[order], measures[order],
+               keys[order].searchsorted(_SPLITS).tolist())
+
+
+def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
+    """Exhaustively catalog measure-zero events of a validated DF, per
+    sector of _sector_bands, which also raises its refusals.  Masks are
+    reduced to maximal masks in sector-local bits.  The zero and borderline
+    masks are spread to global bits once (_spreader), and the nontrivial
+    ones, those with a proper subset of measure above EPS_ZERO
+    (``_nontrivial``), picked out of them by index.
+    """
+    data = []
+    for name, sector_mask, members, rows, masks, measures, splits in _sector_bands(df):
+        pairs, zeros_end, border_end = splits
         spread = _spreader(members)
         listed = spread(masks[:border_end])
         null = int(np.bitwise_or.reduce(masks[1:pairs]))
-        null_mu = measures[order[1:pairs]] if null else ()
-        keep = _nontrivial(masks[pairs:zeros_end], null, null_mu, rows)
+        keep = _nontrivial(masks[pairs:zeros_end], null, measures[1:pairs] if null else (), rows)
         # Greedy rounds: the last mask left is the largest in canonical
         # order, so it is maximal; drop every mask inside it.  The few
         # maximal masks are spread on their own, which costs less than

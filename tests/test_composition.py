@@ -520,3 +520,84 @@ def test_composition_with_a_grid_joined_product_block(monkeypatch):
     assert [m.bit_count() for _, m in report.product.sectors()] == [18]
     assert 18 > measure_analysis._TABLE_MAX and set(joined) == {18}
     assert (len(report.emergent_zero), len(report.weak_violations)) == (8, 5)
+
+
+def u_split_df():
+    """A qutrit on (1, -1, 1)/sqrt 3: a computational slice, then u = (1, 1,
+    1)/sqrt 3 against its complement.  6 histories in 2 final sectors, u's at
+    rows {0, 2, 4}, holding the zero events {h_{0u}, h_{1u}} and {h_{1u}, h_{2u}}."""
+    split = ProjectiveDecomposition(np.column_stack(ROTATED_KETS[3]), (1, 2), ("u", "r"))
+    ket = np.array([1, -1, 1], dtype=complex) / np.sqrt(3.0)
+    return build_df(HistorySchema.from_ket(ket, (Slice(computational_basis(3)), Slice(split))))
+
+
+def test_composition_of_interleaved_product_sectors():
+    """6 histories in 2 sectors times 3 one-history sectors: 18 histories in
+    6 product sectors, each the rectangle of rows {0, 2, 4} or {1, 3, 5} and
+    one column, members not contiguous.  History 1 of the second factor has
+    mu = 1.5e-9, above EPS_ZERO, so its column holds product zero events
+    that no rectangle covers; history 2 has mu = 0, so its column is covered.
+    The emergent list matches the product-space oracles."""
+    eps = 1.5e-9
+    ket = np.array([np.sqrt(1.0 - eps), np.sqrt(eps), 0.0], dtype=complex)
+    faint = build_df(HistorySchema.from_ket(ket, (Slice(computational_basis(3)),)))
+    report = assert_matches_product_space_oracles(u_split_df(), faint)
+    assert [m for _, m in report.product.sectors()][:2] == [
+        sum(1 << (3 * i + k) for i in (0, 2, 4)) for k in (0, 1)]
+    assert len(report.emergent_masks) == 9
+    faint_column = report.product.sectors()[1][1] | report.product.sectors()[4][1]
+    assert all(m & ~faint_column == 0 for m in report.emergent_masks)
+
+
+def test_composition_of_a_raw_and_a_sectored_factor():
+    """A raw factor has no sectors, so its product with u_split_df is one
+    block of 18 histories, whose zero sets come from the grid join; the
+    sectored factor's zero masks are placed by their members in it.  Rows
+    1 and -1 of the raw factor cancel against equal amplitudes of the other
+    factor's rows, giving emergent zero events that match the oracles."""
+    rows = np.array([[1, 0], [-1, 0], [0, 1]], dtype=complex)
+    gram = np.conjugate(rows) @ rows.T
+    report = assert_matches_product_space_oracles(raw_df(gram / gram.real.sum()), u_split_df())
+    assert [m.bit_count() for _, m in report.product.sectors()] == [18]
+    assert len(report.emergent_masks) == 168
+
+
+def test_emergent_zero_events_do_not_depend_on_the_chunks(monkeypatch):
+    """With _STEP_ENTRIES = 1 every chunk of the emergent check holds one
+    product zero event; the emergent list is the same as in one chunk."""
+    from conftest import random_amplitude_df
+
+    rng = np.random.default_rng(3)
+    a, b = random_amplitude_df(rng, 4), random_amplitude_df(rng, 4)
+    whole = composition_anomalies(a, b)
+    chunks = []
+    split = np.split
+
+    def spy(events, bounds):
+        pieces = split(events, bounds)
+        chunks.extend(len(p) for p in pieces)
+        return pieces
+
+    monkeypatch.setattr(composition.np, "split", spy)
+    monkeypatch.setattr(composition, "_STEP_ENTRIES", 1)
+    chunked = composition_anomalies(a, b)
+    assert len(whole.emergent_masks) > 0 and chunked.emergent_masks == whole.emergent_masks
+    assert set(chunks) == {1}
+    assert len(chunks) == len(find_zero_sets(whole.product).zero_events_sectorwise()) > 1
+
+
+def test_composition_builds_no_zero_set_catalog(monkeypatch):
+    """Composition reads the sector searches of both factors and the product
+    directly: with ZeroSetCatalog refusing to be built, it gives the same
+    report, while find_zero_sets fails."""
+    x, y3 = rotated_schema_df(), uniform_computational_df(3)
+    pairs = [(x, y3), (u_split_df(), x), (raw_df(np.diag([0.5, 0.3, 0.2])), u_split_df())]
+    want = [composition_anomalies(a, b).as_dict() for a, b in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero-set catalog was built")
+
+    monkeypatch.setattr(measure_analysis.ZeroSetCatalog, "__init__", refuse)
+    with pytest.raises(AssertionError, match="catalog was built"):
+        find_zero_sets(x)
+    assert [composition_anomalies(a, b).as_dict() for a, b in pairs] == want
