@@ -155,8 +155,8 @@ def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
     product sector is the rectangle of its rows and columns, members in
     row-major order, so each such rectangle is one sector-local mask, and E
     is emergent when the OR of the rectangles inside it is not E.  Chunks
-    hold at most _STEP_ENTRIES masks x rectangles; only emergent masks are
-    spread to global bits.
+    hold at most _STEP_ENTRIES masks x rectangles, or one mask; only
+    emergent masks are spread to global bits.
     """
     bands_a, bands_b = list(_sector_bands(a)), list(_sector_bands(b))
     out = []
