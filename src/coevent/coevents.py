@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import LabelMismatchError
-from .histories import DecoherenceFunctional, Event, HistorySpace, _bits, _events, sort_masks
+from .histories import (DecoherenceFunctional, Event, HistorySpace, _bits, _events,
+                        _require_same_labels, sort_masks)
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
 
@@ -59,11 +60,6 @@ class CoEventSet:
 
     def support_labels(self) -> list[list[str]]:
         return [self.df.space.labels_of(c.mask) for c in self.coevents]
-
-
-def _require_same_labels(space_a, space_b):
-    if space_a is not space_b and space_a.labels != space_b.labels:
-        raise LabelMismatchError("events live over different history label sets")
 
 
 def _minimal_preclusive_masks(sector: int, maximal: tuple[int, ...]) -> list[int]:
@@ -115,10 +111,13 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
     the whole space as one sector.  Co-events come out sorted by support
     cardinality, then lexicographically by member indices.
     When no nontrivial zero set exists the result is the classical collapse:
-    one singleton co-event per history of positive measure.
+    one singleton co-event per history of positive measure.  A ``catalog``
+    of another DF raises ValueError.
     """
     if catalog is None:
         catalog = find_zero_sets(df)
+    elif catalog.df is not df:
+        raise ValueError("the zero-set catalog belongs to another decoherence functional")
     masks: list[int] = []
     for s in catalog.sectors:
         masks.extend(_minimal_preclusive_masks(s.sector_mask, s.maximal_masks))

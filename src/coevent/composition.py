@@ -134,7 +134,7 @@ def _rectangles(bands, axis: np.ndarray, stride: int, shifts: np.ndarray) -> np.
     that lie in ``axis`` (ascending factor histories), as int64 masks with
     history axis[p] at bit p * stride, each shifted by every one of ``shifts``."""
     out = []
-    for _, _, members, _, masks, _, (_, zeros_end, _) in bands:
+    for _, _, members, _, masks, _, (_, zeros_end) in bands:
         pos = axis.searchsorted(members)
         inside = axis[np.minimum(pos, len(axis) - 1)] == members
         bits = masks[1:zeros_end, None] >> np.arange(len(members)) & 1
@@ -160,7 +160,7 @@ def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
     """
     bands_a, bands_b = list(_sector_bands(a)), list(_sector_bands(b))
     out = []
-    for _, _, members, _, masks, _, (_, zeros_end, _) in _sector_bands(product):
+    for _, _, members, _, masks, _, (_, zeros_end) in _sector_bands(product):
         rows, cols = (np.unique(x) for x in np.divmod(members, b.size))
         w = len(cols)
         rects = np.concatenate((_rectangles(bands_a, rows, w, np.arange(w)),

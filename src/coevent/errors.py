@@ -24,7 +24,7 @@ class InvalidPartitionError(CoeventError):
 
 
 class LabelMismatchError(CoeventError):
-    """Co-event sets over different history label sets cannot be combined."""
+    """Events or co-event sets over different history label sets cannot be combined."""
 
 
 class ValidationFailedError(CoeventError):

@@ -26,7 +26,7 @@ from itertools import product, repeat
 
 import numpy as np
 
-from .errors import SpaceTooLargeError, ValidationFailedError
+from .errors import LabelMismatchError, SpaceTooLargeError, ValidationFailedError
 from .limits import MAX_OMEGA_ENV, max_omega
 from .linalg import ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary
 from .tolerances import EPS_DF, EPS_UNIT
@@ -447,7 +447,14 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
     )
 
 
+def _require_same_labels(space_a: HistorySpace, space_b: HistorySpace) -> None:
+    if space_a is not space_b and space_a.labels != space_b.labels:
+        raise LabelMismatchError("events live over different history label sets")
+
+
 def measure(df: DecoherenceFunctional, event: Event) -> float:
-    """Quantum measure mu(event) = |sum of its factor rows|^2; 0.0 when empty."""
+    """Quantum measure mu(event) = |sum of its factor rows|^2, 0.0 when empty;
+    LabelMismatchError for an event over other history labels."""
+    _require_same_labels(df.space, event.space)
     total = df.factor[list(event.indices)].sum(axis=0)
     return float(np.vdot(total, total).real)

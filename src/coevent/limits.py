@@ -15,19 +15,18 @@ import os
 MAX_OMEGA_ENV = "COEVENT_MAX_OMEGA"
 DEFAULT_MAX_OMEGA = 2**20
 # Table entries (floats) of one block's zero-set search: the half sums,
-# 2^(k // 2) and 2^(k - k // 2) rows of 2c reals, the 2^k measures of a block
-# of at most 16 histories, and the subset measures of the null histories
-# when those are needed.  2^22 entries is 32 MB of floats; it admits a block
-# of 38 histories with c = 2 and of 40 (the width of the sort key) only
-# with c = 1, so no block wider than the key gets past it.
+# 2^(k // 2) and 2^(k - k // 2) rows of 2c reals, and the 2^z subsets of its
+# z null histories when those are needed.  2^22 entries is 32 MB of floats;
+# it admits a block of 38 histories with c = 2 and of 40 (the width of the
+# sort key) only with c = 1, so no block wider than the key gets past it.
 ZERO_SET_WORK_LIMIT = 2**22
-# Candidate events a grid join of the half sums checks directly, counted
-# block by block before the pairs are formed: a bound on the work and on the
-# listed output above 16 histories per block.  Each event of a block is at
-# most one candidate, so every block of up to 20 histories passes, and no
-# block lists more events than the 2^20 table of a 20-history block could
-# (2^20 - 1 listed zero events of 21 histories took 0.55 s, and the process
-# peaked at 197 MB; 2 vCPU).
+# Candidate events a grid join of the half sums measures, counted block by
+# block before the pairs are formed: a bound on the work and on the listed
+# output of the blocks that take the join.  Each event of a block is at most
+# one candidate, so every block of up to 20 histories passes, and no block
+# lists more than the 2^20 events of a 20-history block (2^20 - 1 listed
+# zero events of 21 histories took 0.55 s, and the process peaked at 197 MB;
+# 2 vCPU).
 ZERO_SET_CANDIDATE_LIMIT = 2**20
 # A search over Bell(11) = 678,570 partitions of 11 histories took 0.19-0.25 s
 # when only the one-cell partition passes (a generic weak search, c = 4) and

@@ -10,12 +10,13 @@ sqrt(1 - d)|p> + sqrt(d)|m>, d = 1.2e-9, measured in the basis p/m and then
 the computational basis, {h_{m0}, h_{m1}} is a maximal zero event of
 mu = 1.2e-9, each sector part having 0.6e-9.
 
-A sector of k histories splits into a low half of k // 2 and a high half,
-with subset sums L and H.  Up to _TABLE_MAX histories one matrix product of
-the halves gives all 2^k measures; above it a grid join of H and L finds the
-events of measure at most BORDERLINE_MAX without forming the 2^k table, so
-the work grows as 2^(k/2) plus the output.  ZERO_SET_WORK_LIMIT bounds the
-tables and ZERO_SET_CANDIDATE_LIMIT the candidates of the join.
+A sector of k histories splits into a low half of h = k // 2 and a high
+half, with subset sums L and H, and mask hi * 2^h + lo has the measure
+|H_hi + L_lo|^2, summed directly.  A small sector measures every (hi, lo)
+pair; a larger one only the candidates of a grid join of H and L, which
+holds every event of measure at most BORDERLINE_MAX, so its work grows as
+2^(k/2) plus the output.  ZERO_SET_WORK_LIMIT bounds the half sums and
+ZERO_SET_CANDIDATE_LIMIT the candidates of the join.
 """
 
 from __future__ import annotations
@@ -36,53 +37,38 @@ from .limits import (ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, ZERO_SET_CANDIDATE_L
                      ZERO_SET_WORK_LIMIT)
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
-# The largest sector whose zero sets come from the 2^k table; larger ones
-# use the grid join.  Timed on generic and planted rows with c = 1, 2 and 4
-# (2 vCPU, one BLAS thread), the table was faster up to k = 16, the two were
-# about even at k = 17 and the grid join was faster from k = 18.
-_TABLE_MAX = 16
+# A sector whose 2^k events times its 2c real coordinates number at most
+# _ALL_PAIRS_MAX entries takes every (hi, lo) pair as a candidate; a larger
+# one takes the grid join's.  Timed per sector on generic and planted rows
+# with c = 1, 2, 4 and 8 (2 vCPU, one BLAS thread), every pair was faster
+# up to 2^14 entries, the two were about even at 2^15, and the grid join
+# was faster from 2^16 (from 2^17 at c = 8).
+_ALL_PAIRS_MAX = 1 << 15
+
+# Row p of _BYTE_BITS holds the bits of p, lowest first.
+_BYTE_BITS = np.arange(256, dtype=np.int64)[:, None] >> np.arange(8) & 1
+_BYTE_BITS_T = _BYTE_BITS.T.astype(np.float64)
 
 
 def _half_sums(rows: np.ndarray) -> np.ndarray:
-    """Sums of every subset of the rows, indexed by bitmask, by doubling."""
-    sums = np.zeros((1 << len(rows), rows.shape[1]))
-    for b, row in enumerate(rows):
-        np.add(sums[: 1 << b], row, out=sums[1 << b: 2 << b])
+    """Sums of every subset of the rows, one column per bitmask: those of
+    the first 8 rows by one product with their bits, which gives the empty
+    sum as 0.0 and each single row exactly, the rest by doubling."""
+    q = min(len(rows), 8)
+    sums = np.empty((rows.shape[1], 1 << len(rows)))
+    np.matmul(rows[:q].T, _BYTE_BITS_T[:q, :1 << q], out=sums[:, :1 << q])
+    for b in range(q, len(rows)):
+        np.add(sums[:, :1 << b], rows[b][:, None], out=sums[:, 1 << b:2 << b])
     return sums
-
-
-def _subset_measures(rows: np.ndarray) -> np.ndarray:
-    """mu of every subset of the histories with factor rows ``rows`` (k x c),
-    indexed by bitmask: mu(S) = |sum_{i in S} V_i|^2.
-
-    The bits split into a low half of h = k // 2 and a high half, whose
-    subset sums L and H of the real rows (2c columns) are built by doubling.
-    Mask hi * 2^h + lo has mu = 2 H_hi . L_lo + |H_hi|^2 + |L_lo|^2, the
-    product of rows [2H | |H|^2 | 1] and [L | 1 | |L|^2], so one real matrix
-    product makes the table and no 2^k x c array is formed.  A product with
-    an empty half adds exact zeros, so the empty mask gets exactly 0.0 and a
-    single history exactly its row's squared norm.
-    """
-    real = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
-    h = len(real) // 2
-    low, high = _half_sums(real[:h]), _half_sums(real[h:])
-    high = np.concatenate((2.0 * high, (high * high).sum(axis=1, keepdims=True),
-                           np.ones((len(high), 1))), axis=1)
-    low = np.concatenate((low, np.ones((len(low), 1)), (low * low).sum(axis=1, keepdims=True)),
-                         axis=1)
-    return (high @ low.T).ravel()
 
 
 def _check_zero_set_work(k: int, c: int, extra: int = 0) -> None:
     """Raise SpaceTooLargeError when the zero-set search of a k-history
     sector with c factor columns, plus ``extra`` entries, would hold more
     than ZERO_SET_WORK_LIMIT table entries.  The search holds two half-sum
-    tables, 2^(k // 2) and 2^(k - k // 2) rows of 2c reals, plus the 2^k
-    measures up to _TABLE_MAX histories."""
+    tables, 2^(k // 2) and 2^(k - k // 2) rows of 2c reals."""
     h = k // 2
     work = ((1 << h) + (1 << (k - h))) * 2 * c + extra
-    if k <= _TABLE_MAX:
-        work += 1 << k
     if work > ZERO_SET_WORK_LIMIT:
         raise SpaceTooLargeError(
             f"zero-set search over a sector of {k} histories with {c} factor columns needs "
@@ -112,43 +98,42 @@ def _cell_multipliers(d: int) -> np.ndarray:
     return (z ^ z >> np.uint64(31) | np.uint64(1)).view(np.int64)
 
 
-def _grid_band(real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sector-local masks and measures of every event of the sector with
-    real factor rows ``real`` (k x 2c) whose measure is at most BORDERLINE_MAX.
+def _all_pairs(k: int, h: int, step: int):
+    """Every mask hi * 2^h + lo of k bits, as a column of hi and a row of
+    all lo that broadcast to the masks in ascending order, in blocks of at
+    most ``step`` masks or one hi."""
+    rows = max(1, step >> h)
+    for start in range(0, 1 << (k - h), rows):
+        yield np.arange(start, min(start + rows, 1 << (k - h)))[:, None], np.arange(1 << h)[None]
 
-    Mask hi * 2^h + lo has mu = |H_hi + L_lo|^2, with L and H the subset
-    sums of the low h = k // 2 rows and of the rest.  A member of the band
-    has |H_j + L_j| <= r = sqrt(BORDERLINE_MAX) in every coordinate j, so
-    L_lo lies in the cell of -H_hi or, in each coordinate where -H_hi +- r
-    crosses a cell edge, the next cell; cells are wider than 2r, so each
-    H_hi probes one cell per combination of its crossings.  Cells are keyed
-    by the dot product of their integer coordinates with odd multipliers;
-    L's keys are sorted once and each block's probes before they are looked
-    up.  A key collision only adds a candidate.
-    Every candidate pair gets its measure directly, so no measure is
-    negative, the empty mask gets exactly 0.0 and a single history its
-    row's sum of squares.  Work runs in blocks of about _STEP_ENTRIES
-    entries.  Raises SpaceTooLargeError, before the pairs are formed, when
+
+def _grid_pairs(real: np.ndarray, high: np.ndarray, low: np.ndarray, step: int):
+    """Candidate (hi, lo) pairs, in blocks of at most ``step``, that include
+    every event of measure at most BORDERLINE_MAX of the sector with real
+    factor rows ``real`` (k x 2c), whose half sums are ``high`` and ``low``.
+
+    A member of the band has |H_j + L_j| <= r = sqrt(BORDERLINE_MAX) in
+    every coordinate j, so L_lo lies in the cell of -H_hi or, in each
+    coordinate where -H_hi +- r crosses a cell edge, the next cell; cells
+    are wider than 2r, so each H_hi probes one cell per combination of its
+    crossings.  Cells are keyed by the dot product of their integer
+    coordinates with odd multipliers; L's keys are sorted once and each
+    block's probes before they are looked up.  A key collision only adds a
+    candidate.  Raises SpaceTooLargeError, before the pairs are formed, when
     the candidates exceed ZERO_SET_CANDIDATE_LIMIT.
     """
-    k = len(real)
-    h = k // 2
-    low, high = _half_sums(real[:h]), _half_sums(real[h:])
     # Only coordinates whose rows' absolute sum exceeds r can tell events
     # apart; dropping the others merges cells, which keeps every candidate.
     cols = np.flatnonzero(np.abs(real).sum(axis=0) > _PROBE_RADIUS)
-    d = max(len(cols), 1)
-    width = 3 * d * _PROBE_RADIUS
+    width = 3 * max(len(cols), 1) * _PROBE_RADIUS
     mult = _cell_multipliers(len(cols))
-    keys = np.floor(low[:, cols] / width + _GRID_OFFSET).astype(np.int64) @ mult
+    keys = np.floor(low[cols].T / width + _GRID_OFFSET).astype(np.int64) @ mult
     order = keys.argsort()
     keys = keys[order]
     reach = _PROBE_RADIUS / width
-    step = max(1, _STEP_ENTRIES // real.shape[1])
     candidates = 0
-    masks, measures = [], []
-    for start in range(0, len(high), step):
-        near = high[start:start + step, cols] / -width + _GRID_OFFSET
+    for start in range(0, high.shape[1], step):
+        near = high[cols, start:start + step].T / -width + _GRID_OFFSET
         base = np.floor(near - reach)
         crossing = np.floor(near + reach) > base
         rows = np.arange(start, start + len(near))
@@ -158,7 +143,7 @@ def _grid_band(real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rows = np.concatenate((rows, rows[more]))
             probes = np.concatenate((probes, probes[more] + mult[j]))
         # Sorted probes walk L's keys in order; the final key sort of
-        # find_zero_sets fixes the order of the listed masks.
+        # _sector_bands fixes the order of the listed masks.
         by = probes.argsort()
         rows, probes = rows[by], probes[by]
         begin = keys.searchsorted(probes)
@@ -167,35 +152,52 @@ def _grid_band(real: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         candidates += found
         if candidates > ZERO_SET_CANDIDATE_LIMIT:
             raise SpaceTooLargeError(
-                f"zero-set search over a sector of {k} histories has more than "
+                f"zero-set search over a sector of {len(real)} histories has more than "
                 f"ZERO_SET_CANDIDATE_LIMIT = {ZERO_SET_CANDIDATE_LIMIT} candidate events"
             )
         his = np.repeat(rows, counts)
         los = order[np.arange(found) + np.repeat(begin - (np.cumsum(counts) - counts), counts)]
         for part in range(0, found, step):
-            hi, lo = his[part:part + step], los[part:part + step]
-            diff = high[hi] + low[lo]
-            mu = (diff * diff).sum(axis=1)
-            band = mu <= BORDERLINE_MAX
-            masks.append(hi[band] << h | lo[band])
-            measures.append(mu[band])
-    return np.concatenate(masks), np.concatenate(measures)
+            yield his[part:part + step], los[part:part + step]
+
+
+def _band(rows: np.ndarray, join: bool, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sector-local masks of measure mu(S) = |sum_{i in S} V_i|^2 at most
+    ``top`` of the histories with factor rows ``rows`` (k x c), and their
+    measures: out of every mask, in ascending order, or with ``join`` out
+    of the grid join's candidates, which hold every mask of measure at most
+    BORDERLINE_MAX.
+
+    The real rows (2c columns) split into the low h = k // 2 and the rest,
+    with subset sums L and H; mask hi * 2^h + lo has mu = |H_hi + L_lo|^2,
+    its squared coordinates added in column order, so no measure is
+    negative, the empty mask gets exactly 0.0 and a single history its row's
+    sum of squares in that order.  Blocks hold about _STEP_ENTRIES entries.
+    """
+    real = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
+    h = len(real) // 2
+    low, high = _half_sums(real[:h]), _half_sums(real[h:])
+    step = max(1, _STEP_ENTRIES // max(real.shape[1], 1))
+    pairs = _grid_pairs(real, high, low, step) if join else _all_pairs(len(real), h, step)
+    found = []
+    for hi, lo in pairs:
+        diff = high.take(hi, axis=1) + low.take(lo, axis=1)
+        mu = (diff * diff).sum(axis=0).ravel()
+        band = mu <= top
+        found.append(((hi << h | lo).ravel()[band], mu[band]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 # Sort key of a sector-local mask of at most 40 bits, as the sum of one
 # entry per byte (row p for byte p): size << 40, plus 2^40 - 1 minus the
 # mask's 40-bit reversal.  Keys ascend in canonical order (by size, then by
 # descending bit-reversed value, as in sort_masks).
-_BYTE_BITS = np.arange(256, dtype=np.int64)[:, None] >> np.arange(8) & 1
 _ORDER_KEY = ((_BYTE_BITS.sum(axis=1) << 40)
               - ((_BYTE_BITS @ (128 >> np.arange(8))) << np.arange(32, -1, -8)[:, None])
               + np.array([[(1 << 40) - 1], [0], [0], [0], [0]]))
-# Class of a measure candidate, added as class << 46: 0 zero, 1 borderline,
-# 2 neither (a table measure below -BORDERLINE_MAX).
-_BANDS = np.array([EPS_ZERO, BORDERLINE_MAX])
-# The smallest keys of a zero mask of two or more histories, of a borderline
-# mask and of a mask of neither class.
-_SPLITS = np.array([2 << 40, 1 << 46, 2 << 46])
+# The smallest keys of a zero mask of two or more histories and of a
+# borderline mask, whose class is added as class << 46: 0 zero, 1 borderline.
+_SPLITS = np.array([2 << 40, 1 << 46])
 
 
 def _spreader(members: tuple[int, ...]):
@@ -232,17 +234,18 @@ def _nontrivial(larger: np.ndarray, null: int, null_mu, rows: np.ndarray) -> lis
     sum_{i in T} sqrt(mu_i), so only when that sum over all null members
     exceeds sqrt(EPS_ZERO) can a mask of null members be nontrivial.  Then
     the measures of every subset of the z null members come from their rows
-    alone (2^z entries, charged to ZERO_SET_WORK_LIMIT), indexed by
-    null-local mask (bit j for the j-th null member), and inside[m] marks
+    alone (_band, 2^z entries, charged to ZERO_SET_WORK_LIMIT), indexed
+    by null-local mask (bit j for the j-th null member), and inside[m] marks
     every subset with a subset above EPS_ZERO, by one pass per null member;
     a zero mask is not above EPS_ZERO itself, so for it the subset is
     proper.
     """
     keep = larger & ~null != 0
-    if sum(math.sqrt(abs(mu)) for mu in null_mu) > math.sqrt(EPS_ZERO):
+    if sum(map(math.sqrt, null_mu)) > math.sqrt(EPS_ZERO):
         bits = [b.bit_length() - 1 for b in _bits(null)]
         _check_zero_set_work(len(rows), rows.shape[1], 1 << len(bits))
-        inside = np.abs(_subset_measures(rows[bits])) > EPS_ZERO
+        inside = np.ones(1 << len(bits), dtype=bool)
+        inside[_band(rows[bits], False, EPS_ZERO)[0]] = False
         for j in range(len(bits)):
             halves = inside.reshape(-1, 2, 1 << j)
             halves[:, 1] |= halves[:, 0]
@@ -335,14 +338,14 @@ def _sector_bands(df: DecoherenceFunctional):
     structure is verified): its label, mask, members (ascending), factor
     rows, its sector-local masks (bit b for member b, up to 40 bits) of
     measure at most BORDERLINE_MAX in _ORDER_KEY order, which is canonical
-    as members ascend, their measures, and the _SPLITS bounds of the empty
-    mask and single histories, zero and borderline masks.
+    as members ascend, their measures, and the two _SPLITS bounds: the end
+    of the empty mask and single histories and the end of the zero masks.
 
-    Sectors of up to _TABLE_MAX histories take all 2^k measures from one
-    table (_subset_measures), larger ones a grid join (_grid_band).  Raises
-    NotAZeroSetError for a DF that failed validation, and SpaceTooLargeError
-    beyond ZERO_SET_WORK_LIMIT (_check_zero_set_work, before a sector's
-    tables are built) or ZERO_SET_CANDIDATE_LIMIT.
+    Sectors of at most _ALL_PAIRS_MAX entries measure every mask, larger
+    ones the grid join's candidates (_band).  Raises NotAZeroSetError
+    for a DF that failed validation, and SpaceTooLargeError beyond
+    ZERO_SET_WORK_LIMIT (_check_zero_set_work, before a sector's tables are
+    built) or ZERO_SET_CANDIDATE_LIMIT.
     """
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
@@ -353,17 +356,11 @@ def _sector_bands(df: DecoherenceFunctional):
         k = len(members)
         rows = df.factor[list(members)]
         _check_zero_set_work(k, rows.shape[1])
-        if k <= _TABLE_MAX:
-            vals = _subset_measures(rows)
-            masks = (vals <= BORDERLINE_MAX).nonzero()[0]
-            measures = vals[masks]
-        else:
-            masks, measures = _grid_band(np.ascontiguousarray(rows, dtype=complex)
-                                         .view(np.float64))
+        masks, measures = _band(rows, (2 * rows.shape[1]) << k > _ALL_PAIRS_MAX, BORDERLINE_MAX)
         keys = _ORDER_KEY[0][masks & 255]
         for j in range(8, k, 8):
             keys += _ORDER_KEY[j // 8][masks >> j & 255]
-        keys += _BANDS.searchsorted(np.abs(measures)) << 46
+        keys += (measures > EPS_ZERO) << 46
         order = keys.argsort()
         yield (name, sector_mask, members, rows, masks[order], measures[order],
                keys[order].searchsorted(_SPLITS).tolist())
@@ -379,11 +376,11 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     """
     data = []
     for name, sector_mask, members, rows, masks, measures, splits in _sector_bands(df):
-        pairs, zeros_end, border_end = splits
+        pairs, zeros_end = splits
         spread = _spreader(members)
-        listed = spread(masks[:border_end])
+        listed = spread(masks)
         null = int(np.bitwise_or.reduce(masks[1:pairs]))
-        keep = _nontrivial(masks[pairs:zeros_end], null, measures[1:pairs] if null else (), rows)
+        keep = _nontrivial(masks[pairs:zeros_end], null, measures[1:pairs], rows)
         # Greedy rounds: the last mask left is the largest in canonical
         # order, so it is maximal; drop every mask inside it.  The few
         # maximal masks are spread on their own, which costs less than

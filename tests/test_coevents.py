@@ -13,6 +13,7 @@ from coevent import (
     SpaceTooLargeError,
     distinguishability_report,
     enumerate_primitive_coevents,
+    find_zero_sets,
     intersect_coevent_sets,
     raw_df,
 )
@@ -113,6 +114,17 @@ def test_intersection_errors():
     ]
     with pytest.raises(LabelMismatchError):
         intersect_coevent_sets(sets)
+
+
+def test_enumeration_refuses_a_catalog_of_another_df():
+    """A catalog of another DF would drop histories or invent co-events; it
+    is refused, while the DF's own catalog gives what a fresh one gives."""
+    df = raw_df(np.eye(3) / 3)
+    with pytest.raises(ValueError, match="another decoherence functional"):
+        enumerate_primitive_coevents(df, find_zero_sets(raw_df(np.eye(2) / 2)))
+    own = enumerate_primitive_coevents(df, find_zero_sets(df))
+    assert own.support_labels() == [["h1"], ["h2"], ["h3"]]
+    assert own.support_labels() == enumerate_primitive_coevents(df).support_labels()
 
 
 def test_distinguishability_report_v1(pbr_v1_golden):

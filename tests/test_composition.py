@@ -498,9 +498,10 @@ def test_composition_matches_product_space_oracles(a, b):
 def test_composition_with_a_grid_joined_product_block(monkeypatch):
     """Planted raw factors of 3 and 6 histories, rows over {1, i, 1/2} with
     one cancelling pair in the second: their 18-history product is one block
-    above _TABLE_MAX, so its zero sets come from the grid join.  Its 8
-    emergent zero events and 5 weak violations match the product-space
-    oracles."""
+    above _ALL_PAIRS_MAX, so its zero sets come from the grid join and the
+    factors' from every pair.  Its 8 emergent zero events and 5 weak
+    violations match the product-space oracles, and each candidate source
+    forced on every block gives the same report."""
     def planted(rows):
         rows = np.asarray(rows, dtype=complex)
         gram = np.conjugate(rows) @ rows.T
@@ -508,18 +509,24 @@ def test_composition_with_a_grid_joined_product_block(monkeypatch):
 
     a = planted([[1, 0], [1j, 0], [0.5, 1]])
     b = planted([[1, 0], [1j, 0], [0, 1], [0, -1], [1j, 0.5], [0.5j, 0.5]])
-    joined = []
+    sources = []
 
-    def grid_band(real):
-        joined.append(len(real))
-        return grid(real)
+    def band(rows, join, top):
+        sources.append((len(rows), join))
+        return measured(rows, join, top)
 
-    grid = measure_analysis._grid_band
-    monkeypatch.setattr(measure_analysis, "_grid_band", grid_band)
+    measured = measure_analysis._band
+    monkeypatch.setattr(measure_analysis, "_band", band)
     report = assert_matches_product_space_oracles(a, b)
     assert [m.bit_count() for _, m in report.product.sectors()] == [18]
-    assert 18 > measure_analysis._TABLE_MAX and set(joined) == {18}
+    assert set(sources) == {(3, False), (6, False), (18, True)}
     assert (len(report.emergent_zero), len(report.weak_violations)) == (8, 5)
+    for all_pairs_max in (0, 1 << 30):
+        monkeypatch.setattr(measure_analysis, "_ALL_PAIRS_MAX", all_pairs_max)
+        forced = composition_anomalies(a, b)
+        assert forced.emergent_masks == report.emergent_masks
+        assert [v.product_masks for v in forced.weak_violations] == [
+            v.product_masks for v in report.weak_violations]
 
 
 def u_split_df():

@@ -14,6 +14,7 @@ from coevent import (
     DecoherenceFunctional,
     Event,
     HistorySchema,
+    LabelMismatchError,
     ProjectiveDecomposition,
     Slice,
     SpaceTooLargeError,
@@ -156,6 +157,17 @@ def test_measure_normalization_and_empty():
     for label, df in scenario_dfs("pbr-v1").items():
         assert measure(df, Event(df.space, df.space.full_mask())) == pytest.approx(1.0, abs=1e-9)
         assert measure(df, Event(df.space, 0)) == 0.0
+
+
+def test_measure_refuses_an_event_of_other_labels():
+    """An event over other history labels is refused, whether it reaches
+    past the DF's histories or has as many of them; an event over an equal
+    space built apart is measured."""
+    df = raw_df(np.eye(2) / 2)
+    for labels in (["h1", "h2", "h3"], ["g1", "g2"]):
+        with pytest.raises(LabelMismatchError, match="different history label sets"):
+            measure(df, Event(raw_space(labels), 2))
+    assert measure(df, Event(raw_space(["h1", "h2"]), 2)) == pytest.approx(0.5)
 
 
 def test_quadratic_sum_rule_exhaustive():

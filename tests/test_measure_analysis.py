@@ -33,7 +33,7 @@ from coevent import (
 )
 from coevent import measure_analysis
 from coevent.histories import HistorySpace, ValidationReport, raw_space, sort_masks
-from coevent.measure_analysis import _subset_measures, set_partition_strings
+from coevent.measure_analysis import _band, set_partition_strings
 from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 from conftest import (
@@ -52,38 +52,51 @@ from conftest import (
 )
 
 
-def test_subset_measures_against_reference():
-    """The split table over k x c factor rows, with both halves nonempty
-    from k = 2, against direct submatrix sums of the Gram block, for c
-    below, equal to and above k."""
+def all_measures(rows: np.ndarray) -> np.ndarray:
+    """The measures of every mask of ``rows`` by _band with no bound,
+    checked to come in mask order."""
+    masks, mu = _band(rows, False, np.inf)
+    assert (masks == np.arange(1 << len(rows))).all()
+    return mu
+
+
+def test_measures_against_reference():
+    """The direct half-sum measures over k x c factor rows, with both
+    halves nonempty from k = 2, against direct submatrix sums of the Gram
+    block, for c below, equal to and above k."""
     rng = np.random.default_rng(61)
     for k in range(0, 11):
         for c in sorted({max(1, k - 2), max(1, k), k + 3}):
             rows = rng.normal(size=(k, c)) + 1j * rng.normal(size=(k, c))
             np.testing.assert_allclose(
-                _subset_measures(rows), subset_measures_simple(np.conjugate(rows) @ rows.T),
+                all_measures(rows), subset_measures_simple(np.conjugate(rows) @ rows.T),
                 atol=1e-10,
             )
 
 
-def test_subset_measures_exact_where_the_catalog_needs_it():
+def test_measures_exact_where_the_catalog_needs_it():
     """What find_zero_sets relies on, at k = 11..20 with a null row in
     each: the empty mask is exactly 0.0, each single history exactly its
-    row's squared norm (the sum of squares of its real view), and sampled
-    masks agree with a direct |sum_{i in S} V_i|^2."""
+    row's squared norm (the sum of squares of its real view, in column
+    order), and sampled
+    masks agree with a direct |sum_{i in S} V_i|^2.  The grid join's
+    candidates, the empty mask among them, carry the very measures that
+    every pair gets, one formula for both sources."""
     rng = np.random.default_rng(89)
     for k in range(11, 21):
         c = int(rng.integers(1, 7))
         rows = (rng.normal(size=(k, c)) + 1j * rng.normal(size=(k, c))) * rng.uniform(1e-5, 1.0)
         rows[rng.integers(k)] = 0.0
-        vals = _subset_measures(rows)
+        vals = all_measures(rows)
         assert vals.shape == (1 << k,) and vals[0] == 0.0
         real = rows.view(np.float64)
-        assert [vals[1 << i] for i in range(k)] == [(r * r).sum() for r in real]
+        assert [vals[1 << i] for i in range(k)] == [sum((r * r).tolist()) for r in real]
         scale = k * float((real * real).sum())
         for m in rng.integers(0, 1 << k, size=64).tolist():
             total = rows[[i for i in range(k) if m >> i & 1]].sum(axis=0)
             assert vals[m] == pytest.approx(np.vdot(total, total).real, rel=0, abs=1e-13 * scale)
+        masks, mu = _band(rows, True, np.inf)
+        assert 0 in masks.tolist() and (mu == vals[masks]).all()
 
 
 def test_catalog_matches_brute_oracle():
@@ -175,7 +188,7 @@ def assert_lists_match_scan(df: DecoherenceFunctional, size: np.ndarray) -> None
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
 def test_zero_set_lists_match_direct_scan(seed, n):
     """Every list of the one-block catalog equals the direct scan's, in
-    canonical order; the split table has both halves nonempty from two
+    canonical order; the half sums have both halves nonempty from two
     histories on, at odd and even widths."""
     df = planted_df(np.random.default_rng(seed), n)
     assert_lists_match_scan(df, np.abs(brute_measures(df)))
@@ -194,16 +207,16 @@ def chunked_measures(df: DecoherenceFunctional) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("n", range(15, 21))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_zero_set_lists_across_the_crossover(monkeypatch, n):
-    """At n = 15..20 both the 2^k table and the grid join of the half sums
-    give the direct scan's lists, in order: the catalog's own choice
-    (the table up to 16 histories) and each path forced."""
+    """At n = 1..20 both candidate sources, every pair and the grid join of
+    the half sums, give the direct scan's lists, in order: the catalog's own
+    choice (every pair up to _ALL_PAIRS_MAX entries) and each source forced."""
     df = planted_df(np.random.default_rng(1000 + n), n)
     size = np.abs(chunked_measures(df))
     assert_lists_match_scan(df, size)
-    for table_max in (0, 20):
-        monkeypatch.setattr(measure_analysis, "_TABLE_MAX", table_max)
+    for all_pairs_max in (0, 1 << 30):
+        monkeypatch.setattr(measure_analysis, "_ALL_PAIRS_MAX", all_pairs_max)
         assert_lists_match_scan(df, size)
 
 
@@ -436,13 +449,13 @@ def test_grid_join_near_cell_edges(monkeypatch, c, k):
     """Rows of about 3e-4 beside one unit row: their subset sums spread over
     a few cells of the grid, and hundreds to thousands of events fall in
     the borderline band, many with -H + r or -H - r across a cell edge.
-    The grid join lists every one of them, as the direct scan does."""
+    The grid join, forced, lists every one of them, as the direct scan does."""
     rng = np.random.default_rng(100 + k + c)
     rows = (rng.normal(size=(k, c)) + 1j * rng.normal(size=(k, c))) * 3e-4
     rows[0] = 1.0
     df = factor_df(rows)
     size = np.abs(chunked_measures(df))
-    monkeypatch.setattr(measure_analysis, "_TABLE_MAX", 0)
+    monkeypatch.setattr(measure_analysis, "_ALL_PAIRS_MAX", 0)
     assert_lists_match_scan(df, size)
 
 
@@ -469,8 +482,8 @@ def test_null_members_of_a_large_sector(monkeypatch):
     """The s, s, -s, -s rows of the tolerance-edge case (s^2 = 0.9e-9),
     spread over both halves of an 18-history sector of generic rows: the
     catalog equals the direct scan, the zero events of three or four of
-    them are nontrivial, and their subset measures come from one table over
-    the 4 null rows, not over the sector."""
+    them are nontrivial, and their subset measures come from every pair of
+    the 4 null rows, not of the sector, which takes the grid join."""
     rng = np.random.default_rng(97)
     rows = np.zeros((18, 3), dtype=complex)
     rows[:, 1:] = rng.normal(size=(18, 2)) + 1j * rng.normal(size=(18, 2))
@@ -480,15 +493,15 @@ def test_null_members_of_a_large_sector(monkeypatch):
     s = np.sqrt(0.9e-9 * np.vdot(rows.sum(axis=0), rows.sum(axis=0)).real)
     rows[null, 0] = [s, s, -s, -s]
     df = factor_df(rows)
-    tables = []
+    calls = []
 
-    def subset_measures(block):
-        tables.append(len(block))
-        return _subset_measures(block)
+    def band(block, join, top):
+        calls.append((len(block), join))
+        return _band(block, join, top)
 
-    monkeypatch.setattr(measure_analysis, "_subset_measures", subset_measures)
+    monkeypatch.setattr(measure_analysis, "_band", band)
     assert_lists_match_scan(df, np.abs(chunked_measures(df)))
-    assert tables == [4]
+    assert calls == [(18, True), (4, False)]
     masks = [sum(1 << null[i] for i in pick) for pick in
              [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 2, 3)]]
     assert find_zero_sets(df).sectors[0].nontrivial_masks == tuple(masks)
