@@ -185,7 +185,7 @@ def _band(rows: np.ndarray, join: bool, top: float) -> tuple[np.ndarray, np.ndar
         mu = (diff * diff).sum(axis=0).ravel()
         band = mu <= top
         found.append(((hi << h | lo).ravel()[band], mu[band]))
-    return tuple(map(np.concatenate, zip(*found)))
+    return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
 
 
 # Sort key of a sector-local mask of at most 40 bits, as the sum of one

@@ -78,10 +78,9 @@ def test_measures_exact_where_the_catalog_needs_it():
     """What find_zero_sets relies on, at k = 11..20 with a null row in
     each: the empty mask is exactly 0.0, each single history exactly its
     row's squared norm (the sum of squares of its real view, in column
-    order), and sampled
-    masks agree with a direct |sum_{i in S} V_i|^2.  The grid join's
-    candidates, the empty mask among them, carry the very measures that
-    every pair gets, one formula for both sources."""
+    order), and sampled masks agree with a direct |sum_{i in S} V_i|^2.
+    The grid join's candidates, the empty mask among them, carry the very
+    measures that every pair gets, one formula for both sources."""
     rng = np.random.default_rng(89)
     for k in range(11, 21):
         c = int(rng.integers(1, 7))
