@@ -45,18 +45,30 @@ def _label_suffix(label: str) -> str:
     return label[1:] if len(label) > 1 and label.startswith("h") else label
 
 
+def _product_labels(a: DecoherenceFunctional, b: DecoherenceFunctional) -> tuple[str, ...]:
+    """Distinct labels of the product histories, first system major: the
+    factor labels with a leading 'h' stripped from each, concatenated after
+    an 'h' (h1 x h2 is h12) when those are distinct; else joined by a comma
+    (h1 x h11 is h1,11, h11 x h1 is h11,1); else, as when a factor has the
+    labels 1 and h1, the histories' positions from 1 (h1,2, h2,1, ...)."""
+    pairs = [(_label_suffix(x), _label_suffix(y)) for x in a.space.labels for y in b.space.labels]
+    labels = tuple(["h" + x + y for x, y in pairs])
+    if len(set(labels)) < len(labels):
+        labels = tuple([f"h{x},{y}" for x, y in pairs])
+    if len(set(labels)) < len(labels):
+        labels = tuple([f"h{i},{j}" for i in range(1, a.size + 1) for j in range(1, b.size + 1)])
+    return labels
+
+
 def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> DecoherenceFunctional:
     """Product DF over pair histories, first system major.
 
-    Product labels concatenate factor labels with a leading 'h' stripped
-    from each, so h1 x h2 becomes h12.  Final-sector structure carries over
+    Product labels come from the factor labels (_product_labels), so h1 x h2
+    becomes h12.  Final-sector structure carries over
     when both factors have it: sector 'fa,fb' is the rectangle of sectors fa
     and fb, first system major.
     """
-    labels = tuple(
-        "h" + _label_suffix(la) + _label_suffix(lb)
-        for la in a.space.labels for lb in b.space.labels
-    )
+    labels = _product_labels(a, b)
     sectors = None
     if a.space.sectors is not None and b.space.sectors is not None:
         sectors = tuple(
@@ -227,9 +239,11 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     ia, ib, residuals = (np.concatenate(parts) for parts in zip(*found))
     order = np.lexsort((ib, ia))
     ia, ib = ia[order].tolist(), ib[order].tolist()
-    # One report per partition; fields set through the slots, as in histories._events.
-    reports_a = {i: parts_a[i] for i in set(ia)}
-    reports_b = {j: parts_b[j] for j in set(ib)}
+    # One report per partition, each listing's built together; violations'
+    # fields set through the slots, as in histories._events.
+    reports_a, reports_b = ({i: r for i, r in zip(keys, parts._reports(keys))}
+                            for parts, keys in ((parts_a, sorted(set(ia))),
+                                                (parts_b, sorted(set(ib)))))
     columns = {i: [_columns(ca, b.size) for ca in r.cell_masks] for i, r in reports_a.items()}
     masks = [tuple([cb * col for col in columns[i] for cb in reports_b[j].cell_masks])
              for i, j in zip(ia, ib)]

@@ -23,16 +23,18 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
+from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from itertools import chain, compress, islice, product
+from itertools import chain, compress, islice, product, repeat
 
 import numpy as np
 
 from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
 from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
-                        _events, _mask_bits, sort_masks)
+                        _events, _mask_bits, _require_same_labels, sort_masks)
 from .limits import (ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, ZERO_SET_CANDIDATE_LIMIT,
                      ZERO_SET_WORK_LIMIT)
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
@@ -402,7 +404,7 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     return ZeroSetCatalog(df, tuple(data))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionReport:
     """Off-diagonal residual of one partition, cells as masks over ``space``, in one mode."""
 
@@ -495,12 +497,16 @@ def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> Part
 
     mode 'medium' bounds |D(A, B)|, mode 'weak' bounds |Re D(A, B)|; both
     against EPS_DF.  The cells must be nonempty, disjoint, inside the DF's
-    histories and cover them.
+    histories and cover them, and be events over the DF's labels
+    (LabelMismatchError otherwise).
     """
     _check_mode(mode)
+    cells = tuple(cells)
     masks = tuple(c.mask for c in cells)
     if any(m >> df.size for m in masks):
         raise InvalidPartitionError(f"partition cells must lie in the {df.size} histories")
+    for c in cells:
+        _require_same_labels(df.space, c.space)
     bits = _mask_bits(masks, df.size)
     if not len(bits) or not bits.any(axis=1).all():
         raise InvalidPartitionError("partition cells must be nonempty")
@@ -561,25 +567,86 @@ def set_partition_strings(n: int, max_cells: int) -> np.ndarray:
     return strings
 
 
+# Plans of partition searches, by (n, cells): the strings of
+# set_partition_strings and their cell counts, both int8 and read-only.  The
+# _PLANS_KEPT plans used last are kept, if of at most _STEP_ENTRIES strings:
+# at most 8 * 2^17 strings of 19 bytes (n = 18, two cells), about 20 MB.
+_PLANS_KEPT = 8
+_plans: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_plans_lock = threading.Lock()
+
+
+def _plan(n: int, max_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strings of set_partition_strings(n, max_cells) and their cell
+    counts, from the kept plan of (n, min(max_cells, n)) or a new one.  A
+    refusal of set_partition_strings is raised again on every call, since
+    only built plans are kept."""
+    key = (n, min(max_cells, max(n, 1)))
+    with _plans_lock:
+        plan = _plans.get(key)
+        if plan is not None:
+            _plans.move_to_end(key)
+            return plan
+    strings = set_partition_strings(n, max_cells)
+    counts = strings.max(axis=1, initial=-1) + 1
+    strings.flags.writeable = counts.flags.writeable = False
+    if len(strings) <= _STEP_ENTRIES:
+        with _plans_lock:
+            _plans[key] = strings, counts
+            if len(_plans) > _PLANS_KEPT:
+                _plans.popitem(last=False)
+    return strings, counts
+
+
+_REPORT_FIELDS = tuple(getattr(PartitionReport, f.name) for f in fields(PartitionReport))
+
+
 class PartitionListing(Sequence):
     """The partitions of ``space`` that passed one search in ``mode``: their
     restricted-growth strings (int8 rows, lexicographic), their residuals and
-    cell counts.  Item j (an int) is built as a PartitionReport on read."""
+    cell counts (int64).  Reports are built on read: item j (an int) alone,
+    and in blocks of rows when iterated."""
 
-    def __init__(self, space: HistorySpace, mode: str, strings, residuals):
-        self.space, self.mode, self.strings, self.residuals = space, mode, strings, residuals
-        self.counts = strings.max(axis=1, initial=-1).astype(np.int64) + 1
+    def __init__(self, space: HistorySpace, mode: str, strings, residuals, counts):
+        self.space, self.mode, self.strings = space, mode, strings
+        self.residuals, self.counts = residuals, counts
 
     def __len__(self) -> int:
         return len(self.strings)
 
     def __getitem__(self, j) -> PartitionReport:
-        row = self.strings[operator.index(j)].tolist()
-        masks = [0] * (max(row) + 1)
-        for i, c in enumerate(row):
-            masks[c] |= 1 << i
-        return PartitionReport(space=self.space, cell_masks=tuple(masks), mode=self.mode,
-                               residual=float(self.residuals[j]), passed=True)
+        return self._reports([operator.index(j)])[0]
+
+    def __iter__(self):
+        top = int(self.counts.max(initial=1))
+        step = max(1, _STEP_ENTRIES // max(top * self.strings.shape[1], 1))
+        for first in range(0, len(self), step):
+            yield from self._reports(np.arange(first, min(first + step, len(self))))
+
+    def _reports(self, rows) -> list[PartitionReport]:
+        """The reports of ``rows``, built together, their fields set through
+        the slot descriptors as in histories._events.  Cell a of a row is the
+        mask of its histories of value a: the one-hot cells of the rows times
+        the histories' bits when those fit int64, else the one-hot bits
+        packed little-endian as the mask's bytes."""
+        strings, counts = self.strings[rows], self.counts[rows].tolist()
+        top, n = max(counts, default=0), strings.shape[1]
+        onehot = strings[:, None] == np.arange(top, dtype=strings.dtype)[:, None]
+        if n < 63:
+            masks = (onehot @ (1 << np.arange(n, dtype=np.int64))).tolist()
+        else:
+            width = (n + 7) // 8
+            data = np.packbits(onehot, axis=2, bitorder="little").tobytes()
+            masks = [[int.from_bytes(data[i:i + width], "little")
+                      for i in range(p, p + top * width, width)]
+                     for p in range(0, len(data), top * width)]
+        cells = [tuple(m[:k]) for m, k in zip(masks, counts)]
+        out = list(map(object.__new__, repeat(PartitionReport, len(cells))))
+        for field, values in zip(_REPORT_FIELDS, (
+                repeat(self.space), cells, repeat(self.mode), self.residuals[rows].tolist(),
+                repeat(True))):
+            list(map(field.__set__, out, values))
+        return out
 
 
 def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
@@ -587,19 +654,20 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     """All partitions into at most max_cells cells passing the mode's check.
 
     Partitions are enumerated as restricted-growth strings (lexicographic),
-    cells ordered by least member.  Raises SpaceTooLargeError, before any
-    cell sum is formed, when there are more than PARTITION_COUNT_LIMIT
-    such partitions.  The strings are checked in chunks (_count_chunks)
-    padded to their own largest count k, whose one-hot cells and cell sums
-    hold at most _STEP_ENTRIES entries, k (n + 2c) a string; the residuals
-    are written back in the strings' order.
+    cells ordered by least member, from the plan of their size (_plan).
+    Raises SpaceTooLargeError, before any cell sum is formed, when there are
+    more than PARTITION_COUNT_LIMIT such partitions.  The strings are
+    checked in chunks (_count_chunks) padded to their own largest count k,
+    whose one-hot cells and cell sums hold at most _STEP_ENTRIES entries,
+    k (n + 2c) a string; the residuals are written back in the strings'
+    order.
     """
     _check_mode(mode)
     n, c = df.factor.shape
-    strings = set_partition_strings(n, max_cells)
+    strings, counts = _plan(n, max_cells)
     residuals = np.empty(len(strings))
-    for idx in _count_chunks(strings.max(axis=1, initial=0) + 1, lambda k: k * (n + 2 * c),
-                             _STEP_ENTRIES):
+    for idx in _count_chunks(counts, lambda k: k * (n + 2 * c), _STEP_ENTRIES):
         residuals[idx] = _pair_residuals(_cell_sums(df.factor, strings[idx]), mode)
     passing = residuals <= EPS_DF
-    return PartitionListing(df.space, mode, strings[passing], residuals[passing])
+    return PartitionListing(df.space, mode, strings[passing], residuals[passing],
+                            counts[passing].astype(np.int64))

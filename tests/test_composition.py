@@ -438,6 +438,22 @@ def test_tensor_df_of_two_eight_history_dfs():
     assert measure(prod, last) == pytest.approx(8.0 / 36.0 / 8.0)
 
 
+def test_tensor_df_of_two_eleven_history_dfs():
+    """h1 x h11 and h11 x h1 would both be h111, so the product labels of
+    two 11-history DFs join the factor labels by a comma; when those
+    collide too, as for the labels 1 and h1, they are positions."""
+    a = raw_df(np.eye(11) / 11.0)
+    prod = tensor_df(a, a)
+    labels = prod.space.labels
+    assert len(set(labels)) == 121 and prod.validation.passed
+    assert (labels[0], labels[10], labels[110], labels[-1]) == ("h1,1", "h1,11", "h11,1", "h11,11")
+    last = Event(prod.space, label_mask(prod.space, ["h11,11"]))
+    assert last.mask == 1 << 120
+    assert measure(prod, last) == pytest.approx(1.0 / 121.0)
+    alike = tensor_df(raw_df(np.eye(2) / 2.0, labels=["1", "h1"]), raw_df(np.eye(2) / 2.0))
+    assert alike.space.labels == ("h1,1", "h1,2", "h2,1", "h2,2")
+
+
 @st.composite
 def small_raw_dfs(draw):
     """Raw DFs of 1 to 4 histories with planted zeros: amplitudes over

@@ -17,6 +17,7 @@ from coevent import (
     Event,
     HistorySchema,
     InvalidPartitionError,
+    LabelMismatchError,
     NotAZeroSetError,
     ProjectiveDecomposition,
     Slice,
@@ -713,24 +714,85 @@ def test_partition_validation_errors():
 def test_partition_cells_outside_the_space_are_refused():
     """Cells of a 3-history space on a 2-history DF: the cell {h1, h2}
     holds a history the DF does not have, so the partition is refused, not
-    read by its bits inside the space as the cells {h0} and {h1}."""
+    read by its bits inside the space as the cells {h0} and {h1}.  Cells
+    over the labels x, y are refused too, not reported over h1, h2."""
     df = raw_df(np.eye(2) / 2)
-    space3 = raw_space(["h0", "h1", "h2"])
-    cells = [Event(space3, 0b001), Event(space3, 0b110)]
-    for mode in ("medium", "weak"):
-        with pytest.raises(InvalidPartitionError, match="2 histories"):
-            is_decoherent_partition(df, cells, mode)
+    space3, other = raw_space(["h0", "h1", "h2"]), raw_space(["x", "y"])
+    for cells, error, match in (
+            ([Event(space3, 0b001), Event(space3, 0b110)], InvalidPartitionError, "2 histories"),
+            ([Event(other, 1), Event(other, 2)], LabelMismatchError, "different history label")):
+        for mode in ("medium", "weak"):
+            with pytest.raises(error, match=match):
+                is_decoherent_partition(df, cells, mode)
 
 
 def test_unknown_mode_is_refused_before_the_strings(monkeypatch):
-    """A search in an unknown mode fails on the mode before any
-    restricted-growth string is made."""
-    def strings(*args):
-        raise AssertionError("strings were built")
+    """A search in an unknown mode fails on the mode before its plan of
+    restricted-growth strings is looked up or made."""
+    def plan(*args):
+        raise AssertionError("a plan was read")
 
-    monkeypatch.setattr(measure_analysis, "set_partition_strings", strings)
+    monkeypatch.setattr(measure_analysis, "_plan", plan)
     with pytest.raises(ValueError, match="unknown decoherence mode 'strong'"):
         find_decoherent_partitions(raw_df(np.eye(3) / 3), "strong", 3)
+
+
+def test_kept_plans_equal_new_strings():
+    """A plan read again is the plan built, and equals a new build of the
+    strings, with the cell count of each; both arrays are read-only.  A
+    size is (n, min(max_cells, n)), and at most _PLANS_KEPT sizes are kept,
+    the ones used last."""
+    plans = measure_analysis._plans
+    for n in range(1, 9):
+        for max_cells in range(1, n + 2):
+            strings, counts = measure_analysis._plan(n, max_cells)
+            assert measure_analysis._plan(n, max_cells)[0] is strings
+            np.testing.assert_array_equal(strings, set_partition_strings(n, max_cells))
+            np.testing.assert_array_equal(counts, strings.max(axis=1) + 1)
+            assert counts.dtype == np.int8
+            assert not strings.flags.writeable and not counts.flags.writeable
+            assert len(plans) <= measure_analysis._PLANS_KEPT
+        assert measure_analysis._plan(n, n + 1)[0] is measure_analysis._plan(n, n)[0]
+    assert list(plans) == [(8, k) for k in range(1, 9)]
+    measure_analysis._plan(8, 1)
+    measure_analysis._plan(7, 7)
+    assert list(plans) == [(8, k) for k in range(3, 9)] + [(8, 1), (7, 7)]
+
+
+def test_changing_returned_strings_leaves_later_searches_alone():
+    """set_partition_strings returns a new writable array, and a listing
+    holds its own copy of the passing strings: writing to either changes no
+    later search of the same size."""
+    df = raw_df(np.diag([0.4, 0.3, 0.2, 0.1]))
+    first = find_decoherent_partitions(df, "medium", 4)
+    strings = set_partition_strings(4, 4)
+    assert strings.flags.writeable and first.strings.flags.writeable
+    strings[:] = 3
+    first.strings[:] = 3
+    again = find_decoherent_partitions(df, "medium", 4)
+    np.testing.assert_array_equal(again.strings, set_partition_strings(4, 4))
+    assert [rep.cell_masks for rep in again][-1] == (1, 2, 4, 8)
+
+
+def test_refused_sizes_are_refused_on_every_call():
+    """A refusal is not kept as a plan: a size over PARTITION_COUNT_LIMIT
+    is refused again on the next call, before any string exists."""
+    df = raw_df(np.eye(12) / 12.0)
+    for _ in range(2):
+        with pytest.raises(SpaceTooLargeError, match="PARTITION_COUNT_LIMIT = 1000000"):
+            find_decoherent_partitions(df, "weak", max_cells=12)
+    assert (12, 12) not in measure_analysis._plans
+
+
+def test_plans_above_step_entries_are_not_kept():
+    """The Bell(11) = 678,570 strings of an all-pass weak search are built
+    for that search and not kept: no kept plan holds more than
+    _STEP_ENTRIES strings."""
+    found = find_decoherent_partitions(raw_df(np.eye(11) / 11), "weak", 11)
+    assert len(found) == 678570
+    assert (11, 11) not in measure_analysis._plans
+    assert all(len(strings) <= measure_analysis._STEP_ENTRIES
+               for strings, _ in measure_analysis._plans.values())
 
 
 def test_find_decoherent_partitions_composite(composite_golden):
@@ -886,16 +948,20 @@ def test_classical_search_keeps_strings_not_reports():
 def test_listing_builds_reports_only_on_read(monkeypatch):
     """The search builds no PartitionReport; each int read builds one,
     negative indices count from the end, an index past the end raises
-    IndexError and a slice raises TypeError."""
-    built, real = [], measure_analysis.PartitionReport
+    IndexError and a slice raises TypeError.  Iteration builds each report
+    once, in order."""
+    built, real = [], measure_analysis.PartitionListing._reports
 
-    def report(**fields):
-        built.append(fields["cell_masks"])
-        return real(**fields)
+    def reports(self, rows):
+        out = real(self, rows)
+        built.extend(rep.cell_masks for rep in out)
+        return out
 
     df = raw_df(np.diag([0.4, 0.3, 0.2, 0.1]))
-    monkeypatch.setattr(measure_analysis, "PartitionReport", report)
-    found = find_decoherent_partitions(df, "medium", 4)
+    with monkeypatch.context() as search:
+        search.setattr(measure_analysis, "PartitionReport", None)
+        found = find_decoherent_partitions(df, "medium", 4)
+    monkeypatch.setattr(measure_analysis.PartitionListing, "_reports", reports)
     assert len(found) == 15 and built == []
     assert found[-1].cell_masks == (1, 2, 4, 8) == found[14].cell_masks
     assert found[-15].cell_masks == (15,) == found[0].cell_masks
@@ -906,6 +972,7 @@ def test_listing_builds_reports_only_on_read(monkeypatch):
     with pytest.raises(TypeError):
         found[1:3]
     assert [rep.cell_masks for rep in found] == built[4:]
+    assert len(built) == 4 + 15
 
 
 def test_weak_contains_medium_appendix():
