@@ -241,9 +241,9 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     ia, ib = ia[order].tolist(), ib[order].tolist()
     # One report per partition, each listing's built together; violations'
     # fields set through the slots, as in histories._events.
-    reports_a, reports_b = ({i: r for i, r in zip(keys, parts._reports(keys))}
-                            for parts, keys in ((parts_a, sorted(set(ia))),
-                                                (parts_b, sorted(set(ib)))))
+    keys_a, keys_b = sorted(set(ia)), sorted(set(ib))
+    reports_a = dict(zip(keys_a, parts_a._reports(keys_a)))
+    reports_b = dict(zip(keys_b, parts_b._reports(keys_b)))
     columns = {i: [_columns(ca, b.size) for ca in r.cell_masks] for i, r in reports_a.items()}
     masks = [tuple([cb * col for col in columns[i] for cb in reports_b[j].cell_masks])
              for i, j in zip(ia, ib)]

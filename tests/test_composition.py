@@ -440,8 +440,9 @@ def test_tensor_df_of_two_eight_history_dfs():
 
 def test_tensor_df_of_two_eleven_history_dfs():
     """h1 x h11 and h11 x h1 would both be h111, so the product labels of
-    two 11-history DFs join the factor labels by a comma; when those
-    collide too, as for the labels 1 and h1, they are positions."""
+    two 11-history DFs join the factor labels by a comma, as do those of
+    a x bc and ab x c; when those collide too, as for the labels 1 and h1,
+    they are positions."""
     a = raw_df(np.eye(11) / 11.0)
     prod = tensor_df(a, a)
     labels = prod.space.labels
@@ -450,6 +451,9 @@ def test_tensor_df_of_two_eleven_history_dfs():
     last = Event(prod.space, label_mask(prod.space, ["h11,11"]))
     assert last.mask == 1 << 120
     assert measure(prod, last) == pytest.approx(1.0 / 121.0)
+    named = tensor_df(raw_df(np.eye(2) / 2.0, labels=["a", "ab"]),
+                      raw_df(np.eye(2) / 2.0, labels=["bc", "c"]))
+    assert named.space.labels == ("ha,bc", "ha,c", "hab,bc", "hab,c")
     alike = tensor_df(raw_df(np.eye(2) / 2.0, labels=["1", "h1"]), raw_df(np.eye(2) / 2.0))
     assert alike.space.labels == ("h1,1", "h1,2", "h2,1", "h2,2")
 
