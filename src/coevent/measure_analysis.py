@@ -601,11 +601,18 @@ def _plan(n: int, max_cells: int) -> tuple[np.ndarray, np.ndarray]:
 _REPORT_FIELDS = tuple(getattr(PartitionReport, f.name) for f in fields(PartitionReport))
 
 
+@cache
+def _digit_table(a: int) -> bytes:
+    """The bytes.translate table that maps byte a to b"1" and every other
+    byte to b"0"."""
+    return bytes(49 if v == a else 48 for v in range(256))
+
+
 class PartitionListing(Sequence):
     """The partitions of ``space`` that passed one search in ``mode``: their
     restricted-growth strings (int8 rows, lexicographic), their residuals and
     cell counts (int64).  Reports are built on read: item j (an int) alone,
-    and in blocks of rows when iterated."""
+    and in blocks of rows when iterated (_reports)."""
 
     def __init__(self, space: HistorySpace, mode: str, strings, residuals, counts):
         self.space, self.mode, self.strings = space, mode, strings
@@ -615,31 +622,32 @@ class PartitionListing(Sequence):
         return len(self.strings)
 
     def __getitem__(self, j) -> PartitionReport:
-        return self._reports([operator.index(j)])[0]
+        """The report of row j.  Cell a has the binary digits of the row's
+        values, last history first, translated to 1 where the value is a
+        and 0 elsewhere."""
+        j = operator.index(j)
+        digits = self.strings[j, ::-1].tobytes()
+        masks = tuple([int(digits.translate(_digit_table(a)), 2) for a in range(self.counts[j])])
+        return PartitionReport(self.space, masks, self.mode, float(self.residuals[j]), True)
 
     def __iter__(self):
-        top = int(self.counts.max(initial=1))
-        step = max(1, _STEP_ENTRIES // max(top * self.strings.shape[1], 1))
+        width = int(self.counts.max(initial=1)) * self.strings.shape[1]
+        step = max(1, _STEP_ENTRIES // max(width, 1))
         for first in range(0, len(self), step):
-            yield from self._reports(np.arange(first, min(first + step, len(self))))
+            yield from self._reports(range(first, min(first + step, len(self))))
 
     def _reports(self, rows) -> list[PartitionReport]:
-        """The reports of ``rows``, built together, their fields set through
-        the slot descriptors as in histories._events.  Cell a of a row is the
-        mask of its histories of value a: the one-hot cells of the rows times
-        the histories' bits when those fit int64, else the one-hot bits
-        packed little-endian as the mask's bytes."""
+        """The reports of ``rows`` (row numbers), built together, their
+        fields set through the slot descriptors as in histories._events.
+        Cell a of a row is the product of its one-hot cell with the
+        histories' bits; a mask of more than 62 bits does not fit that int64
+        product, so such rows are read one at a time."""
+        n = self.strings.shape[1]
+        if n > 62:
+            return [self[j] for j in rows]
         strings, counts = self.strings[rows], self.counts[rows].tolist()
-        top, n = max(counts, default=0), strings.shape[1]
-        onehot = strings[:, None] == np.arange(top, dtype=strings.dtype)[:, None]
-        if n < 63:
-            masks = (onehot @ (1 << np.arange(n, dtype=np.int64))).tolist()
-        else:
-            width = (n + 7) // 8
-            data = np.packbits(onehot, axis=2, bitorder="little").tobytes()
-            masks = [[int.from_bytes(data[i:i + width], "little")
-                      for i in range(p, p + top * width, width)]
-                     for p in range(0, len(data), top * width)]
+        onehot = strings[:, None] == np.arange(max(counts, default=0), dtype=np.int8)[:, None]
+        masks = (onehot @ (1 << np.arange(n, dtype=np.int64))).tolist()
         cells = [tuple(m[:k]) for m, k in zip(masks, counts)]
         out = list(map(object.__new__, repeat(PartitionReport, len(cells))))
         for field, values in zip(_REPORT_FIELDS, (

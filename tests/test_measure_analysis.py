@@ -820,7 +820,8 @@ def test_find_decoherent_partitions_composite(composite_golden):
 def test_partition_search_matches_direct_sums(seed, n, mode, max_cells):
     """The batched cell-matrix search finds the partitions a loop over every
     partition with direct submatrix sums finds, in the same order, both as
-    the listing's strings and residuals and as the reports read from it."""
+    the listing's strings and residuals and as the reports read from it,
+    by iteration and one item at a time."""
     from conftest import random_amplitude_df
 
     df = random_amplitude_df(np.random.default_rng(seed), n)
@@ -831,6 +832,7 @@ def test_partition_search_matches_direct_sums(seed, n, mode, max_cells):
         for cells, _ in want]
     np.testing.assert_allclose(got.residuals, [r for _, r in want], rtol=0, atol=1e-12)
     assert [[c.mask for c in rep.cells] for rep in got] == [cells for cells, _ in want]
+    assert [list(got[j].cell_masks) for j in range(len(got))] == [cells for cells, _ in want]
     for rep, (_, residual) in zip(got, want):
         assert rep.passed and rep.mode == mode
         assert rep.residual == pytest.approx(residual, abs=1e-12)
@@ -950,10 +952,16 @@ def test_listing_builds_reports_only_on_read(monkeypatch):
     negative indices count from the end, an index past the end raises
     IndexError and a slice raises TypeError.  Iteration builds each report
     once, in order."""
-    built, real = [], measure_analysis.PartitionListing._reports
+    built = []
+    report, listing = measure_analysis.PartitionReport, measure_analysis.PartitionListing
+    init, block = report.__init__, listing._reports
 
-    def reports(self, rows):
-        out = real(self, rows)
+    def one(self, *fields):
+        init(self, *fields)
+        built.append(self.cell_masks)
+
+    def blocks(self, rows):
+        out = block(self, rows)
         built.extend(rep.cell_masks for rep in out)
         return out
 
@@ -961,7 +969,8 @@ def test_listing_builds_reports_only_on_read(monkeypatch):
     with monkeypatch.context() as search:
         search.setattr(measure_analysis, "PartitionReport", None)
         found = find_decoherent_partitions(df, "medium", 4)
-    monkeypatch.setattr(measure_analysis.PartitionListing, "_reports", reports)
+    monkeypatch.setattr(report, "__init__", one)
+    monkeypatch.setattr(listing, "_reports", blocks)
     assert len(found) == 15 and built == []
     assert found[-1].cell_masks == (1, 2, 4, 8) == found[14].cell_masks
     assert found[-15].cell_masks == (15,) == found[0].cell_masks
