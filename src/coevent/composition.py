@@ -239,11 +239,9 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     ia, ib, residuals = (np.concatenate(parts) for parts in zip(*found))
     order = np.lexsort((ib, ia))
     ia, ib = ia[order].tolist(), ib[order].tolist()
-    # One report per partition, each listing's built together; violations'
-    # fields set through the slots, as in histories._events.
-    keys_a, keys_b = sorted(set(ia)), sorted(set(ib))
-    reports_a = dict(zip(keys_a, parts_a._reports(keys_a)))
-    reports_b = dict(zip(keys_b, parts_b._reports(keys_b)))
+    # One report per partition; fields set through the slots, as in histories._events.
+    reports_a = {i: parts_a[i] for i in set(ia)}
+    reports_b = {j: parts_b[j] for j in set(ib)}
     columns = {i: [_columns(ca, b.size) for ca in r.cell_masks] for i, r in reports_a.items()}
     masks = [tuple([cb * col for col in columns[i] for cb in reports_b[j].cell_masks])
              for i, j in zip(ia, ib)]

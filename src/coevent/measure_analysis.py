@@ -26,9 +26,9 @@ import operator
 import threading
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, compress, islice, product, repeat
+from itertools import chain, compress, islice, product
 
 import numpy as np
 
@@ -598,9 +598,6 @@ def _plan(n: int, max_cells: int) -> tuple[np.ndarray, np.ndarray]:
     return strings, counts
 
 
-_REPORT_FIELDS = tuple(getattr(PartitionReport, f.name) for f in fields(PartitionReport))
-
-
 @cache
 def _digit_table(a: int) -> bytes:
     """The bytes.translate table that maps byte a to b"1" and every other
@@ -611,8 +608,8 @@ def _digit_table(a: int) -> bytes:
 class PartitionListing(Sequence):
     """The partitions of ``space`` that passed one search in ``mode``: their
     restricted-growth strings (int8 rows, lexicographic), their residuals and
-    cell counts (int64).  Reports are built on read: item j (an int) alone,
-    and in blocks of rows when iterated (_reports)."""
+    cell counts (int64).  Item j (an int) is built as a PartitionReport on
+    read."""
 
     def __init__(self, space: HistorySpace, mode: str, strings, residuals, counts):
         self.space, self.mode, self.strings = space, mode, strings
@@ -624,37 +621,19 @@ class PartitionListing(Sequence):
     def __getitem__(self, j) -> PartitionReport:
         """The report of row j.  Cell a has the binary digits of the row's
         values, last history first, translated to 1 where the value is a
-        and 0 elsewhere."""
+        and 0 elsewhere.  The fields are set through the slot descriptors,
+        as in histories._events, so no frozen __init__ runs."""
         j = operator.index(j)
-        digits = self.strings[j, ::-1].tobytes()
-        masks = tuple([int(digits.translate(_digit_table(a)), 2) for a in range(self.counts[j])])
-        return PartitionReport(self.space, masks, self.mode, float(self.residuals[j]), True)
-
-    def __iter__(self):
-        width = int(self.counts.max(initial=1)) * self.strings.shape[1]
-        step = max(1, _STEP_ENTRIES // max(width, 1))
-        for first in range(0, len(self), step):
-            yield from self._reports(range(first, min(first + step, len(self))))
-
-    def _reports(self, rows) -> list[PartitionReport]:
-        """The reports of ``rows`` (row numbers), built together, their
-        fields set through the slot descriptors as in histories._events.
-        Cell a of a row is the product of its one-hot cell with the
-        histories' bits; a mask of more than 62 bits does not fit that int64
-        product, so such rows are read one at a time."""
-        n = self.strings.shape[1]
-        if n > 62:
-            return [self[j] for j in rows]
-        strings, counts = self.strings[rows], self.counts[rows].tolist()
-        onehot = strings[:, None] == np.arange(max(counts, default=0), dtype=np.int8)[:, None]
-        masks = (onehot @ (1 << np.arange(n, dtype=np.int64))).tolist()
-        cells = [tuple(m[:k]) for m, k in zip(masks, counts)]
-        out = list(map(object.__new__, repeat(PartitionReport, len(cells))))
-        for field, values in zip(_REPORT_FIELDS, (
-                repeat(self.space), cells, repeat(self.mode), self.residuals[rows].tolist(),
-                repeat(True))):
-            list(map(field.__set__, out, values))
-        return out
+        digits = self.strings[j].tobytes()[::-1]
+        masks = tuple([int(digits.translate(_digit_table(a)), 2)
+                       for a in range(self.counts.item(j))])
+        report = object.__new__(PartitionReport)
+        PartitionReport.space.__set__(report, self.space)
+        PartitionReport.cell_masks.__set__(report, masks)
+        PartitionReport.mode.__set__(report, self.mode)
+        PartitionReport.residual.__set__(report, self.residuals.item(j))
+        PartitionReport.passed.__set__(report, True)
+        return report
 
 
 def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,

@@ -949,39 +949,35 @@ def test_classical_search_keeps_strings_not_reports():
 
 def test_listing_builds_reports_only_on_read(monkeypatch):
     """The search builds no PartitionReport; each int read builds one,
-    negative indices count from the end, an index past the end raises
-    IndexError and a slice raises TypeError.  Iteration builds each report
-    once, in order."""
-    built = []
-    report, listing = measure_analysis.PartitionReport, measure_analysis.PartitionListing
-    init, block = report.__init__, listing._reports
+    equal to the report built by __init__, negative indices count from the
+    end, an index past the end raises IndexError and a slice raises
+    TypeError.  Iteration reads each item once, in order."""
+    built, read = [], measure_analysis.PartitionListing.__getitem__
 
-    def one(self, *fields):
-        init(self, *fields)
-        built.append(self.cell_masks)
-
-    def blocks(self, rows):
-        out = block(self, rows)
-        built.extend(rep.cell_masks for rep in out)
-        return out
+    def item(self, j):
+        rep = read(self, j)
+        built.append(rep.cell_masks)
+        return rep
 
     df = raw_df(np.diag([0.4, 0.3, 0.2, 0.1]))
     with monkeypatch.context() as search:
         search.setattr(measure_analysis, "PartitionReport", None)
         found = find_decoherent_partitions(df, "medium", 4)
-    monkeypatch.setattr(report, "__init__", one)
-    monkeypatch.setattr(listing, "_reports", blocks)
+    monkeypatch.setattr(measure_analysis.PartitionListing, "__getitem__", item)
     assert len(found) == 15 and built == []
     assert found[-1].cell_masks == (1, 2, 4, 8) == found[14].cell_masks
     assert found[-15].cell_masks == (15,) == found[0].cell_masks
     assert len(built) == 4
+    rep = found[3]
+    made = measure_analysis.PartitionReport(df.space, rep.cell_masks, "medium", rep.residual, True)
+    assert rep == made and hash(rep) == hash(made)
     for bad in (15, -16):
         with pytest.raises(IndexError):
             found[bad]
     with pytest.raises(TypeError):
         found[1:3]
-    assert [rep.cell_masks for rep in found] == built[4:]
-    assert len(built) == 4 + 15
+    assert [rep.cell_masks for rep in found] == built[5:]
+    assert len(built) == 5 + 15
 
 
 def test_weak_contains_medium_appendix():
