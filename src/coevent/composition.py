@@ -33,8 +33,9 @@ from .measure_analysis import (
     PartitionReport,
     _cell_sums,
     _check_zero_set_work,
+    _by_key,
     _count_chunks,
-    _sector_bands,
+    _sector_search,
     _spreader,
     find_decoherent_partitions,
 )
@@ -142,14 +143,15 @@ class CompositionReport:
 
 
 def _rectangles(bands, axis: np.ndarray, stride: int, shifts: np.ndarray) -> np.ndarray:
-    """The nonempty zero masks Z of a factor's sector searches ``bands``
-    that lie in ``axis`` (ascending factor histories), as int64 masks with
-    history axis[p] at bit p * stride, each shifted by every one of ``shifts``."""
+    """The nonempty zero masks Z of a factor's sectors, ``bands`` of (members,
+    local zero masks), that lie in ``axis`` (ascending factor histories), as
+    int64 masks with history axis[p] at bit p * stride, each shifted by every
+    one of ``shifts``."""
     out = []
-    for _, _, members, _, masks, _, (_, zeros_end) in bands:
+    for members, masks in bands:
         pos = axis.searchsorted(members)
         inside = axis[np.minimum(pos, len(axis) - 1)] == members
-        bits = masks[1:zeros_end, None] >> np.arange(len(members)) & 1
+        bits = masks[:, None] >> np.arange(len(members)) & 1
         bits = bits[~bits[:, ~inside].any(axis=1)]
         out.append(np.bitwise_or.reduce(bits << np.where(inside, pos * stride, 0), axis=1))
     return (np.concatenate(out)[:, None] << shifts).ravel()
@@ -170,21 +172,22 @@ def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
     hold at most _STEP_ENTRIES masks x rectangles, or one mask; only
     emergent masks are spread to global bits.
     """
-    bands_a, bands_b = list(_sector_bands(a)), list(_sector_bands(b))
-    out = []
-    for _, _, members, _, masks, _, (_, zeros_end) in _sector_bands(product):
-        rows, cols = (np.unique(x) for x in np.divmod(members, b.size))
-        w = len(cols)
-        rects = np.concatenate((_rectangles(bands_a, rows, w, np.arange(w)),
-                                _rectangles(bands_b, cols, 1, np.arange(len(rows)) * w)))[:, None]
-        events = masks[1:zeros_end]
-        step = max(1, _STEP_ENTRIES // max(len(rects), 1))
-        found = np.concatenate([
-            chunk[np.bitwise_or.reduce(rects * (rects & ~chunk == 0), axis=0) != chunk]
-            for chunk in np.split(events, range(step, len(events), step))])
-        if len(found):
-            out.extend(_spreader(members)(found))
-    return out
+    bands_a, bands_b = ([(m, z) for positions, group, key, zeros in _sector_search(f, True)
+                         for m, z in zip(group, _by_key(zeros, key, len(positions)))]
+                        for f in (a, b))
+    out = {}
+    for positions, group, key, zeros in _sector_search(product, zero_only=True):
+        for pos, members, events in zip(positions, group, _by_key(zeros, key, len(positions))):
+            rows, cols = (np.unique(x) for x in np.divmod(members, b.size))
+            w = len(cols)
+            rects = np.concatenate((_rectangles(bands_a, rows, w, np.arange(w)), _rectangles(
+                bands_b, cols, 1, np.arange(len(rows)) * w)))[:, None]
+            step = max(1, _STEP_ENTRIES // max(len(rects), 1))
+            found = np.concatenate([
+                chunk[np.bitwise_or.reduce(rects * (rects & ~chunk == 0), axis=0) != chunk]
+                for chunk in np.split(events, range(step, len(events), step))])
+            out[pos] = _spreader(members[None])(found)
+    return [m for pos in sorted(out) for m in out[pos]]
 
 
 def _cell_matrix_parts(factor: np.ndarray, strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +272,7 @@ def composition_anomalies(a: DecoherenceFunctional,
     zero-set blocks are the rectangles of the factors' sectors, or the whole
     product space when either factor has none, and its factor has c_a * c_b
     columns.  Zero sets come from the sector searches of both factors and
-    the product (_sector_bands), with no ZeroSetCatalog.
+    the product (_sector_search), with no ZeroSetCatalog.
     """
     _check_zero_set_work(_largest_product_block(a, b), a.factor.shape[1] * b.factor.shape[1])
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)

@@ -43,11 +43,6 @@ class Slice:
     decomposition: ProjectiveDecomposition
     evolution: np.ndarray | None = None
 
-    def unitary(self) -> np.ndarray:
-        if self.evolution is None:
-            return np.eye(self.decomposition.dim, dtype=complex)
-        return self.evolution
-
 
 @dataclass
 class HistorySchema:
@@ -255,7 +250,8 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
 @dataclass(frozen=True)
 class ValidationReport:
     """Residuals for the decoherence-functional axioms; ``block_residual`` is
-    None when the space has no final sectors.
+    None when the space has no final sectors.  It is an upper bound on the
+    cross-sector |D(i, j)| from build_df, and their exact max from validate_df.
 
     ``passed`` requires Hermiticity, normalization, and (when applicable)
     final-sector block structure within EPS_DF, plus a smallest eigenvalue
@@ -354,20 +350,46 @@ def _attach(df: DecoherenceFunctional, report: ValidationReport,
 def build_df(schema: HistorySchema) -> DecoherenceFunctional:
     """Construct and validate the decoherence functional of a schema.
 
-    All branches are propagated together, slice by slice, starting from the
-    state factor.  Each branch is expanded in the slice's basis after the
-    evolution, and outcome k keeps the coefficients of the columns it owns,
-    the new outcome least significant, so rows stay in history order.
+    All branches, r rows of length d each, are propagated together from the
+    state factor by two matrix products a slice: their coefficients in the
+    basis B after the evolution U, rows (B^dagger U)^T, then per outcome k,
+    least significant so rows stay in history order, the coefficients of
+    the columns k owns times B^T.  block_residual is the final slice's
+    leakage bound (_leakage_bound); the other residuals are validate_df's.
     """
     space = enumerate_histories(schema)
-    rows = schema.state[None]
     d, r = schema.state.shape
+    rows = schema.state.T[None]
     for s in schema.slices:
         dec = s.decomposition
-        coeffs = np.einsum("bc,mcr->mbr", dagger(dec.basis) @ s.unitary(), rows)
-        rows = np.einsum("ab,kb,mbr->mkar", dec.basis, dec.owner, coeffs).reshape(-1, d, r)
-    df = DecoherenceFunctional(space, rows.reshape(space.size, -1))
-    return _attach(df, validate_df(df), "constructed decoherence functional")
+        turn = dagger(dec.basis) if s.evolution is None else dagger(dec.basis) @ s.evolution
+        owned = (rows.reshape(-1, d) @ turn.T).reshape(-1, 1, r, d) * dec.owner[:, None]
+        rows = (owned.reshape(-1, d) @ dec.basis.T).reshape(-1, r, d)
+    df = DecoherenceFunctional(space, rows.transpose(0, 2, 1).reshape(space.size, -1))
+    report = _residuals(df, _leakage_bound(rows, schema.slices[-1].decomposition))
+    return _attach(df, report, "constructed decoherence functional")
+
+
+def _leakage_bound(rows: np.ndarray, dec: ProjectiveDecomposition) -> float:
+    """An upper bound on |D(i, j)| across final sectors, from the final
+    branches v_i (``rows``, n x r x d; branch i has outcome f = i mod K) and
+    the final basis B, outcome f owning B_f.  With c_i = (B^dagger v_i)_f
+    and the leakage e_i = v_i - B_f c_i, D(i, j) = c_i^dagger B_f^dagger B_g
+    c_j + e_i^dagger v_j + (v_i - e_i)^dagger e_j, so |D(i, j)| <= 2 max|v|
+    max|e| + max|e|^2 + max|c|^2 max_{f != g} |B_f^dagger B_g|, that norm at
+    most the Frobenius norm of B^dagger B off its diagonal blocks (0 for an
+    exact unitary), plus a round-off allowance.  O(n r d^2 + d^3)."""
+    owner = dec.owner
+    k, d = owner.shape
+    v = rows.reshape(-1, k, rows.shape[1], d)
+    owned = (rows.reshape(-1, d) @ np.conjugate(dec.basis)).reshape(v.shape) * owner[:, None]
+    leak = v - (owned.reshape(-1, d) @ dec.basis.T).reshape(v.shape)
+    squares = np.square(np.stack((v, leak, owned)).view(np.float64)).sum(axis=(-2, -1))
+    big_v, big_e, big_c = np.sqrt(squares.reshape(3, -1).max(axis=1)).tolist()
+    cross = float(np.linalg.norm(dagger(dec.basis) @ dec.basis * (owner.T @ owner == 0)))
+    # Round-off: D(i, j) sums r d products, e_i two products of length d.
+    roundoff = (rows.shape[1] + 2) * d * np.finfo(float).eps * big_v ** 2
+    return 2 * big_v * big_e + big_e ** 2 + big_c ** 2 * cross + roundoff
 
 
 def raw_df(matrix, labels=None) -> DecoherenceFunctional:
@@ -405,9 +427,9 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
 
 
 def _block_residual(df: DecoherenceFunctional) -> float:
-    """Largest |D(i, j)| over histories i, j in different final sectors: each
-    sector's factor rows, a chunk at a time, against the rows of later sectors.
-    Sectors are unpacked one at a time, so memory stays O(n)."""
+    """Exact largest |D(i, j)| over histories i, j in different final sectors:
+    each sector's factor rows, a chunk at a time, against the rows of later
+    sectors.  Sectors are unpacked one at a time, so memory stays O(n)."""
     v = df.factor
     later = np.ones(df.size, dtype=bool)
     worst = 0.0
@@ -429,8 +451,15 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
     comes from the smaller of the n x n and c x c Gram matrices of the n x c
     factor, which share their nonzero eigenvalues; for n > c, D also has the
     eigenvalue 0.  Block structure is checked whenever the space knows its
-    final-slice sectors.
+    final-slice sectors, by the exact cross-sector max (_block_residual),
+    O(n^2 c): this DF may have no basis to bound it by, as for hand-built
+    spaces and tensor_df products.
     """
+    return _residuals(df, _block_residual(df) if df.space.sectors is not None else None)
+
+
+def _residuals(df: DecoherenceFunctional, block_residual: float | None) -> ValidationReport:
+    """The report of validate_df, with the given block residual."""
     v = df.factor
     n, c = v.shape
     total = v.sum(axis=0)
@@ -443,7 +472,7 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
         hermiticity_residual=0.0,
         normalization_residual=abs(float(np.vdot(total, total).real) - 1.0),
         min_eigenvalue=min_eig,
-        block_residual=_block_residual(df) if df.space.sectors is not None else None,
+        block_residual=block_residual,
     )
 
 

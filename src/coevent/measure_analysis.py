@@ -53,14 +53,15 @@ _BYTE_BITS_T = _BYTE_BITS.T.astype(np.float64)
 
 
 def _half_sums(rows: np.ndarray) -> np.ndarray:
-    """Sums of every subset of the rows, one column per bitmask: those of
-    the first 8 rows by one product with their bits, which gives the empty
-    sum as 0.0 and each single row exactly, the rest by doubling."""
-    q = min(len(rows), 8)
-    sums = np.empty((rows.shape[1], 1 << len(rows)))
-    np.matmul(rows[:q].T, _BYTE_BITS_T[:q, :1 << q], out=sums[:, :1 << q])
-    for b in range(q, len(rows)):
-        np.add(sums[:, :1 << b], rows[b][:, None], out=sums[:, 1 << b:2 << b])
+    """Sums of every subset of each stack of rows (G x m x w), G x w x 2^m:
+    those of the first 8 rows by one product with their bits, which gives
+    the empty sum as 0.0 and each single row exactly, the rest by doubling."""
+    g, m, w = rows.shape
+    q = min(m, 8)
+    sums = np.empty((g, w, 1 << m))
+    np.matmul(rows[:, :q].transpose(0, 2, 1), _BYTE_BITS_T[:q, :1 << q], out=sums[:, :, :1 << q])
+    for b in range(q, m):
+        np.add(sums[:, :, :1 << b], rows[:, b, :, None], out=sums[:, :, 1 << b:2 << b])
     return sums
 
 
@@ -100,15 +101,6 @@ def _cell_multipliers(d: int) -> np.ndarray:
     return (z ^ z >> np.uint64(31) | np.uint64(1)).view(np.int64)
 
 
-def _all_pairs(k: int, h: int, step: int):
-    """Every mask hi * 2^h + lo of k bits, as a column of hi and a row of
-    all lo that broadcast to the masks in ascending order, in blocks of at
-    most ``step`` masks or one hi."""
-    rows = max(1, step >> h)
-    for start in range(0, 1 << (k - h), rows):
-        yield np.arange(start, min(start + rows, 1 << (k - h)))[:, None], np.arange(1 << h)[None]
-
-
 def _grid_pairs(real: np.ndarray, high: np.ndarray, low: np.ndarray, step: int):
     """Candidate (hi, lo) pairs, in blocks of at most ``step``, that include
     every event of measure at most BORDERLINE_MAX of the sector with real
@@ -145,7 +137,7 @@ def _grid_pairs(real: np.ndarray, high: np.ndarray, low: np.ndarray, step: int):
             rows = np.concatenate((rows, rows[more]))
             probes = np.concatenate((probes, probes[more] + mult[j]))
         # Sorted probes walk L's keys in order; the final key sort of
-        # _sector_bands fixes the order of the listed masks.
+        # _sector_search fixes the order of the listed masks.
         by = probes.argsort()
         rows, probes = rows[by], probes[by]
         begin = keys.searchsorted(probes)
@@ -163,30 +155,39 @@ def _grid_pairs(real: np.ndarray, high: np.ndarray, low: np.ndarray, step: int):
             yield his[part:part + step], los[part:part + step]
 
 
-def _band(rows: np.ndarray, join: bool, top: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sector-local masks of measure mu(S) = |sum_{i in S} V_i|^2 at most
-    ``top`` of the histories with factor rows ``rows`` (k x c), and their
-    measures: out of every mask, in ascending order, or with ``join`` out
-    of the grid join's candidates, which hold every mask of measure at most
-    BORDERLINE_MAX.
+def _group_measures(rows: np.ndarray) -> np.ndarray:
+    """mu(S) = |sum_{i in S} V_i|^2 of every local mask S of G sectors with
+    factor rows ``rows`` (G x k x c), G x 2^k in mask order.  The real rows
+    (2c columns) split into the low h = k // 2 and the rest, with subset sums
+    L and H; mask hi * 2^h + lo has |H_hi + L_lo|^2, squared coordinates
+    added in column order, so no measure is negative, the empty mask gets
+    0.0 and a single history its row's sum of squares in that order."""
+    real = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
+    g, k, w = real.shape
+    h = k // 2
+    low, high = _half_sums(real[:, :h])[:, :, None], _half_sums(real[:, h:])[..., None]
+    mu = np.empty((g, 1 << (k - h), 1 << h))
+    step = max(1, _STEP_ENTRIES // (max(g * w, 1) << h))
+    for start in range(0, 1 << (k - h), step):
+        diff = high[:, :, start:start + step] + low
+        np.sum(diff * diff, axis=1, out=mu[:, start:start + step])
+    return mu.reshape(g, -1)
 
-    The real rows (2c columns) split into the low h = k // 2 and the rest,
-    with subset sums L and H; mask hi * 2^h + lo has mu = |H_hi + L_lo|^2,
-    its squared coordinates added in column order, so no measure is
-    negative, the empty mask gets exactly 0.0 and a single history its row's
-    sum of squares in that order.  Blocks hold about _STEP_ENTRIES entries.
-    """
+
+def _band(rows: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid join's candidate masks (which hold every one of measure at most
+    BORDERLINE_MAX) of the sector with factor rows ``rows`` (k x c) of measure
+    at most ``top``, and their measures, each as _group_measures gives it."""
     real = np.ascontiguousarray(rows, dtype=complex).view(np.float64)
     h = len(real) // 2
-    low, high = _half_sums(real[:h]), _half_sums(real[h:])
+    low, high = _half_sums(real[None, :h])[0], _half_sums(real[None, h:])[0]
     step = max(1, _STEP_ENTRIES // max(real.shape[1], 1))
-    pairs = _grid_pairs(real, high, low, step) if join else _all_pairs(len(real), h, step)
     found = []
-    for hi, lo in pairs:
+    for hi, lo in _grid_pairs(real, high, low, step):
         diff = high.take(hi, axis=1) + low.take(lo, axis=1)
-        mu = (diff * diff).sum(axis=0).ravel()
+        mu = (diff * diff).sum(axis=0)
         band = mu <= top
-        found.append(((hi << h | lo).ravel()[band], mu[band]))
+        found.append(((hi << h | lo)[band], mu[band]))
     return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
 
 
@@ -202,61 +203,84 @@ _ORDER_KEY = ((_BYTE_BITS.sum(axis=1) << 40)
 _SPLITS = np.array([2 << 40, 1 << 46])
 
 
-def _spreader(members: tuple[int, ...]):
-    """The map from an int64 array of masks in sector-local bits (at most 40)
-    to a tuple of global masks: one gather per byte of the sector, in object
-    arrays of the global masks of that byte's values, ORed together.  Object
-    arrays hold Python ints, so the global masks may have any width."""
-    tables = []
-    for j in range(0, max(len(members), 1), 8):
-        table = [0]
-        for g in members[j:j + 8]:
-            bit = 1 << g
-            table += [m | bit for m in table]
-        tables.append(np.array(table, dtype=object))
+def _order_keys(masks: np.ndarray, k: int) -> np.ndarray:
+    """The _ORDER_KEY of each sector-local mask of k bits."""
+    keys = _ORDER_KEY[0][masks & 255]
+    for j in range(8, k, 8):
+        keys += _ORDER_KEY[j // 8][masks >> j & 255]
+    return keys
 
-    def spread(local: np.ndarray) -> tuple[int, ...]:
-        out = tables[0][local & 255]
+
+@cache
+def _orders(k: int) -> np.ndarray:
+    """The 2^k local masks of k bits in the order each class of _sector_search
+    lists them (read-only): canonical, but descending in row 1 (maximal)."""
+    canon = _order_keys(np.arange(1 << k), k).argsort()
+    orders = np.stack((canon, canon[::-1], canon, canon))
+    orders.flags.writeable = False
+    return orders
+
+
+def _spreader(members: np.ndarray):
+    """The map from sector-local masks (int64, at most 40 bits), each with
+    its sector's row of ``members`` (G x k), to a list of global masks: one
+    gather per byte in tables of the byte's bits times the members' powers
+    of two, ORed; the tables hold Python ints once a member is above 62."""
+    g, k = members.shape
+    powers = np.left_shift(1, members.astype(object if members.max(initial=0) > 62 else np.int64))
+    tables = [_BYTE_BITS[:1 << min(8, k - j), :min(8, k - j)].astype(powers.dtype)
+              @ powers[:, j:j + 8].T for j in range(0, max(k, 1), 8)]
+
+    def spread(local: np.ndarray, owner=0) -> list[int]:
+        out = tables[0][local & 255, owner]
         for j, table in enumerate(tables[1:], 1):
-            out |= table[local >> 8 * j & 255]
-        return tuple(out.tolist())
+            out |= table[local >> 8 * j & 255, owner]
+        return out.tolist()
 
     return spread
 
 
-def _nontrivial(larger: np.ndarray, null: int, null_mu, rows: np.ndarray) -> list[bool]:
-    """Which of ``larger`` are nontrivial zero masks: those with a proper
-    subset of measure above EPS_ZERO.
+def _by_key(values, key: np.ndarray, count: int) -> list:
+    """``values`` cut into the runs of keys 0 .. count - 1 (``key`` ascending)."""
+    bounds = key.searchsorted(np.arange(count + 1)).tolist()
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    ``larger`` holds a sector's zero masks of two or more histories and
-    ``null`` the mask of its zero single histories, in sector-local bits;
-    ``null_mu`` holds their measures and ``rows`` the sector's factor rows.
-    A mask with a member outside ``null`` has that member as such a subset.
-    A subset T of null members has sqrt(mu(T)) = |sum_{i in T} V_i| <=
-    sum_{i in T} sqrt(mu_i), so only when that sum over all null members
-    exceeds sqrt(EPS_ZERO) can a mask of null members be nontrivial.  Then
-    the measures of every subset of the z null members come from their rows
-    alone (_band, 2^z entries, charged to ZERO_SET_WORK_LIMIT), indexed
-    by null-local mask (bit j for the j-th null member), and inside[m] marks
-    every subset with a subset above EPS_ZERO, by one pass per null member;
-    a zero mask is not above EPS_ZERO itself, so for it the subset is
-    proper.
-    """
+
+# Row s of _SUBSETS marks the masks of 4 bits that hold s.
+_SUBSETS = (np.arange(16)[:, None] & ~np.arange(16) == 0).astype(np.float64)
+
+
+def _subset_counts(flags: np.ndarray) -> np.ndarray:
+    """Per row of ``flags`` (R x 2^k, mask order), the set flags at the
+    subsets of each mask: over the low 4 bits by one product with
+    _SUBSETS, then one bit at a time."""
+    k = flags.shape[1].bit_length() - 1
+    q = min(k, 4)
+    counts = (flags.reshape(-1, 1 << q) @ _SUBSETS[:1 << q, :1 << q]).reshape(flags.shape)
+    for j in range(q, k):
+        half = counts.reshape(len(counts), -1, 2, 1 << j)
+        half[:, :, 1] += half[:, :, 0]
+    return counts
+
+
+def _nontrivial(larger: np.ndarray, null: int, null_mu, rows: np.ndarray) -> np.ndarray:
+    """Which of a grid-join sector's local zero masks ``larger`` (two or more
+    histories) have a proper subset above EPS_ZERO: a member outside
+    ``null``, the zero single histories (measures ``null_mu``), or, only if
+    sum sqrt(mu_i) over those exceeds sqrt(EPS_ZERO) as sqrt(mu(T)) is at
+    most that sum over T, a subset of them, all 2^z measured from ``rows``
+    (charged to ZERO_SET_WORK_LIMIT) and counted by null-local mask."""
     keep = larger & ~null != 0
     if sum(map(math.sqrt, null_mu)) > math.sqrt(EPS_ZERO):
         bits = [b.bit_length() - 1 for b in _bits(null)]
         _check_zero_set_work(len(rows), rows.shape[1], 1 << len(bits))
-        inside = np.ones(1 << len(bits), dtype=bool)
-        inside[_band(rows[bits], False, EPS_ZERO)[0]] = False
-        for j in range(len(bits)):
-            halves = inside.reshape(-1, 2, 1 << j)
-            halves[:, 1] |= halves[:, 0]
+        inside = _subset_counts(_group_measures(rows[None, bits]) > EPS_ZERO)[0] > 0
         rest = np.flatnonzero(~keep)
         local = np.zeros(len(rest), dtype=np.int64)
         for j, b in enumerate(bits):
             local |= (larger[rest] >> b & 1) << j
         keep[rest] = inside[local]
-    return keep.tolist()
+    return keep
 
 
 @dataclass(frozen=True)
@@ -335,72 +359,86 @@ class ZeroSetCatalog:
         }
 
 
-def _sector_bands(df: DecoherenceFunctional):
-    """Per final sector of a validated DF (the whole space when no block
-    structure is verified): its label, mask, members (ascending), factor
-    rows, its sector-local masks (bit b for member b, up to 40 bits) of
-    measure at most BORDERLINE_MAX in _ORDER_KEY order, which is canonical
-    as members ascend, their measures, and the two _SPLITS bounds: the end
-    of the empty mask and single histories and the end of the zero masks.
-
-    Sectors of at most _ALL_PAIRS_MAX entries measure every mask, larger
-    ones the grid join's candidates (_band).  Raises NotAZeroSetError
-    for a DF that failed validation, and SpaceTooLargeError beyond
-    ZERO_SET_WORK_LIMIT (_check_zero_set_work, before a sector's tables are
-    built) or ZERO_SET_CANDIDATE_LIMIT.
-    """
+def _sector_search(df: DecoherenceFunctional, zero_only: bool = False):
+    """The zero-set search of a validated DF's final sectors (the whole space
+    without verified blocks) by groups: sectors of k histories with (2c) << k
+    at most _ALL_PAIRS_MAX in chunks of at most _STEP_ENTRIES such entries,
+    and each larger sector alone.  A group yields its positions in
+    df.sectors(), members (G x k, ascending) and sector-local masks (bit b
+    for members[owner, b]) by ascending key = class * G + owner, each
+    sector's canonical: nonempty zero masks, then unless ``zero_only``
+    maximal (descending; the empty mask when alone), nontrivial and
+    borderline ones.  A chunk is measured as one array (_group_measures):
+    a zero mask is nontrivial when a subset is above EPS_ZERO, and maximal
+    when it is its own only zero superset (_subset_counts).  A larger sector
+    sorts the grid join's candidates (_band) by _ORDER_KEY plus class << 46,
+    takes _nontrivial and finds its maximal masks in greedy rounds: the last
+    mask left is the largest in canonical order, so it is maximal; drop
+    every mask inside it.  Raises NotAZeroSetError for a DF that failed
+    validation, SpaceTooLargeError beyond ZERO_SET_WORK_LIMIT (before any
+    table is built) or ZERO_SET_CANDIDATE_LIMIT."""
     if df.validation is not None and not df.validation.passed:
         raise NotAZeroSetError(
             "refusing to catalog a decoherence functional that failed validation"
         )
-    for name, sector_mask in df.sectors():
-        members = tuple(b.bit_length() - 1 for b in _bits(sector_mask))
-        k = len(members)
-        rows = df.factor[list(members)]
-        _check_zero_set_work(k, rows.shape[1])
-        masks, measures = _band(rows, (2 * rows.shape[1]) << k > _ALL_PAIRS_MAX, BORDERLINE_MAX)
-        keys = _ORDER_KEY[0][masks & 255]
-        for j in range(8, k, 8):
-            keys += _ORDER_KEY[j // 8][masks >> j & 255]
-        keys += (measures > EPS_ZERO) << 46
-        order = keys.argsort()
-        yield (name, sector_mask, members, rows, masks[order], measures[order],
-               keys[order].searchsorted(_SPLITS).tolist())
+    c, sectors = df.factor.shape[1], df.sectors()
+    sizes: dict[int, list[int]] = {}
+    for pos, (_, mask) in enumerate(sectors):
+        _check_zero_set_work(mask.bit_count(), c)
+        sizes.setdefault(mask.bit_count(), []).append(pos)
+    for k, positions in sizes.items():
+        join = (2 * c) << k > _ALL_PAIRS_MAX
+        step = 1 if join else max(1, _STEP_ENTRIES // max((2 * c) << k, 1))
+        for chunk in (positions[i:i + step] for i in range(0, len(positions), step)):
+            members = np.array([[b.bit_length() - 1 for b in _bits(sectors[p][1])] for p in chunk],
+                               dtype=np.int64).reshape(len(chunk), k)
+            rows = df.factor[members]
+            if join:
+                masks, measures = _band(rows[0], BORDERLINE_MAX)
+                keys = _order_keys(masks, k) + ((measures > EPS_ZERO) << 46)
+                order = keys.argsort()
+                masks, measures = masks[order], measures[order]
+                pairs, zeros_end = keys[order].searchsorted(_SPLITS).tolist()
+                classes = [masks[1:zeros_end]]
+                if not zero_only:
+                    null = int(np.bitwise_or.reduce(masks[1:pairs]))
+                    keep = _nontrivial(masks[pairs:zeros_end], null, measures[1:pairs], rows[0])
+                    maximal, left = [], masks[:zeros_end]
+                    while len(left):
+                        maximal.append(int(left[-1]))
+                        left = left[left & ~maximal[-1] != 0]
+                    classes += [np.array(maximal, dtype=np.int64),
+                                masks[pairs:zeros_end][keep], masks[zeros_end:]]
+                key = np.repeat(np.arange(len(classes)), [len(m) for m in classes])
+                yield chunk, members, key, np.concatenate(classes)
+                continue
+            mu = _group_measures(rows)
+            g, orders = len(mu), _orders(k)
+            ordered = mu[:, orders[0]]
+            flags = zero = ordered <= EPS_ZERO
+            if not zero_only:
+                # Zero supersets of m are zero subsets of 2^k - 1 - m, in reversed rows.
+                above = mu > EPS_ZERO
+                counts = _subset_counts(np.concatenate((above, ~above[:, ::-1])))
+                subsets, supersets = counts[:g, orders[0]], counts[g:, ::-1][:, orders[0]]
+                flags = np.concatenate((zero, (zero & (supersets == 1))[:, ::-1],
+                                        zero & (subsets > 0), ~zero & (ordered <= BORDERLINE_MAX)))
+            flags[:g, 0] = False
+            key, pos = np.nonzero(flags)
+            yield chunk, members, key, orders[key // g, pos]
 
 
 def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
-    """Exhaustively catalog measure-zero events of a validated DF, per
-    sector of _sector_bands, which also raises its refusals.  Masks are
-    reduced to maximal masks in sector-local bits.  The zero and borderline
-    masks are spread to global bits once (_spreader), and the nontrivial
-    ones, those with a proper subset of measure above EPS_ZERO
-    (``_nontrivial``), picked out of them by index.
-    """
-    data = []
-    for name, sector_mask, members, rows, masks, measures, splits in _sector_bands(df):
-        pairs, zeros_end = splits
-        spread = _spreader(members)
-        listed = spread(masks)
-        null = int(np.bitwise_or.reduce(masks[1:pairs]))
-        keep = _nontrivial(masks[pairs:zeros_end], null, measures[1:pairs], rows)
-        # Greedy rounds: the last mask left is the largest in canonical
-        # order, so it is maximal; drop every mask inside it.  The few
-        # maximal masks are spread on their own, which costs less than
-        # carrying their positions through the rounds.
-        maximal = []
-        left = masks[:zeros_end]
-        while len(left):
-            top = int(left[-1])
-            maximal.append(top)
-            left = left[left & ~top != 0]
-        data.append(SectorZeroData(
-            label=name,
-            sector_mask=sector_mask,
-            zero_masks=listed[1:zeros_end],
-            maximal_masks=spread(np.array(maximal, dtype=np.int64)),
-            nontrivial_masks=tuple(compress(listed[pairs:zeros_end], keep)),
-            borderline_masks=listed[zeros_end:],
-        ))
+    """Exhaustively catalog measure-zero events of a validated DF by the sector
+    groups of _sector_search, which also raises its refusals; a group's masks
+    are spread to global bits at once (_spreader), then cut per sector."""
+    sectors = df.sectors()
+    data = [None] * len(sectors)
+    for positions, members, key, local in _sector_search(df):
+        g = len(positions)
+        lists = _by_key(_spreader(members)(local, key % g), key, 4 * g)
+        for j, pos in enumerate(positions):
+            data[pos] = SectorZeroData(*sectors[pos], *(tuple(x) for x in lists[j::g]))
     return ZeroSetCatalog(df, tuple(data))
 
 

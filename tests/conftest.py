@@ -60,7 +60,9 @@ def amplitude(schema, outcomes) -> complex:
     history's measure."""
     branch = schema.ket
     for s, i in zip(schema.slices, outcomes):
-        branch = projectors(s.decomposition)[i] @ (s.unitary() @ branch)
+        if s.evolution is not None:
+            branch = s.evolution @ branch
+        branch = projectors(s.decomposition)[i] @ branch
     final = schema.slices[-1].decomposition
     assert final.ranks[outcomes[-1]] == 1
     return complex(np.vdot(final.basis[:, final.owner[outcomes[-1]].argmax()], branch))
@@ -106,6 +108,15 @@ def brute_zero_masks(df: DecoherenceFunctional) -> set[int]:
     more than EPS, as in test_union_assembly_rule_at_the_tolerance_edge.
     """
     return set(np.flatnonzero(np.abs(brute_measures(df)) <= EPS).tolist())
+
+
+def brute_block_residual(df: DecoherenceFunctional) -> float:
+    """The exact largest |D(i, j)| over histories i, j in different final
+    sectors, read off the dense matrix."""
+    sector = np.zeros(df.size, dtype=int)
+    for s, (_, mask) in enumerate(df.space.sectors):
+        sector[[i for i in range(df.size) if mask >> i & 1]] = s
+    return float(np.abs(df.matrix)[sector[:, None] != sector].max(initial=0.0))
 
 
 def subset_measures_simple(block: np.ndarray) -> np.ndarray:

@@ -519,9 +519,9 @@ def test_composition_with_a_grid_joined_product_block(monkeypatch):
     """Planted raw factors of 3 and 6 histories, rows over {1, i, 1/2} with
     one cancelling pair in the second: their 18-history product is one block
     above _ALL_PAIRS_MAX, so its zero sets come from the grid join and the
-    factors' from every pair.  Its 8 emergent zero events and 5 weak
-    violations match the product-space oracles, and each candidate source
-    forced on every block gives the same report."""
+    factors' from every pair, measured as groups.  Its 8 emergent zero
+    events and 5 weak violations match the product-space oracles, and each
+    candidate source forced on every block gives the same report."""
     def planted(rows):
         rows = np.asarray(rows, dtype=complex)
         gram = np.conjugate(rows) @ rows.T
@@ -531,11 +531,16 @@ def test_composition_with_a_grid_joined_product_block(monkeypatch):
     b = planted([[1, 0], [1j, 0], [0, 1], [0, -1], [1j, 0.5], [0.5j, 0.5]])
     sources = []
 
-    def band(rows, join, top):
-        sources.append((len(rows), join))
-        return measured(rows, join, top)
+    def group(rows):
+        sources.append((rows.shape[1], False))
+        return grouped(rows)
 
-    measured = measure_analysis._band
+    def band(rows, top):
+        sources.append((len(rows), True))
+        return joined(rows, top)
+
+    grouped, joined = measure_analysis._group_measures, measure_analysis._band
+    monkeypatch.setattr(measure_analysis, "_group_measures", group)
     monkeypatch.setattr(measure_analysis, "_band", band)
     report = assert_matches_product_space_oracles(a, b)
     assert [m.bit_count() for _, m in report.product.sectors()] == [18]

@@ -28,9 +28,11 @@ from coevent import (
     validate_df,
 )
 from coevent.histories import HistorySpace, _events, raw_space, sort_masks
+from coevent.tolerances import EPS_DF
 
 from conftest import (
     amplitude,
+    brute_block_residual,
     complement,
     event_value,
     label_mask,
@@ -498,6 +500,46 @@ def test_block_residual_memory_stays_linear_in_sectors():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert report.block_residual == pytest.approx(1.0 / n**2)
+
+
+@st.composite
+def leaky_schemas(draw):
+    """Schemas of dimension 2..4 with 1..3 Haar-random slices, some with an
+    evolution and outcomes of rank above 1, from a ket or a density state of
+    rank 1..d; in some, the final basis is unitary only to about 1e-10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(2, 4))
+
+    def haar():
+        q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    slices = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = sorted(draw(st.sets(st.integers(1, d - 1), max_size=d - 1)))
+        ranks = np.diff([0, *cuts, d])
+        dec = ProjectiveDecomposition(haar(), ranks, [f"o{i}" for i in range(len(ranks))])
+        slices.append(Slice(dec, haar() if draw(st.booleans()) else None))
+    if draw(st.booleans()):
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        last = slices[-1].decomposition
+        basis = last.basis + 1e-10 * noise / np.abs(noise).max()
+        slices[-1] = Slice(ProjectiveDecomposition(basis, last.ranks, last.labels),
+                           slices[-1].evolution)
+    r = draw(st.integers(1, d))
+    state = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    return HistorySchema(state / np.linalg.norm(state), tuple(slices))
+
+
+@settings(max_examples=120, deadline=None)
+@given(leaky_schemas())
+def test_block_residual_bound_covers_the_exact_max(schema):
+    """build_df reports the final slice's leakage bound as block_residual:
+    at least the exact cross-sector max of the dense matrix (the oracle)
+    and at most EPS_DF, for ket and density states, outcomes of rank above
+    1, evolutions and a final basis unitary only to about 1e-10."""
+    df = build_df(schema)
+    assert brute_block_residual(df) <= df.validation.block_residual <= EPS_DF
 
 
 def test_all_scenario_dfs_validate():

@@ -34,7 +34,7 @@ from coevent import (
 )
 from coevent import measure_analysis
 from coevent.histories import HistorySpace, ValidationReport, raw_space, sort_masks
-from coevent.measure_analysis import _band, set_partition_strings
+from coevent.measure_analysis import _band, _group_measures, set_partition_strings
 from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 from conftest import (
@@ -54,11 +54,11 @@ from conftest import (
 
 
 def all_measures(rows: np.ndarray) -> np.ndarray:
-    """The measures of every mask of ``rows`` by _band with no bound,
-    checked to come in mask order."""
-    masks, mu = _band(rows, False, np.inf)
-    assert (masks == np.arange(1 << len(rows))).all()
-    return mu
+    """The measures of every mask of ``rows``, in mask order, by
+    _group_measures on a group of one sector."""
+    mu = _group_measures(rows[None])
+    assert mu.shape == (1, 1 << len(rows))
+    return mu[0]
 
 
 def test_measures_against_reference():
@@ -95,7 +95,7 @@ def test_measures_exact_where_the_catalog_needs_it():
         for m in rng.integers(0, 1 << k, size=64).tolist():
             total = rows[[i for i in range(k) if m >> i & 1]].sum(axis=0)
             assert vals[m] == pytest.approx(np.vdot(total, total).real, rel=0, abs=1e-13 * scale)
-        masks, mu = _band(rows, True, np.inf)
+        masks, mu = _band(rows, np.inf)
         assert 0 in masks.tolist() and (mu == vals[masks]).all()
 
 
@@ -495,11 +495,16 @@ def test_null_members_of_a_large_sector(monkeypatch):
     df = factor_df(rows)
     calls = []
 
-    def band(block, join, top):
-        calls.append((len(block), join))
-        return _band(block, join, top)
+    def band(block, top):
+        calls.append((len(block), True))
+        return _band(block, top)
+
+    def group(rows):
+        calls.append((rows.shape[1], False))
+        return _group_measures(rows)
 
     monkeypatch.setattr(measure_analysis, "_band", band)
+    monkeypatch.setattr(measure_analysis, "_group_measures", group)
     assert_lists_match_scan(df, np.abs(chunked_measures(df)))
     assert calls == [(18, True), (4, False)]
     masks = [sum(1 << null[i] for i in pick) for pick in
@@ -612,23 +617,127 @@ def test_sector_enumeration_limit():
         find_zero_sets(df)
 
 
-def test_find_zero_sets_on_many_one_history_sectors():
+def test_find_zero_sets_on_many_one_history_sectors(monkeypatch):
     """2^14 one-history sectors, one history carrying all the weight: each
     sector's members come from a walk over its set bits, not over all 2^14
-    indices.  The report holds the exact residuals of this factor."""
+    indices, and the sectors are measured as one group of 2^14 x 4 entries,
+    not one call each.  The report holds the exact residuals of this factor."""
     n = 2**14
     space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)),
                          sectors=tuple((str(i), 1 << i) for i in range(n)))
     factor = np.zeros((n, 1), dtype=complex)
     factor[0] = 1.0
-    report = ValidationReport(size=n, hermiticity_residual=0.0, normalization_residual=0.0,
-                              min_eigenvalue=0.0, block_residual=0.0)
-    df = DecoherenceFunctional(space, factor, report)
+    df = DecoherenceFunctional(space, factor, passed_report(n))
+    groups = []
+
+    def group(rows):
+        groups.append(rows.shape)
+        return _group_measures(rows)
+
+    monkeypatch.setattr(measure_analysis, "_group_measures", group)
     start = time.perf_counter()
     catalog = find_zero_sets(df)
     assert time.perf_counter() - start < 10.0
+    assert groups == [(n, 1, 1)]
     assert catalog.counts() == {"sectors": n, "zero_sectorwise": n - 1,
                                 "nontrivial": 0, "borderline": 0}
+    assert catalog.sectors[1].zero_masks == (2,) and catalog.sectors[0].maximal_masks == (0,)
+    assert catalog.sectors[n - 1].maximal_masks == (1 << (n - 1),)
+
+
+def passed_report(n: int) -> ValidationReport:
+    return ValidationReport(size=n, hermiticity_residual=0.0, normalization_residual=0.0,
+                            min_eigenvalue=0.0, block_residual=0.0)
+
+
+def assert_sectors_match_oracles(df: DecoherenceFunctional) -> None:
+    """Every sector's four lists against the direct measures of all 2^n masks
+    (brute_measures): its zero and borderline masks in canonical order, the
+    zero ones with a proper subset above EPS_ZERO (some subset above it,
+    closed over one bit at a time) and the maximal ones, those inside no
+    other zero mask of the sector (the empty mask when alone); and every
+    zero event of the direct scan passes the union-assembly rule."""
+    n = df.size
+    masks = np.arange(1 << n)
+    mu = brute_measures(df)
+    some_subset_above = mu > EPS_ZERO
+    for j in range(n):
+        halves = some_subset_above.reshape(-1, 2, 1 << j)
+        halves[:, 1] |= halves[:, 0]
+    catalog = find_zero_sets(df)
+    assert [(s.label, s.sector_mask) for s in catalog.sectors] == list(df.sectors())
+    for s in catalog.sectors:
+        inside = masks & ~s.sector_mask == 0
+        zero = masks[inside & (mu <= EPS_ZERO)]
+        assert s.zero_masks == tuple(sort_masks(zero[1:].tolist(), n))
+        assert s.nontrivial_masks == tuple(sort_masks(
+            [m for m in zero[1:].tolist() if some_subset_above[m]], n))
+        assert s.borderline_masks == tuple(sort_masks(
+            masks[inside & (mu > EPS_ZERO) & (mu <= BORDERLINE_MAX)].tolist(), n))
+        assert sorted(s.maximal_masks) == [
+            m for m in zero.tolist() if not ((zero & m == m) & (zero != m)).any()]
+    for m in np.flatnonzero(mu <= EPS_ZERO).tolist():
+        assert is_zero_event(catalog, m)
+
+
+# Amplitudes whose subset sums are exact zeros or far from EPS_ZERO, and
+# t = 1.1e-4, whose measures (a^2 + b^2) t^2 fill the borderline band and
+# stay 3 % or more from BORDERLINE_MAX (with 1e-4, (1, 3) would sit on it).
+AMPLITUDES = (0.0, 1.0, -1.0, 0.5, -0.5, 1j, -1j, 1.1e-4, -1.1e-4)
+
+
+@st.composite
+def block_dfs(draw):
+    """Hand-built DFs whose final sectors, of 1 to 6 histories or, with at
+    most 3 more, one of 13 that takes the grid join (c = 3), each hold rows
+    of drawn amplitudes over their own factor columns, the sectors'
+    histories interleaved in a drawn order."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        sizes = [13, min(sizes[0], 3)]
+    columns = [2 if k == 13 else draw(st.integers(1, 2)) for k in sizes]
+    order = draw(st.permutations(range(sum(sizes))))
+    factor = np.zeros((len(order), sum(columns)), dtype=complex)
+    sectors, first, col = [], 0, 0
+    for j, (k, c) in enumerate(zip(sizes, columns)):
+        members = sorted(order[first:first + k])
+        values = draw(st.lists(st.sampled_from(AMPLITUDES), min_size=k * c, max_size=k * c))
+        factor[members, col:col + c] = np.reshape(values, (k, c))
+        sectors.append((f"s{j}", sum(1 << i for i in members)))
+        first, col = first + k, col + c
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(len(order))), sectors=tuple(sectors))
+    return DecoherenceFunctional(space, factor, passed_report(len(order)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_dfs(), st.sampled_from([64, 1 << 17]))
+def test_grouped_catalog_matches_the_oracles(df, step):
+    """Sectors of one size are measured as one group, in chunks of
+    _STEP_ENTRIES entries (64 forces a chunk per sector and blocks within
+    one), and their lists spread and cut in bulk; each sector's lists
+    equal the direct scan's, as a grid-join sector's do."""
+    saved = measure_analysis._STEP_ENTRIES
+    measure_analysis._STEP_ENTRIES = step
+    try:
+        assert_sectors_match_oracles(df)
+    finally:
+        measure_analysis._STEP_ENTRIES = saved
+
+
+def test_grouped_catalog_at_the_tolerance_edge():
+    """The two tolerance-edge inputs: null rows s, s, -s, -s (s^2 = 0.9e-9)
+    with a unit row, and the qubit schema of
+    test_union_assembly_rule_at_the_tolerance_edge, whose union of sector
+    zero events exceeds EPS_ZERO."""
+    s = np.sqrt(0.9e-9)
+    factor = np.array([[s, 0.0], [s, 0.0], [-s, 0.0], [-s, 0.0], [0.0, 1.0]])
+    assert_sectors_match_oracles(raw_df(factor @ factor.T))
+    r = np.sqrt(0.5)
+    p, m = np.array([r, r]), np.array([r, -r])
+    pm = ProjectiveDecomposition.from_kets([p, m], ["p", "m"])
+    ket = np.sqrt(1.0 - 1.2e-9) * p + np.sqrt(1.2e-9) * m
+    assert_sectors_match_oracles(
+        build_df(HistorySchema.from_ket(ket, (Slice(pm), Slice(computational_basis(2))))))
 
 
 def test_partition_iterator_counts():
