@@ -378,14 +378,14 @@ def _sector_search(df: DecoherenceFunctional, zero_only: bool = False):
     validation, SpaceTooLargeError beyond ZERO_SET_WORK_LIMIT (before any
     table is built) or ZERO_SET_CANDIDATE_LIMIT."""
     if df.validation is not None and not df.validation.passed:
-        raise NotAZeroSetError(
-            "refusing to catalog a decoherence functional that failed validation"
-        )
+        raise NotAZeroSetError("refusing to catalog a decoherence functional that failed "
+                               "validation")
     c, sectors = df.factor.shape[1], df.sectors()
     sizes: dict[int, list[int]] = {}
     for pos, (_, mask) in enumerate(sectors):
-        _check_zero_set_work(mask.bit_count(), c)
         sizes.setdefault(mask.bit_count(), []).append(pos)
+    for k in sizes:
+        _check_zero_set_work(k, c)
     for k, positions in sizes.items():
         join = (2 * c) << k > _ALL_PAIRS_MAX
         step = 1 if join else max(1, _STEP_ENTRIES // max((2 * c) << k, 1))
@@ -436,9 +436,9 @@ def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
     data = [None] * len(sectors)
     for positions, members, key, local in _sector_search(df):
         g = len(positions)
-        lists = _by_key(_spreader(members)(local, key % g), key, 4 * g)
+        lists = _by_key(tuple(_spreader(members)(local, key % g)), key, 4 * g)
         for j, pos in enumerate(positions):
-            data[pos] = SectorZeroData(*sectors[pos], *(tuple(x) for x in lists[j::g]))
+            data[pos] = SectorZeroData(*sectors[pos], *lists[j::g])
     return ZeroSetCatalog(df, tuple(data))
 
 
