@@ -142,18 +142,19 @@ class CompositionReport:
         }
 
 
-def _rectangles(bands, axis: np.ndarray, stride: int, shifts: np.ndarray) -> np.ndarray:
-    """The nonempty zero masks Z of a factor's sectors, ``bands`` of (members,
-    local zero masks), that lie in ``axis`` (ascending factor histories), as
-    int64 masks with history axis[p] at bit p * stride, each shifted by every
-    one of ``shifts``."""
+def _rectangles(search, axis: np.ndarray, stride: int, shifts: np.ndarray) -> np.ndarray:
+    """The nonempty zero masks Z of a factor's zero-mask search ``search``
+    (_sector_search groups) that lie in ``axis`` (ascending factor
+    histories), as int64 masks with history axis[p] at bit p * stride, each
+    shifted by every one of ``shifts``."""
     out = []
-    for members, masks in bands:
-        pos = axis.searchsorted(members)
-        inside = axis[np.minimum(pos, len(axis) - 1)] == members
-        bits = masks[:, None] >> np.arange(len(members)) & 1
-        bits = bits[~bits[:, ~inside].any(axis=1)]
-        out.append(np.bitwise_or.reduce(bits << np.where(inside, pos * stride, 0), axis=1))
+    for _, group, key, zeros in search:
+        pos = axis.searchsorted(group)
+        inside = axis[np.minimum(pos, len(axis) - 1)] == group
+        bits = zeros[:, None] >> np.arange(group.shape[1]) & 1
+        keep = ~(bits.astype(bool) & ~inside[key]).any(axis=1)
+        out.append(np.bitwise_or.reduce(
+            bits[keep] << np.where(inside, pos * stride, 0)[key[keep]], axis=1))
     return (np.concatenate(out)[:, None] << shifts).ravel()
 
 
@@ -172,9 +173,7 @@ def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
     hold at most _STEP_ENTRIES masks x rectangles, or one mask; only
     emergent masks are spread to global bits.
     """
-    bands_a, bands_b = ([(m, z) for positions, group, key, zeros in _sector_search(f, True)
-                         for m, z in zip(group, _by_key(zeros, key, len(positions)))]
-                        for f in (a, b))
+    bands_a, bands_b = list(_sector_search(a, True)), list(_sector_search(b, True))
     out = {}
     for positions, group, key, zeros in _sector_search(product, zero_only=True):
         for pos, members, events in zip(positions, group, _by_key(zeros, key, len(positions))):
@@ -186,7 +185,8 @@ def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
             found = np.concatenate([
                 chunk[np.bitwise_or.reduce(rects * (rects & ~chunk == 0), axis=0) != chunk]
                 for chunk in np.split(events, range(step, len(events), step))])
-            out[pos] = _spreader(members[None])(found)
+            if len(found):
+                out[pos] = _spreader(members[None])(found)
     return [m for pos in sorted(out) for m in out[pos]]
 
 

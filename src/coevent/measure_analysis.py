@@ -170,7 +170,7 @@ def _group_measures(rows: np.ndarray) -> np.ndarray:
     step = max(1, _STEP_ENTRIES // (max(g * w, 1) << h))
     for start in range(0, 1 << (k - h), step):
         diff = high[:, :, start:start + step] + low
-        np.sum(diff * diff, axis=1, out=mu[:, start:start + step])
+        np.add.reduce(diff * diff, axis=1, out=mu[:, start:start + step])
     return mu.reshape(g, -1)
 
 
