@@ -226,7 +226,7 @@ def _spreader(members: np.ndarray):
     its sector's row of ``members`` (G x k), to a list of global masks: one
     gather per byte in tables of the byte's bits times the members' powers
     of two, ORed; the tables hold Python ints once a member is above 62."""
-    g, k = members.shape
+    k = members.shape[1]
     powers = np.left_shift(1, members.astype(object if members.max(initial=0) > 62 else np.int64))
     tables = [_BYTE_BITS[:1 << min(8, k - j), :min(8, k - j)].astype(powers.dtype)
               @ powers[:, j:j + 8].T for j in range(0, max(k, 1), 8)]
@@ -265,11 +265,11 @@ def _subset_counts(flags: np.ndarray) -> np.ndarray:
 
 def _nontrivial(larger: np.ndarray, null: int, null_mu, rows: np.ndarray) -> np.ndarray:
     """Which of a grid-join sector's local zero masks ``larger`` (two or more
-    histories) have a proper subset above EPS_ZERO: a member outside
-    ``null``, the zero single histories (measures ``null_mu``), or, only if
-    sum sqrt(mu_i) over those exceeds sqrt(EPS_ZERO) as sqrt(mu(T)) is at
-    most that sum over T, a subset of them, all 2^z measured from ``rows``
-    (charged to ZERO_SET_WORK_LIMIT) and counted by null-local mask."""
+    histories) have a proper subset above EPS_ZERO.  A member outside
+    ``null`` (the zero single histories, measures ``null_mu``) is one.  As
+    sqrt(mu(T)) <= sum_{i in T} sqrt(mu_i), a mask of null members can be
+    one only when that sum over all of them exceeds sqrt(EPS_ZERO); then all
+    2^z subsets are measured from ``rows`` (charged to ZERO_SET_WORK_LIMIT)."""
     keep = larger & ~null != 0
     if sum(map(math.sqrt, null_mu)) > math.sqrt(EPS_ZERO):
         bits = [b.bit_length() - 1 for b in _bits(null)]
@@ -287,9 +287,9 @@ def _nontrivial(larger: np.ndarray, null: int, null_mu, rows: np.ndarray) -> np.
 class SectorZeroData:
     """Exhaustive zero-set data for one final sector (global bitmasks).
 
-    The mask lists are in canonical order and leave out the empty event,
-    except that ``maximal_masks`` is (0,) when the empty event is the only
-    zero event of the sector.
+    The mask lists are in canonical order (``maximal_masks`` descending) and
+    leave out the empty event, except that ``maximal_masks`` is (0,) when the
+    empty event is the only zero event of the sector.
     """
 
     label: str
