@@ -29,7 +29,7 @@ import numpy as np
 from .errors import LabelMismatchError, SpaceTooLargeError, ValidationFailedError
 from .limits import MAX_OMEGA_ENV, max_omega
 from .linalg import ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary
-from .tolerances import EPS_DF, EPS_UNIT
+from .tolerances import EPS_DF, EPS_UNIT, ROUNDOFF_FLOOR
 
 # Array entries one vectorized step may hold: bounds the memory of the block
 # check and of the partition and composition searches to a few MB.
@@ -249,9 +249,9 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Residuals for the decoherence-functional axioms; ``block_residual`` is
-    None when the space has no final sectors.  It is an upper bound on the
-    cross-sector |D(i, j)| from build_df, and their exact max from validate_df.
+    """Residuals for the decoherence-functional axioms; ``block_residual``,
+    None when the space has no final sectors, is the exact cross-sector max
+    of |D(i, j)|, or from build_df an upper bound of at most ROUNDOFF_FLOOR.
 
     ``passed`` requires Hermiticity, normalization, and (when applicable)
     final-sector block structure within EPS_DF, plus a smallest eigenvalue
@@ -350,12 +350,12 @@ def _attach(df: DecoherenceFunctional, report: ValidationReport,
 def build_df(schema: HistorySchema) -> DecoherenceFunctional:
     """Construct and validate the decoherence functional of a schema.
 
-    All branches, r rows of length d each, are propagated together from the
-    state factor by two matrix products a slice: their coefficients in the
-    basis B after the evolution U, rows (B^dagger U)^T, then per outcome k,
-    least significant so rows stay in history order, the coefficients of
-    the columns k owns times B^T.  block_residual is the final slice's
-    leakage bound (_leakage_bound); the other residuals are validate_df's.
+    All branches, r rows of length d, are propagated together by two matrix
+    products a slice: coefficients in basis B after evolution U, rows
+    (B^dagger U)^T, then per outcome k (least significant, so rows stay in
+    history order) the coefficients of the columns k owns times B^T.
+    block_residual is the final slice's leakage bound if at most
+    ROUNDOFF_FLOOR, else the exact max; the rest is validate_df's.
     """
     space = enumerate_histories(schema)
     d, r = schema.state.shape
@@ -366,19 +366,19 @@ def build_df(schema: HistorySchema) -> DecoherenceFunctional:
         owned = (rows.reshape(-1, d) @ turn.T).reshape(-1, 1, r, d) * dec.owner[:, None]
         rows = (owned.reshape(-1, d) @ dec.basis.T).reshape(-1, r, d)
     df = DecoherenceFunctional(space, rows.transpose(0, 2, 1).reshape(space.size, -1))
-    report = _residuals(df, _leakage_bound(rows, schema.slices[-1].decomposition))
+    bound = _leakage_bound(rows, schema.slices[-1].decomposition)
+    report = _residuals(df, bound if bound <= ROUNDOFF_FLOOR else _block_residual(df))
     return _attach(df, report, "constructed decoherence functional")
 
 
 def _leakage_bound(rows: np.ndarray, dec: ProjectiveDecomposition) -> float:
     """An upper bound on |D(i, j)| across final sectors, from the final
     branches v_i (``rows``, n x r x d; branch i has outcome f = i mod K) and
-    the final basis B, outcome f owning B_f.  With c_i = (B^dagger v_i)_f
-    and the leakage e_i = v_i - B_f c_i, D(i, j) = c_i^dagger B_f^dagger B_g
-    c_j + e_i^dagger v_j + (v_i - e_i)^dagger e_j, so |D(i, j)| <= 2 max|v|
-    max|e| + max|e|^2 + max|c|^2 max_{f != g} |B_f^dagger B_g|, that norm at
-    most the Frobenius norm of B^dagger B off its diagonal blocks (0 for an
-    exact unitary), plus a round-off allowance.  O(n r d^2 + d^3)."""
+    basis B, f owning B_f.  With c_i = (B^dagger v_i)_f and the leakage e_i
+    = v_i - B_f c_i, D(i, j) = c_i^dagger B_f^dagger B_g c_j + e_i^dagger
+    v_j + (v_i - e_i)^dagger e_j, so |D(i, j)| <= 2 max|v| max|e| + max|e|^2
+    + max|c|^2 |B^dagger B off its diagonal blocks|_F, plus a round-off
+    allowance.  O(n r d^2 + d^3)."""
     owner = dec.owner
     k, d = owner.shape
     v = rows.reshape(-1, k, rows.shape[1], d)
@@ -389,7 +389,7 @@ def _leakage_bound(rows: np.ndarray, dec: ProjectiveDecomposition) -> float:
     cross = float(np.linalg.norm(dagger(dec.basis) @ dec.basis * (owner.T @ owner == 0)))
     # Round-off: D(i, j) sums r d products, e_i two products of length d.
     roundoff = (rows.shape[1] + 2) * d * np.finfo(float).eps * big_v ** 2
-    return 2 * big_v * big_e + big_e ** 2 + big_c ** 2 * cross + roundoff
+    return float(2 * big_v * big_e + big_e ** 2 + big_c ** 2 * cross + roundoff)
 
 
 def raw_df(matrix, labels=None) -> DecoherenceFunctional:

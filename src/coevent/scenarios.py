@@ -43,12 +43,11 @@ from .linalg import (
 )
 from .limits import PARTITION_REPORT_LIMIT, SWEEP_STEP_LIMIT
 from .measure_analysis import find_decoherent_partitions, find_zero_sets
-from .tolerances import tolerance_summary
+from .tolerances import ROUNDOFF_FLOOR, tolerance_summary
 
 TOOL_NAME = "coevent"
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 2
-ROUNDOFF_FLOOR = 1e-14  # floats this close to zero are emitted as 0.0
 
 
 def report_header() -> dict:

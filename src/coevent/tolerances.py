@@ -13,6 +13,7 @@ EPS_UNIT = 1e-9
 EPS_DF = 1e-9
 EPS_ZERO = 1e-9
 BORDERLINE_MAX = 1e-7
+ROUNDOFF_FLOOR = 1e-14  # reports write floats this close to zero as 0.0
 
 
 def tolerance_summary() -> dict:

@@ -27,8 +27,10 @@ from coevent import (
     raw_df,
     validate_df,
 )
-from coevent.histories import HistorySpace, _events, raw_space, sort_masks
-from coevent.tolerances import EPS_DF
+from coevent.histories import (HistorySpace, _block_residual, _events, _leakage_bound,
+                               raw_space, sort_masks)
+from coevent.scenarios import emit_report
+from coevent.tolerances import EPS_DF, ROUNDOFF_FLOOR
 
 from conftest import (
     amplitude,
@@ -534,12 +536,46 @@ def leaky_schemas(draw):
 @settings(max_examples=120, deadline=None)
 @given(leaky_schemas())
 def test_block_residual_bound_covers_the_exact_max(schema):
-    """build_df reports the final slice's leakage bound as block_residual:
-    at least the exact cross-sector max of the dense matrix (the oracle)
-    and at most EPS_DF, for ket and density states, outcomes of rank above
-    1, evolutions and a final basis unitary only to about 1e-10."""
+    """The final slice's leakage bound is at least the exact cross-sector
+    max of the dense matrix (the oracle) and at most EPS_DF, for ket and
+    density states, outcomes of rank above 1, evolutions and a final basis
+    unitary only to about 1e-10.  build_df reports it when it is at most
+    ROUNDOFF_FLOOR and the exact max otherwise."""
     df = build_df(schema)
-    assert brute_block_residual(df) <= df.validation.block_residual <= EPS_DF
+    d, r = schema.state.shape
+    rows = df.factor.reshape(df.size, d, r).transpose(0, 2, 1)
+    bound = _leakage_bound(rows, schema.slices[-1].decomposition)
+    assert brute_block_residual(df) <= bound <= EPS_DF
+    exact = bound if bound <= ROUNDOFF_FLOOR else _block_residual(df)
+    assert df.validation.block_residual == exact
+
+
+def test_build_df_accepts_a_basis_unitary_only_to_eps_unit():
+    """Basis columns (1, 0) and (delta, sqrt(1 - delta^2)), delta = 9e-10,
+    pass the unitarity check.  The leakage bound's cross term, about
+    sqrt(2) delta, is above EPS_DF, but the exact cross-sector max of ket
+    (1, 0) is delta^2: build_df reports and accepts that, as validate_df."""
+    delta = 9e-10
+    basis = np.array([[1.0, delta], [0.0, np.sqrt(1.0 - delta**2)]])
+    dec = ProjectiveDecomposition(basis, [1, 1], ["a", "b"])
+    df = build_df(HistorySchema.from_ket(np.array([1.0, 0.0]), (Slice(dec),)))
+    assert df.validation.passed
+    assert df.validation.block_residual == validate_df(df).block_residual
+    assert df.validation.block_residual == pytest.approx(delta**2, rel=1e-6)
+
+
+@pytest.mark.parametrize("dim", [4, 16])
+def test_emitted_block_residual_is_the_exact_maxs(dim):
+    """Ket b_0 measured twice in a random basis b: one branch holds all the
+    weight, so the leakage bound's round-off allowance, 3 d eps, is below
+    ROUNDOFF_FLOOR at d = 4 and above it at d = 16.  Either way the report
+    prints what the exact max prints."""
+    dec = random_decomposition(np.random.default_rng(dim), dim, [f"o{i}" for i in range(dim)])
+    df = build_df(HistorySchema.from_ket(dec.basis[:, 0], (Slice(dec), Slice(dec))))
+    rows = df.factor.reshape(df.size, 1, dim)
+    assert (_leakage_bound(rows, dec) > ROUNDOFF_FLOOR) == (dim == 16)
+    emitted = emit_report(df.validation.as_dict())
+    assert emitted == emit_report(validate_df(df).as_dict())
 
 
 def test_all_scenario_dfs_validate():
