@@ -249,9 +249,8 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Residuals for the decoherence-functional axioms; ``block_residual``,
-    None when the space has no final sectors, is the exact cross-sector max
-    of |D(i, j)|, or from build_df an upper bound of at most ROUNDOFF_FLOOR.
+    """Axiom residuals of a DF; ``block_residual`` (None without final sectors)
+    is the exact cross-sector max, or build_df's bound when <= ROUNDOFF_FLOOR.
 
     ``passed`` requires Hermiticity, normalization, and (when applicable)
     final-sector block structure within EPS_DF, plus a smallest eigenvalue

@@ -34,7 +34,7 @@ from coevent import (
 )
 from coevent import measure_analysis
 from coevent.histories import HistorySpace, ValidationReport, raw_space, sort_masks
-from coevent.measure_analysis import _band, _group_measures, set_partition_strings
+from coevent.measure_analysis import _band, _group_measures, _spreader, set_partition_strings
 from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 from conftest import (
@@ -615,6 +615,20 @@ def test_sector_enumeration_limit():
     with pytest.raises(SpaceTooLargeError, match="sector of 32 histories with 32 factor columns "
                                                  ".* ZERO_SET_WORK_LIMIT = 4194304"):
         find_zero_sets(df)
+
+
+@pytest.mark.parametrize("top", [62, 63])
+def test_spreader_on_both_sides_of_int64(top):
+    """Members up to 62 are spread through int64 tables, a member of 63 or
+    more through Python ints; either way each local mask of two bytes
+    becomes the global mask of its sector's members, as a Python int."""
+    members = np.array([[0, 5, 9, 20, 33, 40, 50, 58, 60, top], list(range(1, 11))])
+    rng = np.random.default_rng(top)
+    local, owner = rng.integers(0, 1 << 10, 64), rng.integers(0, 2, 64)
+    spread = _spreader(members)(local, owner)
+    assert [type(m) for m in spread] == [int] * 64
+    assert spread == [sum(1 << int(g) for b, g in enumerate(members[o]) if m >> b & 1)
+                      for m, o in zip(local.tolist(), owner.tolist())]
 
 
 def test_find_zero_sets_on_many_one_history_sectors(monkeypatch):
