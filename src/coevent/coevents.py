@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import LabelMismatchError
+from .errors import LabelMismatchError, SpaceTooLargeError
 from .histories import (DecoherenceFunctional, Event, HistorySpace, _bits, _events,
                         _require_same_labels, sort_masks)
+from .limits import COEVENT_COUNT_LIMIT
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
 
@@ -62,8 +63,10 @@ class CoEventSet:
         return [self.df.space.labels_of(c.mask) for c in self.coevents]
 
 
-def _minimal_preclusive_masks(sector: int, maximal: tuple[int, ...]) -> list[int]:
-    """Minimal sub-supports of one sector not covered by any maximal mask.
+def _minimal_preclusive_masks(sector: int, maximal: tuple[int, ...],
+                              found: list[int] | None = None) -> list[int]:
+    """Minimal sub-supports of one sector not covered by any maximal mask,
+    appended to ``found`` (a new list by default), which is returned.
 
     These are the minimal transversals of the edges ``sector & ~M``, one per
     maximal mask M, enumerated by MMCS (Murakami & Uno 2014).  A branch keeps
@@ -73,20 +76,24 @@ def _minimal_preclusive_masks(sector: int, maximal: tuple[int, ...]) -> list[int
     candidates and is cut as soon as a chosen vertex loses its last critical
     edge, so every output is minimal and appears once.  Recursion depth is
     bounded by the sector size.  Output order is unspecified.  A sector that
-    is itself a zero event gives an empty edge and no supports.
+    is itself a zero event gives an empty edge and no supports.  Raises
+    SpaceTooLargeError as soon as ``found`` would pass COEVENT_COUNT_LIMIT.
     """
+    found = [] if found is None else found
     edges = [sector & ~mx for mx in maximal] or [sector]
     if not all(edges):
-        return []
+        return found
     edge_of = {1 << j: e for j, e in enumerate(edges)}
     hits: dict[int, int] = {}
     for bit, e in edge_of.items():
         for v in _bits(e):
             hits[v] = hits.get(v, 0) | bit
-    found: list[int] = []
 
     def extend(chosen: int, crit: list[tuple[int, int]], cand: int, uncov: int) -> None:
         if not uncov:
+            if len(found) >= COEVENT_COUNT_LIMIT:
+                raise SpaceTooLargeError(
+                    f"more than COEVENT_COUNT_LIMIT = {COEVENT_COUNT_LIMIT} primitive co-events")
             found.append(chosen)
             return
         pivot = min((edge_of[b] & cand for b in _bits(uncov)), key=int.bit_count)
@@ -112,7 +119,8 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
     cardinality, then lexicographically by member indices.
     When no nontrivial zero set exists the result is the classical collapse:
     one singleton co-event per history of positive measure.  A ``catalog``
-    of another DF raises ValueError.
+    of another DF raises ValueError; more than COEVENT_COUNT_LIMIT co-events
+    raise SpaceTooLargeError.
     """
     if catalog is None:
         catalog = find_zero_sets(df)
@@ -120,7 +128,7 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
         raise ValueError("the zero-set catalog belongs to another decoherence functional")
     masks: list[int] = []
     for s in catalog.sectors:
-        masks.extend(_minimal_preclusive_masks(s.sector_mask, s.maximal_masks))
+        _minimal_preclusive_masks(s.sector_mask, s.maximal_masks, masks)
     coevents = tuple(CoEvent(df.space, m, m.bit_count() == 1) for m in sort_masks(masks, df.size))
     return CoEventSet(coevents=coevents, label=label, df=df)
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import LabelMismatchError, SpaceTooLargeError, ValidationFailedError
 from .limits import MAX_OMEGA_ENV, max_omega
-from .linalg import ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary
+from .linalg import (ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary,
+                     read_only)
 from .tolerances import EPS_DF, EPS_UNIT, ROUNDOFF_FLOOR
 
 # Array entries one vectorized step may hold: bounds the memory of the block
@@ -38,10 +39,31 @@ _STEP_ENTRIES = 1 << 17
 
 @dataclass(frozen=True)
 class Slice:
-    """One measurement slice: an optional evolution, then a decomposition."""
+    """One measurement slice: an optional evolution, then a decomposition.
+
+    The evolution is checked here, once, and kept as a read-only copy, so a
+    slice shared by several schemas is neither checked nor turned again.
+    """
 
     decomposition: ProjectiveDecomposition
     evolution: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.evolution is not None:
+            u = read_only(as_complex_matrix(self.evolution))
+            if u.shape != (self.decomposition.dim,) * 2 or not is_unitary(u):
+                raise ValueError("slice evolution is not unitary")
+            object.__setattr__(self, "evolution", u)
+
+    @cached_property
+    def turn(self) -> np.ndarray:
+        """B^dagger U, or B^dagger without an evolution: it takes a branch to
+        its coefficients in the basis B after the evolution U."""
+        turn = dagger(self.decomposition.basis)
+        if self.evolution is not None:
+            turn = turn @ self.evolution
+        turn.flags.writeable = False
+        return turn
 
 
 @dataclass
@@ -62,13 +84,8 @@ class HistorySchema:
             raise ValueError("initial state factor must be a matrix")
         if not self.slices:
             raise ValueError("a schema needs at least one slice")
-        for s in self.slices:
-            if s.decomposition.dim != self.dim:
-                raise ValueError("slice decomposition has wrong dimension")
-            if s.evolution is not None:
-                u = as_complex_matrix(s.evolution)
-                if u.shape != (self.dim, self.dim) or not is_unitary(u):
-                    raise ValueError("slice evolution is not unitary")
+        if any(s.decomposition.dim != self.dim for s in self.slices):
+            raise ValueError("slice decomposition has wrong dimension")
 
     @classmethod
     def from_ket(cls, ket, slices) -> "HistorySchema":
@@ -351,7 +368,7 @@ def build_df(schema: HistorySchema) -> DecoherenceFunctional:
 
     All branches, r rows of length d, are propagated together by two matrix
     products a slice: coefficients in basis B after evolution U, rows
-    (B^dagger U)^T, then per outcome k (least significant, so rows stay in
+    times the slice's cached turn (B^dagger U)^T, then per outcome k (least significant, so rows stay in
     history order) the coefficients of the columns k owns times B^T.
     block_residual is the final slice's leakage bound if at most
     ROUNDOFF_FLOOR, else the exact max; the rest is validate_df's.
@@ -361,8 +378,7 @@ def build_df(schema: HistorySchema) -> DecoherenceFunctional:
     rows = schema.state.T[None]
     for s in schema.slices:
         dec = s.decomposition
-        turn = dagger(dec.basis) if s.evolution is None else dagger(dec.basis) @ s.evolution
-        owned = (rows.reshape(-1, d) @ turn.T).reshape(-1, 1, r, d) * dec.owner[:, None]
+        owned = (rows.reshape(-1, d) @ s.turn.T).reshape(-1, 1, r, d) * dec.owner[:, None]
         rows = (owned.reshape(-1, d) @ dec.basis.T).reshape(-1, r, d)
     df = DecoherenceFunctional(space, rows.transpose(0, 2, 1).reshape(space.size, -1))
     bound = _leakage_bound(rows, schema.slices[-1].decomposition)
@@ -377,7 +393,7 @@ def _leakage_bound(rows: np.ndarray, dec: ProjectiveDecomposition) -> float:
     = v_i - B_f c_i, D(i, j) = c_i^dagger B_f^dagger B_g c_j + e_i^dagger
     v_j + (v_i - e_i)^dagger e_j, so |D(i, j)| <= 2 max|v| max|e| + max|e|^2
     + max|c|^2 |B^dagger B off its diagonal blocks|_F, plus a round-off
-    allowance.  O(n r d^2 + d^3)."""
+    allowance.  O(n r d^2); the O(d^3) norm is cached on the decomposition."""
     owner = dec.owner
     k, d = owner.shape
     v = rows.reshape(-1, k, rows.shape[1], d)
@@ -385,7 +401,7 @@ def _leakage_bound(rows: np.ndarray, dec: ProjectiveDecomposition) -> float:
     leak = v - (owned.reshape(-1, d) @ dec.basis.T).reshape(v.shape)
     squares = np.square(np.stack((v, leak, owned)).view(np.float64)).sum(axis=(-2, -1))
     big_v, big_e, big_c = np.sqrt(squares.reshape(3, -1).max(axis=1)).tolist()
-    cross = float(np.linalg.norm(dagger(dec.basis) @ dec.basis * (owner.T @ owner == 0)))
+    cross = dec.cross_block_norm
     # Round-off: D(i, j) sums r d products, e_i two products of length d.
     roundoff = (rows.shape[1] + 2) * d * np.finfo(float).eps * big_v ** 2
     return float(2 * big_v * big_e + big_e ** 2 + big_c ** 2 * cross + roundoff)

@@ -35,10 +35,17 @@ ZERO_SET_CANDIDATE_LIMIT = 2**20
 # thread.  Bell(12) = 4,213,597 would take about six times as long and hold
 # about six times the strings and residuals.
 PARTITION_COUNT_LIMIT = 1_000_000
+# Primitive co-events of one DF, counted as the transversal search finds them.
+# MMCS found 2^17 = 131,072 of them in 1.8 s on its slowest measured family
+# (17 disjoint pairs; sorting and labelling them took another 1.0 s) and
+# 100,000 in 0.22-0.28 s on five blocks of ten (2 vCPU), so the cap is
+# reached within about 2 s.
+COEVENT_COUNT_LIMIT = 2**17
 ASSEMBLY_LIMIT = 100_000
 COMPOSITION_WORK_LIMIT = 250_000_000
-# A theta sweep runs one appendix-theta analysis per step, about 1.7 ms each
-# (2 vCPU): 10,000 steps take about 17 s.
+# A theta sweep runs one appendix-theta analysis per step, 0.9-1.2 ms each
+# (medians of 15 in-process 600-step sweeps, 2 vCPU): 10,000 steps take
+# about 12 s.
 SWEEP_STEP_LIMIT = 10_000
 PARTITION_REPORT_LIMIT = 6
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,13 @@ def as_ket(v) -> np.ndarray:
     norm = math.hypot(*a.real.tolist(), *a.imag.tolist())
     if abs(norm - 1.0) > EPS_UNIT:
         raise ValueError(f"ket is not normalized: |v| = {norm!r}")
+    return a
+
+
+def read_only(m) -> np.ndarray:
+    """A complex copy of ``m`` that refuses writes, so no check of it goes stale."""
+    a = np.array(m, dtype=complex)
+    a.flags.writeable = False
     return a
 
 
@@ -68,7 +76,8 @@ class ProjectiveDecomposition:
     """A complete family of orthogonal outcomes, stored as one unitary basis.
 
     Outcome i owns the next ``ranks[i]`` columns of ``basis``; its projector
-    is the sum of their outer products and is never formed.
+    is the sum of their outer products and is never formed.  ``basis`` is a
+    read-only copy, checked once; the products read from it are cached.
     """
 
     basis: np.ndarray
@@ -76,7 +85,7 @@ class ProjectiveDecomposition:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=complex))
+        object.__setattr__(self, "basis", read_only(self.basis))
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.ranks) != len(self.labels):
@@ -92,10 +101,19 @@ class ProjectiveDecomposition:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
+    @cached_property
     def owner(self) -> np.ndarray:
         """The k x d one-hot matrix whose row i marks the columns outcome i owns."""
-        return np.repeat(np.eye(len(self)), self.ranks, axis=1)
+        owner = np.repeat(np.eye(len(self)), self.ranks, axis=1)
+        owner.flags.writeable = False
+        return owner
+
+    @cached_property
+    def cross_block_norm(self) -> float:
+        """|B^dagger B off its diagonal blocks|_F: how far the outcomes' column
+        blocks are from orthogonal, round-off for a unitary B."""
+        owner = self.owner
+        return float(np.linalg.norm(dagger(self.basis) @ self.basis * (owner.T @ owner == 0)))
 
     def __len__(self) -> int:
         return len(self.ranks)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -99,17 +100,19 @@ def _pbr_states() -> list[tuple[str, np.ndarray]]:
     ]
 
 
+@cache
+def _pbr_slices() -> tuple[tuple[Slice, ...], tuple[Slice, ...]]:
+    """The slices of pbr-v1 and of pbr-v2, built and checked once per process."""
+    xi = Slice(build_xi_basis())
+    return (xi,), (Slice(computational_basis(4, ["00", "01", "10", "11"])), xi)
+
+
 def _build_pbr_v1(params: dict) -> ScenarioBuild:
-    slices = (Slice(build_xi_basis()),)
-    return _pure_state_build(_pbr_states(), slices)
+    return _pure_state_build(_pbr_states(), _pbr_slices()[0])
 
 
 def _build_pbr_v2(params: dict) -> ScenarioBuild:
-    slices = (
-        Slice(computational_basis(4, ["00", "01", "10", "11"])),
-        Slice(build_xi_basis()),
-    )
-    return _pure_state_build(_pbr_states(), slices)
+    return _pure_state_build(_pbr_states(), _pbr_slices()[1])
 
 
 def _theta_states(theta: float) -> list[tuple[str, np.ndarray]]:
@@ -120,20 +123,28 @@ def _theta_states(theta: float) -> list[tuple[str, np.ndarray]]:
 def _build_appendix_theta(params: dict) -> ScenarioBuild:
     theta = params["theta"]
     psi01, psipm = build_theta_bases(theta)
-    slices = (Slice(psipm), Slice(psi01), Slice(psipm))
-    return _pure_state_build(_theta_states(theta), slices)
+    pm = Slice(psipm)
+    return _pure_state_build(_theta_states(theta), (pm, Slice(psi01), pm))
+
+
+def _hamiltonian_evolution(t: float) -> np.ndarray:
+    return unitary_from_hamiltonian(np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex), t)
+
+
+@cache
+def _hamiltonian_fixed() -> tuple[ProjectiveDecomposition, Slice, Slice]:
+    """appendix-hamiltonian's computational basis and its two theta-independent
+    slices, at t = pi/4 and 7 pi/4: built and checked once per process."""
+    comp = computational_basis(2, ["0", "1"])
+    return (comp, Slice(comp, _hamiltonian_evolution(math.pi / 4.0)),
+            Slice(comp, _hamiltonian_evolution(7.0 * math.pi / 4.0)))
 
 
 def _build_appendix_hamiltonian(params: dict) -> ScenarioBuild:
     theta = params["theta"]
-    ham = np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex)
-    comp = computational_basis(2, ["0", "1"])
-    slices = (
-        Slice(comp, unitary_from_hamiltonian(ham, theta - math.pi / 4.0)),
-        Slice(comp, unitary_from_hamiltonian(ham, math.pi / 4.0)),
-        Slice(comp, unitary_from_hamiltonian(ham, 7.0 * math.pi / 4.0)),
-    )
-    return _pure_state_build(_theta_states(theta), slices)
+    comp, second, third = _hamiltonian_fixed()
+    first = Slice(comp, _hamiltonian_evolution(theta - math.pi / 4.0))
+    return _pure_state_build(_theta_states(theta), (first, second, third))
 
 
 def _build_composite_product(params: dict) -> ScenarioBuild:

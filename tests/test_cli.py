@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import coevent
+from coevent import coevents
 from coevent.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_OK, EXIT_VALIDATION, main
 from coevent.scenarios import build_scenario, schema_to_json
 
@@ -327,6 +328,15 @@ def test_enumeration_cap_exits_cap_code(capsys, monkeypatch):
     assert code == EXIT_CAP
     assert "cap exceeded" in err
     assert "COEVENT_MAX_OMEGA = 8" in err
+
+
+def test_coevent_cap_exits_cap_code(capsys, monkeypatch):
+    """appendix-theta at 0.7 lists more than 2 co-events for phi1."""
+    monkeypatch.setattr(coevents, "COEVENT_COUNT_LIMIT", 2)
+    code, out, err = run_cli(capsys, "scenario", "run", "appendix-theta", "--theta", "0.7")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "COEVENT_COUNT_LIMIT = 2" in err
 
 
 def test_zero_set_caps_exit_cap_code(capsys, tmp_path):

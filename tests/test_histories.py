@@ -89,6 +89,64 @@ def test_schema_validation():
         HistorySchema.from_ket([1.0, 0.0, 0.0], (Slice(basis),))
 
 
+def test_slice_checks_its_evolution_when_built():
+    """A non-unitary or wrongly shaped evolution fails at Slice(), before
+    any schema holds it."""
+    basis = computational_basis(2)
+    for bad in (2.0 * np.eye(2), np.eye(3), np.ones((2, 3))):
+        with pytest.raises(ValueError):
+            Slice(basis, bad)
+    with pytest.raises(ValueError, match="slice evolution is not unitary"):
+        Slice(basis, np.diag([1.0, 5.0]))
+
+
+def test_checked_inputs_are_read_only_copies():
+    """Writing to the caller's arrays after the checks reaches neither the
+    slice nor the DF, and in-place writes to ``basis`` and ``evolution``
+    are refused."""
+    u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    b = np.eye(2, dtype=complex)
+    s = Slice(ProjectiveDecomposition(b, (1, 1), ("0", "1")), u)
+    schema = HistorySchema.from_ket([1, 0], (s, s))
+    before = build_df(schema).factor
+    u[1, 1] = 5
+    b[0, 0] = 3
+    np.testing.assert_array_equal(s.evolution, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(s.decomposition.basis, np.eye(2))
+    df = build_df(schema)
+    assert df.validation.passed
+    np.testing.assert_array_equal(df.factor, before)
+    for array in (s.evolution, s.decomposition.basis, s.decomposition.owner, s.turn):
+        with pytest.raises(ValueError):
+            array[0, 0] = 7
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cached_products_equal_fresh_ones(seed):
+    """owner, the cross-block norm and B^dagger U, read from the caches,
+    equal a fresh computation, on random bases with outcomes of rank above 1
+    that are unitary only to about 1e-10."""
+    rng = np.random.default_rng(seed)
+    d = 5
+    ranks = (2, 1, 2) if seed % 2 else (3, 2)
+    basis = random_decomposition(rng, d, list("abcde")).basis
+    basis = basis + 1e-10 * rng.normal(size=(d, d))
+    dec = ProjectiveDecomposition(basis, ranks, [f"o{i}" for i in range(len(ranks))])
+    owner = np.zeros((len(ranks), d))
+    for i, (lo, r) in enumerate(zip(np.cumsum((0, *ranks)), ranks)):
+        owner[i, lo:lo + r] = 1.0
+    blocks = owner.T @ owner
+    cross = np.sqrt(sum(abs(np.vdot(basis[:, i], basis[:, j])) ** 2
+                        for i in range(d) for j in range(d) if not blocks[i, j]))
+    u = random_decomposition(rng, d, list("abcde")).basis
+    for _ in range(2):
+        np.testing.assert_array_equal(dec.owner, owner)
+        assert dec.cross_block_norm == pytest.approx(cross, rel=1e-9)
+        assert 1e-11 < dec.cross_block_norm < 1e-8
+        np.testing.assert_allclose(Slice(dec, u).turn, np.conjugate(basis.T) @ u, atol=1e-14)
+        np.testing.assert_allclose(Slice(dec).turn, np.conjugate(basis.T), atol=0)
+
+
 def test_build_df_factor_rows_are_branch_products():
     """Pure state: factor row i is the branch C_i psi = P2 U2 P1 U1 psi, the
     earliest slice acting first.  Rank-deficient mixed state: the factor's

@@ -22,7 +22,7 @@ from coevent import (
     find_zero_sets,
     measure,
 )
-from coevent import scenarios
+from coevent import histories, scenarios
 from coevent.histories import build_df
 from coevent.limits import SWEEP_STEP_LIMIT
 from coevent.coevents import enumerate_primitive_coevents
@@ -223,6 +223,34 @@ def test_appendix_hamiltonian_matches_theta_up_to_global_phase(theta):
             assert r == pytest.approx(expected, abs=1e-9)
         for i in range(8):
             assert (abs(amps_t[i]) < 1e-12) == (abs(amps_h[perm[i]]) < 1e-12)
+
+
+def test_fixed_slices_are_built_and_checked_once(monkeypatch):
+    """After a warm-up report, an appendix-hamiltonian build checks one
+    evolution, its theta-dependent one, and reuses the fixed slices; the
+    pbr scenarios reuse theirs, shared by every state."""
+    run_scenario("appendix-hamiltonian", {"theta": 0.3})
+    first = build_scenario("appendix-hamiltonian", {"theta": 0.3})
+    checked = []
+    is_unitary = histories.is_unitary
+
+    def spy(u):
+        checked.append(np.array(u))
+        return is_unitary(u)
+
+    monkeypatch.setattr(histories, "is_unitary", spy)
+    second = build_scenario("appendix-hamiltonian", {"theta": 1.1})
+    theta_slice, *fixed = second.entries[0].schema.slices
+    assert len(checked) == 1
+    np.testing.assert_array_equal(checked[0], theta_slice.evolution)
+    assert all(a is b for a, b in zip(fixed, first.entries[0].schema.slices[1:]))
+    assert theta_slice is not first.entries[0].schema.slices[0]
+    assert all(e.schema.slices[0] is theta_slice for e in second.entries)
+    for name in ("pbr-v1", "pbr-v2"):
+        builds = [build_scenario(name) for _ in range(2)]
+        slices = {id(s) for b in builds for e in b.entries for s in e.schema.slices}
+        assert len(slices) == len(builds[0].entries[0].schema.slices)
+    assert len(checked) == 1
 
 
 @pytest.mark.parametrize("theta", [0.7, THETA_SPECIAL])

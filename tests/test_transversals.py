@@ -11,10 +11,11 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevent import enumerate_primitive_coevents
+from coevent import SpaceTooLargeError, coevents, enumerate_primitive_coevents
 from coevent.coevents import _minimal_preclusive_masks
 
 from conftest import brute_primitive_masks, random_amplitude_df
@@ -66,6 +67,15 @@ def test_enumeration_matches_brute_oracle_on_amplitude_dfs(n, seed):
     assert got == brute_primitive_masks(df)
 
 
+def four_blocks_of_ten():
+    """A 40-member sector at indices 30..69, its four blocks of ten, and the
+    complements of the blocks as its maximal zero events."""
+    members = tuple(range(30, 70))
+    blocks = [members[10 * b: 10 * b + 10] for b in range(4)]
+    sector = sum(1 << i for i in members)
+    return sector, blocks, tuple(sector & ~sum(1 << i for i in block) for block in blocks)
+
+
 def test_four_blocks_of_ten_give_ten_thousand_supports():
     """Output-sensitive known answer: 10^4 transversals of a 40-member sector.
 
@@ -74,11 +84,24 @@ def test_four_blocks_of_ten_give_ten_thousand_supports():
     C(40, s) subsets of the sector would not finish; the members sit at
     indices 30..69 so the masks straddle the 64-bit boundary.
     """
-    members = tuple(range(30, 70))
-    blocks = [members[10 * b: 10 * b + 10] for b in range(4)]
-    sector = sum(1 << i for i in members)
-    maximal = tuple(sector & ~sum(1 << i for i in block) for block in blocks)
+    sector, blocks, maximal = four_blocks_of_ten()
     got = _minimal_preclusive_masks(sector, maximal)
     want = {sum(1 << i for i in pick) for pick in product(*blocks)}
     assert len(got) == len(want) == 10_000
     assert set(got) == want
+
+
+@pytest.mark.parametrize("cap", [9_999, 10_000])
+def test_coevent_count_cap(monkeypatch, cap):
+    """The search stops with SpaceTooLargeError, naming the cap, on the
+    first support past COEVENT_COUNT_LIMIT; 10^4 supports pass a cap of
+    10^4.  The supports found so far count against the cap."""
+    monkeypatch.setattr(coevents, "COEVENT_COUNT_LIMIT", cap)
+    sector, _, maximal = four_blocks_of_ten()
+    if cap < 10_000:
+        with pytest.raises(SpaceTooLargeError, match=f"COEVENT_COUNT_LIMIT = {cap}"):
+            _minimal_preclusive_masks(sector, maximal)
+    else:
+        assert len(_minimal_preclusive_masks(sector, maximal)) == 10_000
+        with pytest.raises(SpaceTooLargeError):
+            _minimal_preclusive_masks(sector, maximal, [0])
