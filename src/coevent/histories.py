@@ -42,7 +42,8 @@ class Slice:
     """One measurement slice: an optional evolution, then a decomposition.
 
     The evolution is checked here, once, and kept as a read-only copy, so a
-    slice shared by several schemas is neither checked nor turned again.
+    slice shared by several schemas is checked, and its B^dagger U formed,
+    only once.
     """
 
     decomposition: ProjectiveDecomposition
@@ -367,9 +368,10 @@ def build_df(schema: HistorySchema) -> DecoherenceFunctional:
     """Construct and validate the decoherence functional of a schema.
 
     All branches, r rows of length d, are propagated together by two matrix
-    products a slice: coefficients in basis B after evolution U, rows
-    times the slice's cached turn (B^dagger U)^T, then per outcome k (least significant, so rows stay in
-    history order) the coefficients of the columns k owns times B^T.
+    products a slice: coefficients in basis B after evolution U, rows times
+    the slice's cached turn (B^dagger U)^T, then per outcome k (least
+    significant, so rows stay in history order) the coefficients of the
+    columns k owns times B^T.
     block_residual is the final slice's leakage bound if at most
     ROUNDOFF_FLOOR, else the exact max; the rest is validate_df's.
     """
