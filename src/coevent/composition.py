@@ -22,10 +22,8 @@ from .histories import (
     DecoherenceFunctional,
     Event,
     HistorySpace,
-    _attach,
     _bits,
     _events,
-    validate_df,
 )
 from .limits import COMPOSITION_WORK_LIMIT
 from .measure_analysis import (
@@ -67,7 +65,8 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
     Product labels come from the factor labels (_product_labels), so h1 x h2
     becomes h12.  Final-sector structure carries over
     when both factors have it: sector 'fa,fb' is the rectangle of sectors fa
-    and fb, first system major.
+    and fb, first system major.  The product is validated by validate_df's
+    exact report as it is made.
     """
     labels = _product_labels(a, b)
     sectors = None
@@ -77,8 +76,8 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
             for fa, ma in a.space.sectors for fb, mb in b.space.sectors
         )
     space = HistorySpace(labels=labels, sectors=sectors)
-    product = DecoherenceFunctional(space, np.kron(a.factor, b.factor))
-    return _attach(product, validate_df(product), "product decoherence functional")
+    return DecoherenceFunctional(space, np.kron(a.factor, b.factor),
+                                 _what="product decoherence functional")
 
 
 def _largest_product_block(a: DecoherenceFunctional, b: DecoherenceFunctional) -> int:

@@ -15,10 +15,6 @@ class SpaceTooLargeError(CoeventError):
     """A history space or enumeration exceeds its configured cap."""
 
 
-class NotAZeroSetError(CoeventError):
-    """Zero sets were requested of a decoherence functional that failed validation."""
-
-
 class InvalidPartitionError(CoeventError):
     """Cells presented as a partition are not disjoint or do not cover Omega."""
 

@@ -19,8 +19,9 @@ formed.
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import product, repeat
 
@@ -67,20 +68,21 @@ class Slice:
         return turn
 
 
-@dataclass
+@dataclass(frozen=True)
 class HistorySchema:
     """Initial state plus an ordered tuple of slices on one Hilbert space.
 
     ``state`` is a d x r factor R of the initial density matrix, rho = R R^dagger:
-    one column for a ket, one column per eigenvector for a density matrix.
+    one column for a ket, one column per eigenvector for a density matrix,
+    kept as a read-only copy so that the state checks cannot go stale.
     """
 
     state: np.ndarray
     slices: tuple[Slice, ...]
 
     def __post_init__(self):
-        self.state = np.asarray(self.state, dtype=complex)
-        self.slices = tuple(self.slices)
+        object.__setattr__(self, "state", read_only(self.state))
+        object.__setattr__(self, "slices", tuple(self.slices))
         if self.state.ndim != 2:
             raise ValueError("initial state factor must be a matrix")
         if not self.slices:
@@ -115,7 +117,7 @@ class HistorySchema:
         return self.state[:, 0] if self.state.shape[1] == 1 else None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HistorySpace:
     """Enumerated histories with deterministic labels.
 
@@ -272,7 +274,8 @@ class ValidationReport:
 
     ``passed`` requires Hermiticity, normalization, and (when applicable)
     final-sector block structure within EPS_DF, plus a smallest eigenvalue
-    of the Hermitian part above -EPS_DF.
+    of the Hermitian part above -EPS_DF; a NaN residual fails.  Every DF
+    holds a passed report; a failed one travels in ValidationFailedError.
     """
 
     size: int
@@ -288,13 +291,13 @@ class ValidationReport:
     @property
     def failures(self) -> tuple[str, ...]:
         out = []
-        if self.hermiticity_residual > EPS_DF:
+        if not self.hermiticity_residual <= EPS_DF:
             out.append(f"hermiticity residual {self.hermiticity_residual:.3e}")
-        if self.normalization_residual > EPS_DF:
+        if not self.normalization_residual <= EPS_DF:
             out.append(f"normalization residual {self.normalization_residual:.3e}")
-        if self.min_eigenvalue < -EPS_DF:
+        if not self.min_eigenvalue >= -EPS_DF:
             out.append(f"strong positivity violated, min eigenvalue {self.min_eigenvalue:.3e}")
-        if self.block_applicable and self.block_residual > EPS_DF:
+        if self.block_applicable and not self.block_residual <= EPS_DF:
             out.append(f"final-sector block residual {self.block_residual:.3e}")
         return tuple(out)
 
@@ -315,53 +318,48 @@ class ValidationReport:
         }
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DecoherenceFunctional:
-    """A validated decoherence functional over a history space, stored as its
-    Gram factor V (one row per history): D(i, j) = vdot(V[i], V[j])."""
+    """A decoherence functional over a history space, stored as its Gram
+    factor V (one row per history): D(i, j) = vdot(V[i], V[j]).
+
+    It is validated when it is made and cannot change after: ``factor`` is a
+    read-only copy, and ``validation`` the report it is given (build_df's may
+    carry its leakage bound, raw_df's holds the matrix's residuals) or else
+    validate_df's.  A failing report raises ValidationFailedError naming
+    the DF as ``_what``."""
 
     space: HistorySpace
     factor: np.ndarray
     validation: ValidationReport | None = None
+    _what: InitVar[str] = "decoherence functional"
 
-    def __post_init__(self):
-        self.factor = np.asarray(self.factor, dtype=complex)
+    def __post_init__(self, _what):
+        object.__setattr__(self, "factor", read_only(self.factor))
         if self.factor.ndim != 2 or self.factor.shape[0] != self.space.size:
             raise ValueError("factor shape does not match the history space")
+        report = validate_df(self) if self.validation is None else self.validation
+        if not report.passed:
+            raise ValidationFailedError(
+                f"{_what} failed validation: " + ", ".join(report.failures), report=report
+            )
+        object.__setattr__(self, "validation", report)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense |Omega| x |Omega| matrix conj(V) V^T, built on first use."""
-        return np.conjugate(self.factor) @ self.factor.T
+        """The dense read-only |Omega| x |Omega| matrix conj(V) V^T, on first use."""
+        matrix = np.conjugate(self.factor) @ self.factor.T
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def size(self) -> int:
         return self.space.size
 
-    def sectors_verified(self) -> bool:
-        """True when final-sector block structure is known to hold."""
-        if self.space.sectors is None:
-            return False
-        rep = self.validation
-        return bool(rep and rep.block_residual is not None and rep.block_residual <= EPS_DF)
-
     def sectors(self) -> tuple[tuple[str, int], ...]:
-        """(final label, member mask) pairs when block structure is verified;
-        otherwise the whole space as the single sector ("all", full mask)."""
-        if self.sectors_verified():
-            return self.space.sectors
-        return (("all", self.space.full_mask()),)
-
-
-def _attach(df: DecoherenceFunctional, report: ValidationReport,
-            what: str) -> DecoherenceFunctional:
-    """Attach the validation report, raising ValidationFailedError on failure."""
-    if not report.passed:
-        raise ValidationFailedError(
-            f"{what} failed validation: " + ", ".join(report.failures), report=report
-        )
-    df.validation = report
-    return df
+        """(final label, member mask) pairs, whose block structure the report
+        verifies; without them the whole space as the sector ("all", full mask)."""
+        return self.space.sectors or (("all", self.space.full_mask()),)
 
 
 def build_df(schema: HistorySchema) -> DecoherenceFunctional:
@@ -382,10 +380,11 @@ def build_df(schema: HistorySchema) -> DecoherenceFunctional:
         dec = s.decomposition
         owned = (rows.reshape(-1, d) @ s.turn.T).reshape(-1, 1, r, d) * dec.owner[:, None]
         rows = (owned.reshape(-1, d) @ dec.basis.T).reshape(-1, r, d)
-    df = DecoherenceFunctional(space, rows.transpose(0, 2, 1).reshape(space.size, -1))
+    factor = rows.transpose(0, 2, 1).reshape(space.size, -1)
     bound = _leakage_bound(rows, schema.slices[-1].decomposition)
-    report = _residuals(df, bound if bound <= ROUNDOFF_FLOOR else _block_residual(df))
-    return _attach(df, report, "constructed decoherence functional")
+    block = bound if bound <= ROUNDOFF_FLOOR else _block_residual(factor, space.sectors)
+    return DecoherenceFunctional(space, factor, _residuals(factor, block),
+                                 _what="constructed decoherence functional")
 
 
 def _leakage_bound(rows: np.ndarray, dec: ProjectiveDecomposition) -> float:
@@ -439,26 +438,26 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
     except FloatingPointError as exc:
         raise ValueError(f"raw decoherence matrix overflows double precision ({exc})") from None
     keep = w > n * np.finfo(float).eps * w.max(initial=0.0)
-    df = DecoherenceFunctional(raw_space(labels), np.conjugate(u[:, keep]) * np.sqrt(w[keep]))
-    return _attach(df, report, "raw decoherence matrix")
+    return DecoherenceFunctional(raw_space(labels), np.conjugate(u[:, keep]) * np.sqrt(w[keep]),
+                                 report, _what="raw decoherence matrix")
 
 
-def _block_residual(df: DecoherenceFunctional) -> float:
-    """Exact largest |D(i, j)| over histories i, j in different final sectors:
-    each sector's factor rows, a chunk at a time, against the rows of later
-    sectors.  Sectors are unpacked one at a time, so memory stays O(n)."""
-    v = df.factor
-    later = np.ones(df.size, dtype=bool)
+def _block_residual(v: np.ndarray, sectors) -> float:
+    """Exact largest |D(i, j)| over histories i, j in different final sectors
+    of factor v: each sector's rows, a chunk at a time, against the rows of
+    later sectors, unpacked one at a time so memory stays O(n).  NaN wins."""
+    n = len(v)
+    later = np.ones(n, dtype=bool)
     worst = 0.0
-    for _, mask in df.space.sectors:
-        inside = _mask_bits([mask], df.size)[0]
+    for _, mask in sectors:
+        inside = _mask_bits([mask], n)[0]
         later &= ~inside
         rows, others = v[inside], v[later].T
         step = max(1, _STEP_ENTRIES // max(1, others.shape[1]))
         for start in range(0, len(rows), step):
             cross = np.conjugate(rows[start:start + step]) @ others
-            worst = max(worst, float(np.abs(cross).max(initial=0.0)))
-    return worst
+            worst = np.maximum(worst, np.abs(cross).max(initial=0.0))
+    return float(worst)
 
 
 def validate_df(df: DecoherenceFunctional) -> ValidationReport:
@@ -470,24 +469,30 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
     eigenvalue 0.  Block structure is checked whenever the space knows its
     final-slice sectors, by the exact cross-sector max (_block_residual),
     O(n^2 c): this DF may have no basis to bound it by, as for hand-built
-    spaces and tensor_df products.
+    spaces and tensor_df products.  The DF constructor computes it for a DF
+    given no report; a non-finite factor fails it.
     """
-    return _residuals(df, _block_residual(df) if df.space.sectors is not None else None)
+    v, sectors = df.factor, df.space.sectors
+    with np.errstate(all="ignore"):
+        return _residuals(v, None if sectors is None else _block_residual(v, sectors))
 
 
-def _residuals(df: DecoherenceFunctional, block_residual: float | None) -> ValidationReport:
-    """The report of validate_df, with the given block residual."""
-    v = df.factor
+def _residuals(v: np.ndarray, block_residual: float | None) -> ValidationReport:
+    """The report of validate_df for factor v, with the given block residual;
+    a non-finite v has a non-finite normalization and a NaN min eigenvalue."""
     n, c = v.shape
     total = v.sum(axis=0)
-    if n > c:
+    normalization = abs(float(np.vdot(total, total).real) - 1.0)
+    if not math.isfinite(normalization):
+        min_eig = math.nan
+    elif n > c:
         min_eig = float(np.linalg.eigvalsh(v.T @ np.conjugate(v)).min(initial=0.0))
     else:
         min_eig = float(np.linalg.eigvalsh(np.conjugate(v) @ v.T)[0]) if n else 0.0
     return ValidationReport(
         size=n,
         hermiticity_residual=0.0,
-        normalization_residual=abs(float(np.vdot(total, total).real) - 1.0),
+        normalization_residual=normalization,
         min_eigenvalue=min_eig,
         block_residual=block_residual,
     )

@@ -32,7 +32,7 @@ from itertools import chain, compress, islice, product
 
 import numpy as np
 
-from .errors import InvalidPartitionError, NotAZeroSetError, SpaceTooLargeError
+from .errors import InvalidPartitionError, SpaceTooLargeError
 from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
                         _events, _mask_bits, _require_same_labels, sort_masks)
 from .limits import (ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, ZERO_SET_CANDIDATE_LIMIT,
@@ -361,8 +361,8 @@ class ZeroSetCatalog:
 
 
 def _sector_search(df: DecoherenceFunctional, zero_only: bool = False):
-    """The zero-set search of a validated DF's final sectors (the whole space
-    without verified blocks) by groups: sectors of k histories with (2c) << k
+    """The zero-set search of a DF's final sectors, verified when it was made
+    (the whole space without them), by groups: sectors of k histories with (2c) << k
     at most _ALL_PAIRS_MAX in chunks of at most _STEP_ENTRIES such entries,
     and each larger sector alone.  A group yields its positions in
     df.sectors(), members (G x k, ascending) and sector-local masks (bit b
@@ -375,12 +375,9 @@ def _sector_search(df: DecoherenceFunctional, zero_only: bool = False):
     sorts the grid join's candidates (_band) by _ORDER_KEY plus class << 46,
     takes _nontrivial and finds its maximal masks in greedy rounds: the last
     mask left is the largest in canonical order, so it is maximal; drop
-    every mask inside it.  Raises NotAZeroSetError for a DF that failed
-    validation, SpaceTooLargeError beyond ZERO_SET_WORK_LIMIT (before any
-    table is built) or ZERO_SET_CANDIDATE_LIMIT."""
-    if df.validation is not None and not df.validation.passed:
-        raise NotAZeroSetError("refusing to catalog a decoherence functional that failed "
-                               "validation")
+    every mask inside it.  Raises SpaceTooLargeError beyond
+    ZERO_SET_WORK_LIMIT (before any table is built) or
+    ZERO_SET_CANDIDATE_LIMIT."""
     c, sectors = df.factor.shape[1], df.sectors()
     sizes: dict[int, list[int]] = {}
     for pos, (_, mask) in enumerate(sectors):

@@ -235,7 +235,7 @@ def analyze_df(df: DecoherenceFunctional, label: str) -> tuple[dict, CoEventSet]
             for c in coevents
         ],
     }
-    if df.sectors_verified():
+    if df.space.sectors is not None:
         names, masks = zip(*df.sectors())
         totals = _mask_bits(masks, space.size) @ df.factor
         section["sector_measures"] = dict(zip(names, _squared_norms(totals)))

@@ -21,13 +21,11 @@ import pytest
 from coevent import (
     DecoherenceFunctional,
     Event,
-    ValidationFailedError,
     build_df,
     build_scenario,
     raw_df,
 )
 from coevent import histories
-from coevent.histories import raw_space
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EPS = 1e-9
@@ -66,18 +64,6 @@ def amplitude(schema, outcomes) -> complex:
     final = schema.slices[-1].decomposition
     assert final.ranks[outcomes[-1]] == 1
     return complex(np.vdot(final.basis[:, final.owner[outcomes[-1]].argmax()], branch))
-
-
-def unvalidated_raw_df(matrix) -> DecoherenceFunctional:
-    """A raw DF carrying the failing report raw_df rejected the matrix with.
-
-    Its factor is zero: only code that refuses failed DFs may read it.
-    """
-    n = len(matrix)
-    with pytest.raises(ValidationFailedError) as info:
-        raw_df(matrix)
-    return DecoherenceFunctional(raw_space(f"h{i + 1}" for i in range(n)),
-                                 np.zeros((n, 1)), info.value.report)
 
 
 def load_golden(name: str) -> dict:

@@ -420,7 +420,7 @@ def test_criterion_8_property_suites():
             cells = [event, complement(event)]
             assert is_decoherent_partition(df, cells, "medium").passed, label
 
-        if df.sectors_verified():
+        if df.space.sectors is not None:
             sector_masks = [m for _, m in df.sectors()]
             for _ in range(50):
                 mask = int(rng.integers(0, 1 << df.size))

@@ -160,7 +160,7 @@ def test_weak_check_budgets_the_cell_sums_of_b(monkeypatch):
 def test_product_carries_sector_structure():
     v1 = scenario_dfs("pbr-v1")
     prod = tensor_df(v1["00"], v1["++"])
-    assert prod.sectors_verified()
+    assert prod.sectors() == prod.space.sectors
     assert tuple(lab for lab, _ in prod.space.sectors) == tuple(
         f"xi{i},xi{j}" for i in range(1, 5) for j in range(1, 5)
     )
@@ -416,7 +416,7 @@ def test_tensor_df_sectors_and_rectangle_rule_on_random_schemas(left, right):
         for k in range(nb):
             want[f"{fin_a[i]},{fin_b[k]}"] |= 1 << (i * nb + k)
     assert prod.space.sectors == tuple(want.items())
-    assert prod.sectors_verified()
+    assert prod.sectors() == prod.space.sectors
 
     catalog = find_zero_sets(prod)
     for za in brute_zero_masks(a):

@@ -42,7 +42,6 @@ from conftest import (
     outcome_tuples,
     projectors,
     scenario_dfs,
-    unvalidated_raw_df,
 )
 
 
@@ -102,23 +101,73 @@ def test_slice_checks_its_evolution_when_built():
 
 def test_checked_inputs_are_read_only_copies():
     """Writing to the caller's arrays after the checks reaches neither the
-    slice nor the DF, and in-place writes to ``basis`` and ``evolution``
-    are refused."""
+    slice, the schema nor the DF; in-place writes to every checked array,
+    the DF's factor and its cached matrix are refused, and so is assigning
+    to a field of a schema, a space or a DF."""
     u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     b = np.eye(2, dtype=complex)
+    k = np.array([1, 0], dtype=complex)
     s = Slice(ProjectiveDecomposition(b, (1, 1), ("0", "1")), u)
-    schema = HistorySchema.from_ket([1, 0], (s, s))
+    schema = HistorySchema.from_ket(k, (s, s))
     before = build_df(schema).factor
     u[1, 1] = 5
     b[0, 0] = 3
+    k[0] = 5
     np.testing.assert_array_equal(s.evolution, [[0, 1], [1, 0]])
     np.testing.assert_array_equal(s.decomposition.basis, np.eye(2))
+    np.testing.assert_array_equal(schema.ket, [1, 0])
     df = build_df(schema)
     assert df.validation.passed
     np.testing.assert_array_equal(df.factor, before)
-    for array in (s.evolution, s.decomposition.basis, s.decomposition.owner, s.turn):
+    for array in (s.evolution, s.decomposition.basis, s.decomposition.owner, s.turn,
+                  schema.state, df.factor, df.matrix):
         with pytest.raises(ValueError):
             array[0, 0] = 7
+    for obj, names in ((schema, ("state", "slices")), (df.space, ("labels", "sectors")),
+                       (df, ("space", "factor", "validation"))):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, getattr(obj, name))
+
+
+def test_a_validated_df_cannot_change():
+    """df.factor[0, :] *= 3 would give raw_df(eye(4) / 4) a total measure of
+    3.0 under its report's normalization residual 0.0: the write is refused,
+    and a write to the caller's factor does not reach a hand-built DF."""
+    df = raw_df(np.eye(4) / 4)
+    with pytest.raises(ValueError):
+        df.factor[0, :] *= 3
+    everything = Event(df.space, df.space.full_mask())
+    assert measure(df, everything) == pytest.approx(1.0)
+    assert df.validation.normalization_residual == 0.0
+    v = np.full((4, 1), 0.25)
+    mine = DecoherenceFunctional(raw_space(["h1", "h2", "h3", "h4"]), v)
+    v[0] *= 3
+    assert measure(mine, Event(mine.space, mine.space.full_mask())) == 1.0
+
+
+@pytest.mark.parametrize("factor", [[[np.nan]], [[np.inf]], [[np.nan], [0.5]],
+                                    [[0.5, np.inf], [0.5, 0.0]]])
+def test_a_non_finite_factor_makes_no_df(factor):
+    """A NaN residual fails its check: a factor with a NaN or infinite entry
+    has a non-finite normalization residual and a NaN minimum eigenvalue."""
+    space = raw_space(f"h{i + 1}" for i in range(len(factor)))
+    with pytest.raises(ValidationFailedError) as info:
+        DecoherenceFunctional(space, np.array(factor))
+    rep = info.value.report
+    assert not rep.passed and np.isnan(rep.min_eigenvalue)
+    assert [f.split()[0] for f in rep.failures] == ["normalization", "strong"]
+
+
+def test_a_nan_cross_sector_entry_fails_the_block_check():
+    """The block max keeps a NaN cross-sector entry, where max() dropped it."""
+    factor = np.array([[np.nan], [1.0]], dtype=complex)
+    sectors = (("0", 0b01), ("1", 0b10))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_block_residual(factor, sectors))
+    space = HistorySpace(labels=("h1", "h2"), sectors=sectors)
+    with pytest.raises(ValidationFailedError, match="final-sector block residual nan"):
+        DecoherenceFunctional(space, factor)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -352,7 +401,7 @@ def test_block_structure_verified():
     df = scenario_dfs("pbr-v2")["00"]
     assert df.validation.block_applicable
     assert df.validation.block_residual <= 1e-12
-    assert df.sectors_verified()
+    assert df.sectors() == df.space.sectors
     schema = build_scenario("pbr-v2").entries[0].schema
     finals = np.array([t[-1] for t in outcome_tuples(schema)])
     off = np.abs(df.matrix)[finals[:, None] != finals[None, :]]
@@ -411,8 +460,7 @@ def test_event_is_slotted_and_frozen():
 def test_raw_df_paths():
     df = raw_df(np.diag([0.25, 0.75]))
     assert df.space.labels == ("h1", "h2")
-    assert df.validation.passed
-    assert not df.sectors_verified()
+    assert df.validation.passed and not df.validation.block_applicable
     assert df.sectors() == (("all", df.space.full_mask()),)
     with pytest.raises(ValidationFailedError):
         raw_df(np.diag([0.25, 0.25]))
@@ -477,12 +525,19 @@ def test_sort_masks_orders_by_size_then_members(data):
 
 
 def test_validate_df_failure_reports():
-    neg = unvalidated_raw_df(np.array([[0.2, 0.5], [0.5, -0.2]]))
-    assert not neg.validation.passed
-    assert any("positivity" in f for f in neg.validation.failures)
-    off = unvalidated_raw_df(np.diag([0.3, 0.3]))
-    assert any("normalization" in f for f in off.validation.failures)
-    short = validate_df(DecoherenceFunctional(raw_space(["h1", "h2"]), 0.3 * np.eye(2)))
+    """A failing report makes no DF: ValidationFailedError carries it."""
+    with pytest.raises(ValidationFailedError) as info:
+        raw_df(np.array([[0.2, 0.5], [0.5, -0.2]]))
+    assert not info.value.report.passed
+    assert any("positivity" in f for f in info.value.report.failures)
+    with pytest.raises(ValidationFailedError) as info:
+        raw_df(np.diag([0.3, 0.3]))
+    assert any("normalization" in f for f in info.value.report.failures)
+    with pytest.raises(ValidationFailedError) as info:
+        DecoherenceFunctional(raw_space(["h1", "h2"]), 0.3 * np.eye(2))
+    assert str(info.value) == ("decoherence functional failed validation: "
+                               "normalization residual 8.200e-01")
+    short = info.value.report
     assert short.hermiticity_residual == 0.0
     assert short.normalization_residual == pytest.approx(1.0 - 0.18)
     assert [f.split()[0] for f in short.failures] == ["normalization"]
@@ -523,7 +578,7 @@ def test_large_build_df_never_forms_the_matrix():
     slices = [Slice(random_decomposition(rng, 2, ["0", "1"])) for _ in range(14)]
     df = build_df(HistorySchema.from_ket([1.0, 0.0], slices))
     assert df.size == 2**14 and df.factor.shape == (2**14, 2)
-    assert df.validation.passed and df.sectors_verified()
+    assert df.validation.passed and df.sectors() == df.space.sectors
     assert "matrix" not in vars(df)
 
 
@@ -547,19 +602,23 @@ def test_build_df_on_a_256_outcome_basis_stays_small():
 
 def test_block_residual_memory_stays_linear_in_sectors():
     """4,096 one-history sectors: the block check unpacks one sector at a
-    time, so validation holds O(n) bools, not one row per sector."""
+    time, so it holds O(n) bools, not one row per sector.  Its residual,
+    1/n^2, is above EPS_DF, so this factor makes no DF and the check is
+    called on the factor itself."""
     n = 4096
-    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)),
-                         sectors=tuple((str(i), 1 << i) for i in range(n)))
-    df = DecoherenceFunctional(space, np.full((n, 1), 1.0 / n))
+    sectors = tuple((str(i), 1 << i) for i in range(n))
+    factor = np.full((n, 1), 1.0 / n, dtype=complex)
     tracemalloc.start()
     try:
-        report = validate_df(df)
+        residual = _block_residual(factor, sectors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
-    assert report.block_residual == pytest.approx(1.0 / n**2)
+    assert residual == pytest.approx(1.0 / n**2)
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)), sectors=sectors)
+    with pytest.raises(ValidationFailedError, match="final-sector block residual 5.960e-08"):
+        DecoherenceFunctional(space, factor)
 
 
 @st.composite
@@ -604,7 +663,7 @@ def test_block_residual_bound_covers_the_exact_max(schema):
     rows = df.factor.reshape(df.size, d, r).transpose(0, 2, 1)
     bound = _leakage_bound(rows, schema.slices[-1].decomposition)
     assert brute_block_residual(df) <= bound <= EPS_DF
-    exact = bound if bound <= ROUNDOFF_FLOOR else _block_residual(df)
+    exact = bound if bound <= ROUNDOFF_FLOOR else _block_residual(df.factor, df.space.sectors)
     assert df.validation.block_residual == exact
 
 

@@ -18,10 +18,10 @@ from coevent import (
     HistorySchema,
     InvalidPartitionError,
     LabelMismatchError,
-    NotAZeroSetError,
     ProjectiveDecomposition,
     Slice,
     SpaceTooLargeError,
+    ValidationFailedError,
     build_df,
     build_theta_bases,
     computational_basis,
@@ -30,7 +30,6 @@ from coevent import (
     is_decoherent_partition,
     measure,
     raw_df,
-    validate_df,
 )
 from coevent import measure_analysis
 from coevent.histories import HistorySpace, ValidationReport, raw_space, sort_masks
@@ -49,7 +48,6 @@ from conftest import (
     small_scenario_dfs,
     spread_bits,
     subset_measures_simple,
-    unvalidated_raw_df,
 )
 
 
@@ -249,7 +247,8 @@ def test_union_assembly_rule_at_the_tolerance_edge():
     delta = 1.2e-9
     ket = np.sqrt(1.0 - delta) * p + np.sqrt(delta) * m
     df = build_df(HistorySchema.from_ket(ket, (Slice(pm), Slice(computational_basis(2)))))
-    assert df.space.labels == ("h_{p0}", "h_{p1}", "h_{m0}", "h_{m1}") and df.sectors_verified()
+    assert df.space.labels == ("h_{p0}", "h_{p1}", "h_{m0}", "h_{m1}")
+    assert df.sectors() == df.space.sectors
     catalog = find_zero_sets(df)
     union = label_mask(df.space, ["h_{m0}", "h_{m1}"])
     assert catalog.maximal_masks() == [union]
@@ -351,8 +350,7 @@ def test_listings_of_a_seventy_history_space():
                          sectors=tuple((str(f), sum(1 << g for g in members[f]))
                                        for f in range(sectors)))
     df = DecoherenceFunctional(space, factor / np.sqrt(total()))
-    df = DecoherenceFunctional(space, df.factor, validate_df(df))
-    assert df.sectors_verified()
+    assert df.sectors() == space.sectors
 
     def canonical(masks):
         return sorted(masks, key=lambda m: (m.bit_count(), [i for i in range(n) if m >> i & 1]))
@@ -395,9 +393,8 @@ def factor_df(rows: np.ndarray) -> DecoherenceFunctional:
     """The validated one-block DF of factor rows ``rows``, scaled to unit
     total measure, with no eigendecomposition of its matrix."""
     total = rows.sum(axis=0)
-    df = DecoherenceFunctional(raw_space([f"h{i + 1}" for i in range(len(rows))]),
-                               rows / np.sqrt(np.vdot(total, total).real))
-    return DecoherenceFunctional(df.space, df.factor, validate_df(df))
+    return DecoherenceFunctional(raw_space([f"h{i + 1}" for i in range(len(rows))]),
+                                 rows / np.sqrt(np.vdot(total, total).real))
 
 
 def paired_rows(rng: np.random.Generator, k: int, m: int) -> tuple[np.ndarray, list[int]]:
@@ -602,10 +599,14 @@ def test_borderline_band():
     assert not is_zero_event(catalog, 0b1)
 
 
-def test_find_zero_sets_refuses_invalid_df():
-    broken = unvalidated_raw_df(np.array([[0.5, 0.5], [0.0, 0.5]]))
-    with pytest.raises(NotAZeroSetError):
-        find_zero_sets(broken)
+def test_a_failing_report_makes_no_df():
+    """No DF holds a failed report, so none reaches the zero-set search: the
+    report raw_df rejects a matrix with is refused by the constructor too."""
+    with pytest.raises(ValidationFailedError) as info:
+        raw_df(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(ValidationFailedError, match="^decoherence functional failed "
+                                                    "validation: hermiticity residual"):
+        DecoherenceFunctional(raw_space(["h1", "h2"]), np.zeros((2, 1)), info.value.report)
 
 
 def test_sector_enumeration_limit():

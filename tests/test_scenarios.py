@@ -309,7 +309,7 @@ def test_analyze_df_sections_match_event_listings():
         assert section["measure_vector"] == pytest.approx(singles, rel=1e-14, abs=1e-30)
         assert list(section["measures"]) == list(space.labels)
         assert list(section["measures"].values()) == section["measure_vector"]
-        if df.sectors_verified():
+        if df.space.sectors is not None:
             want = {lab: measure(df, Event(space, m)) for lab, m in df.sectors()}
             assert section["sector_measures"] == pytest.approx(want, rel=1e-14, abs=1e-30)
         else:
