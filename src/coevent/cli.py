@@ -92,7 +92,7 @@ def _scenario_validate(args) -> int:
     report = {**report_header(), "file": args.file}
     try:
         df = build_df(schema_from_json(doc))
-    except (CoeventError, ValueError) as exc:
+    except (ValidationFailedError, ValueError) as exc:
         report["passed"] = False
         report["error"] = str(exc)
         if getattr(exc, "report", None) is not None:

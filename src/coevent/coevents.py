@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import LabelMismatchError, SpaceTooLargeError
+from . import limits
+from .errors import LabelMismatchError
 from .histories import (DecoherenceFunctional, Event, HistorySpace, _bits, _events,
                         _require_same_labels, sort_masks)
-from .limits import COEVENT_COUNT_LIMIT
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
 
@@ -91,9 +91,9 @@ def _minimal_preclusive_masks(sector: int, maximal: tuple[int, ...],
 
     def extend(chosen: int, crit: list[tuple[int, int]], cand: int, uncov: int) -> None:
         if not uncov:
-            if len(found) >= COEVENT_COUNT_LIMIT:
-                raise SpaceTooLargeError(
-                    f"more than COEVENT_COUNT_LIMIT = {COEVENT_COUNT_LIMIT} primitive co-events")
+            if len(found) >= limits.COEVENT_COUNT_LIMIT:
+                limits.refuse_above("COEVENT_COUNT_LIMIT", len(found) + 1,
+                                    f"co-event search found {len(found) + 1} primitive co-events")
             found.append(chosen)
             return
         pivot = min((edge_of[b] & cand for b in _bits(uncov)), key=int.bit_count)

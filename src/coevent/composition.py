@@ -16,7 +16,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import SpaceTooLargeError
 from .histories import (
     _STEP_ENTRIES,
     DecoherenceFunctional,
@@ -24,8 +23,9 @@ from .histories import (
     HistorySpace,
     _bits,
     _events,
+    product_labels,
 )
-from .limits import COMPOSITION_WORK_LIMIT
+from .limits import refuse_above
 from .measure_analysis import (
     PartitionListing,
     PartitionReport,
@@ -44,31 +44,17 @@ def _label_suffix(label: str) -> str:
     return label[1:] if len(label) > 1 and label.startswith("h") else label
 
 
-def _product_labels(a: DecoherenceFunctional, b: DecoherenceFunctional) -> tuple[str, ...]:
-    """Distinct labels of the product histories, first system major: the
-    factor labels with a leading 'h' stripped from each, concatenated after
-    an 'h' (h1 x h2 is h12) when those are distinct; else joined by a comma
-    (h1 x h11 is h1,11, h11 x h1 is h11,1); else, as when a factor has the
-    labels 1 and h1, the histories' positions from 1 (h1,2, h2,1, ...)."""
-    pairs = [(_label_suffix(x), _label_suffix(y)) for x in a.space.labels for y in b.space.labels]
-    labels = tuple(["h" + x + y for x, y in pairs])
-    if len(set(labels)) < len(labels):
-        labels = tuple([f"h{x},{y}" for x, y in pairs])
-    if len(set(labels)) < len(labels):
-        labels = tuple([f"h{i},{j}" for i in range(1, a.size + 1) for j in range(1, b.size + 1)])
-    return labels
-
-
 def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> DecoherenceFunctional:
     """Product DF over pair histories, first system major.
 
-    Product labels come from the factor labels (_product_labels), so h1 x h2
-    becomes h12.  Final-sector structure carries over
-    when both factors have it: sector 'fa,fb' is the rectangle of sectors fa
-    and fb, first system major.  The product is validated by validate_df's
-    exact report as it is made.
+    Product labels join the factor labels, a leading 'h' stripped, after an
+    'h' (product_labels): h1 x h2 is h12, h1 x h11 is h1,11.  Final-sector
+    structure carries over when both factors have it: sector 'fa,fb' is the
+    rectangle of sectors fa and fb, first system major.  The product is
+    validated by validate_df's exact report as it is made.
     """
-    labels = _product_labels(a, b)
+    labels = product_labels([[_label_suffix(x) for x in df.space.labels] for df in (a, b)],
+                            "h{}")
     sectors = None
     if a.space.sectors is not None and b.space.sectors is not None:
         sectors = tuple(
@@ -277,11 +263,8 @@ def composition_anomalies(a: DecoherenceFunctional,
     parts_a = find_decoherent_partitions(a, "weak", max_cells=a.size)
     parts_b = find_decoherent_partitions(b, "weak", max_cells=b.size)
     work = int((parts_a.counts ** 2).sum()) * int((parts_b.counts ** 2).sum())
-    if work > COMPOSITION_WORK_LIMIT:
-        raise SpaceTooLargeError(
-            f"weak-violation check of {work} product cell-matrix entries exceeds "
-            f"COMPOSITION_WORK_LIMIT = {COMPOSITION_WORK_LIMIT}"
-        )
+    refuse_above("COMPOSITION_WORK_LIMIT", work,
+                 f"weak-violation check of {work} product cell-matrix entries")
     product = tensor_df(a, b)
     return CompositionReport(
         product=product,

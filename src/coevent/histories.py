@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product, repeat
 
 import numpy as np
 
-from .errors import LabelMismatchError, SpaceTooLargeError, ValidationFailedError
-from .limits import MAX_OMEGA_ENV, max_omega
+from .errors import LabelMismatchError, ValidationFailedError
+from .limits import MAX_OMEGA_ENV, refuse_above
 from .linalg import (ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary,
                      read_only)
 from .tolerances import EPS_DF, EPS_UNIT, ROUNDOFF_FLOOR
@@ -122,8 +122,8 @@ class HistorySpace:
     """Enumerated histories with deterministic labels.
 
     For schema-backed spaces, ``sectors`` holds one (final label, member
-    mask) pair per final-slice outcome, in decomposition order.  Raw spaces
-    (ingested matrices) carry labels only.
+    mask) pair per final-slice outcome, in decomposition order, the masks
+    nonempty, disjoint and covering.  Raw spaces carry labels only.
     """
 
     labels: tuple[str, ...]
@@ -132,6 +132,12 @@ class HistorySpace:
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("history labels must be distinct")
+        if self.sectors is not None:
+            masks = [mask for _, mask in self.sectors]
+            union = reduce(operator.or_, masks, 0)
+            if (union != self.full_mask() or not all(masks)
+                    or sum(map(int.bit_count, masks)) > self.size):
+                raise ValueError("sectors must be nonempty, disjoint and cover the space")
 
     @property
     def size(self) -> int:
@@ -237,28 +243,36 @@ def sort_masks(masks, width: int) -> list[int]:
     return sorted(masks, key=key)
 
 
+def product_labels(factors, template: str) -> tuple[str, ...]:
+    """Distinct labels of a product's histories, first factor major: ``template``
+    around the factor labels concatenated if that keeps them distinct (1 x 2
+    is 12); else joined by a comma (1 x 11 is 1,11, 11 x 1 is 11,1); else, as
+    for the labels 1, 11 and 1,1, the positions from 1 (1,2, 2,1, ...)."""
+    for sep in ("", ","):
+        labels = tuple([template.format(sep.join(p)) for p in product(*factors)])
+        if len(set(labels)) == len(labels):
+            return labels
+    positions = [[str(i) for i in range(1, len(f) + 1)] for f in factors]
+    return tuple([template.format(",".join(p)) for p in product(*positions)])
+
+
 def enumerate_histories(schema: HistorySchema) -> HistorySpace:
     """All histories of a schema, lexicographic in outcome indices.
 
-    The first slice is the most significant position.  Labels concatenate
-    the outcome labels in time order, e.g. h_{00xi2} or h_{+0+}.  Raises
-    SpaceTooLargeError beyond the history-space cap (see ``limits``).
+    The first slice is the most significant position.  Labels join the
+    outcome labels in time order (product_labels), e.g. h_{00xi2} or h_{+0+}.
+    Above the history-space cap or FACTOR_ENTRY_LIMIT, SpaceTooLargeError.
 
     The final slice is the least significant position, so with d final
     outcomes the sector of outcome f holds every d-th history from f: the
     repunit mask (2^n - 1) / (2^d - 1) shifted left by f.
     """
-    cap = max_omega()
-    n = 1
-    for s in schema.slices:
-        n *= len(s.decomposition)
-    if n > cap:
-        raise SpaceTooLargeError(
-            f"history space has {n} histories, above {MAX_OMEGA_ENV} = {cap}; "
-            f"set {MAX_OMEGA_ENV} to raise it"
-        )
-    labels = tuple("h_{" + "".join(outcomes) + "}"
-                   for outcomes in product(*[s.decomposition.labels for s in schema.slices]))
+    n = math.prod(len(s.decomposition) for s in schema.slices)
+    refuse_above(MAX_OMEGA_ENV, n, f"history space has {n} histories")
+    d, r = schema.state.shape
+    refuse_above("FACTOR_ENTRY_LIMIT", n * r * d, f"branch rows of {n} histories, {r} state "
+                 f"columns and dimension {d} have {n * r * d} entries")
+    labels = product_labels([s.decomposition.labels for s in schema.slices], "h_{{{}}}")
     final = schema.slices[-1].decomposition
     repunit = ((1 << n) - 1) // ((1 << len(final)) - 1)
     return HistorySpace(
@@ -421,8 +435,9 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
     """
     mat = as_complex_matrix(matrix)
     n = mat.shape[0]
-    if labels is None:
-        labels = [f"h{i + 1}" for i in range(n)]
+    labels = [f"h{i + 1}" for i in range(n)] if labels is None else list(labels)
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} history labels for a {n} x {n} decoherence matrix")
     try:
         with np.errstate(over="raise", invalid="raise"):
             w, u = np.linalg.eigh((mat + dagger(mat)) / 2)

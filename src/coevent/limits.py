@@ -1,9 +1,10 @@
-"""Size caps shared across modules.
+"""Size caps shared across modules, and refuse_above, the one check on them.
 
-Every enumeration the package runs is bounded by caps defined here.
-Going over a cap raises SpaceTooLargeError (command-line exit code 3) whose
-message names the cap and its value.  Only the history-space cap can be
-changed: the COEVENT_MAX_OMEGA environment variable overrides its default.
+Every enumeration the package runs is bounded by a cap defined here.  Going
+over one raises SpaceTooLargeError (exit code 3 from every command) with the
+message ``<what, with the count>, above <CAP> = <value>``.  Only
+COEVENT_MAX_OMEGA can be changed, by the environment variable of that name,
+and its message adds ``; set COEVENT_MAX_OMEGA to raise it``.
 PARTITION_REPORT_LIMIT is not an error: reports skip the partition listing
 for larger spaces.
 """
@@ -12,8 +13,14 @@ from __future__ import annotations
 
 import os
 
+from .errors import SpaceTooLargeError
+
 MAX_OMEGA_ENV = "COEVENT_MAX_OMEGA"
 DEFAULT_MAX_OMEGA = 2**20
+# Complex entries n r d of a schema's branch rows (n histories, r state
+# columns, dimension d), several arrays of which build_df holds at once: two
+# slices of d = 256 (2^24) peaked at 2.6 GB; 20 qubit slices (2^21) pass.
+FACTOR_ENTRY_LIMIT = 2**22
 # Table entries (floats) of one block's zero-set search: the half sums,
 # 2^(k // 2) and 2^(k - k // 2) rows of 2c reals, and the 2^z subsets of its
 # z null histories when those are needed.  2^22 entries is 32 MB of floats;
@@ -62,3 +69,12 @@ def max_omega() -> int:
     if cap < 1:
         raise ValueError(f"{MAX_OMEGA_ENV} must be positive")
     return cap
+
+
+def refuse_above(cap: str, count: int, what: str) -> None:
+    """Raise SpaceTooLargeError when ``count`` is above the cap named ``cap``,
+    read now (COEVENT_MAX_OMEGA: max_omega()), so a test patches it here."""
+    value = max_omega() if cap == MAX_OMEGA_ENV else globals()[cap]
+    if count > value:
+        hint = f"; set {MAX_OMEGA_ENV} to raise it" if cap == MAX_OMEGA_ENV else ""
+        raise SpaceTooLargeError(f"{what}, above {cap} = {value}{hint}")

@@ -32,11 +32,10 @@ from itertools import chain, compress, islice, product
 
 import numpy as np
 
-from .errors import InvalidPartitionError, SpaceTooLargeError
+from .errors import InvalidPartitionError
 from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
                         _events, _mask_bits, _require_same_labels, sort_masks)
-from .limits import (ASSEMBLY_LIMIT, PARTITION_COUNT_LIMIT, ZERO_SET_CANDIDATE_LIMIT,
-                     ZERO_SET_WORK_LIMIT)
+from .limits import refuse_above
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 # A sector whose 2^k events times its 2c real coordinates number at most
@@ -72,11 +71,8 @@ def _check_zero_set_work(k: int, c: int, extra: int = 0) -> None:
     tables, 2^(k // 2) and 2^(k - k // 2) rows of 2c reals."""
     h = k // 2
     work = ((1 << h) + (1 << (k - h))) * 2 * c + extra
-    if work > ZERO_SET_WORK_LIMIT:
-        raise SpaceTooLargeError(
-            f"zero-set search over a sector of {k} histories with {c} factor columns needs "
-            f"more than ZERO_SET_WORK_LIMIT = {ZERO_SET_WORK_LIMIT} table entries"
-        )
+    refuse_above("ZERO_SET_WORK_LIMIT", work, f"zero-set search over a sector of {k} "
+                 f"histories with {c} factor columns needs {work} table entries")
 
 
 # Cells of the grid join are 3 d r wide in each of the d coordinates it keys
@@ -144,11 +140,8 @@ def _grid_pairs(real: np.ndarray, high: np.ndarray, low: np.ndarray, step: int):
         counts = keys.searchsorted(probes, "right") - begin
         found = int(counts.sum())
         candidates += found
-        if candidates > ZERO_SET_CANDIDATE_LIMIT:
-            raise SpaceTooLargeError(
-                f"zero-set search over a sector of {len(real)} histories has more than "
-                f"ZERO_SET_CANDIDATE_LIMIT = {ZERO_SET_CANDIDATE_LIMIT} candidate events"
-            )
+        refuse_above("ZERO_SET_CANDIDATE_LIMIT", candidates, f"zero-set search over a sector "
+                     f"of {len(real)} histories has at least {candidates} candidate events")
         his = np.repeat(rows, counts)
         los = order[np.arange(found) + np.repeat(begin - (np.cumsum(counts) - counts), counts)]
         for part in range(0, found, step):
@@ -340,10 +333,8 @@ class ZeroSetCatalog:
         Raises SpaceTooLargeError beyond ASSEMBLY_LIMIT combinations.
         """
         per_sector = [s.maximal_masks for s in self.sectors]
-        if math.prod(len(masks) for masks in per_sector) > ASSEMBLY_LIMIT:
-            raise SpaceTooLargeError(
-                f"zero-event assembly exceeds ASSEMBLY_LIMIT = {ASSEMBLY_LIMIT} combinations"
-            )
+        count = math.prod(len(masks) for masks in per_sector)
+        refuse_above("ASSEMBLY_LIMIT", count, f"zero-event assembly of {count} combinations")
         # Sectors are disjoint, so one mask per sector sums to their union.
         return sort_masks({sum(choice) for choice in product(*per_sector)}, self.df.size)
 
@@ -578,11 +569,8 @@ def set_partition_strings(n: int, max_cells: int) -> np.ndarray:
     tops = [min(n, 1)]
     for _ in steps:
         count = sum(r * min(t + 2, cells) for t, r in enumerate(tops))
-        if count > PARTITION_COUNT_LIMIT:
-            raise SpaceTooLargeError(
-                f"partition search over {n} histories into at most {max_cells} cells has at "
-                f"least {count} partitions, above PARTITION_COUNT_LIMIT = {PARTITION_COUNT_LIMIT}"
-            )
+        refuse_above("PARTITION_COUNT_LIMIT", count, f"partition search over {n} histories into "
+                     f"at most {max_cells} cells has at least {count} partitions")
         tops = [r * (t + 1) + (tops[t - 1] if t else 0) for t, r in enumerate(tops + [0])]
         tops = tops[:cells]
     strings = np.zeros((sum(tops), n), dtype=np.int8)

@@ -23,7 +23,7 @@ from .coevents import (
     distinguishability_report,
     enumerate_primitive_coevents,
 )
-from .errors import MissingParameterError, SpaceTooLargeError, UnknownScenarioError
+from .errors import MissingParameterError, UnknownScenarioError
 from .histories import (
     DecoherenceFunctional,
     HistorySchema,
@@ -42,7 +42,7 @@ from .linalg import (
     tensor,
     unitary_from_hamiltonian,
 )
-from .limits import PARTITION_REPORT_LIMIT, SWEEP_STEP_LIMIT
+from .limits import PARTITION_REPORT_LIMIT, refuse_above
 from .measure_analysis import find_decoherent_partitions, find_zero_sets
 from .tolerances import ROUNDOFF_FLOOR, tolerance_summary
 
@@ -322,9 +322,7 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
     """
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
-    if steps > SWEEP_STEP_LIMIT:
-        raise SpaceTooLargeError(
-            f"sweep of {steps} steps exceeds SWEEP_STEP_LIMIT = {SWEEP_STEP_LIMIT}")
+    refuse_above("SWEEP_STEP_LIMIT", steps, f"sweep of {steps} steps")
     for name, value in (("start", start), ("end", end)):
         if not math.isfinite(value):
             raise ValueError(f"sweep {name} must be a finite number, got {value!r}")

@@ -9,10 +9,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import coevent
-from coevent import coevents
+from coevent import HistorySchema, Slice, computational_basis, limits
 from coevent.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_OK, EXIT_VALIDATION, main
 from coevent.scenarios import build_scenario, schema_to_json
 
@@ -332,11 +333,85 @@ def test_enumeration_cap_exits_cap_code(capsys, monkeypatch):
 
 def test_coevent_cap_exits_cap_code(capsys, monkeypatch):
     """appendix-theta at 0.7 lists more than 2 co-events for phi1."""
-    monkeypatch.setattr(coevents, "COEVENT_COUNT_LIMIT", 2)
+    monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", 2)
     code, out, err = run_cli(capsys, "scenario", "run", "appendix-theta", "--theta", "0.7")
     assert code == EXIT_CAP
     assert out == ""
-    assert "COEVENT_COUNT_LIMIT = 2" in err
+    assert err == ("enumeration cap exceeded: co-event search found 3 primitive co-events, "
+                   "above COEVENT_COUNT_LIMIT = 2\n")
+
+
+def _write_two_slice_schema(tmp_path, dim, labels=None):
+    """A schema file measuring |0> twice in the computational basis of dim."""
+    basis = Slice(computational_basis(dim, labels))
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(schema_to_json(
+        HistorySchema.from_ket(np.eye(dim)[0], (basis, basis)))))
+    return path
+
+
+@pytest.mark.parametrize("max_omega, dim, message", [
+    ("4", None, "history space has 8 histories, above COEVENT_MAX_OMEGA = 4; "
+                "set COEVENT_MAX_OMEGA to raise it"),
+    (None, 256, "branch rows of 65536 histories, 1 state columns and dimension 256 have "
+                "16777216 entries, above FACTOR_ENTRY_LIMIT = 4194304"),
+], ids=["max-omega", "factor-entries"])
+def test_scenario_validate_over_a_cap_exits_cap_code(capsys, tmp_path, monkeypatch,
+                                                     max_omega, dim, message):
+    """scenario validate refuses a schema over a cap as every command does:
+    exit 3, nothing on stdout, one line on stderr.  Two slices of d = 256
+    pass the history cap but not the factor cap, before any array exists."""
+    if max_omega is None:
+        path = _write_two_slice_schema(tmp_path, dim)
+    else:
+        monkeypatch.setenv("COEVENT_MAX_OMEGA", max_omega)
+        path, _ = _write_schema(tmp_path, "appendix-theta", theta=0.7)
+    code, out, err = run_cli(capsys, "scenario", "validate", "--file", str(path))
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == f"enumeration cap exceeded: {message}\n"
+
+
+@pytest.mark.parametrize("labels, dim", [(["1", "11"], 2), (None, 12)], ids=["1-11", "d12"])
+def test_scenario_validate_joins_colliding_labels(capsys, tmp_path, labels, dim):
+    """Outcome labels whose concatenations collide pass validation, their
+    history labels joined by commas."""
+    path = _write_two_slice_schema(tmp_path, dim, labels)
+    code, out, _ = run_cli(capsys, "scenario", "validate", "--file", str(path))
+    assert code == EXIT_OK
+    history_labels = json.loads(out)["history_labels"]
+    assert len(history_labels) == dim * dim
+    assert {"h_{1,11}", "h_{11,1}"} <= set(history_labels)
+
+
+def test_scenario_validate_reports_the_failed_residuals(capsys, tmp_path):
+    """A basis scaled by 1 + 4e-10 passes the basis check, and the DF it
+    builds fails normalization: the report holds the validation block."""
+    scaled = 1.0 + 4e-10
+    doc = {"dim": 2, "initial": [[1.0, 0.0], [0.0, 0.0]],
+           "slices": [{"basis": [[[scaled, 0.0], [0.0, 0.0]], [[0.0, 0.0], [scaled, 0.0]]],
+                       "labels": ["0", "1"]}]}
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "scenario", "validate", "--file", str(path))
+    assert (code, err) == (EXIT_VALIDATION, "")
+    report = json.loads(out)
+    assert report["passed"] is False and report["validation"]["passed"] is False
+    assert report["validation"]["failures"] == ["normalization residual 1.600e-09"]
+    assert report["error"] == ("constructed decoherence functional failed validation: "
+                               "normalization residual 1.600e-09")
+
+
+def test_bad_label_count_and_cap_setting_exit_bad_input(capsys, tmp_path, monkeypatch):
+    """Two labels for a 1 x 1 matrix, and a COEVENT_MAX_OMEGA of 0, are bad
+    input."""
+    path = _write_df(tmp_path, [[[1.0, 0.0]]], labels=["a", "b"])
+    code, out, err = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: 2 history labels for a 1 x 1 decoherence matrix\n"
+    monkeypatch.setenv("COEVENT_MAX_OMEGA", "0")
+    code, out, err = run_cli(capsys, "scenario", "run", "pbr-v1")
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == "error: COEVENT_MAX_OMEGA must be positive\n"
 
 
 def test_zero_set_caps_exit_cap_code(capsys, tmp_path):

@@ -25,7 +25,7 @@ from coevent import (
     raw_df,
     tensor_df,
 )
-from coevent import composition, measure_analysis
+from coevent import composition, limits, measure_analysis
 from coevent.composition import _pair_mask
 
 from conftest import (
@@ -324,8 +324,9 @@ def test_composition_needs_no_zero_event_assembly(monkeypatch):
     zero events fails while composition gives the same report."""
     x, y3 = rotated_schema_df(), uniform_computational_df(3)
     want = composition_anomalies(x, y3).as_dict()
-    monkeypatch.setattr(measure_analysis, "ASSEMBLY_LIMIT", 1)
-    with pytest.raises(SpaceTooLargeError, match="ASSEMBLY_LIMIT = 1 "):
+    monkeypatch.setattr(limits, "ASSEMBLY_LIMIT", 1)
+    with pytest.raises(SpaceTooLargeError, match=r"assembly of \d+ combinations, "
+                                                 "above ASSEMBLY_LIMIT = 1$"):
         find_zero_sets(x).maximal_zero_events()
     assert composition_anomalies(x, y3).as_dict() == want
 

@@ -27,8 +27,9 @@ from coevent import (
     raw_df,
     validate_df,
 )
+from coevent import limits
 from coevent.histories import (HistorySpace, _block_residual, _events, _leakage_bound,
-                               raw_space, sort_masks)
+                               product_labels, raw_space, sort_masks)
 from coevent.scenarios import emit_report
 from coevent.tolerances import EPS_DF, ROUNDOFF_FLOOR
 
@@ -72,6 +73,56 @@ def test_enumeration_size_caps(monkeypatch):
         enumerate_histories(schema)
 
 
+def test_factor_entry_cap(monkeypatch):
+    """n r d entries of the branch rows are checked with the history count,
+    before any label exists: 20 qubit slices (2^21 entries) fit the cap and
+    two slices of dimension 256 (2^24) do not; a cap read at call time
+    refuses one entry more than it holds."""
+    assert 2**20 * 2 <= limits.FACTOR_ENTRY_LIMIT < 2**16 * 256
+    big = Slice(computational_basis(256))
+    with pytest.raises(SpaceTooLargeError, match="^branch rows of 65536 histories, 1 state "
+                                                 "columns and dimension 256 have 16777216 "
+                                                 "entries, above FACTOR_ENTRY_LIMIT = 4194304$"):
+        enumerate_histories(HistorySchema.from_ket(np.eye(256)[0], (big, big)))
+    schema = HistorySchema.from_density(np.eye(2) / 2, qubit_schema().slices)
+    monkeypatch.setattr(limits, "FACTOR_ENTRY_LIMIT", 16)
+    assert enumerate_histories(schema).size == 4
+    monkeypatch.setattr(limits, "FACTOR_ENTRY_LIMIT", 15)
+    with pytest.raises(SpaceTooLargeError, match="2 state columns .* 16 entries"):
+        build_df(schema)
+
+
+@pytest.mark.parametrize("labels, dim, expected", [
+    (["1", "11"], 2, ["h_{1,1}", "h_{1,11}", "h_{11,1}", "h_{11,11}"]),
+    (None, 12, ["h_{0,0}", "h_{0,1}", "h_{0,2}", "h_{0,3}"]),
+    (["1", "11", "1,1"], 3, ["h_{1,1}", "h_{1,2}", "h_{1,3}", "h_{2,1}"]),
+], ids=["1-11", "d12", "positions"])
+def test_colliding_outcome_labels_are_joined_by_commas(labels, dim, expected):
+    """Outcome labels whose concatenations collide (1 + 11 is 11 + 1) are
+    joined by a comma; when those collide too, the outcomes' positions from
+    1 are.  Labels whose concatenations are distinct stay concatenated."""
+    basis = computational_basis(dim, labels)
+    space = build_df(HistorySchema.from_ket(np.eye(dim)[0], (Slice(basis), Slice(basis)))).space
+    assert list(space.labels[:4]) == expected and space.size == dim * dim
+    assert len(set(space.labels)) == dim * dim
+    assert product_labels([["0", "1"], ["+", "-"]], "h{}") == ("h0+", "h0-", "h1+", "h1-")
+
+
+@pytest.mark.parametrize("sectors", [
+    (("a", 0b011), ("b", 0b110)),
+    (("a", 0b011), ("b", 0b100), ("c", 0b1000)),
+    (("a", 0b111), ("b", 0)),
+    (("a", 0b011),),
+], ids=["overlap", "outside", "empty", "uncovered"])
+def test_history_space_refuses_sectors_it_cannot_use(sectors):
+    """Sectors must be nonempty, disjoint and inside the space, and cover it:
+    overlapping sectors would list a co-event twice, and one outside the
+    space would index past the factor."""
+    with pytest.raises(ValueError, match="^sectors must be nonempty, disjoint and cover the "
+                                         "space$"):
+        HistorySpace(labels=("h1", "h2", "h3"), sectors=sectors)
+
+
 def test_schema_validation():
     basis = computational_basis(2)
     with pytest.raises(ValueError, match="unit trace"):
@@ -86,6 +137,17 @@ def test_schema_validation():
         HistorySchema.from_ket([1.0, 0.0], (Slice(basis, evolution=2.0 * np.eye(2)),))
     with pytest.raises(ValueError):
         HistorySchema.from_ket([1.0, 0.0, 0.0], (Slice(basis),))
+    with pytest.raises(ValueError, match="initial state factor must be a matrix"):
+        HistorySchema(np.array([1.0, 0.0]), (Slice(basis),))
+
+
+def test_factor_and_labels_must_match_in_count():
+    """A factor with a row count other than the space's size is refused, and
+    raw_df names both counts before it decomposes the matrix."""
+    with pytest.raises(ValueError, match="factor shape does not match the history space"):
+        DecoherenceFunctional(raw_space(["h1", "h2"]), np.ones((1, 1)))
+    with pytest.raises(ValueError, match="^2 history labels for a 1 x 1 decoherence matrix$"):
+        raw_df([[1.0]], labels=["a", "b"])
 
 
 def test_slice_checks_its_evolution_when_built():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevent import SpaceTooLargeError, coevents, enumerate_primitive_coevents
+from coevent import SpaceTooLargeError, enumerate_primitive_coevents, limits
 from coevent.coevents import _minimal_preclusive_masks
 
 from conftest import brute_primitive_masks, random_amplitude_df
@@ -96,10 +96,11 @@ def test_coevent_count_cap(monkeypatch, cap):
     """The search stops with SpaceTooLargeError, naming the cap, on the
     first support past COEVENT_COUNT_LIMIT; 10^4 supports pass a cap of
     10^4.  The supports found so far count against the cap."""
-    monkeypatch.setattr(coevents, "COEVENT_COUNT_LIMIT", cap)
+    monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", cap)
     sector, _, maximal = four_blocks_of_ten()
     if cap < 10_000:
-        with pytest.raises(SpaceTooLargeError, match=f"COEVENT_COUNT_LIMIT = {cap}"):
+        with pytest.raises(SpaceTooLargeError, match=f"found {cap + 1} primitive co-events, "
+                                                     f"above COEVENT_COUNT_LIMIT = {cap}$"):
             _minimal_preclusive_masks(sector, maximal)
     else:
         assert len(_minimal_preclusive_masks(sector, maximal)) == 10_000
