@@ -29,7 +29,7 @@ from coevent import (
 )
 from coevent import limits
 from coevent.histories import (HistorySpace, _block_residual, _events, _leakage_bound,
-                               product_labels, raw_space, sort_masks)
+                               raw_space, sort_masks)
 from coevent.scenarios import emit_report
 from coevent.tolerances import EPS_DF, ROUNDOFF_FLOOR
 
@@ -105,7 +105,6 @@ def test_colliding_outcome_labels_are_joined_by_commas(labels, dim, expected):
     space = build_df(HistorySchema.from_ket(np.eye(dim)[0], (Slice(basis), Slice(basis)))).space
     assert list(space.labels[:4]) == expected and space.size == dim * dim
     assert len(set(space.labels)) == dim * dim
-    assert product_labels([["0", "1"], ["+", "-"]], "h{}") == ("h0+", "h0-", "h1+", "h1-")
 
 
 @pytest.mark.parametrize("sectors", [
