@@ -126,11 +126,27 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
         catalog = find_zero_sets(df)
     elif catalog.df is not df:
         raise ValueError("the zero-set catalog belongs to another decoherence functional")
-    masks: list[int] = []
-    for s in catalog.sectors:
-        _minimal_preclusive_masks(s.sector_mask, s.maximal_masks, masks)
+    masks = _primitive_masks(catalog, {})
     coevents = tuple(CoEvent(df.space, m, m.bit_count() == 1) for m in sort_masks(masks, df.size))
     return CoEventSet(coevents=coevents, label=label, df=df)
+
+
+def _primitive_masks(catalog: ZeroSetCatalog, memo: dict) -> list[int]:
+    """Unsorted support masks of a catalog's primitive co-events: a sector's from
+    MMCS once, then from ``memo`` by (sector mask, maximal masks), which refuses
+    more than COEVENT_COUNT_LIMIT in all with MMCS's message."""
+    masks: list[int] = []
+    for s in catalog.sectors:
+        key = (s.sector_mask, s.maximal_masks)
+        if key not in memo:
+            start = len(masks)
+            memo[key] = _minimal_preclusive_masks(*key, masks)[start:]
+            continue
+        masks += memo[key]
+        over = min(len(masks), limits.COEVENT_COUNT_LIMIT + 1)
+        limits.refuse_above("COEVENT_COUNT_LIMIT", over,
+                            f"co-event search found {over} primitive co-events")
+    return masks
 
 
 def _shared_masks(sets) -> list[int]:

@@ -23,6 +23,8 @@ from .histories import (
     HistorySpace,
     _bits,
     _events,
+    _exact_report,
+    _made,
     product_labels,
 )
 from .limits import refuse_above
@@ -61,9 +63,9 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
             (f"{fa},{fb}", _pair_mask(ma, mb, b.size))
             for fa, ma in a.space.sectors for fb, mb in b.space.sectors
         )
-    space = HistorySpace(labels=labels, sectors=sectors)
-    return DecoherenceFunctional(space, np.kron(a.factor, b.factor),
-                                 _what="product decoherence functional")
+    factor = np.kron(a.factor, b.factor)
+    return _made(HistorySpace(labels=labels, sectors=sectors), factor,
+                 _exact_report(factor, sectors), "product decoherence functional")
 
 
 def _largest_product_block(a: DecoherenceFunctional, b: DecoherenceFunctional) -> int:
@@ -158,9 +160,9 @@ def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
     hold at most _STEP_ENTRIES masks x rectangles, or one mask; only
     emergent masks are spread to global bits.
     """
-    bands_a, bands_b = list(_sector_search(a, True)), list(_sector_search(b, True))
+    bands_a, bands_b = list(_sector_search([a], True)), list(_sector_search([b], True))
     out = {}
-    for positions, group, key, zeros in _sector_search(product, zero_only=True):
+    for positions, group, key, zeros in _sector_search([product], zero_only=True):
         for pos, members, events in zip(positions, group, _by_key(zeros, key, len(positions))):
             rows, cols = (np.unique(x) for x in np.divmod(members, b.size))
             w = len(cols)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product, repeat
 
@@ -31,7 +31,7 @@ from .errors import LabelMismatchError, ValidationFailedError
 from .limits import MAX_OMEGA_ENV, refuse_above
 from .linalg import (ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary,
                      read_only)
-from .tolerances import EPS_DF, EPS_UNIT, ROUNDOFF_FLOOR
+from .tolerances import EPS_DF, EPS_UNIT, ROUNDOFF_FLOOR, gamma
 
 # Array entries one vectorized step may hold: bounds the memory of the block
 # check and of the partition and composition searches to a few MB.
@@ -337,26 +337,22 @@ class DecoherenceFunctional:
     """A decoherence functional over a history space, stored as its Gram
     factor V (one row per history): D(i, j) = vdot(V[i], V[j]).
 
-    It is validated when it is made and cannot change after: ``factor`` is a
-    read-only copy, and ``validation`` the report it is given (build_df's may
-    carry its leakage bound, raw_df's holds the matrix's residuals) or else
-    validate_df's.  A failing report raises ValidationFailedError naming
-    the DF as ``_what``."""
+    It is validated when it is made and cannot change after.  Made here,
+    ``factor`` is a read-only copy and ``validation`` validate_df's report,
+    and a report given with it is checked, not trusted; the package's own
+    builders hand over a factor just made with its report (_made).  A
+    failing report raises ValidationFailedError."""
 
     space: HistorySpace
     factor: np.ndarray
     validation: ValidationReport | None = None
-    _what: InitVar[str] = "decoherence functional"
 
-    def __post_init__(self, _what):
+    def __post_init__(self):
         object.__setattr__(self, "factor", read_only(self.factor))
         if self.factor.ndim != 2 or self.factor.shape[0] != self.space.size:
             raise ValueError("factor shape does not match the history space")
-        report = validate_df(self) if self.validation is None else self.validation
-        if not report.passed:
-            raise ValidationFailedError(
-                f"{_what} failed validation: " + ", ".join(report.failures), report=report
-            )
+        for report in filter(None, (self.validation, validate_df(self))):
+            _passed(report, "decoherence functional")
         object.__setattr__(self, "validation", report)
 
     @cached_property
@@ -376,50 +372,100 @@ class DecoherenceFunctional:
         return self.space.sectors or (("all", self.space.full_mask()),)
 
 
+def _passed(report: ValidationReport, what: str) -> ValidationReport:
+    if not report.passed:
+        raise ValidationFailedError(f"{what} failed validation: " + ", ".join(report.failures),
+                                    report=report)
+    return report
+
+
+def _made(space: HistorySpace, factor: np.ndarray, report: ValidationReport,
+          what: str) -> DecoherenceFunctional:
+    """The DF of a factor a builder has just made, which no caller holds, and
+    its report (_passed): the factor is made read-only, not copied."""
+    factor.flags.writeable = False
+    df = object.__new__(DecoherenceFunctional)
+    df.__dict__.update(space=space, factor=factor, validation=_passed(report, what))
+    return df
+
+
 def build_df(schema: HistorySchema) -> DecoherenceFunctional:
-    """Construct and validate the decoherence functional of a schema.
+    """The validated decoherence functional of a schema: build_dfs of one."""
+    return _build_group([schema])[0]
 
-    All branches, r rows of length d, are propagated together by two matrix
-    products a slice: coefficients in basis B after evolution U, rows times
-    the slice's cached turn (B^dagger U)^T, then per outcome k (least
-    significant, so rows stay in history order) the coefficients of the
-    columns k owns times B^T.
+
+def build_dfs(schemas) -> list[DecoherenceFunctional]:
+    """The DF of each schema; those of one slice structure (state shape, each
+    slice's labels and ranks) share a HistorySpace and are built together,
+    _STEP_ENTRIES branch-row entries at most: branches (r rows of length d)
+    times a slice's cached turn (B^dagger U)^T, then per outcome k (least
+    significant) the coefficients of the columns k owns times B^T.
     block_residual is the final slice's leakage bound if at most
-    ROUNDOFF_FLOOR, else the exact max; the rest is validate_df's.
-    """
-    space = enumerate_histories(schema)
-    d, r = schema.state.shape
-    rows = schema.state.T[None]
-    for s in schema.slices:
-        dec = s.decomposition
-        owned = (rows.reshape(-1, d) @ s.turn.T).reshape(-1, 1, r, d) * dec.owner[:, None]
-        rows = (owned.reshape(-1, d) @ dec.basis.T).reshape(-1, r, d)
-    factor = rows.transpose(0, 2, 1).reshape(space.size, -1)
-    bound = _leakage_bound(rows, schema.slices[-1].decomposition)
-    block = bound if bound <= ROUNDOFF_FLOOR else _block_residual(factor, space.sectors)
-    return DecoherenceFunctional(space, factor, _residuals(factor, block),
-                                 _what="constructed decoherence functional")
+    ROUNDOFF_FLOOR, else the exact max; the rest is validate_df's.  Each
+    batched operation keeps its one-schema shape item by item, so a DF does
+    not depend on the schemas built with it."""
+    return _per_group(list(schemas), lambda schema: (schema.state.shape, tuple(
+        (s.decomposition.labels, s.decomposition.ranks) for s in schema.slices)), _build_group)
 
 
-def _leakage_bound(rows: np.ndarray, dec: ProjectiveDecomposition) -> float:
-    """An upper bound on |D(i, j)| across final sectors, from the final
-    branches v_i (``rows``, n x r x d; branch i has outcome f = i mod K) and
-    basis B, f owning B_f.  With c_i = (B^dagger v_i)_f and the leakage e_i
-    = v_i - B_f c_i, D(i, j) = c_i^dagger B_f^dagger B_g c_j + e_i^dagger
-    v_j + (v_i - e_i)^dagger e_j, so |D(i, j)| <= 2 max|v| max|e| + max|e|^2
-    + max|c|^2 |B^dagger B off its diagonal blocks|_F, plus a round-off
-    allowance.  O(n r d^2); the O(d^3) norm is cached on the decomposition."""
-    owner = dec.owner
+def _per_group(items: list, key, run) -> list:
+    """run(group) on the items of each key, its results put back in order."""
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    out = [None] * len(items)
+    for idx in groups.values():
+        for i, result in zip(idx, run([items[i] for i in idx])):
+            out[i] = result
+    return out
+
+
+def _build_group(schemas: list[HistorySchema]) -> list[DecoherenceFunctional]:
+    space, (d, r) = enumerate_histories(schemas[0]), schemas[0].state.shape
+    step, out = max(1, _STEP_ENTRIES // (space.size * r * d)), []
+    for chunk in (schemas[i:i + step] for i in range(0, len(schemas), step)):
+        g = len(chunk)
+        # Turns stacked contiguous: one row times a transposed operand can round otherwise.
+        rows = np.array([s.state for s in chunk]).transpose(0, 2, 1)[:, None]
+        for slices in zip(*(s.slices for s in chunk)):
+            turns = np.array([s.turn.T for s in slices])
+            bases = np.array([s.decomposition.basis for s in slices]).transpose(0, 2, 1)
+            owner = slices[0].decomposition.owner
+            owned = (rows.reshape(g, -1, d) @ turns).reshape(g, -1, 1, r, d) * owner[:, None]
+            rows = (owned.reshape(g, -1, d) @ bases).reshape(g, -1, r, d)
+        factors = rows.transpose(0, 1, 3, 2).reshape(g, space.size, -1)
+        bounds = _leakage_bound(rows, [s.slices[-1].decomposition for s in chunk])
+        blocks = [b if b <= ROUNDOFF_FLOOR else _block_residual(v, space.sectors)
+                  for b, v in zip(bounds, factors)]
+        out += [_made(space, v, report, "constructed decoherence functional")
+                for v, report in zip(factors, _residuals(factors, blocks))]
+    return out
+
+
+def _leakage_bound(rows: np.ndarray, decs) -> list[float]:
+    """Upper bounds on |D(i, j)| across final sectors, one per item of the final
+    branches v_i (``rows``, G x n x r x d; branch i has outcome f = i mod K)
+    and its basis B (``decs``), f owning B_f.  With c_i = (B^dagger v_i)_f and
+    the leakage e_i = v_i - B_f c_i, D(i, j) = c_i^dagger B_f^dagger B_g c_j
+    + e_i^dagger v_j + (v_i - e_i)^dagger e_j, so |D(i, j)| <= 2 max|v| max|e|
+    + max|e|^2 + max|c|^2 |B^dagger B off its diagonal blocks|_F, plus a
+    round-off allowance.  O(n r d^2); the O(d^3) norm is cached on B."""
+    owner = decs[0].owner
     k, d = owner.shape
-    v = rows.reshape(-1, k, rows.shape[1], d)
-    owned = (rows.reshape(-1, d) @ np.conjugate(dec.basis)).reshape(v.shape) * owner[:, None]
-    leak = v - (owned.reshape(-1, d) @ dec.basis.T).reshape(v.shape)
+    g, r = len(rows), rows.shape[2]
+    basis = np.array([dec.basis for dec in decs])
+    v = rows.reshape(g, -1, k, r, d)
+    owned = (rows.reshape(g, -1, d) @ np.conjugate(basis)).reshape(v.shape) * owner[:, None]
+    leak = v - (owned.reshape(g, -1, d) @ basis.transpose(0, 2, 1)).reshape(v.shape)
     squares = np.square(np.stack((v, leak, owned)).view(np.float64)).sum(axis=(-2, -1))
-    big_v, big_e, big_c = np.sqrt(squares.reshape(3, -1).max(axis=1)).tolist()
-    cross = dec.cross_block_norm
-    # Round-off: D(i, j) sums r d products, e_i two products of length d.
-    roundoff = (rows.shape[1] + 2) * d * np.finfo(float).eps * big_v ** 2
-    return float(2 * big_v * big_e + big_e ** 2 + big_c ** 2 * cross + roundoff)
+    big_v, big_e, big_c = np.sqrt(squares.reshape(3, g, -1).max(axis=2)).tolist()
+    # Round-off: D(i, j) sums r d products, e_i two of length d, each within gamma
+    # of |v_i| |v_j|, at most the largest norm of a sector times that of another.
+    peaks = [sorted(p)[-2:] for p in squares[0].max(axis=1).tolist()]
+    pairs = [math.sqrt(p[0] * p[1]) if k > 1 else 0.0 for p in peaks]
+    allowance = 2.0 * gamma((r + 2) * d)
+    return [2 * bv * be + be ** 2 + bc ** 2 * dec.cross_block_norm + allowance * p
+            for bv, be, bc, dec, p in zip(big_v, big_e, big_c, decs, pairs)]
 
 
 def raw_df(matrix, labels=None) -> DecoherenceFunctional:
@@ -453,8 +499,8 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
     except FloatingPointError as exc:
         raise ValueError(f"raw decoherence matrix overflows double precision ({exc})") from None
     keep = w > n * np.finfo(float).eps * w.max(initial=0.0)
-    return DecoherenceFunctional(raw_space(labels), np.conjugate(u[:, keep]) * np.sqrt(w[keep]),
-                                 report, _what="raw decoherence matrix")
+    return _made(raw_space(labels), np.conjugate(u[:, keep]) * np.sqrt(w[keep]), report,
+                 "raw decoherence matrix")
 
 
 def _block_residual(v: np.ndarray, sectors) -> float:
@@ -484,33 +530,34 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
     eigenvalue 0.  Block structure is checked whenever the space knows its
     final-slice sectors, by the exact cross-sector max (_block_residual),
     O(n^2 c): this DF may have no basis to bound it by, as for hand-built
-    spaces and tensor_df products.  The DF constructor computes it for a DF
-    given no report; a non-finite factor fails it.
+    spaces and tensor_df products.  The DF constructor computes it; a
+    non-finite factor fails it.
     """
-    v, sectors = df.factor, df.space.sectors
+    return _exact_report(df.factor, df.space.sectors)
+
+
+def _exact_report(v: np.ndarray, sectors) -> ValidationReport:
+    """validate_df's report of factor v over a space with ``sectors``."""
     with np.errstate(all="ignore"):
-        return _residuals(v, None if sectors is None else _block_residual(v, sectors))
+        return _residuals(v[None], [None if sectors is None else _block_residual(v, sectors)])[0]
 
 
-def _residuals(v: np.ndarray, block_residual: float | None) -> ValidationReport:
-    """The report of validate_df for factor v, with the given block residual;
-    a non-finite v has a non-finite normalization and a NaN min eigenvalue."""
-    n, c = v.shape
-    total = v.sum(axis=0)
-    normalization = abs(float(np.vdot(total, total).real) - 1.0)
-    if not math.isfinite(normalization):
-        min_eig = math.nan
-    elif n > c:
-        min_eig = float(np.linalg.eigvalsh(v.T @ np.conjugate(v)).min(initial=0.0))
-    else:
-        min_eig = float(np.linalg.eigvalsh(np.conjugate(v) @ v.T)[0]) if n else 0.0
-    return ValidationReport(
-        size=n,
-        hermiticity_residual=0.0,
-        normalization_residual=normalization,
-        min_eigenvalue=min_eig,
-        block_residual=block_residual,
-    )
+def _residuals(v: np.ndarray, blocks) -> list[ValidationReport]:
+    """validate_df's reports of the stacked factors v (G x n x c) with the given
+    block residuals, the finite ones' Gram matrices in one stacked eigvalsh;
+    a non-finite factor has a non-finite normalization and a NaN min eigenvalue."""
+    g, n, c = v.shape
+    norms = [abs(float(np.vdot(t, t).real) - 1.0) for t in v.sum(axis=1)]
+    lows = [0.0 if math.isfinite(x) else math.nan for x in norms]
+    finite = [i for i, x in enumerate(lows) if x == 0.0]
+    if n and finite:
+        w = v if len(finite) == g else v[finite]
+        eig = np.linalg.eigvalsh(w.transpose(0, 2, 1) @ np.conjugate(w) if n > c
+                                 else np.conjugate(w) @ w.transpose(0, 2, 1))
+        for i, low in zip(finite, (eig.min(axis=1, initial=0.0) if n > c else eig[:, 0]).tolist()):
+            lows[i] = low
+    return [ValidationReport(n, 0.0, norm, low, block)
+            for norm, low, block in zip(norms, lows, blocks)]
 
 
 def _require_same_labels(space_a: HistorySpace, space_b: HistorySpace) -> None:

@@ -50,9 +50,9 @@ PARTITION_COUNT_LIMIT = 1_000_000
 COEVENT_COUNT_LIMIT = 2**17
 ASSEMBLY_LIMIT = 100_000
 COMPOSITION_WORK_LIMIT = 250_000_000
-# A theta sweep runs one appendix-theta analysis per step, 0.9-1.2 ms each
-# (medians of 15 in-process 600-step sweeps, 2 vCPU): 10,000 steps take
-# about 12 s.
+# A theta sweep builds and searches its appendix-theta DFs in batches, 0.15-0.22
+# ms a step in process (600 and 10,000 steps, 2 vCPU): 10,000 steps take about
+# 2 s, and 2.0-2.6 s through the CLI with the report written.
 SWEEP_STEP_LIMIT = 10_000
 PARTITION_REPORT_LIMIT = 6
 

@@ -171,23 +171,29 @@ def build_theta_bases(theta: float) -> tuple[ProjectiveDecomposition, Projective
     signs.
     """
 
-    def pair(t):
-        a = np.array([np.cos(t), np.sin(t)], dtype=complex)
-        b = np.array([np.sin(t), -np.cos(t)], dtype=complex)
-        return a, b
+    def rotation(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.array([[c, s], [s, -c]], dtype=complex)
 
-    psi0, psi1 = pair(theta)
-    psip, psim = pair(theta + np.pi / 4.0)
-    return (
-        ProjectiveDecomposition.from_kets([psi0, psi1], ["0", "1"]),
-        ProjectiveDecomposition.from_kets([psip, psim], ["+", "-"]),
-    )
+    # Each basis is checked unitary once, which also checks both columns' norms.
+    return (ProjectiveDecomposition(rotation(theta), (1, 1), ("0", "1")),
+            ProjectiveDecomposition(rotation(theta + np.pi / 4.0), (1, 1), ("+", "-")))
+
+
+def hermitian_spectrum(h) -> tuple[np.ndarray, np.ndarray]:
+    """The eigh (w, v) of a Hermitian ``h``; NonHermitianError otherwise."""
+    a = as_complex_matrix(h)
+    if not is_hermitian(a):
+        raise NonHermitianError("Hamiltonian must be Hermitian")
+    return np.linalg.eigh(a)
+
+
+def spectral_unitary(spectrum, t: float) -> np.ndarray:
+    """exp(-i h t) from the eigh (w, v) of a Hermitian h."""
+    w, v = spectrum
+    return (v * np.exp(-1j * w * t)) @ dagger(v)
 
 
 def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
     """exp(-i h t) computed spectrally from a Hermitian ``h``."""
-    a = as_complex_matrix(h)
-    if not is_hermitian(a):
-        raise NonHermitianError("Hamiltonian must be Hermitian")
-    w, v = np.linalg.eigh(a)
-    return (v * np.exp(-1j * w * t)) @ dagger(v)
+    return spectral_unitary(hermitian_spectrum(h), t)

@@ -28,13 +28,13 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, compress, islice, product
+from itertools import accumulate, chain, compress, islice, product
 
 import numpy as np
 
 from .errors import InvalidPartitionError
 from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
-                        _events, _mask_bits, _require_same_labels, sort_masks)
+                        _events, _mask_bits, _per_group, _require_same_labels, sort_masks)
 from .limits import refuse_above
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
@@ -351,14 +351,15 @@ class ZeroSetCatalog:
         }
 
 
-def _sector_search(df: DecoherenceFunctional, zero_only: bool = False):
-    """The zero-set search of a DF's final sectors, verified when it was made
-    (the whole space without them), by groups: sectors of k histories with (2c) << k
-    at most _ALL_PAIRS_MAX in chunks of at most _STEP_ENTRIES such entries,
-    and each larger sector alone.  A group yields its positions in
-    df.sectors(), members (G x k, ascending) and sector-local masks (bit b
-    for members[owner, b]) by ascending key = class * G + owner, each
-    sector's canonical: nonempty zero masks, then unless ``zero_only``
+def _sector_search(dfs, zero_only: bool = False):
+    """The zero-set search of the final sectors of DFs of one factor width c,
+    verified when each was made (the whole space without them), by groups:
+    sectors of k histories with (2c) << k at most _ALL_PAIRS_MAX in chunks
+    of at most _STEP_ENTRIES such entries, and each larger sector alone.  A
+    group yields its positions in the DFs' sectors() in turn, members (G x
+    k, ascending in the sector's DF) and sector-local masks (bit b for
+    members[owner, b]) by ascending key = class * G + owner, each sector's
+    canonical: nonempty zero masks, then unless ``zero_only``
     maximal (descending; the empty mask when alone), nontrivial and
     borderline ones.  A chunk is measured as one array (_group_measures):
     a zero mask is nontrivial when a subset is above EPS_ZERO, and maximal
@@ -369,19 +370,25 @@ def _sector_search(df: DecoherenceFunctional, zero_only: bool = False):
     every mask inside it.  Raises SpaceTooLargeError beyond
     ZERO_SET_WORK_LIMIT (before any table is built) or
     ZERO_SET_CANDIDATE_LIMIT."""
-    c, sectors = df.factor.shape[1], df.sectors()
+    c, per_df = dfs[0].factor.shape[1], [df.sectors() for df in dfs]
+    sectors = [mask for listed in per_df for _, mask in listed]
     sizes: dict[int, list[int]] = {}
-    for pos, (_, mask) in enumerate(sectors):
+    for pos, mask in enumerate(sectors):
         sizes.setdefault(mask.bit_count(), []).append(pos)
+    # The DFs' factor rows one after another, and the first row of each sector's DF.
+    factor, first = dfs[0].factor, None
+    if len(dfs) > 1:
+        factor = np.concatenate([df.factor for df in dfs])
+        first = np.repeat(np.cumsum([0] + [df.size for df in dfs[:-1]]), list(map(len, per_df)))
     for k in sizes:
         _check_zero_set_work(k, c)
     for k, positions in sizes.items():
         join = (2 * c) << k > _ALL_PAIRS_MAX
         step = 1 if join else max(1, _STEP_ENTRIES // max((2 * c) << k, 1))
         for chunk in (positions[i:i + step] for i in range(0, len(positions), step)):
-            members = np.array([[b.bit_length() - 1 for b in _bits(sectors[p][1])] for p in chunk],
+            members = np.array([[b.bit_length() - 1 for b in _bits(sectors[p])] for p in chunk],
                                dtype=np.int64).reshape(len(chunk), k)
-            rows = df.factor[members]
+            rows = factor[members if first is None else members + first[chunk, None]]
             if join:
                 masks, measures = _band(rows[0], BORDERLINE_MAX)
                 keys = _order_keys(masks, k) + ((measures > EPS_ZERO) << 46)
@@ -418,17 +425,27 @@ def _sector_search(df: DecoherenceFunctional, zero_only: bool = False):
 
 
 def find_zero_sets(df: DecoherenceFunctional) -> ZeroSetCatalog:
-    """Exhaustively catalog measure-zero events of a validated DF by the sector
-    groups of _sector_search, which also raises its refusals; a group's masks
-    are spread to global bits at once (_spreader), then cut per sector."""
-    sectors = df.sectors()
+    """Exhaustively catalog measure-zero events: find_zero_set_catalogs of one DF."""
+    return _catalogs([df])[0]
+
+
+def find_zero_set_catalogs(dfs) -> list[ZeroSetCatalog]:
+    """The zero-set catalog of each DF, those of one factor width searched
+    together by _sector_search, which also raises its refusals; a group's
+    masks are spread to global bits at once (_spreader), then cut per sector."""
+    return _per_group(list(dfs), lambda df: df.factor.shape[1], _catalogs)
+
+
+def _catalogs(dfs: list[DecoherenceFunctional]) -> list[ZeroSetCatalog]:
+    sectors = [s for df in dfs for s in df.sectors()]
     data = [None] * len(sectors)
-    for positions, members, key, local in _sector_search(df):
+    for positions, members, key, local in _sector_search(dfs):
         g = len(positions)
         lists = _by_key(tuple(_spreader(members)(local, key % g)), key, 4 * g)
         for j, pos in enumerate(positions):
             data[pos] = SectorZeroData(*sectors[pos], *lists[j::g])
-    return ZeroSetCatalog(df, tuple(data))
+    cuts = list(accumulate((len(df.sectors()) for df in dfs), initial=0))
+    return [ZeroSetCatalog(df, tuple(data[a:b])) for df, a, b in zip(dfs, cuts, cuts[1:])]
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,23 +13,25 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 
 import numpy as np
 
 from .composition import composition_anomalies, tensor_df
 from .coevents import (
     CoEventSet,
-    _shared_masks,
+    _primitive_masks,
     distinguishability_report,
     enumerate_primitive_coevents,
 )
 from .errors import MissingParameterError, UnknownScenarioError
 from .histories import (
+    _STEP_ENTRIES,
     DecoherenceFunctional,
     HistorySchema,
     Slice,
     _mask_bits,
-    build_df,
+    build_dfs,
     raw_df,
 )
 from .linalg import (
@@ -39,11 +41,12 @@ from .linalg import (
     build_theta_bases,
     build_xi_basis,
     computational_basis,
+    hermitian_spectrum,
+    spectral_unitary,
     tensor,
-    unitary_from_hamiltonian,
 )
 from .limits import PARTITION_REPORT_LIMIT, refuse_above
-from .measure_analysis import find_decoherent_partitions, find_zero_sets
+from .measure_analysis import find_decoherent_partitions, find_zero_set_catalogs, find_zero_sets
 from .tolerances import ROUNDOFF_FLOOR, tolerance_summary
 
 TOOL_NAME = "coevent"
@@ -127,8 +130,14 @@ def _build_appendix_theta(params: dict) -> ScenarioBuild:
     return _pure_state_build(_theta_states(theta), (pm, Slice(psi01), pm))
 
 
+@cache
+def _hamiltonian_spectrum() -> tuple[np.ndarray, np.ndarray]:
+    """The constant Hamiltonian's eigh, checked Hermitian once per process."""
+    return hermitian_spectrum(np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex))
+
+
 def _hamiltonian_evolution(t: float) -> np.ndarray:
-    return unitary_from_hamiltonian(np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex), t)
+    return spectral_unitary(_hamiltonian_spectrum(), t)
 
 
 @cache
@@ -206,12 +215,13 @@ def _squared_norms(rows: np.ndarray) -> list[float]:
 
 
 def analyze_df(df: DecoherenceFunctional, label: str) -> tuple[dict, CoEventSet]:
-    """Run the full per-state pipeline and return (report section, co-events).
+    """Run the full per-state pipeline and return (report section, co-events)."""
+    return _analysis(df, find_zero_sets(df), label)
 
-    Every listed event is decoded from its mask; the single-history measures
-    are the squared norms of the factor rows.
-    """
-    catalog = find_zero_sets(df)
+
+def _analysis(df: DecoherenceFunctional, catalog, label: str) -> tuple[dict, CoEventSet]:
+    """analyze_df given the DF's catalog.  Every listed event is decoded from
+    its mask; the single-history measures are the factor rows' squared norms."""
     coevents = enumerate_primitive_coevents(df, catalog, label=label)
     space = df.space
     labels_of = space.labels_of
@@ -251,23 +261,23 @@ def analyze_df(df: DecoherenceFunctional, label: str) -> tuple[dict, CoEventSet]
     return section, coevents
 
 
-def _entry_df(entry: ScenarioEntry) -> DecoherenceFunctional:
-    return entry.df if entry.df is not None else build_df(entry.schema)
+def _entry_dfs(entries) -> list[DecoherenceFunctional]:
+    """The DF of each entry: its own, or its schema's, all built in one build_dfs."""
+    built = iter(build_dfs([e.schema for e in entries if e.df is None]))
+    return [e.df if e.df is not None else next(built) for e in entries]
 
 
 def run_scenario(name: str, parameters: dict | None = None) -> dict:
-    """Full pipeline over every entry of a scenario, as a report document."""
+    """Full pipeline over every entry of a scenario, as a report document;
+    the entries' DFs are built, and their zero sets searched, together."""
     parameters = dict(parameters or {})
     build = build_scenario(name, parameters)
-    sections = []
-    coevent_sets = []
-    dfs = []
-    for entry in build.entries:
-        df = _entry_df(entry)
-        section, ces = analyze_df(df, entry.label)
+    dfs = _entry_dfs(build.entries)
+    sections, coevent_sets = [], []
+    for entry, df, catalog in zip(build.entries, dfs, find_zero_set_catalogs(dfs)):
+        section, ces = _analysis(df, catalog, entry.label)
         sections.append(section)
         coevent_sets.append(ces)
-        dfs.append(df)
 
     doc = {
         **report_header(),
@@ -310,6 +320,11 @@ def _flag_reasons(lo: float, hi: float) -> list[str]:
     return reasons
 
 
+# Grid points built and searched together: the 2,048 sectors of 512 points (4
+# histories, 2 factor columns each) are one _STEP_ENTRIES zero-set search chunk.
+_SWEEP_CHUNK = _STEP_ENTRIES // 256
+
+
 def theta_sweep(start: float, end: float, steps: int) -> dict:
     """Run appendix-theta over a monotone grid and mark structural changes.
 
@@ -318,7 +333,8 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
     zero-count changes between adjacent points; flagged cells bracket the
     special angles tan(theta) = 1/3, tan(theta) = -1/3, and theta = 0
     (all mod pi).  Raises SpaceTooLargeError, before the grid is built, for
-    more than SWEEP_STEP_LIMIT steps.
+    more than SWEEP_STEP_LIMIT steps.  Each _SWEEP_CHUNK points are built and
+    searched together, and MMCS runs once per (sector, maximal masks) a sweep.
     """
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
@@ -329,28 +345,23 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
     if not end > start:
         raise ValueError("sweep range must satisfy end > start")
     grid = [start + (end - start) * i / (steps - 1) for i in range(steps)]
-    points = []
-    for theta in grid:
-        build = build_scenario("appendix-theta", {"theta": theta})
-        counts = {}
-        zero_counts = {}
-        borderline_counts = {}
-        sets = []
-        for entry in build.entries:
-            df = _entry_df(entry)
-            catalog = find_zero_sets(df)
-            ces = enumerate_primitive_coevents(df, catalog, label=entry.label)
-            counts[entry.label] = len(ces)
-            zero_counts[entry.label] = catalog.counts()["zero_sectorwise"]
-            borderline_counts[entry.label] = catalog.counts()["borderline"]
-            sets.append(ces)
-        points.append({
-            "theta": theta,
-            "disjoint": not _shared_masks(sets),
-            "coevent_counts": counts,
-            "zero_counts": zero_counts,
-            "borderline_counts": borderline_counts,
-        })
+    points, memo = [], {}
+    for first in range(0, steps, _SWEEP_CHUNK):
+        builds = [build_scenario("appendix-theta", {"theta": t})
+                  for t in grid[first:first + _SWEEP_CHUNK]]
+        entries = [e for b in builds for e in b.entries]
+        dfs = _entry_dfs(entries)
+        found = iter([(e.label, c.counts(), set(_primitive_masks(c, memo)))
+                      for e, c in zip(entries, find_zero_set_catalogs(dfs))])
+        for theta, build in zip(grid[first:], builds):
+            states = list(islice(found, len(build.entries)))
+            points.append({
+                "theta": theta,
+                "disjoint": not set.intersection(*(masks for _, _, masks in states)),
+                "coevent_counts": {lab: len(masks) for lab, _, masks in states},
+                "zero_counts": {lab: c["zero_sectorwise"] for lab, c, _ in states},
+                "borderline_counts": {lab: c["borderline"] for lab, c, _ in states},
+            })
 
     markers = []
     for i in range(len(points) - 1):

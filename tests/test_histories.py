@@ -28,8 +28,8 @@ from coevent import (
     validate_df,
 )
 from coevent import limits
-from coevent.histories import (HistorySpace, _block_residual, _events, _leakage_bound,
-                               raw_space, sort_masks)
+from coevent.histories import (HistorySpace, ValidationReport, _block_residual, _events,
+                               _leakage_bound, raw_space, sort_masks)
 from coevent.scenarios import emit_report
 from coevent.tolerances import EPS_DF, ROUNDOFF_FLOOR
 
@@ -205,6 +205,17 @@ def test_a_validated_df_cannot_change():
     mine = DecoherenceFunctional(raw_space(["h1", "h2", "h3", "h4"]), v)
     v[0] *= 3
     assert measure(mine, Event(mine.space, mine.space.full_mask())) == 1.0
+
+
+def test_a_given_report_is_checked_not_trusted():
+    """A DF made by hand holds validate_df's report, whatever report it is
+    given: factor [[3.0]] (measure 9.0) fails under a passing report."""
+    passing = ValidationReport(1, 0.0, 0.0, 0.0, None)
+    with pytest.raises(ValidationFailedError, match="normalization residual 8.000e"):
+        DecoherenceFunctional(raw_space(["h1"]), [[3.0]], passing)
+    df = DecoherenceFunctional(raw_space(["h1", "h2"]), [[0.75], [0.25]],
+                               ValidationReport(2, 0.0, 0.0, -1e-12, None))
+    assert df.validation == validate_df(df) and df.validation.min_eigenvalue == 0.0
 
 
 @pytest.mark.parametrize("factor", [[[np.nan]], [[np.inf]], [[np.nan], [0.5]],
@@ -722,7 +733,7 @@ def test_block_residual_bound_covers_the_exact_max(schema):
     df = build_df(schema)
     d, r = schema.state.shape
     rows = df.factor.reshape(df.size, d, r).transpose(0, 2, 1)
-    bound = _leakage_bound(rows, schema.slices[-1].decomposition)
+    bound = _leakage_bound(rows[None], [schema.slices[-1].decomposition])[0]
     assert brute_block_residual(df) <= bound <= EPS_DF
     exact = bound if bound <= ROUNDOFF_FLOOR else _block_residual(df.factor, df.space.sectors)
     assert df.validation.block_residual == exact
@@ -745,13 +756,14 @@ def test_build_df_accepts_a_basis_unitary_only_to_eps_unit():
 @pytest.mark.parametrize("dim", [4, 16])
 def test_emitted_block_residual_is_the_exact_maxs(dim):
     """Ket b_0 measured twice in a random basis b: one branch holds all the
-    weight, so the leakage bound's round-off allowance, 3 d eps, is below
-    ROUNDOFF_FLOOR at d = 4 and above it at d = 16.  Either way the report
-    prints what the exact max prints."""
+    weight, so the leakage bound's round-off allowance, 2 gamma_{3d} times
+    the largest branch norm of a sector times the largest of another, is
+    far below ROUNDOFF_FLOOR at d = 4 and d = 16, and build_df takes the
+    bound.  The report prints what the exact max prints."""
     dec = random_decomposition(np.random.default_rng(dim), dim, [f"o{i}" for i in range(dim)])
     df = build_df(HistorySchema.from_ket(dec.basis[:, 0], (Slice(dec), Slice(dec))))
-    rows = df.factor.reshape(df.size, 1, dim)
-    assert (_leakage_bound(rows, dec) > ROUNDOFF_FLOOR) == (dim == 16)
+    rows = df.factor.reshape(1, df.size, 1, dim)
+    assert _leakage_bound(rows, [dec])[0] <= ROUNDOFF_FLOOR
     emitted = emit_report(df.validation.as_dict())
     assert emitted == emit_report(validate_df(df).as_dict())
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,12 @@ def test_theta_bases_over_grid():
             [np.cos(theta + np.pi / 4), np.sin(theta + np.pi / 4)],
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_theta_bases_refuse_a_non_finite_angle(theta):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not unitary"):
+        build_theta_bases(theta)
 
 
 def test_theta_bases_at_zero():

@@ -32,7 +32,7 @@ from coevent import (
     raw_df,
 )
 from coevent import measure_analysis
-from coevent.histories import HistorySpace, ValidationReport, raw_space, sort_masks
+from coevent.histories import HistorySpace, ValidationReport, _made, raw_space, sort_masks
 from coevent.measure_analysis import _band, _group_measures, _spreader, set_partition_strings
 from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
@@ -644,7 +644,7 @@ def test_find_zero_sets_on_many_one_history_sectors(monkeypatch):
                          sectors=tuple((str(i), 1 << i) for i in range(n)))
     factor = np.zeros((n, 1), dtype=complex)
     factor[0] = 1.0
-    df = DecoherenceFunctional(space, factor, passed_report(n))
+    df = _made(space, factor, passed_report(n), "hand-built decoherence functional")
     groups = []
 
     def group(rows):
@@ -723,7 +723,7 @@ def block_dfs(draw):
         sectors.append((f"s{j}", sum(1 << i for i in members)))
         first, col = first + k, col + c
     space = HistorySpace(labels=tuple(f"h{i}" for i in range(len(order))), sectors=tuple(sectors))
-    return DecoherenceFunctional(space, factor, passed_report(len(order)))
+    return _made(space, factor, passed_report(len(order)), "hand-built decoherence functional")
 
 
 @settings(max_examples=60, deadline=None)
