@@ -63,9 +63,8 @@ def tensor_df(a: DecoherenceFunctional, b: DecoherenceFunctional) -> Decoherence
             (f"{fa},{fb}", _pair_mask(ma, mb, b.size))
             for fa, ma in a.space.sectors for fb, mb in b.space.sectors
         )
-    factor = np.kron(a.factor, b.factor)
-    return _made(HistorySpace(labels=labels, sectors=sectors), factor,
-                 _exact_report(factor, sectors), "product decoherence functional")
+    space, factor = HistorySpace(labels=labels, sectors=sectors), np.kron(a.factor, b.factor)
+    return _made(space, factor, _exact_report(factor, space), "product decoherence functional")
 
 
 def _largest_product_block(a: DecoherenceFunctional, b: DecoherenceFunctional) -> int:
@@ -154,9 +153,9 @@ def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
     inside that column.  Each is a union of one zero mask per sector, the
     empty mask included, so the rectangles Z x {k} of the sector zero masks
     Z inside the column cover the same set.  Rows likewise, with B.  A
-    product sector is the rectangle of its rows and columns, members in
-    row-major order, so each such rectangle is one sector-local mask, and E
-    is emergent when the OR of the rectangles inside it is not E.  Chunks
+    product sector is the rectangle of its w columns and its rows, members
+    in row-major order, so each such rectangle is one sector-local mask, and
+    E is emergent when the OR of the rectangles inside it is not E.  Chunks
     hold at most _STEP_ENTRIES masks x rectangles, or one mask; only
     emergent masks are spread to global bits.
     """
@@ -164,8 +163,9 @@ def _emergent_zero_masks(a: DecoherenceFunctional, b: DecoherenceFunctional,
     out = {}
     for positions, group, key, zeros in _sector_search([product], zero_only=True):
         for pos, members, events in zip(positions, group, _by_key(zeros, key, len(positions))):
-            rows, cols = (np.unique(x) for x in np.divmod(members, b.size))
-            w = len(cols)
+            rows, cols = np.divmod(members, b.size)
+            w = np.count_nonzero(rows == rows[0])
+            rows, cols = rows[::w], cols[:w]
             rects = np.concatenate((_rectangles(bands_a, rows, w, np.arange(w)), _rectangles(
                 bands_b, cols, 1, np.arange(len(rows)) * w)))[:, None]
             step = max(1, _STEP_ENTRIES // max(len(rects), 1))

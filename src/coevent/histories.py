@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product, repeat
@@ -36,6 +38,9 @@ from .tolerances import EPS_DF, EPS_UNIT, ROUNDOFF_FLOOR, gamma
 # Array entries one vectorized step may hold: bounds the memory of the block
 # check and of the partition and composition searches to a few MB.
 _STEP_ENTRIES = 1 << 17
+# build_dfs takes the exact cross-sector max of an item with n^2 c under this,
+# where it builds faster than by the leakage bound (n <= 32 at d = 2).
+_EXACT_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,15 @@ class HistorySpace:
 
     def full_mask(self) -> int:
         return (1 << self.size) - 1
+
+    @cached_property
+    def sector_ids(self) -> np.ndarray:
+        """The index of each history's sector, on first use (spaces with sectors)."""
+        ids = np.zeros(self.size, dtype=np.intp)
+        for s, (_, mask) in enumerate(self.sectors):
+            ids[[b.bit_length() - 1 for b in _bits(mask)]] = s
+        ids.flags.writeable = False
+        return ids
 
     def labels_of(self, mask: int) -> list[str]:
         """Labels of the histories in ``mask``, in index order."""
@@ -256,12 +270,25 @@ def product_labels(factors, template: str) -> tuple[str, ...]:
     return tuple([template.format(",".join(p)) for p in product(*positions)])
 
 
+def _structure(schema: HistorySchema) -> tuple:
+    """A schema's slice structure: its state shape, each slice's labels and ranks."""
+    return schema.state.shape, tuple(
+        (s.decomposition.labels, s.decomposition.ranks) for s in schema.slices)
+
+
+# The spaces of the _SPACES_KEPT structures used last, of at most 2^12 histories.
+_SPACES_KEPT = 8
+_spaces: OrderedDict[tuple, HistorySpace] = OrderedDict()
+_spaces_lock = threading.Lock()
+
+
 def enumerate_histories(schema: HistorySchema) -> HistorySpace:
     """All histories of a schema, lexicographic in outcome indices.
 
     The first slice is the most significant position.  Labels join the
     outcome labels in time order (product_labels), e.g. h_{00xi2} or h_{+0+}.
-    Above the history-space cap or FACTOR_ENTRY_LIMIT, SpaceTooLargeError.
+    Above the history-space cap or FACTOR_ENTRY_LIMIT (read on every call),
+    SpaceTooLargeError.  Schemas of one _structure share a kept space.
 
     The final slice is the least significant position, so with d final
     outcomes the sector of outcome f holds every d-th history from f: the
@@ -272,19 +299,32 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
     d, r = schema.state.shape
     refuse_above("FACTOR_ENTRY_LIMIT", n * r * d, f"branch rows of {n} histories, {r} state "
                  f"columns and dimension {d} have {n * r * d} entries")
-    labels = product_labels([s.decomposition.labels for s in schema.slices], "h_{{{}}}")
+    key = _structure(schema)
+    with _spaces_lock:
+        space = _spaces.get(key)
+        if space is not None:
+            _spaces.move_to_end(key)
+            return space
     final = schema.slices[-1].decomposition
     repunit = ((1 << n) - 1) // ((1 << len(final)) - 1)
-    return HistorySpace(
-        labels=labels,
-        sectors=tuple((lab, repunit << f) for f, lab in enumerate(final.labels)),
-    )
+    space = object.__new__(HistorySpace)  # distinct labels, covering sectors: no check
+    space.__dict__.update(
+        labels=product_labels([s.decomposition.labels for s in schema.slices], "h_{{{}}}"),
+        sectors=tuple((lab, repunit << f) for f, lab in enumerate(final.labels)))
+    if n <= 1 << 12:
+        with _spaces_lock:
+            _spaces[key] = space
+            if len(_spaces) > _SPACES_KEPT:
+                _spaces.popitem(last=False)
+    return space
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Axiom residuals of a DF; ``block_residual`` (None without final sectors)
-    is the exact cross-sector max, or build_df's bound when <= ROUNDOFF_FLOOR.
+    is the exact cross-sector max, except for build_dfs' items of n^2 c at
+    least _EXACT_ENTRIES, which report the leakage bound when it is at most
+    ROUNDOFF_FLOOR.
 
     ``passed`` requires Hermiticity, normalization, and (when applicable)
     final-sector block structure within EPS_DF, plus a smallest eigenvalue
@@ -395,17 +435,16 @@ def build_df(schema: HistorySchema) -> DecoherenceFunctional:
 
 
 def build_dfs(schemas) -> list[DecoherenceFunctional]:
-    """The DF of each schema; those of one slice structure (state shape, each
-    slice's labels and ranks) share a HistorySpace and are built together,
-    _STEP_ENTRIES branch-row entries at most: branches (r rows of length d)
-    times a slice's cached turn (B^dagger U)^T, then per outcome k (least
-    significant) the coefficients of the columns k owns times B^T.
-    block_residual is the final slice's leakage bound if at most
-    ROUNDOFF_FLOOR, else the exact max; the rest is validate_df's.  Each
-    batched operation keeps its one-schema shape item by item, so a DF does
-    not depend on the schemas built with it."""
-    return _per_group(list(schemas), lambda schema: (schema.state.shape, tuple(
-        (s.decomposition.labels, s.decomposition.ranks) for s in schema.slices)), _build_group)
+    """The DF of each schema; those of one slice structure (_structure) share
+    a HistorySpace and are built together, _STEP_ENTRIES branch-row entries
+    at most: branches (r rows of length d) times a slice's cached turn
+    (B^dagger U)^T, then per outcome k (least significant) the coefficients
+    of the columns k owns times B^T.  block_residual is the exact max for
+    n^2 r d under _EXACT_ENTRIES; above it, the final slice's leakage bound
+    if at most ROUNDOFF_FLOOR, else the exact max.  The rest is validate_df's.
+    Each batched operation keeps its one-schema shape item by item, so a DF
+    does not depend on the schemas built with it."""
+    return _per_group(list(schemas), _structure, _build_group)
 
 
 def _per_group(items: list, key, run) -> list:
@@ -434,9 +473,11 @@ def _build_group(schemas: list[HistorySchema]) -> list[DecoherenceFunctional]:
             owned = (rows.reshape(g, -1, d) @ turns).reshape(g, -1, 1, r, d) * owner[:, None]
             rows = (owned.reshape(g, -1, d) @ bases).reshape(g, -1, r, d)
         factors = rows.transpose(0, 1, 3, 2).reshape(g, space.size, -1)
-        bounds = _leakage_bound(rows, [s.slices[-1].decomposition for s in chunk])
-        blocks = [b if b <= ROUNDOFF_FLOOR else _block_residual(v, space.sectors)
-                  for b, v in zip(bounds, factors)]
+        blocks = (_leakage_bound(rows, [s.slices[-1].decomposition for s in chunk])
+                  if space.size ** 2 * r * d >= _EXACT_ENTRIES else [math.inf] * g)
+        if exact := [i for i, b in enumerate(blocks) if not b <= ROUNDOFF_FLOOR]:
+            for i, b in zip(exact, _block_residual(factors[exact], space.sector_ids)):
+                blocks[i] = b
         out += [_made(space, v, report, "constructed decoherence functional")
                 for v, report in zip(factors, _residuals(factors, blocks))]
     return out
@@ -503,22 +544,21 @@ def raw_df(matrix, labels=None) -> DecoherenceFunctional:
                  "raw decoherence matrix")
 
 
-def _block_residual(v: np.ndarray, sectors) -> float:
-    """Exact largest |D(i, j)| over histories i, j in different final sectors
-    of factor v: each sector's rows, a chunk at a time, against the rows of
-    later sectors, unpacked one at a time so memory stays O(n).  NaN wins."""
-    n = len(v)
-    later = np.ones(n, dtype=bool)
-    worst = 0.0
-    for _, mask in sectors:
-        inside = _mask_bits([mask], n)[0]
-        later &= ~inside
-        rows, others = v[inside], v[later].T
-        step = max(1, _STEP_ENTRIES // max(1, others.shape[1]))
-        for start in range(0, len(rows), step):
-            cross = np.conjugate(rows[start:start + step]) @ others
-            worst = np.maximum(worst, np.abs(cross).max(initial=0.0))
-    return float(worst)
+def _block_residual(v: np.ndarray, ids: np.ndarray) -> list[float]:
+    """Exact largest |D(i, j)| over histories i, j of different sectors (``ids``,
+    each history's) of each factor v (G x n x c), O(n^2 c) in O(n) memory: at
+    least two rows of about _STEP_ENTRIES products at a time against all n, so
+    each D(i, j) rounds as in conj(V) V^T (one row can differ).  NaN wins."""
+    g, n, _ = v.shape
+    step = max(2, _STEP_ENTRIES // max(g * n, 1))
+
+    def chunk_max(start):
+        start = max(0, min(start, n - step))
+        cross = np.abs(np.conjugate(v[:, start:start + step]) @ v.transpose(0, 2, 1))
+        np.copyto(cross, 0.0, where=ids[start:start + step, None] == ids)
+        return cross.max(axis=(1, 2))
+
+    return reduce(np.maximum, map(chunk_max, range(0, n, step)), np.zeros(g)).tolist()
 
 
 def validate_df(df: DecoherenceFunctional) -> ValidationReport:
@@ -533,13 +573,14 @@ def validate_df(df: DecoherenceFunctional) -> ValidationReport:
     spaces and tensor_df products.  The DF constructor computes it; a
     non-finite factor fails it.
     """
-    return _exact_report(df.factor, df.space.sectors)
+    return _exact_report(df.factor, df.space)
 
 
-def _exact_report(v: np.ndarray, sectors) -> ValidationReport:
-    """validate_df's report of factor v over a space with ``sectors``."""
+def _exact_report(v: np.ndarray, space: HistorySpace) -> ValidationReport:
+    """validate_df's report of factor v over ``space``."""
     with np.errstate(all="ignore"):
-        return _residuals(v[None], [None if sectors is None else _block_residual(v, sectors)])[0]
+        block = None if space.sectors is None else _block_residual(v[None], space.sector_ids)[0]
+        return _residuals(v[None], [block])[0]
 
 
 def _residuals(v: np.ndarray, blocks) -> list[ValidationReport]:

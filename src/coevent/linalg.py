@@ -168,8 +168,10 @@ def build_theta_bases(theta: float) -> tuple[ProjectiveDecomposition, Projective
     That orientation matches the rotating frame of unitary_from_hamiltonian
     applied to the computational basis, so amplitudes of timed realizations
     differ from the static bases by one global phase instead of per-history
-    signs.
+    signs.  A non-finite theta raises ValueError before any numpy call.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"basis angle must be finite, got {theta!r}")
 
     def rotation(t):
         c, s = np.cos(t), np.sin(t)

@@ -46,7 +46,8 @@ from .linalg import (
     tensor,
 )
 from .limits import PARTITION_REPORT_LIMIT, refuse_above
-from .measure_analysis import find_decoherent_partitions, find_zero_set_catalogs, find_zero_sets
+from .measure_analysis import (_check_zero_set_work, find_decoherent_partitions,
+                               find_zero_set_catalogs, find_zero_sets)
 from .tolerances import ROUNDOFF_FLOOR, tolerance_summary
 
 TOOL_NAME = "coevent"
@@ -612,10 +613,13 @@ def raw_df_from_json(doc: dict) -> DecoherenceFunctional:
     """Parse the raw-DF file form: complex 'entries' plus optional labels.
 
     A matrix failing validation raises ValidationFailedError with the report.
+    One of 41 or more rows is refused first: its one block, the whole space,
+    exceeds ZERO_SET_WORK_LIMIT at any factor width.
     """
     if not isinstance(doc, dict) or "entries" not in doc:
         raise ValueError("raw DF document needs an 'entries' matrix")
     labels = doc.get("labels")
     if labels is not None:
         labels = _strings(labels, "labels")
+    _check_zero_set_work(len(_listed(doc["entries"], "entries")), 1)
     return raw_df(_pair_rows(doc["entries"], "entries"), labels=labels)

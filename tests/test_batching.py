@@ -28,6 +28,8 @@ from coevent.coevents import _primitive_masks
 from coevent.histories import build_dfs
 from coevent.measure_analysis import find_zero_set_catalogs
 
+from conftest import brute_block_residual
+
 
 def haar(rng, d: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
@@ -97,6 +99,20 @@ def test_batched_builds_and_searches_equal_one_at_a_time(case):
         assert df.validation == one.validation
         assert got.df is df and got.sectors == catalog.sectors
     assert len({id(df.space) for df in batch}) == len({s.state.shape for s in schemas})
+
+
+def test_the_exact_max_choice_reads_the_item_not_the_group(monkeypatch):
+    """With _EXACT_ENTRIES just above an appendix-theta item's n^2 r d, the
+    item takes the exact max alone and in a group of 4 in chunks of 1, 2 or
+    4: the choice reads the item's n and c only, and the dense max agrees."""
+    schemas = [entry.schema for theta in (0.3, 0.7)
+               for entry in build_scenario("appendix-theta", {"theta": theta}).entries]
+    monkeypatch.setattr(histories, "_EXACT_ENTRIES", 8 ** 2 * 2 + 1)
+    alone = [build_df(s) for s in schemas]
+    assert [df.validation.block_residual for df in alone] == list(map(brute_block_residual, alone))
+    for chunk in (1, 2, 4):
+        with mock.patch.object(histories, "_STEP_ENTRIES", chunk * 8 * 2):
+            assert [df.validation for df in build_dfs(schemas)] == [df.validation for df in alone]
 
 
 def reference_points(start: float, end: float, steps: int) -> list[dict]:

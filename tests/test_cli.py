@@ -255,6 +255,22 @@ def test_df_analyze_huge_finite_matrix_fails_validation(capsys, tmp_path):
     assert report["validation"]["failures"] == ["normalization residual 2.000e+200"]
 
 
+@pytest.mark.parametrize("rows, code", [(40, EXIT_BAD_INPUT), (41, EXIT_CAP), (2048, EXIT_CAP)])
+def test_df_analyze_refuses_41_rows_before_reading_pairs(capsys, tmp_path, rows, code):
+    """ZERO_SET_WORK_LIMIT admits no block of 41 histories even at one factor
+    column, and a raw DF's one block is the whole space: 41 or more rows
+    exit 3 before any entry is read, so entries that are no pairs at all
+    still exit 3 there, and 40 rows of them are bad input (exit 4)."""
+    path = _write_df(tmp_path, [["no pair"] * rows] * rows)
+    got, out, err = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert got == code and out == ""
+    if code == EXIT_CAP:
+        assert err == (f"enumeration cap exceeded: zero-set search over a sector of {rows} "
+                       f"histories with 1 factor columns needs "
+                       f"{((1 << rows // 2) + (1 << rows - rows // 2)) * 2} table entries, "
+                       f"above ZERO_SET_WORK_LIMIT = {limits.ZERO_SET_WORK_LIMIT}\n")
+
+
 @pytest.mark.parametrize("labels", [[1], [["a"]], [None], [True]])
 def test_df_analyze_labels_must_be_strings(capsys, tmp_path, labels):
     """Labels that are not JSON strings are malformed, not stringified."""
@@ -526,6 +542,20 @@ def test_cli_imports_no_numpy_random():
                           timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_composite_product_run_imports_no_numpy_ma():
+    """The composition's dedupe does not call np.unique, which imports
+    numpy.ma on first use: about 10 ms of every composite-product run."""
+    code = ("import contextlib, io, sys\n"
+            "from coevent.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['scenario', 'run', 'composite-product'])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 def test_module_entry_point_runs():

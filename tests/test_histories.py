@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coevent import (
@@ -27,7 +31,7 @@ from coevent import (
     raw_df,
     validate_df,
 )
-from coevent import limits
+from coevent import histories, limits
 from coevent.histories import (HistorySpace, ValidationReport, _block_residual, _events,
                                _leakage_bound, raw_space, sort_masks)
 from coevent.scenarios import emit_report
@@ -71,6 +75,57 @@ def test_enumeration_size_caps(monkeypatch):
     monkeypatch.setenv("COEVENT_MAX_OMEGA", "not a number")
     with pytest.raises(ValueError):
         enumerate_histories(schema)
+
+
+def test_builds_of_one_structure_share_their_space(monkeypatch):
+    """Two schemas of one slice structure get one HistorySpace, so their
+    Events compare equal; lowering either cap after the first build still
+    refuses the second, since both caps are read on every call."""
+    first, second = qubit_schema(), qubit_schema(ket=(0.6, 0.8))
+    a, b = build_df(first), build_df(second)
+    assert a.space is b.space is enumerate_histories(first)
+    assert Event(a.space, 0b0110) == Event(b.space, 0b0110)
+    monkeypatch.setenv("COEVENT_MAX_OMEGA", "3")
+    with pytest.raises(SpaceTooLargeError, match="history space has 4 histories"):
+        build_df(second)
+    monkeypatch.delenv("COEVENT_MAX_OMEGA")
+    monkeypatch.setattr(limits, "FACTOR_ENTRY_LIMIT", 7)
+    with pytest.raises(SpaceTooLargeError, match="have 8 entries, above FACTOR_ENTRY_LIMIT"):
+        build_df(second)
+    monkeypatch.undo()
+    assert build_df(second).space is a.space
+
+
+def test_kept_spaces_under_threads():
+    """Eight threads build schemas of twelve slice structures, more than the
+    eight kept, with a short switch interval: every space has its own
+    structure's labels and the cache never holds more than it keeps."""
+    schemas = [HistorySchema.from_ket([1.0, 0.0], (Slice(ProjectiveDecomposition(
+        np.eye(2), (1, 1), (f"{k}a", f"{k}b"))),)) for k in range(12)]
+    failures = []
+
+    def work(offset):
+        try:
+            for i in range(600):
+                schema = schemas[(offset + i) % len(schemas)]
+                labels = schema.slices[0].decomposition.labels
+                if build_df(schema).space.labels != tuple(f"h_{{{x}}}" for x in labels):
+                    failures.append(labels)
+        except Exception as exc:  # recorded for the assertion below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not failures
+    assert len(histories._spaces) <= histories._SPACES_KEPT
 
 
 def test_factor_entry_cap(monkeypatch):
@@ -234,10 +289,9 @@ def test_a_non_finite_factor_makes_no_df(factor):
 def test_a_nan_cross_sector_entry_fails_the_block_check():
     """The block max keeps a NaN cross-sector entry, where max() dropped it."""
     factor = np.array([[np.nan], [1.0]], dtype=complex)
-    sectors = (("0", 0b01), ("1", 0b10))
+    space = HistorySpace(labels=("h1", "h2"), sectors=(("0", 0b01), ("1", 0b10)))
     with np.errstate(invalid="ignore"):
-        assert np.isnan(_block_residual(factor, sectors))
-    space = HistorySpace(labels=("h1", "h2"), sectors=sectors)
+        assert np.isnan(_block_residual(factor[None], space.sector_ids)[0])
     with pytest.raises(ValidationFailedError, match="final-sector block residual nan"):
         DecoherenceFunctional(space, factor)
 
@@ -673,24 +727,51 @@ def test_build_df_on_a_256_outcome_basis_stays_small():
 
 
 def test_block_residual_memory_stays_linear_in_sectors():
-    """4,096 one-history sectors: the block check unpacks one sector at a
-    time, so it holds O(n) bools, not one row per sector.  Its residual,
-    1/n^2, is above EPS_DF, so this factor makes no DF and the check is
-    called on the factor itself."""
+    """4,096 one-history sectors: the block check reads each history's
+    sector id, so it holds O(n) ids and a chunk of rows, not one row per
+    sector.  Its residual, 1/n^2, is above EPS_DF, so this factor makes no
+    DF and the check is called on the factor itself."""
     n = 4096
     sectors = tuple((str(i), 1 << i) for i in range(n))
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)), sectors=sectors)
     factor = np.full((n, 1), 1.0 / n, dtype=complex)
     tracemalloc.start()
     try:
-        residual = _block_residual(factor, sectors)
+        residual = _block_residual(factor[None], space.sector_ids)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert residual == pytest.approx(1.0 / n**2)
-    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)), sectors=sectors)
     with pytest.raises(ValidationFailedError, match="final-sector block residual 5.960e-08"):
         DecoherenceFunctional(space, factor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 12), st.integers(1, 5),
+       st.sampled_from([None, 1, 2, 3, 64]), st.booleans())
+@example(0, 6, 8, 2, 1, False)
+def test_block_residual_equals_the_dense_max(seed, n, c, k, step, nan):
+    """The exact cross-sector max equals brute_block_residual on random
+    factors over k random, interleaved sectors (k = 1: no cross-sector
+    pair, 0.0), alone and stacked with other factors, in row chunks of any
+    size (_STEP_ENTRIES patched); a NaN entry makes both NaN when some
+    sector is not its row's.  In the explicit example, products of one row
+    at a time differ from the dense matrix in the last bit."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(np.arange(n) % min(k, n))
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)), sectors=tuple(
+        (str(s), sum(1 << int(i) for i in np.flatnonzero(ids == s))) for s in range(min(k, n))))
+    factors = rng.normal(size=(3, n, c)) + 1j * rng.normal(size=(3, n, c))
+    if nan:
+        factors[0, rng.integers(n), rng.integers(c)] = np.nan
+    want = brute_block_residual(SimpleNamespace(
+        size=n, space=space, matrix=np.conjugate(factors[0]) @ factors[0].T))
+    with mock.patch.object(histories, "_STEP_ENTRIES", step or histories._STEP_ENTRIES):
+        got = [_block_residual(factors[:1], space.sector_ids)[0],
+               _block_residual(factors, space.sector_ids)[0]]
+    assert np.array_equal(got, [want, want], equal_nan=True)
+    assert np.isnan(want) == (nan and min(k, n) > 1)
 
 
 @st.composite
@@ -728,15 +809,24 @@ def test_block_residual_bound_covers_the_exact_max(schema):
     """The final slice's leakage bound is at least the exact cross-sector
     max of the dense matrix (the oracle) and at most EPS_DF, for ket and
     density states, outcomes of rank above 1, evolutions and a final basis
-    unitary only to about 1e-10.  build_df reports it when it is at most
-    ROUNDOFF_FLOOR and the exact max otherwise."""
+    unitary only to about 1e-10.  build_df reports the exact max for n^2 r d
+    under _EXACT_ENTRIES; above it, the bound when it is at most
+    ROUNDOFF_FLOOR and the exact max otherwise.  _EXACT_ENTRIES is lowered
+    on both sides of every drawn schema's n^2 r d, so both rules run on each."""
     df = build_df(schema)
     d, r = schema.state.shape
     rows = df.factor.reshape(df.size, d, r).transpose(0, 2, 1)
     bound = _leakage_bound(rows[None], [schema.slices[-1].decomposition])[0]
-    assert brute_block_residual(df) <= bound <= EPS_DF
-    exact = bound if bound <= ROUNDOFF_FLOOR else _block_residual(df.factor, df.space.sectors)
-    assert df.validation.block_residual == exact
+    brute = brute_block_residual(df)
+    assert brute <= bound <= EPS_DF
+    entries = df.size ** 2 * r * d
+    by_bound = bound if bound <= ROUNDOFF_FLOOR else brute
+    assert df.validation.block_residual == (
+        brute if entries < histories._EXACT_ENTRIES else by_bound)
+    with mock.patch.object(histories, "_EXACT_ENTRIES", entries + 1):
+        assert build_df(schema).validation.block_residual == brute
+    with mock.patch.object(histories, "_EXACT_ENTRIES", entries):
+        assert build_df(schema).validation.block_residual == by_bound
 
 
 def test_build_df_accepts_a_basis_unitary_only_to_eps_unit():
