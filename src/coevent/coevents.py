@@ -11,10 +11,12 @@ support's sector parts are covered by per-sector zero events independently,
 so any preclusive support stays preclusive after being cut down to one
 uncovered sector part.  Enumeration therefore runs sector by sector.
 
-Within a sector, a support S escapes a maximal zero event M iff S meets the
-complement sector - M.  The minimal preclusive supports are thus exactly
-the minimal transversals of the hypergraph {sector - M : M maximal}, and
-they are found by hypergraph dualization with the MMCS algorithm of
+The zero-set search lists the minimal preclusive supports of each sector
+it measures whole, from its subset tables (SectorZeroData.primitive_masks).
+A grid-join sector is measured only near zero.  There a support S escapes
+a maximal zero event M iff S meets the complement sector - M, so the
+minimal preclusive supports are the minimal transversals of the
+hypergraph {sector - M : M maximal}, found by the MMCS algorithm of
 Murakami & Uno, "Efficient algorithms for dualizing large-scale
 hypergraphs", Discrete Appl. Math. 170 (2014), whose cost follows the
 number of transversals rather than the 2^k subsets of the sector.
@@ -23,7 +25,7 @@ number of transversals rather than the 2^k subsets of the sector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from . import limits
 from .errors import LabelMismatchError
@@ -32,7 +34,7 @@ from .histories import (DecoherenceFunctional, Event, HistorySpace, _bits, _even
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoEvent:
     """A multiplicative co-event, identified by its support mask over ``space``."""
 
@@ -126,23 +128,24 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
         catalog = find_zero_sets(df)
     elif catalog.df is not df:
         raise ValueError("the zero-set catalog belongs to another decoherence functional")
-    masks = _primitive_masks(catalog, {})
-    coevents = tuple(CoEvent(df.space, m, m.bit_count() == 1) for m in sort_masks(masks, df.size))
+    masks = sort_masks(_primitive_masks(catalog), df.size)
+    coevents = tuple(map(object.__new__, repeat(CoEvent, len(masks))))
+    list(map(CoEvent.space.__set__, coevents, repeat(df.space)))
+    list(map(CoEvent.mask.__set__, coevents, masks))
+    list(map(CoEvent.classical.__set__, coevents, [m.bit_count() == 1 for m in masks]))
     return CoEventSet(coevents=coevents, label=label, df=df)
 
 
-def _primitive_masks(catalog: ZeroSetCatalog, memo: dict) -> list[int]:
-    """Unsorted support masks of a catalog's primitive co-events: a sector's from
-    MMCS once, then from ``memo`` by (sector mask, maximal masks), which refuses
-    more than COEVENT_COUNT_LIMIT in all with MMCS's message."""
+def _primitive_masks(catalog: ZeroSetCatalog) -> list[int]:
+    """Unsorted support masks of a catalog's primitive co-events: a sector's
+    from its zero-set search, or from MMCS when it took the grid join.  More
+    than COEVENT_COUNT_LIMIT in all are refused with MMCS's message."""
     masks: list[int] = []
     for s in catalog.sectors:
-        key = (s.sector_mask, s.maximal_masks)
-        if key not in memo:
-            start = len(masks)
-            memo[key] = _minimal_preclusive_masks(*key, masks)[start:]
+        if s.primitive_masks is None:
+            _minimal_preclusive_masks(s.sector_mask, s.maximal_masks, masks)
             continue
-        masks += memo[key]
+        masks += s.primitive_masks
         over = min(len(masks), limits.COEVENT_COUNT_LIMIT + 1)
         limits.refuse_above("COEVENT_COUNT_LIMIT", over,
                             f"co-event search found {over} primitive co-events")
@@ -150,18 +153,19 @@ def _primitive_masks(catalog: ZeroSetCatalog, memo: dict) -> list[int]:
 
 
 def _shared_masks(sets) -> list[int]:
-    """Support masks present in every given co-event set, ordered by
-    cardinality then member indices; all sets must share one history label
-    tuple."""
+    """Support masks present in every given co-event set, in the first set's
+    order (by cardinality, then member indices); all sets must share one
+    history label tuple."""
     if not sets:
         raise ValueError("need at least one co-event set")
     first = sets[0]
     for other in sets[1:]:
         _require_same_labels(first.df.space, other.df.space)
-    shared = set(c.mask for c in first.coevents)
+    shared = [c.mask for c in first.coevents]
     for other in sets[1:]:
-        shared &= set(c.mask for c in other.coevents)
-    return sort_masks(shared, first.df.space.size)
+        kept = {c.mask for c in other.coevents}
+        shared = [m for m in shared if m in kept]
+    return shared
 
 
 def intersect_coevent_sets(sets) -> list[Event]:

@@ -209,7 +209,7 @@ def _orders(k: int) -> np.ndarray:
     """The 2^k local masks of k bits in the order each class of _sector_search
     lists them (read-only): canonical, but descending in row 1 (maximal)."""
     canon = _order_keys(np.arange(1 << k), k).argsort()
-    orders = np.stack((canon, canon[::-1], canon, canon))
+    orders = np.stack((canon, canon[::-1], canon, canon, canon))
     orders.flags.writeable = False
     return orders
 
@@ -283,7 +283,9 @@ class SectorZeroData:
 
     The mask lists are in canonical order (``maximal_masks`` descending) and
     leave out the empty event, except that ``maximal_masks`` is (0,) when the
-    empty event is the only zero event of the sector.
+    empty event is the only zero event of the sector.  ``primitive_masks``
+    are the supports of its primitive preclusive co-events, or None for a
+    sector that took the grid join, whose masks were not all measured.
     """
 
     label: str
@@ -292,6 +294,7 @@ class SectorZeroData:
     maximal_masks: tuple[int, ...]
     nontrivial_masks: tuple[int, ...]
     borderline_masks: tuple[int, ...]
+    primitive_masks: tuple[int, ...] | None = None
 
 
 class ZeroSetCatalog:
@@ -361,9 +364,11 @@ def _sector_search(dfs, zero_only: bool = False):
     members[owner, b]) by ascending key = class * G + owner, each sector's
     canonical: nonempty zero masks, then unless ``zero_only``
     maximal (descending; the empty mask when alone), nontrivial and
-    borderline ones.  A chunk is measured as one array (_group_measures):
-    a zero mask is nontrivial when a subset is above EPS_ZERO, and maximal
-    when it is its own only zero superset (_subset_counts).  A larger sector
+    borderline ones, and in a chunk the primitive preclusive ones.  A chunk
+    is measured as one array (_group_measures): a zero mask is nontrivial
+    when a subset is above EPS_ZERO, and maximal when it is its own only
+    zero superset (_subset_counts); a mask is preclusive when it has no
+    zero superset, and primitive when no proper subset is.  A larger sector
     sorts the grid join's candidates (_band) by _ORDER_KEY plus class << 46,
     takes _nontrivial and finds its maximal masks in greedy rounds: the last
     mask left is the largest in canonical order, so it is maximal; drop
@@ -410,15 +415,20 @@ def _sector_search(dfs, zero_only: bool = False):
                 continue
             mu = _group_measures(rows)
             g, orders = len(mu), _orders(k)
-            ordered = mu[:, orders[0]]
-            flags = zero = ordered <= EPS_ZERO
+            flags = zero = mu <= EPS_ZERO
             if not zero_only:
                 # Zero supersets of m are zero subsets of 2^k - 1 - m, in reversed rows.
                 above = mu > EPS_ZERO
                 counts = _subset_counts(np.concatenate((above, ~above[:, ::-1])))
-                subsets, supersets = counts[:g, orders[0]], counts[g:, ::-1][:, orders[0]]
-                flags = np.concatenate((zero, (zero & (supersets == 1))[:, ::-1],
-                                        zero & (subsets > 0), ~zero & (ordered <= BORDERLINE_MAX)))
+                supersets = counts[g:, ::-1]
+                # A mask with no zero superset is preclusive, and primitive when
+                # it is its own only preclusive subset.
+                preclusive = supersets == 0
+                flags = np.concatenate((zero, zero & (supersets == 1), zero & (counts[:g] > 0),
+                                        ~zero & (mu <= BORDERLINE_MAX),
+                                        preclusive & (_subset_counts(preclusive) == 1)))
+            flags = flags[:, orders[0]]
+            flags[g:2 * g] = flags[g:2 * g, ::-1]
             flags[:g, 0] = False
             key, pos = np.nonzero(flags)
             yield chunk, members, key, orders[key // g, pos]
@@ -437,11 +447,12 @@ def find_zero_set_catalogs(dfs) -> list[ZeroSetCatalog]:
 
 
 def _catalogs(dfs: list[DecoherenceFunctional]) -> list[ZeroSetCatalog]:
-    sectors = [s for df in dfs for s in df.sectors()]
+    sectors, c = [s for df in dfs for s in df.sectors()], dfs[0].factor.shape[1]
     data = [None] * len(sectors)
     for positions, members, key, local in _sector_search(dfs):
-        g = len(positions)
-        lists = _by_key(tuple(_spreader(members)(local, key % g)), key, 4 * g)
+        # A grid-join sector has no primitive class; its primitive_masks stay None.
+        g, classes = len(positions), 4 + ((2 * c) << members.shape[1] <= _ALL_PAIRS_MAX)
+        lists = _by_key(tuple(_spreader(members)(local, key % g)), key, classes * g)
         for j, pos in enumerate(positions):
             data[pos] = SectorZeroData(*sectors[pos], *lists[j::g])
     cuts = list(accumulate((len(df.sectors()) for df in dfs), initial=0))

@@ -192,6 +192,8 @@ def build_scenario(name: str, parameters: dict | None = None) -> ScenarioBuild:
         if req not in params:
             raise MissingParameterError(f"scenario {name!r} requires parameter {req!r}")
         value = params[req]
+        if isinstance(value, np.generic):
+            value = params[req] = value.item()
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
                 or not math.isfinite(value)):
             raise MissingParameterError(
@@ -334,8 +336,8 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
     zero-count changes between adjacent points; flagged cells bracket the
     special angles tan(theta) = 1/3, tan(theta) = -1/3, and theta = 0
     (all mod pi).  Raises SpaceTooLargeError, before the grid is built, for
-    more than SWEEP_STEP_LIMIT steps.  Each _SWEEP_CHUNK points are built and
-    searched together, and MMCS runs once per (sector, maximal masks) a sweep.
+    more than SWEEP_STEP_LIMIT steps, and ValueError for a range whose grid
+    overflows.  Each _SWEEP_CHUNK points are built and searched together.
     """
     if steps < 2:
         raise ValueError("a sweep needs at least 2 steps")
@@ -346,13 +348,15 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
     if not end > start:
         raise ValueError("sweep range must satisfy end > start")
     grid = [start + (end - start) * i / (steps - 1) for i in range(steps)]
-    points, memo = [], {}
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"sweep range from {start!r} to {end!r} overflows to non-finite points")
+    points = []
     for first in range(0, steps, _SWEEP_CHUNK):
         builds = [build_scenario("appendix-theta", {"theta": t})
                   for t in grid[first:first + _SWEEP_CHUNK]]
         entries = [e for b in builds for e in b.entries]
         dfs = _entry_dfs(entries)
-        found = iter([(e.label, c.counts(), set(_primitive_masks(c, memo)))
+        found = iter([(e.label, c.counts(), set(_primitive_masks(c)))
                       for e, c in zip(entries, find_zero_set_catalogs(dfs))])
         for theta, build in zip(grid[first:], builds):
             states = list(islice(found, len(build.entries)))

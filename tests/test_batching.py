@@ -1,5 +1,5 @@
 """Batched DF construction, batched zero-set search and the theta sweep's
-co-event memo against their one-at-a-time references."""
+co-events against their one-at-a-time references."""
 
 from __future__ import annotations
 
@@ -135,16 +135,8 @@ def reference_points(start: float, end: float, steps: int) -> list[dict]:
     return points
 
 
-@pytest.mark.parametrize("start,end,steps", [
-    (-1.6, 1.6, 400),
-    (-math.atan(1.0 / 3.0), math.atan(1.0 / 3.0), 61),
-])
-def test_theta_sweep_equals_the_point_by_point_reference(monkeypatch, start, end, steps):
-    """A grid crossing atan(-1/3), 0 and atan(1/3) (the second one with
-    points on the first and last), in chunks of 7 points (no multiple of
-    the grid) as in one: the points equal the reference loop, and MMCS runs
-    once per distinct (sector, maximal masks) key, not per DF and sector."""
-    want = reference_points(start, end, steps)
+def spy_on_mmcs(monkeypatch) -> list:
+    """The (sector, maximal masks) of every MMCS run from now on."""
     calls = []
     original = coevents._minimal_preclusive_masks
 
@@ -153,48 +145,77 @@ def test_theta_sweep_equals_the_point_by_point_reference(monkeypatch, start, end
         return original(sector, maximal, found)
 
     monkeypatch.setattr(coevents, "_minimal_preclusive_masks", counted)
+    return calls
+
+
+@pytest.mark.parametrize("start,end,steps", [
+    (-1.6, 1.6, 400),
+    (-math.atan(1.0 / 3.0), math.atan(1.0 / 3.0), 61),
+])
+def test_theta_sweep_equals_the_point_by_point_reference(monkeypatch, start, end, steps):
+    """A grid crossing atan(-1/3), 0 and atan(1/3) (the second one with
+    points on the first and last), in chunks of 7 points (no multiple of
+    the grid) as in one: the points equal the reference loop, and MMCS
+    never runs, as every sector's co-events come from its zero-set search."""
+    want = reference_points(start, end, steps)
+    calls = spy_on_mmcs(monkeypatch)
     whole = theta_sweep(start, end, steps)
     assert whole["points"] == want
-    assert len(calls) == len(set(calls)) <= 12
     monkeypatch.setattr(scenarios, "_SWEEP_CHUNK", 7)
     assert theta_sweep(start, end, steps) == whole
+    assert calls == []
+
+
+def test_shipped_scenarios_and_long_sweeps_never_run_mmcs(monkeypatch):
+    """Every shipped scenario and a sweep of SWEEP_STEP_LIMIT steps take
+    their co-events from the zero-set search's tables alone."""
+    calls = spy_on_mmcs(monkeypatch)
+    for name in scenarios.scenario_names():
+        needs = scenarios.SCENARIOS[name]["required"]
+        for theta in (0.0, math.atan(1.0 / 3.0), 0.7):
+            assert scenarios.run_scenario(name, {p: theta for p in needs})["entries"]
+    assert len(theta_sweep(-1.6, 1.6, limits.SWEEP_STEP_LIMIT)["points"]) == 10_000
+    assert calls == []
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
 def test_memoized_coevents_refuse_like_mmcs(monkeypatch, cap):
-    """phi2's 6 co-events, 3 a sector: under a patched COEVENT_COUNT_LIMIT
-    the memo, filled before the patch, refuses with MMCS's own message."""
+    """phi2's 6 co-events, 3 a sector, kept by its catalog: under a patched
+    COEVENT_COUNT_LIMIT they are refused, before any is sorted or built,
+    with the message MMCS gives when the grid join forces it to run."""
     df = build_df(build_scenario("appendix-theta", {"theta": 0.5}).entries[1].schema)
     catalog = find_zero_sets(df)
-    memo = {}
-    assert len(_primitive_masks(catalog, memo)) == 6 and len(memo) == 2
+    assert [len(s.primitive_masks) for s in catalog.sectors] == [3, 3]
+    assert len(_primitive_masks(catalog)) == 6
+    with mock.patch.object(measure_analysis, "_ALL_PAIRS_MAX", 0):
+        joined = find_zero_sets(df)
+    assert [s.primitive_masks for s in joined.sectors] == [None, None]
+    calls = spy_on_mmcs(monkeypatch)
+    sorts = []
+    monkeypatch.setattr(coevents, "sort_masks", lambda *args: sorts.append(args))
     monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", cap)
-    with pytest.raises(SpaceTooLargeError) as fresh:
+    with pytest.raises(SpaceTooLargeError) as mmcs:
+        enumerate_primitive_coevents(df, joined)
+    assert calls
+    del calls[:]
+    with pytest.raises(SpaceTooLargeError) as table:
         enumerate_primitive_coevents(df, catalog)
-    with pytest.raises(SpaceTooLargeError) as memoized:
-        _primitive_masks(catalog, memo)
-    assert str(memoized.value) == str(fresh.value) == (
+    assert calls == [] and sorts == []
+    assert str(table.value) == str(mmcs.value) == (
         f"co-event search found {cap + 1} primitive co-events, "
         f"above COEVENT_COUNT_LIMIT = {cap}")
 
 
 def test_theta_sweep_refuses_from_its_memo(monkeypatch):
-    """The cap lowered to 5 once the first point's four sectors have run
-    through MMCS: the next point's co-events all come from the memo, and
-    phi2's 6 are refused with the message MMCS gives under that cap."""
-    original = coevents._minimal_preclusive_masks
-    calls = []
-
-    def lower_after_four(sector, maximal, found=None):
-        out = original(sector, maximal, found)
-        calls.append(sector)
-        if len(calls) == 4:
-            monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", 5)
-        return out
-
-    monkeypatch.setattr(coevents, "_minimal_preclusive_masks", lower_after_four)
+    """A sweep whose phi2 has 6 co-events a point is refused at a cap of 5,
+    with MMCS's message, from the tables of its zero-set search; a cap of 6
+    lets it through."""
+    calls = spy_on_mmcs(monkeypatch)
+    monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", 5)
     with pytest.raises(SpaceTooLargeError) as info:
         theta_sweep(0.4, 0.6, 3)
-    assert len(calls) == 4
     assert str(info.value) == ("co-event search found 6 primitive co-events, "
                                "above COEVENT_COUNT_LIMIT = 5")
+    monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", 6)
+    assert [p["coevent_counts"]["phi2"] for p in theta_sweep(0.4, 0.6, 3)["points"]] == [6] * 3
+    assert calls == []

@@ -106,6 +106,7 @@ def test_sweep_bad_grid_exits_bad_input(capsys, args):
     (("run", "appendix-theta", "--theta", "nan"), "'theta'"),
     (("run", "appendix-theta", "--theta-deg", "-inf"), "'theta'"),
     (("sweep", "--start", "0", "--end", "inf", "--steps", "3"), "sweep end"),
+    (("sweep", "--start", "-1e308", "--end", "1e308", "--steps", "3"), "sweep range"),
 ])
 def test_non_finite_angles_exit_bad_input(capsys, args, name):
     code, out, err = run_cli(capsys, "scenario", *args)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_build_scenario_missing_theta_raises(name):
         build_scenario(name)
 
 
-@pytest.mark.parametrize("bad", ["0.3", True, None, [0.3]])
+@pytest.mark.parametrize("bad", ["0.3", True, None, [0.3], np.bool_(True), np.complex128(0.5)])
 def test_build_scenario_rejects_non_real_theta(bad):
     with pytest.raises(MissingParameterError, match="real number"):
         build_scenario("appendix-theta", {"theta": bad})
@@ -98,6 +99,20 @@ def test_run_scenario_rejects_non_finite_theta(name, bad):
     under this suite's warning filter) is raised first."""
     with pytest.raises(MissingParameterError, match="'theta' must be a finite real number"):
         run_scenario(name, {"theta": bad})
+
+
+@pytest.mark.parametrize("name", ["appendix-theta", "appendix-hamiltonian"])
+@pytest.mark.parametrize("scalar,plain", [
+    (np.float32(0.5), 0.5),
+    (np.int64(1), 1),
+    (np.float64(0.7), 0.7),
+])
+def test_numpy_scalar_angles_give_the_plain_reports(name, scalar, plain):
+    """A numpy scalar angle is taken as the Python number it holds, in both
+    formats; a float32 is not carried into the arithmetic of the bases."""
+    for fmt in ("json", "text"):
+        assert (emit_report(run_scenario(name, {"theta": scalar}), fmt)
+                == emit_report(run_scenario(name, {"theta": plain}), fmt))
 
 
 @pytest.mark.parametrize("name,params", [
@@ -399,6 +414,18 @@ def test_theta_sweep_input_validation():
 def test_theta_sweep_rejects_non_finite_range(start, end, name):
     with pytest.raises(ValueError, match=f"sweep {name} must be a finite number"):
         theta_sweep(start, end, 3)
+
+
+@pytest.mark.parametrize("start,end,steps", [(-1e308, 1e308, 3), (0.0, 1e308, 3)])
+def test_theta_sweep_refuses_an_overflowing_range(monkeypatch, start, end, steps):
+    """A finite range whose grid overflows is refused by name, before any
+    point is built, not as a non-finite angle."""
+    def no_build(*args):
+        raise AssertionError("a scenario was built")
+
+    monkeypatch.setattr(scenarios, "build_scenario", no_build)
+    with pytest.raises(ValueError, match=re.escape(f"sweep range from {start!r} to {end!r} overflows")):
+        theta_sweep(start, end, steps)
 
 
 def test_theta_sweep_step_cap(monkeypatch):

@@ -8,17 +8,34 @@ no single member can be dropped, independently of the shipped search.
 
 from __future__ import annotations
 
+import math
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevent import SpaceTooLargeError, enumerate_primitive_coevents, limits
+from coevent import (
+    HistorySchema,
+    ProjectiveDecomposition,
+    Slice,
+    SpaceTooLargeError,
+    build_df,
+    computational_basis,
+    enumerate_primitive_coevents,
+    find_zero_sets,
+    limits,
+    raw_df,
+)
+from coevent import measure_analysis
 from coevent.coevents import _minimal_preclusive_masks
+from coevent.histories import HistorySpace, ValidationReport, _made
 
-from conftest import brute_primitive_masks, random_amplitude_df
+from coevent.tolerances import EPS_ZERO
+
+from conftest import brute_measures, brute_primitive_masks, random_amplitude_df
 
 
 def brute_minimal_transversals(members, maximal) -> list[int]:
@@ -65,6 +82,98 @@ def test_enumeration_matches_brute_oracle_on_amplitude_dfs(n, seed):
     df = random_amplitude_df(np.random.default_rng(seed), n)
     got = [c.support.mask for c in enumerate_primitive_coevents(df)]
     assert got == brute_primitive_masks(df)
+
+
+# Amplitudes whose subset sums are exact zeros or far from EPS_ZERO.
+AMPLITUDES = (0.0, 1.0, -1.0, 0.5, -0.5, 1j, -1j)
+# s^2 = 0.9e-9: one row of s is a zero event, two of s are not, s and -s are.
+EDGE = math.sqrt(0.9e-9)
+
+
+@st.composite
+def sectored_dfs(draw):
+    """Hand-built DFs of 1 to 3 final sectors of 1 to 5 histories, each over
+    its own 1 or 2 factor columns, their histories interleaved in a drawn
+    order.  A sector holds drawn amplitudes, or a unit row and the rows s,
+    s, -s, -s, or only zero rows, which make it a zero event itself."""
+    kinds = draw(st.lists(st.sampled_from(["drawn", "edge", "zero"]), min_size=1, max_size=3))
+    sizes = [5 if kind == "edge" else draw(st.integers(1, 5)) for kind in kinds]
+    columns = [draw(st.integers(1, 2)) for _ in kinds]
+    order = draw(st.permutations(range(sum(sizes))))
+    factor = np.zeros((len(order), sum(columns)), dtype=complex)
+    sectors, first, col = [], 0, 0
+    for j, (kind, k, c) in enumerate(zip(kinds, sizes, columns)):
+        members = order[first:first + k]
+        if kind == "drawn":
+            values = draw(st.lists(st.sampled_from(AMPLITUDES), min_size=k * c, max_size=k * c))
+            factor[members, col:col + c] = np.reshape(values, (k, c))
+        elif kind == "edge":
+            factor[members, col] = [1.0, EDGE, EDGE, -EDGE, -EDGE]
+        sectors.append((f"s{j}", sum(1 << i for i in members)))
+        first, col = first + k, col + c
+    n = len(order)
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(n)), sectors=tuple(sectors))
+    report = ValidationReport(size=n, hermiticity_residual=0.0, normalization_residual=0.0,
+                              min_eigenvalue=0.0, block_residual=0.0)
+    return _made(space, factor, report, "hand-built decoherence functional")
+
+
+def union_rule_zeros(df) -> set[int]:
+    """Masks of every event whose sector parts all have |mu| <= EPS_ZERO by
+    direct sums: the zero events of the union-assembly rule, which holds
+    more than a scan of whole events only at the tolerance edge."""
+    masks = np.arange(1 << df.size)
+    mu = np.abs(brute_measures(df))
+    zero = np.ones(len(masks), dtype=bool)
+    for _, sector in df.sectors():
+        zero &= mu[masks & sector] <= EPS_ZERO
+    return set(masks[zero].tolist())
+
+
+def assert_both_paths_match_brute(df) -> list[int]:
+    """With _ALL_PAIRS_MAX at 0 every sector takes the grid join and MMCS;
+    with it far above every sector, each takes the subset tables.  Both give
+    the oracle's supports, over the union rule's zero events, in canonical
+    order, which are returned."""
+    want = brute_primitive_masks(df, union_rule_zeros(df))
+    for top, joined in ((0, True), (1 << 40, False)):
+        with mock.patch.object(measure_analysis, "_ALL_PAIRS_MAX", top):
+            catalog = find_zero_sets(df)
+        assert [s.primitive_masks is None for s in catalog.sectors] == [joined] * len(df.sectors())
+        assert [c.mask for c in enumerate_primitive_coevents(df, catalog)] == want
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(sectored_dfs())
+def test_table_and_mmcs_paths_match_the_oracle(df):
+    assert_both_paths_match_brute(df)
+
+
+def tolerance_edge_schema() -> HistorySchema:
+    """sqrt(1 - d)|p> + sqrt(d)|m>, d = 1.2e-9, measured in p/m and then in
+    the computational basis: a union of sector zero events above EPS_ZERO."""
+    r = math.sqrt(0.5)
+    p, m = np.array([r, r]), np.array([r, -r])
+    pm = ProjectiveDecomposition.from_kets([p, m], ["p", "m"])
+    ket = math.sqrt(1.0 - 1.2e-9) * p + math.sqrt(1.2e-9) * m
+    return HistorySchema.from_ket(ket, (Slice(pm), Slice(computational_basis(2))))
+
+
+@pytest.mark.parametrize("make,supports", [
+    (lambda: build_df(HistorySchema.from_ket(np.array([1.0, 0.0]), (
+        Slice(computational_basis(2)), Slice(computational_basis(2))))), [1]),
+    (lambda: build_df(tolerance_edge_schema()), [1, 2]),
+    (lambda: raw_df(np.outer(*[[EDGE, EDGE, -EDGE, -EDGE, 1.0]] * 2)), None),
+], ids=["ket-measured-twice", "union-above-eps", "s-s-minus-s-minus-s"])
+def test_table_and_mmcs_paths_at_the_edges(make, supports):
+    """|0> measured twice in the computational basis, whose sector 1 is a
+    zero event and has no co-event; the qubit schema whose union of sector
+    zero events exceeds EPS_ZERO, where {h_m0, h_m1} is no support, though
+    a scan of whole events would make it one; and the rows s, s, -s, -s
+    with a unit row."""
+    got = assert_both_paths_match_brute(make())
+    assert supports is None or got == supports
 
 
 def four_blocks_of_ten():
