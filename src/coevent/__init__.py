@@ -5,12 +5,10 @@ from .coevents import (
     CoEventSet,
     distinguishability_report,
     enumerate_primitive_coevents,
-    intersect_coevent_sets,
 )
 from .composition import CompositionReport, composition_anomalies, tensor_df
 from .errors import (
     CoeventError,
-    InvalidPartitionError,
     LabelMismatchError,
     MissingParameterError,
     NonHermitianError,
@@ -37,14 +35,12 @@ from .linalg import (
     build_xi_basis,
     computational_basis,
     tensor,
-    unitary_from_hamiltonian,
 )
 from .measure_analysis import (
     PartitionReport,
     ZeroSetCatalog,
     find_decoherent_partitions,
     find_zero_sets,
-    is_decoherent_partition,
 )
 from .scenarios import (
     TOOL_VERSION as __version__,
@@ -64,7 +60,6 @@ __all__ = [
     "Event",
     "HistorySchema",
     "HistorySpace",
-    "InvalidPartitionError",
     "LabelMismatchError",
     "MissingParameterError",
     "NonHermitianError",
@@ -88,8 +83,6 @@ __all__ = [
     "enumerate_primitive_coevents",
     "find_decoherent_partitions",
     "find_zero_sets",
-    "intersect_coevent_sets",
-    "is_decoherent_partition",
     "measure",
     "raw_df",
     "run_scenario",
@@ -97,6 +90,5 @@ __all__ = [
     "tensor",
     "tensor_df",
     "theta_sweep",
-    "unitary_from_hamiltonian",
     "validate_df",
 ]

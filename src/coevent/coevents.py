@@ -29,7 +29,7 @@ from itertools import combinations, repeat
 
 from . import limits
 from .errors import LabelMismatchError
-from .histories import (DecoherenceFunctional, Event, HistorySpace, _bits, _events,
+from .histories import (DecoherenceFunctional, Event, HistorySpace, _bits, _bulk, _events,
                         _require_same_labels, sort_masks)
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
@@ -129,11 +129,9 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
     elif catalog.df is not df:
         raise ValueError("the zero-set catalog belongs to another decoherence functional")
     masks = sort_masks(_primitive_masks(catalog), df.size)
-    coevents = tuple(map(object.__new__, repeat(CoEvent, len(masks))))
-    list(map(CoEvent.space.__set__, coevents, repeat(df.space)))
-    list(map(CoEvent.mask.__set__, coevents, masks))
-    list(map(CoEvent.classical.__set__, coevents, [m.bit_count() == 1 for m in masks]))
-    return CoEventSet(coevents=coevents, label=label, df=df)
+    coevents = _bulk(CoEvent, len(masks), space=repeat(df.space), mask=masks,
+                     classical=[m.bit_count() == 1 for m in masks])
+    return CoEventSet(coevents=tuple(coevents), label=label, df=df)
 
 
 def _primitive_masks(catalog: ZeroSetCatalog) -> list[int]:
@@ -153,30 +151,14 @@ def _primitive_masks(catalog: ZeroSetCatalog) -> list[int]:
 
 
 def _shared_masks(sets) -> list[int]:
-    """Support masks present in every given co-event set, in the first set's
-    order (by cardinality, then member indices); all sets must share one
-    history label tuple."""
-    if not sets:
-        raise ValueError("need at least one co-event set")
-    first = sets[0]
-    for other in sets[1:]:
-        _require_same_labels(first.df.space, other.df.space)
-    shared = [c.mask for c in first.coevents]
+    """Support masks present in every given co-event set (at least one, all
+    over one history label tuple), in the first set's order (by
+    cardinality, then member indices)."""
+    shared = [c.mask for c in sets[0].coevents]
     for other in sets[1:]:
         kept = {c.mask for c in other.coevents}
         shared = [m for m in shared if m in kept]
     return shared
-
-
-def intersect_coevent_sets(sets) -> list[Event]:
-    """Supports present in every given co-event set.
-
-    All sets must share one history label tuple; the result is expressed
-    over the first set's space, ordered by cardinality then member indices.
-    """
-    sets = list(sets)
-    masks = _shared_masks(sets)
-    return _events(sets[0].df.space, masks)
 
 
 def distinguishability_report(sets) -> dict:

@@ -11,7 +11,7 @@ factors each pass it; both effects are what the report collects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -22,6 +22,7 @@ from .histories import (
     Event,
     HistorySpace,
     _bits,
+    _bulk,
     _events,
     _exact_report,
     _made,
@@ -229,18 +230,15 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     ia, ib, residuals = (np.concatenate(parts) for parts in zip(*found))
     order = np.lexsort((ib, ia))
     ia, ib = ia[order].tolist(), ib[order].tolist()
-    # One report per partition; fields set through the slots, as in histories._events.
+    # One report per partition.
     reports_a = {i: parts_a[i] for i in set(ia)}
     reports_b = {j: parts_b[j] for j in set(ib)}
     columns = {i: [_columns(ca, b.size) for ca in r.cell_masks] for i, r in reports_a.items()}
     masks = [tuple([cb * col for col in columns[i] for cb in reports_b[j].cell_masks])
              for i, j in zip(ia, ib)]
-    out = list(map(object.__new__, repeat(WeakViolation, len(ia))))
-    for field, values in zip(fields(WeakViolation), (
-            map(reports_a.get, ia), map(reports_b.get, ib), repeat(product.space), masks,
-            residuals[order].tolist())):
-        list(map(getattr(WeakViolation, field.name).__set__, out, values))
-    return out
+    return _bulk(WeakViolation, len(ia), partition_a=map(reports_a.get, ia),
+                 partition_b=map(reports_b.get, ib), space=repeat(product.space),
+                 product_masks=masks, residual=residuals[order].tolist())
 
 
 def composition_anomalies(a: DecoherenceFunctional,

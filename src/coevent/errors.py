@@ -15,10 +15,6 @@ class SpaceTooLargeError(CoeventError):
     """A history space or enumeration exceeds its configured cap."""
 
 
-class InvalidPartitionError(CoeventError):
-    """Cells presented as a partition are not disjoint or do not cover Omega."""
-
-
 class LabelMismatchError(CoeventError):
     """Events or co-event sets over different history label sets cannot be combined."""
 

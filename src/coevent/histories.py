@@ -33,7 +33,7 @@ from .errors import LabelMismatchError, ValidationFailedError
 from .limits import MAX_OMEGA_ENV, refuse_above
 from .linalg import (ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary,
                      read_only)
-from .tolerances import EPS_DF, EPS_UNIT, ROUNDOFF_FLOOR, gamma
+from .tolerances import EPS_DF, ROUNDOFF_FLOOR, gamma
 
 # Array entries one vectorized step may hold: bounds the memory of the block
 # check and of the partition and composition searches to a few MB.
@@ -77,9 +77,9 @@ class Slice:
 class HistorySchema:
     """Initial state plus an ordered tuple of slices on one Hilbert space.
 
-    ``state`` is a d x r factor R of the initial density matrix, rho = R R^dagger:
-    one column for a ket, one column per eigenvector for a density matrix,
-    kept as a read-only copy so that the state checks cannot go stale.
+    ``state`` is a d x r factor R of the initial density matrix, rho = R R^dagger
+    (one column for a ket), kept as a read-only copy so that the state checks
+    cannot go stale.
     """
 
     state: np.ndarray
@@ -98,19 +98,6 @@ class HistorySchema:
     @classmethod
     def from_ket(cls, ket, slices) -> "HistorySchema":
         return cls(as_ket(ket)[:, None], slices)
-
-    @classmethod
-    def from_density(cls, rho, slices) -> "HistorySchema":
-        """A schema whose state factor comes from the eigendecomposition of rho."""
-        r = as_complex_matrix(rho)
-        if np.max(np.abs(r - dagger(r))) > EPS_UNIT:
-            raise ValueError("initial density matrix is not Hermitian")
-        if abs(np.trace(r) - 1.0) > EPS_UNIT:
-            raise ValueError("initial density matrix must have unit trace")
-        w, v = np.linalg.eigh((r + dagger(r)) / 2)
-        if w[0] < -EPS_UNIT:
-            raise ValueError("initial density matrix must be positive semidefinite")
-        return cls(v * np.sqrt(np.clip(w, 0.0, None)), slices)
 
     @property
     def dim(self) -> int:
@@ -214,17 +201,21 @@ class Event:
         return self.mask != 0
 
 
-def _events(space: HistorySpace, masks) -> list[Event]:
-    """Events over ``space`` of int masks the package built inside it.
+def _bulk(cls, count: int, **columns) -> list:
+    """``count`` new objects of the frozen, slotted dataclass ``cls``, each
+    field set from its column (one iterable per field) through the slot
+    descriptors, so no __init__ or check runs."""
+    out = list(map(object.__new__, repeat(cls, count)))
+    for name, values in columns.items():
+        list(map(getattr(cls, name).__set__, out, values))
+    return out
 
-    The fields are set through the slot descriptors, so no per-object
-    __init__ or range check runs.
-    """
+
+def _events(space: HistorySpace, masks) -> list[Event]:
+    """Events over ``space`` of int masks the package built inside it, built
+    by _bulk without the range check."""
     masks = list(masks)
-    events = list(map(object.__new__, repeat(Event, len(masks))))
-    list(map(Event.space.__set__, events, repeat(space)))
-    list(map(Event.mask.__set__, events, masks))
-    return events
+    return _bulk(Event, len(masks), space=repeat(space), mask=masks)
 
 
 def _mask_bits(masks, n: int) -> np.ndarray:

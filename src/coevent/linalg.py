@@ -165,7 +165,7 @@ def build_theta_bases(theta: float) -> tuple[ProjectiveDecomposition, Projective
         Psi+ = cos(theta + pi/4)|0> + sin(theta + pi/4)|1>   (labels '+', '-')
 
     and Psi1, Psi- are the orthogonal complements sin(t)|0> - cos(t)|1>.
-    That orientation matches the rotating frame of unitary_from_hamiltonian
+    That orientation matches the rotating frame of spectral_unitary
     applied to the computational basis, so amplitudes of timed realizations
     differ from the static bases by one global phase instead of per-history
     signs.  A non-finite theta raises ValueError before any numpy call.
@@ -194,8 +194,3 @@ def spectral_unitary(spectrum, t: float) -> np.ndarray:
     """exp(-i h t) from the eigh (w, v) of a Hermitian h."""
     w, v = spectrum
     return (v * np.exp(-1j * w * t)) @ dagger(v)
-
-
-def unitary_from_hamiltonian(h, t: float) -> np.ndarray:
-    """exp(-i h t) computed spectrally from a Hermitian ``h``."""
-    return spectral_unitary(hermitian_spectrum(h), t)

@@ -28,13 +28,12 @@ from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, chain, compress, islice, product
+from itertools import accumulate, chain, compress, islice, product, repeat
 
 import numpy as np
 
-from .errors import InvalidPartitionError
 from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
-                        _events, _mask_bits, _per_group, _require_same_labels, sort_masks)
+                        _bulk, _events, _per_group, sort_masks)
 from .limits import refuse_above
 from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
@@ -45,6 +44,13 @@ from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 # up to 2^14 entries, the two were about even at 2^15, and the grid join
 # was faster from 2^16 (from 2^17 at c = 8).
 _ALL_PAIRS_MAX = 1 << 15
+
+
+def _joins(k: int, c: int) -> bool:
+    """Whether a sector of k histories with c factor columns takes the grid
+    join: its (2c) << k entries are above _ALL_PAIRS_MAX, read at call time."""
+    return (2 * c) << k > _ALL_PAIRS_MAX
+
 
 # Row p of _BYTE_BITS holds the bits of p, lowest first.
 _BYTE_BITS = np.arange(256, dtype=np.int64)[:, None] >> np.arange(8) & 1
@@ -357,12 +363,12 @@ class ZeroSetCatalog:
 def _sector_search(dfs, zero_only: bool = False):
     """The zero-set search of the final sectors of DFs of one factor width c,
     verified when each was made (the whole space without them), by groups:
-    sectors of k histories with (2c) << k at most _ALL_PAIRS_MAX in chunks
-    of at most _STEP_ENTRIES such entries, and each larger sector alone.  A
-    group yields its positions in the DFs' sectors() in turn, members (G x
-    k, ascending in the sector's DF) and sector-local masks (bit b for
-    members[owner, b]) by ascending key = class * G + owner, each sector's
-    canonical: nonempty zero masks, then unless ``zero_only``
+    sectors of k histories that _joins keeps from the grid join in chunks of
+    at most _STEP_ENTRIES such (2c) << k entries, and each other sector
+    alone.  A group yields its positions in the DFs' sectors() in turn,
+    members (G x k, ascending in the sector's DF) and sector-local masks
+    (bit b for members[owner, b]) by ascending key = class * G + owner, each
+    sector's canonical: nonempty zero masks, then unless ``zero_only``
     maximal (descending; the empty mask when alone), nontrivial and
     borderline ones, and in a chunk the primitive preclusive ones.  A chunk
     is measured as one array (_group_measures): a zero mask is nontrivial
@@ -388,7 +394,7 @@ def _sector_search(dfs, zero_only: bool = False):
     for k in sizes:
         _check_zero_set_work(k, c)
     for k, positions in sizes.items():
-        join = (2 * c) << k > _ALL_PAIRS_MAX
+        join = _joins(k, c)
         step = 1 if join else max(1, _STEP_ENTRIES // max((2 * c) << k, 1))
         for chunk in (positions[i:i + step] for i in range(0, len(positions), step)):
             members = np.array([[b.bit_length() - 1 for b in _bits(sectors[p])] for p in chunk],
@@ -451,7 +457,7 @@ def _catalogs(dfs: list[DecoherenceFunctional]) -> list[ZeroSetCatalog]:
     data = [None] * len(sectors)
     for positions, members, key, local in _sector_search(dfs):
         # A grid-join sector has no primitive class; its primitive_masks stay None.
-        g, classes = len(positions), 4 + ((2 * c) << members.shape[1] <= _ALL_PAIRS_MAX)
+        g, classes = len(positions), 4 + (not _joins(members.shape[1], c))
         lists = _by_key(tuple(_spreader(members)(local, key % g)), key, classes * g)
         for j, pos in enumerate(positions):
             data[pos] = SectorZeroData(*sectors[pos], *lists[j::g])
@@ -483,11 +489,6 @@ class PartitionReport:
             "residual": self.residual,
             "passed": self.passed,
         }
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("medium", "weak"):
-        raise ValueError(f"unknown decoherence mode {mode!r}")
 
 
 def _cell_sums(factor: np.ndarray, strings: np.ndarray) -> np.ndarray:
@@ -545,32 +546,6 @@ def _count_chunks(counts: np.ndarray, width, budget: int):
         step = max(1, budget // width(count))
         for first in range(0, len(idx), step):
             yield idx[first:first + step]
-
-
-def is_decoherent_partition(df: DecoherenceFunctional, cells, mode: str) -> PartitionReport:
-    """Check pairwise off-diagonal terms of a partition.
-
-    mode 'medium' bounds |D(A, B)|, mode 'weak' bounds |Re D(A, B)|; both
-    against EPS_DF.  The cells must be nonempty, disjoint, inside the DF's
-    histories and cover them, and be events over the DF's labels
-    (LabelMismatchError otherwise).
-    """
-    _check_mode(mode)
-    cells = tuple(cells)
-    masks = tuple(c.mask for c in cells)
-    if any(m >> df.size for m in masks):
-        raise InvalidPartitionError(f"partition cells must lie in the {df.size} histories")
-    for c in cells:
-        _require_same_labels(df.space, c.space)
-    bits = _mask_bits(masks, df.size)
-    if not len(bits) or not bits.any(axis=1).all():
-        raise InvalidPartitionError("partition cells must be nonempty")
-    if not (bits.sum(axis=0) == 1).all():
-        raise InvalidPartitionError("cells must be disjoint and cover the space")
-    string = bits.argmax(axis=0)[None]
-    residual = float(_pair_residuals(_cell_sums(df.factor, string), mode)[0])
-    return PartitionReport(space=df.space, cell_masks=masks, mode=mode, residual=residual,
-                           passed=residual <= EPS_DF)
 
 
 def set_partition_strings(n: int, max_cells: int) -> np.ndarray:
@@ -650,6 +625,10 @@ def _plan(n: int, max_cells: int) -> tuple[np.ndarray, np.ndarray]:
     return strings, counts
 
 
+# Reports a PartitionListing builds at a time while it is iterated.
+_REPORT_BLOCK = 1024
+
+
 @cache
 def _digit_table(a: int) -> bytes:
     """The bytes.translate table that maps byte a to b"1" and every other
@@ -661,7 +640,7 @@ class PartitionListing(Sequence):
     """The partitions of ``space`` that passed one search in ``mode``: their
     restricted-growth strings (int8 rows, lexicographic), their residuals and
     cell counts (int64).  Item j (an int) is built as a PartitionReport on
-    read."""
+    read, and iteration builds _REPORT_BLOCK reports at a time."""
 
     def __init__(self, space: HistorySpace, mode: str, strings, residuals, counts):
         self.space, self.mode, self.strings = space, mode, strings
@@ -671,21 +650,24 @@ class PartitionListing(Sequence):
         return len(self.strings)
 
     def __getitem__(self, j) -> PartitionReport:
-        """The report of row j.  Cell a has the binary digits of the row's
-        values, last history first, translated to 1 where the value is a
-        and 0 elsewhere.  The fields are set through the slot descriptors,
-        as in histories._events, so no frozen __init__ runs."""
-        j = operator.index(j)
-        digits = self.strings[j].tobytes()[::-1]
-        masks = tuple([int(digits.translate(_digit_table(a)), 2)
-                       for a in range(self.counts.item(j))])
-        report = object.__new__(PartitionReport)
-        PartitionReport.space.__set__(report, self.space)
-        PartitionReport.cell_masks.__set__(report, masks)
-        PartitionReport.mode.__set__(report, self.mode)
-        PartitionReport.residual.__set__(report, self.residuals.item(j))
-        PartitionReport.passed.__set__(report, True)
-        return report
+        j = range(len(self))[operator.index(j)]
+        return self._reports(j, j + 1)[0]
+
+    def __iter__(self):
+        for first in range(0, len(self), _REPORT_BLOCK):
+            yield from self._reports(first, first + _REPORT_BLOCK)
+
+    def _reports(self, first: int, stop: int) -> list[PartitionReport]:
+        """The reports of rows first to stop, built by histories._bulk.  Cell
+        a has the binary digits of its row's values, last history first,
+        translated to 1 where the value is a and 0 elsewhere."""
+        rows = self.strings[first:stop]
+        masks = [tuple([int(digits.translate(_digit_table(a)), 2) for a in range(count)])
+                 for digits, count in zip((row.tobytes()[::-1] for row in rows),
+                                          self.counts[first:stop].tolist())]
+        return _bulk(PartitionReport, len(masks), space=repeat(self.space), cell_masks=masks,
+                     mode=repeat(self.mode), residual=self.residuals[first:stop].tolist(),
+                     passed=repeat(True))
 
 
 def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
@@ -701,7 +683,8 @@ def find_decoherent_partitions(df: DecoherenceFunctional, mode: str,
     k (n + 2c) a string; the residuals are written back in the strings'
     order.
     """
-    _check_mode(mode)
+    if mode not in ("medium", "weak"):
+        raise ValueError(f"unknown decoherence mode {mode!r}")
     n, c = df.factor.shape
     strings, counts = _plan(n, max_cells)
     residuals = np.empty(len(strings))

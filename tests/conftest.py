@@ -149,11 +149,27 @@ def brute_maximal_masks(zeros: set[int]) -> list[int]:
     )
 
 
+def brute_partition_residual(df: DecoherenceFunctional, cell_masks, mode: str) -> float:
+    """The largest off-diagonal |D(A, B)| (medium) or |Re D(A, B)| (weak)
+    over pairs of cells, by direct submatrix sums of the dense matrix.  The
+    cells must be nonempty, disjoint and cover the DF's histories."""
+    assert mode in ("medium", "weak"), mode
+    n = df.size
+    cells = [[i for i in range(n) if m >> i & 1] for m in cell_masks]
+    assert all(cells) and sorted(i for c in cells for i in c) == list(range(n)), cell_masks
+    residual = 0.0
+    for x in range(len(cells)):
+        for y in range(x + 1, len(cells)):
+            val = complex(df.matrix[np.ix_(cells[x], cells[y])].sum())
+            residual = max(residual, abs(val) if mode == "medium" else abs(val.real))
+    return residual
+
+
 def brute_decoherent_partitions(df: DecoherenceFunctional, mode: str,
                                 max_cells: int) -> list[tuple[list[int], float]]:
     """(cell masks, residual) of each partition into at most max_cells cells
-    whose largest off-diagonal |D(A, B)| (medium) or |Re D(A, B)| (weak) is
-    at most EPS, by direct submatrix sums, in restricted-growth-string order.
+    whose brute_partition_residual is at most EPS, in restricted-growth-string
+    order.
     """
     n = df.size
 
@@ -166,14 +182,10 @@ def brute_decoherent_partitions(df: DecoherenceFunctional, mode: str,
 
     out = []
     for rgs in strings([0]):
-        cells = [[i for i in range(n) if rgs[i] == k] for k in range(max(rgs) + 1)]
-        residual = 0.0
-        for x in range(len(cells)):
-            for y in range(x + 1, len(cells)):
-                val = complex(df.matrix[np.ix_(cells[x], cells[y])].sum())
-                residual = max(residual, abs(val) if mode == "medium" else abs(val.real))
+        masks = [sum(1 << i for i in range(n) if rgs[i] == k) for k in range(max(rgs) + 1)]
+        residual = brute_partition_residual(df, masks, mode)
         if residual <= EPS:
-            out.append(([sum(1 << i for i in c) for c in cells], residual))
+            out.append((masks, residual))
     return out
 
 

@@ -18,10 +18,9 @@ from coevent import (
     build_df,
     build_scenario,
     composition_anomalies,
+    distinguishability_report,
     enumerate_primitive_coevents,
     find_zero_sets,
-    intersect_coevent_sets,
-    is_decoherent_partition,
     find_decoherent_partitions,
     measure,
     run_scenario,
@@ -33,6 +32,7 @@ from coevent.scenarios import emit_report
 from conftest import (
     THETA_SPECIAL,
     amplitude,
+    brute_partition_residual,
     brute_primitive_masks,
     brute_zero_masks,
     complement,
@@ -176,7 +176,7 @@ def test_criterion_1_single_measurement_coevents_disjoint():
         ces = enumerate_primitive_coevents(dfs[state], label=state)
         assert ces.support_labels() == want, f"state {state!r}"
         sets.append(ces)
-    assert intersect_coevent_sets(sets) == []
+    assert distinguishability_report(sets)["intersection"] == []
     print("criterion 1 (co-events): PASS - pbr-v1 co-event sets exact, intersection empty")
 
 
@@ -205,7 +205,7 @@ def test_criterion_2_refined_measurement_amplitudes_and_coevents():
             got = {tuple(sorted(c.support.labels)) for c in ces.coevents}
             assert got == REFERENCE_V2_PP_COEVENTS
         coevent_sets.append(ces)
-    assert intersect_coevent_sets(coevent_sets) == []
+    assert distinguishability_report(coevent_sets)["intersection"] == []
     print("criterion 2: PASS - all 64 pbr-v2 amplitudes, zero pairs, and co-events match")
 
 
@@ -260,7 +260,7 @@ def test_criterion_4_product_functional_and_partitions():
     anti = Event(prod.space, label_mask(prod.space, ("h11", "h22")))
     assert abs(measure(prod, anti)) <= TIGHT
     rest = Event(prod.space, label_mask(prod.space, ("h12", "h21")))
-    assert is_decoherent_partition(prod, [anti, rest], "medium").passed
+    assert brute_partition_residual(prod, [anti.mask, rest.mask], "medium") <= TOL
 
     medium = find_decoherent_partitions(sub, "medium", max_cells=sub.size)
     assert len(medium) == 1 and len(medium[0].cells) == 1
@@ -309,7 +309,7 @@ def test_criterion_5_three_slice_amplitudes_and_coevents():
         c2 = enumerate_primitive_coevents(dfs["phi2"], label="phi2")
         got_c2 = {tuple(sorted(c.support.labels)) for c in c2.coevents}
         assert got_c2 == REFERENCE_APPENDIX_C2, f"theta={theta}"
-        assert intersect_coevent_sets([c1, c2]) == [], f"theta={theta}"
+        assert distinguishability_report([c1, c2])["intersection"] == [], f"theta={theta}"
     print("criterion 5: PASS - generic-angle amplitudes, zero pairs, and co-events")
 
 
@@ -417,8 +417,8 @@ def test_criterion_8_property_suites():
         for event in catalog.zero_events_sectorwise() + catalog.maximal_zero_events():
             if not event.mask or event.mask == everything:
                 continue
-            cells = [event, complement(event)]
-            assert is_decoherent_partition(df, cells, "medium").passed, label
+            cells = [event.mask, complement(event).mask]
+            assert brute_partition_residual(df, cells, "medium") <= TOL, label
 
         if df.space.sectors is not None:
             sector_masks = [m for _, m in df.sectors()]

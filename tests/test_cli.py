@@ -472,6 +472,22 @@ def test_version_agrees_with_pyproject(capsys):
     assert run_cli(capsys, "--version")[1] == f"coevent, version {declared}\n"
 
 
+def test_readme_python_api_lists_every_export():
+    """The README's "Python API" section lists each name of coevent.__all__
+    on a bullet of its own, and no other bare name; each dotted name it
+    lists (documented API outside __all__) resolves from the package."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([\w.]+)`", section, re.MULTILINE)
+    bare = [name for name in listed if "." not in name]
+    assert sorted(bare) == sorted(coevent.__all__)
+    for name in listed:
+        obj = coevent
+        for part in name.split("."):
+            obj = getattr(obj, part)
+
+
 # "DIR" stands for an existing directory.  Every usage error exits 4 with
 # one "error:" message on stderr and nothing on stdout; help and version go
 # to stdout; negative numbers, -inf among them, are values, not options.

@@ -14,7 +14,6 @@ from coevent import (
     distinguishability_report,
     enumerate_primitive_coevents,
     find_zero_sets,
-    intersect_coevent_sets,
     raw_df,
 )
 
@@ -97,23 +96,23 @@ def test_global_fallback_warns_and_caps():
 def test_intersection_at_special_angle(appendix_golden):
     dfs = scenario_dfs("appendix-theta", theta=THETA_SPECIAL)
     sets = [enumerate_primitive_coevents(df, label=lab) for lab, df in dfs.items()]
-    shared = intersect_coevent_sets(sets)
+    shared = distinguishability_report(sets)["intersection"]
     want = support_set(appendix_golden["cases"]["atan13"]["intersection"])
-    assert support_set([list(e.labels) for e in shared]) == want
+    assert support_set(shared) == want
     assert want  # the whole point of this angle: the intersection is nonempty
 
 
 def test_intersection_errors():
     with pytest.raises(ValueError):
-        intersect_coevent_sets([])
+        distinguishability_report([])
     v1 = scenario_dfs("pbr-v1")["00"]
     sub = scenario_dfs("composite-product")["D_A"]
     sets = [
         enumerate_primitive_coevents(v1, label="a"),
         enumerate_primitive_coevents(sub, label="b"),
     ]
-    with pytest.raises(LabelMismatchError):
-        intersect_coevent_sets(sets)
+    with pytest.raises(LabelMismatchError, match="different history label sets"):
+        distinguishability_report(sets)
 
 
 def test_enumeration_refuses_a_catalog_of_another_df():

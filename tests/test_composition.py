@@ -20,7 +20,6 @@ from coevent import (
     computational_basis,
     find_decoherent_partitions,
     find_zero_sets,
-    is_decoherent_partition,
     measure,
     raw_df,
     tensor_df,
@@ -29,7 +28,9 @@ from coevent import composition, limits, measure_analysis
 from coevent.composition import _pair_mask
 
 from conftest import (
+    EPS,
     brute_emergent_masks,
+    brute_partition_residual,
     brute_zero_masks,
     is_zero_event,
     label_mask,
@@ -176,11 +177,8 @@ def test_medium_partitions_compose_for_classical_factors():
     assert len(parts_a) == 2 and len(parts_b) == 5
     for pa in parts_a:
         for pb in parts_b:
-            cells = [
-                Event(prod.space, _pair_mask(ca.mask, cb.mask, b.size))
-                for ca in pa.cells for cb in pb.cells
-            ]
-            assert is_decoherent_partition(prod, cells, "medium").passed
+            cells = [_pair_mask(ca.mask, cb.mask, b.size) for ca in pa.cells for cb in pb.cells]
+            assert brute_partition_residual(prod, cells, "medium") <= EPS
 
 
 def test_composition_anomalies_on_paper_pair(composite_golden):
@@ -349,10 +347,9 @@ def test_composition_of_nine_history_factors():
     rng = np.random.default_rng(11)
     for i, j in rng.integers(0, len(parts), size=(200, 2)):
         pa, pb = parts[i], parts[j]
-        cells = [Event(report.product.space, _pair_mask(ca.mask, cb.mask, x.size))
-                 for ca in pa.cells for cb in pb.cells]
-        check = is_decoherent_partition(report.product, cells, "weak")
-        assert check.passed == (key(pa, pb) not in failing)
+        cells = [_pair_mask(ca.mask, cb.mask, x.size) for ca in pa.cells for cb in pb.cells]
+        passed = brute_partition_residual(report.product, cells, "weak") <= EPS
+        assert passed == (key(pa, pb) not in failing)
 
 
 def test_composition_work_cap(monkeypatch):
@@ -495,12 +492,10 @@ def assert_matches_product_space_oracles(a, b):
     want = []
     for pa in find_decoherent_partitions(a, "weak", a.size):
         for pb in find_decoherent_partitions(b, "weak", b.size):
-            cells = [Event(prod.space, _pair_mask(ca.mask, cb.mask, b.size))
-                     for ca in pa.cells for cb in pb.cells]
-            check = is_decoherent_partition(prod, cells, "weak")
-            if not check.passed:
-                want.append((pa.cell_labels(), pb.cell_labels(),
-                             [c.mask for c in cells], check.residual))
+            cells = [_pair_mask(ca.mask, cb.mask, b.size) for ca in pa.cells for cb in pb.cells]
+            residual = brute_partition_residual(prod, cells, "weak")
+            if residual > EPS:
+                want.append((pa.cell_labels(), pb.cell_labels(), cells, residual))
     got = report.weak_violations
     assert [(v.partition_a.cell_labels(), v.partition_b.cell_labels(),
              list(v.product_masks)) for v in got] == [w[:3] for w in want]

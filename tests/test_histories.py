@@ -139,7 +139,7 @@ def test_factor_entry_cap(monkeypatch):
                                                  "columns and dimension 256 have 16777216 "
                                                  "entries, above FACTOR_ENTRY_LIMIT = 4194304$"):
         enumerate_histories(HistorySchema.from_ket(np.eye(256)[0], (big, big)))
-    schema = HistorySchema.from_density(np.eye(2) / 2, qubit_schema().slices)
+    schema = HistorySchema(np.eye(2) / np.sqrt(2.0), qubit_schema().slices)
     monkeypatch.setattr(limits, "FACTOR_ENTRY_LIMIT", 16)
     assert enumerate_histories(schema).size == 4
     monkeypatch.setattr(limits, "FACTOR_ENTRY_LIMIT", 15)
@@ -179,12 +179,6 @@ def test_history_space_refuses_sectors_it_cannot_use(sectors):
 
 def test_schema_validation():
     basis = computational_basis(2)
-    with pytest.raises(ValueError, match="unit trace"):
-        HistorySchema.from_density(np.diag([0.7, 0.7]), (Slice(basis),))
-    with pytest.raises(ValueError, match="positive semidefinite"):
-        HistorySchema.from_density(np.diag([1.5, -0.5]), (Slice(basis),))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        HistorySchema.from_density(np.array([[0.5, 0.1], [0.0, 0.5]]), (Slice(basis),))
     with pytest.raises(ValueError):
         HistorySchema.from_ket([1.0, 0.0], ())
     with pytest.raises(ValueError):
@@ -345,7 +339,7 @@ def test_build_df_factor_rows_are_branch_products():
 
     q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
     rho = 0.3 * np.outer(q[:, 0], q[:, 0].conj()) + 0.7 * np.outer(q[:, 1], q[:, 1].conj())
-    mixed = build_df(HistorySchema.from_density(rho, slices))
+    mixed = build_df(HistorySchema(q * np.sqrt([0.3, 0.7]), slices))
     expected = [[np.trace(oi.conj().T @ oj @ rho) for oj in ops] for oi in ops]
     np.testing.assert_allclose(mixed.matrix, expected, atol=1e-12)
     assert mixed.validation.passed
@@ -361,7 +355,7 @@ def test_amplitude_known_value():
 
 def test_mixed_state_df_validates():
     basis = computational_basis(2)
-    schema = HistorySchema.from_density(0.5 * np.eye(2), (Slice(basis),))
+    schema = HistorySchema(np.eye(2) / np.sqrt(2.0), (Slice(basis),))
     assert schema.ket is None and schema.state.shape == (2, 2)
     assert build_df(schema).validation.passed
 

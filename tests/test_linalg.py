@@ -14,9 +14,9 @@ from coevent import (
     build_xi_basis,
     computational_basis,
     tensor,
-    unitary_from_hamiltonian,
 )
-from coevent.linalg import as_complex_matrix, as_ket, dagger, is_hermitian, is_unitary
+from coevent.linalg import (as_complex_matrix, as_ket, dagger, hermitian_spectrum, is_hermitian,
+                            is_unitary, spectral_unitary)
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -170,16 +170,16 @@ def test_theta_bases_at_zero():
     np.testing.assert_allclose(psipm.basis[:, 1], [RT2, -RT2], atol=1e-12)
 
 
-def test_unitary_from_hamiltonian_closed_form():
+def test_spectral_unitary_closed_form():
     h = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-    w = np.linalg.eigvalsh(h)
-    np.testing.assert_allclose(w, [0.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(unitary_from_hamiltonian(h, 0.0), np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(unitary_from_hamiltonian(h, np.pi), np.eye(2), atol=1e-12)
+    spectrum = hermitian_spectrum(h)
+    np.testing.assert_allclose(spectrum[0], [0.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(spectral_unitary(spectrum, 0.0), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(spectral_unitary(spectrum, np.pi), np.eye(2), atol=1e-12)
     for t in (0.3, 1.1, 4.0):
         rot = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
         np.testing.assert_allclose(
-            unitary_from_hamiltonian(h, t), np.exp(-1j * t) * rot, atol=1e-12
+            spectral_unitary(spectrum, t), np.exp(-1j * t) * rot, atol=1e-12
         )
 
 
@@ -189,9 +189,10 @@ def test_unitary_one_parameter_group():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = a + dagger(a)
         s, t = rng.normal(size=2)
-        u = unitary_from_hamiltonian(h, s + t)
+        spectrum = hermitian_spectrum(h)
+        u = spectral_unitary(spectrum, s + t)
         np.testing.assert_allclose(
-            u, unitary_from_hamiltonian(h, s) @ unitary_from_hamiltonian(h, t),
+            u, spectral_unitary(spectrum, s) @ spectral_unitary(spectrum, t),
             atol=1e-9,
         )
         assert is_unitary(u)
@@ -199,4 +200,4 @@ def test_unitary_one_parameter_group():
 
 def test_unitary_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        unitary_from_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))

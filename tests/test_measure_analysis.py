@@ -16,8 +16,6 @@ from coevent import (
     DecoherenceFunctional,
     Event,
     HistorySchema,
-    InvalidPartitionError,
-    LabelMismatchError,
     ProjectiveDecomposition,
     Slice,
     SpaceTooLargeError,
@@ -27,7 +25,6 @@ from coevent import (
     computational_basis,
     find_decoherent_partitions,
     find_zero_sets,
-    is_decoherent_partition,
     measure,
     raw_df,
 )
@@ -38,6 +35,7 @@ from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 from conftest import (
     brute_decoherent_partitions,
+    brute_partition_residual,
     brute_maximal_masks,
     brute_measures,
     brute_zero_masks,
@@ -797,59 +795,41 @@ def test_partition_iterator_matches_reference():
         assert got == want
 
 
-def test_is_decoherent_partition_product_values(composite_golden):
+def test_partition_residual_product_values(composite_golden):
+    """The composite product's partitions into the anti-diagonal pairs, the
+    four singletons and the h11/h21 split, by the oracle's residual and by
+    the search's listings: a partition passes a search exactly when its
+    oracle residual is at most EPS_DF, with that residual."""
     df = scenario_dfs("composite-product")["D_AB"]
     space = df.space
-    anti = [Event(space, label_mask(space, ["h11", "h22"])),
-            Event(space, label_mask(space, ["h12", "h21"]))]
-    fine = [Event(space, 1 << i) for i in range(4)]
-    assert is_decoherent_partition(df, anti, "medium").passed
-    med = is_decoherent_partition(df, fine, "medium")
-    assert not med.passed
-    assert med.residual == pytest.approx(0.25, abs=1e-12)
-    weak = is_decoherent_partition(df, fine, "weak")
-    assert not weak.passed
-    assert weak.residual == pytest.approx(
+    anti = [label_mask(space, ["h11", "h22"]), label_mask(space, ["h12", "h21"])]
+    fine = [1 << i for i in range(4)]
+    split = [label_mask(space, ["h11", "h21"]), label_mask(space, ["h12", "h22"])]
+    assert brute_partition_residual(df, anti, "medium") <= EPS_DF
+    assert brute_partition_residual(df, fine, "medium") == pytest.approx(0.25, abs=1e-12)
+    assert brute_partition_residual(df, fine, "weak") == pytest.approx(
         abs(composite_golden["re_d_h11_h22"]), abs=1e-12
     )
-    split = [Event(space, label_mask(space, ["h11", "h21"])),
-             Event(space, label_mask(space, ["h12", "h22"]))]
-    rep = is_decoherent_partition(df, split, "medium")
-    assert not rep.passed and rep.residual == pytest.approx(0.5, abs=1e-12)
-    assert is_decoherent_partition(df, split, "weak").passed
+    assert brute_partition_residual(df, split, "medium") == pytest.approx(0.5, abs=1e-12)
+    assert brute_partition_residual(df, split, "weak") <= EPS_DF
+    for mode in ("medium", "weak"):
+        listed = {rep.cell_masks: rep.residual
+                  for rep in find_decoherent_partitions(df, mode, df.size)}
+        for cells in (anti, fine, split):
+            residual = brute_partition_residual(df, cells, mode)
+            got = listed.get(tuple(sorted(cells, key=lambda m: m & -m)))
+            if residual <= EPS_DF:
+                assert got == pytest.approx(residual, abs=1e-12), (mode, cells)
+            else:
+                assert got is None, (mode, cells)
 
 
 def test_partition_validation_errors():
     df = scenario_dfs("composite-product")["D_AB"]
-    space = df.space
-    good = [Event(space, label_mask(space, ["h11", "h22"])),
-            Event(space, label_mask(space, ["h12", "h21"]))]
     with pytest.raises(ValueError):
-        is_decoherent_partition(df, good, "strong")
-    with pytest.raises(InvalidPartitionError):
-        is_decoherent_partition(df, good[:1], "medium")
-    with pytest.raises(InvalidPartitionError):
-        is_decoherent_partition(df, good + [Event(space, 0)], "medium")
-    overlap = [Event(space, label_mask(space, ["h11", "h12", "h21"])), good[0]]
-    with pytest.raises(InvalidPartitionError):
-        is_decoherent_partition(df, overlap, "weak")
+        find_decoherent_partitions(df, "strong", max_cells=2)
     with pytest.raises(ValueError):
         find_decoherent_partitions(df, "medium", max_cells=0)
-
-
-def test_partition_cells_outside_the_space_are_refused():
-    """Cells of a 3-history space on a 2-history DF: the cell {h1, h2}
-    holds a history the DF does not have, so the partition is refused, not
-    read by its bits inside the space as the cells {h0} and {h1}.  Cells
-    over the labels x, y are refused too, not reported over h1, h2."""
-    df = raw_df(np.eye(2) / 2)
-    space3, other = raw_space(["h0", "h1", "h2"]), raw_space(["x", "y"])
-    for cells, error, match in (
-            ([Event(space3, 0b001), Event(space3, 0b110)], InvalidPartitionError, "2 histories"),
-            ([Event(other, 1), Event(other, 2)], LabelMismatchError, "different history label")):
-        for mode in ("medium", "weak"):
-            with pytest.raises(error, match=match):
-                is_decoherent_partition(df, cells, mode)
 
 
 def test_unknown_mode_is_refused_before_the_strings(monkeypatch):
@@ -972,7 +952,7 @@ def test_partition_search_across_batches(monkeypatch, n, c, max_cells, seed):
     hundreds of chunks of one cell count each: chunk edges fall between
     counts, and the strings of some counts are split across chunks.  Both
     modes find the oracle's partitions in its order with its residuals, and
-    is_decoherent_partition gives the chunk's residual."""
+    brute_partition_residual gives the worst partition's residual."""
     from conftest import random_amplitude_df
 
     chunks = []
@@ -999,9 +979,8 @@ def test_partition_search_across_batches(monkeypatch, n, c, max_cells, seed):
         np.testing.assert_allclose(got.residuals, [r for _, r in want], rtol=0, atol=1e-12)
         assert 1 < len(got) < len(set_partition_strings(n, max_cells))
         worst = max(got, key=lambda rep: rep.residual)
-        single = is_decoherent_partition(df, worst.cells, mode)
-        assert single.passed and single.residual == pytest.approx(worst.residual, rel=0,
-                                                                   abs=1e-15)
+        single = brute_partition_residual(df, worst.cell_masks, mode)
+        assert single <= EPS_DF and single == pytest.approx(worst.residual, rel=0, abs=1e-15)
 
 
 def test_weak_search_working_set_is_capped():
@@ -1075,19 +1054,19 @@ def test_listing_builds_reports_only_on_read(monkeypatch):
     """The search builds no PartitionReport; each int read builds one,
     equal to the report built by __init__, negative indices count from the
     end, an index past the end raises IndexError and a slice raises
-    TypeError.  Iteration reads each item once, in order."""
-    built, read = [], measure_analysis.PartitionListing.__getitem__
+    TypeError.  Iteration builds each report once, in order."""
+    built, read = [], measure_analysis.PartitionListing._reports
 
-    def item(self, j):
-        rep = read(self, j)
-        built.append(rep.cell_masks)
-        return rep
+    def reports(self, first, stop):
+        reps = read(self, first, stop)
+        built.extend(rep.cell_masks for rep in reps)
+        return reps
 
     df = raw_df(np.diag([0.4, 0.3, 0.2, 0.1]))
     with monkeypatch.context() as search:
         search.setattr(measure_analysis, "PartitionReport", None)
         found = find_decoherent_partitions(df, "medium", 4)
-    monkeypatch.setattr(measure_analysis.PartitionListing, "__getitem__", item)
+    monkeypatch.setattr(measure_analysis.PartitionListing, "_reports", reports)
     assert len(found) == 15 and built == []
     assert found[-1].cell_masks == (1, 2, 4, 8) == found[14].cell_masks
     assert found[-15].cell_masks == (15,) == found[0].cell_masks
@@ -1102,6 +1081,9 @@ def test_listing_builds_reports_only_on_read(monkeypatch):
         found[1:3]
     assert [rep.cell_masks for rep in found] == built[5:]
     assert len(built) == 5 + 15
+    # Blocks of 4 reports: the iteration crosses three block edges.
+    monkeypatch.setattr(measure_analysis, "_REPORT_BLOCK", 4)
+    assert [rep.cell_masks for rep in found] == built[5:20] == built[20:]
 
 
 def test_weak_contains_medium_appendix():

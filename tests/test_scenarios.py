@@ -562,8 +562,7 @@ def test_schema_to_json_rejects_unserializable():
         schema_to_json(HistorySchema.from_ket(ket, (Slice(rank2),)))
 
     from coevent.linalg import computational_basis
-    rho = np.diag([0.5, 0.5]).astype(complex)
-    mixed = HistorySchema.from_density(rho, (Slice(computational_basis(2)),))
+    mixed = HistorySchema(np.eye(2) / np.sqrt(2.0), (Slice(computational_basis(2)),))
     with pytest.raises(ValueError, match="pure"):
         schema_to_json(mixed)
 
