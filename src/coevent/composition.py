@@ -230,9 +230,10 @@ def _weak_violations(a: DecoherenceFunctional, b: DecoherenceFunctional,
     ia, ib, residuals = (np.concatenate(parts) for parts in zip(*found))
     order = np.lexsort((ib, ia))
     ia, ib = ia[order].tolist(), ib[order].tolist()
-    # One report per partition.
-    reports_a = {i: parts_a[i] for i in set(ia)}
-    reports_b = {j: parts_b[j] for j in set(ib)}
+    # One report per partition, those of each listing built together.
+    rows_a, rows_b = sorted(set(ia)), sorted(set(ib))
+    reports_a = dict(zip(rows_a, parts_a._reports(rows_a)))
+    reports_b = dict(zip(rows_b, parts_b._reports(rows_b)))
     columns = {i: [_columns(ca, b.size) for ca in r.cell_masks] for i, r in reports_a.items()}
     masks = [tuple([cb * col for col in columns[i] for cb in reports_b[j].cell_masks])
              for i, j in zip(ia, ib)]

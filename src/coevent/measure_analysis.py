@@ -651,22 +651,22 @@ class PartitionListing(Sequence):
 
     def __getitem__(self, j) -> PartitionReport:
         j = range(len(self))[operator.index(j)]
-        return self._reports(j, j + 1)[0]
+        return self._reports(slice(j, j + 1))[0]
 
     def __iter__(self):
         for first in range(0, len(self), _REPORT_BLOCK):
-            yield from self._reports(first, first + _REPORT_BLOCK)
+            yield from self._reports(slice(first, first + _REPORT_BLOCK))
 
-    def _reports(self, first: int, stop: int) -> list[PartitionReport]:
-        """The reports of rows first to stop, built by histories._bulk.  Cell
-        a has the binary digits of its row's values, last history first,
-        translated to 1 where the value is a and 0 elsewhere."""
-        rows = self.strings[first:stop]
+    def _reports(self, rows) -> list[PartitionReport]:
+        """The reports of ``rows`` (a slice or a list of row indices), built
+        by histories._bulk.  Cell a has the binary digits of its row's
+        values, last history first, translated to 1 where the value is a and
+        0 elsewhere."""
         masks = [tuple([int(digits.translate(_digit_table(a)), 2) for a in range(count)])
-                 for digits, count in zip((row.tobytes()[::-1] for row in rows),
-                                          self.counts[first:stop].tolist())]
+                 for digits, count in zip((row.tobytes()[::-1] for row in self.strings[rows]),
+                                          self.counts[rows].tolist())]
         return _bulk(PartitionReport, len(masks), space=repeat(self.space), cell_masks=masks,
-                     mode=repeat(self.mode), residual=self.residuals[first:stop].tolist(),
+                     mode=repeat(self.mode), residual=self.residuals[rows].tolist(),
                      passed=repeat(True))
 
 

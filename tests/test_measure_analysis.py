@@ -1057,8 +1057,8 @@ def test_listing_builds_reports_only_on_read(monkeypatch):
     TypeError.  Iteration builds each report once, in order."""
     built, read = [], measure_analysis.PartitionListing._reports
 
-    def reports(self, first, stop):
-        reps = read(self, first, stop)
+    def reports(self, rows):
+        reps = read(self, rows)
         built.extend(rep.cell_masks for rep in reps)
         return reps
 
