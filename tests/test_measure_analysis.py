@@ -35,9 +35,9 @@ from coevent.tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 
 from conftest import (
     brute_decoherent_partitions,
-    brute_partition_residual,
     brute_maximal_masks,
     brute_measures,
+    brute_partition_residual,
     brute_zero_masks,
     complement,
     is_zero_event,
