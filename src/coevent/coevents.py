@@ -12,24 +12,17 @@ so any preclusive support stays preclusive after being cut down to one
 uncovered sector part.  Enumeration therefore runs sector by sector.
 
 The zero-set search lists the minimal preclusive supports of each sector
-it measures whole, from its subset tables (SectorZeroData.primitive_masks).
-A grid-join sector is measured only near zero.  There a support S escapes
-a maximal zero event M iff S meets the complement sector - M, so the
-minimal preclusive supports are the minimal transversals of the
-hypergraph {sector - M : M maximal}, found by the MMCS algorithm of
-Murakami & Uno, "Efficient algorithms for dualizing large-scale
-hypergraphs", Discrete Appl. Math. 170 (2014), whose cost follows the
-number of transversals rather than the 2^k subsets of the sector.
+(SectorZeroData.primitive_masks), and counts them against
+COEVENT_COUNT_LIMIT; measure_analysis says how.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 
-from . import limits
 from .errors import LabelMismatchError
-from .histories import (DecoherenceFunctional, Event, HistorySpace, _bits, _bulk, _events,
+from .histories import (DecoherenceFunctional, Event, HistorySpace, _bulk, _events,
                         _require_same_labels, sort_masks)
 from .measure_analysis import ZeroSetCatalog, find_zero_sets
 
@@ -65,52 +58,6 @@ class CoEventSet:
         return [self.df.space.labels_of(c.mask) for c in self.coevents]
 
 
-def _minimal_preclusive_masks(sector: int, maximal: tuple[int, ...],
-                              found: list[int] | None = None) -> list[int]:
-    """Minimal sub-supports of one sector not covered by any maximal mask,
-    appended to ``found`` (a new list by default), which is returned.
-
-    These are the minimal transversals of the edges ``sector & ~M``, one per
-    maximal mask M, enumerated by MMCS (Murakami & Uno 2014).  A branch keeps
-    the chosen vertices, each with its critical edges (uncovered edges that
-    only it hits), the remaining candidate vertices and the uncovered edges,
-    all as int bitmasks.  It splits on the uncovered edge with the fewest
-    candidates and is cut as soon as a chosen vertex loses its last critical
-    edge, so every output is minimal and appears once.  Recursion depth is
-    bounded by the sector size.  Output order is unspecified.  A sector that
-    is itself a zero event gives an empty edge and no supports.  Raises
-    SpaceTooLargeError as soon as ``found`` would pass COEVENT_COUNT_LIMIT.
-    """
-    found = [] if found is None else found
-    edges = [sector & ~mx for mx in maximal] or [sector]
-    if not all(edges):
-        return found
-    edge_of = {1 << j: e for j, e in enumerate(edges)}
-    hits: dict[int, int] = {}
-    for bit, e in edge_of.items():
-        for v in _bits(e):
-            hits[v] = hits.get(v, 0) | bit
-
-    def extend(chosen: int, crit: list[tuple[int, int]], cand: int, uncov: int) -> None:
-        if not uncov:
-            if len(found) >= limits.COEVENT_COUNT_LIMIT:
-                limits.refuse_above("COEVENT_COUNT_LIMIT", len(found) + 1,
-                                    f"co-event search found {len(found) + 1} primitive co-events")
-            found.append(chosen)
-            return
-        pivot = min((edge_of[b] & cand for b in _bits(uncov)), key=int.bit_count)
-        cand &= ~pivot
-        for v in _bits(pivot):
-            hit = hits[v]
-            kept = [(u, c & ~hit) for u, c in crit]
-            if all(c for _, c in kept):
-                extend(chosen | v, kept + [(v, uncov & hit)], cand, uncov & ~hit)
-            cand |= v
-
-    extend(0, [], sector, (1 << len(edges)) - 1)
-    return found
-
-
 def enumerate_primitive_coevents(df: DecoherenceFunctional,
                                  catalog: ZeroSetCatalog | None = None,
                                  label: str = "") -> CoEventSet:
@@ -122,32 +69,16 @@ def enumerate_primitive_coevents(df: DecoherenceFunctional,
     When no nontrivial zero set exists the result is the classical collapse:
     one singleton co-event per history of positive measure.  A ``catalog``
     of another DF raises ValueError; more than COEVENT_COUNT_LIMIT co-events
-    raise SpaceTooLargeError.
+    raise SpaceTooLargeError while the catalog is built.
     """
     if catalog is None:
         catalog = find_zero_sets(df)
     elif catalog.df is not df:
         raise ValueError("the zero-set catalog belongs to another decoherence functional")
-    masks = sort_masks(_primitive_masks(catalog), df.size)
+    masks = sort_masks(chain.from_iterable(s.primitive_masks for s in catalog.sectors), df.size)
     coevents = _bulk(CoEvent, len(masks), space=repeat(df.space), mask=masks,
                      classical=[m.bit_count() == 1 for m in masks])
     return CoEventSet(coevents=tuple(coevents), label=label, df=df)
-
-
-def _primitive_masks(catalog: ZeroSetCatalog) -> list[int]:
-    """Unsorted support masks of a catalog's primitive co-events: a sector's
-    from its zero-set search, or from MMCS when it took the grid join.  More
-    than COEVENT_COUNT_LIMIT in all are refused with MMCS's message."""
-    masks: list[int] = []
-    for s in catalog.sectors:
-        if s.primitive_masks is None:
-            _minimal_preclusive_masks(s.sector_mask, s.maximal_masks, masks)
-            continue
-        masks += s.primitive_masks
-        over = min(len(masks), limits.COEVENT_COUNT_LIMIT + 1)
-        limits.refuse_above("COEVENT_COUNT_LIMIT", over,
-                            f"co-event search found {over} primitive co-events")
-    return masks
 
 
 def _shared_masks(sets) -> list[int]:

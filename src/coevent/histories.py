@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
 
 import numpy as np
@@ -267,10 +265,16 @@ def _structure(schema: HistorySchema) -> tuple:
         (s.decomposition.labels, s.decomposition.ranks) for s in schema.slices)
 
 
-# The spaces of the _SPACES_KEPT structures used last, of at most 2^12 histories.
-_SPACES_KEPT = 8
-_spaces: OrderedDict[tuple, HistorySpace] = OrderedDict()
-_spaces_lock = threading.Lock()
+@lru_cache(maxsize=8)
+def _space(labels: tuple[tuple[str, ...], ...]) -> HistorySpace:
+    """The space of slices with these outcome labels, in time order; the
+    spaces of the 8 label tuples used last are kept (enumerate_histories)."""
+    n = math.prod(map(len, labels))
+    repunit = ((1 << n) - 1) // ((1 << len(labels[-1])) - 1)
+    space = object.__new__(HistorySpace)  # distinct labels, covering sectors: no check
+    space.__dict__.update(labels=product_labels(labels, "h_{{{}}}"),
+                          sectors=tuple((lab, repunit << f) for f, lab in enumerate(labels[-1])))
+    return space
 
 
 def enumerate_histories(schema: HistorySchema) -> HistorySpace:
@@ -279,7 +283,8 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
     The first slice is the most significant position.  Labels join the
     outcome labels in time order (product_labels), e.g. h_{00xi2} or h_{+0+}.
     Above the history-space cap or FACTOR_ENTRY_LIMIT (read on every call),
-    SpaceTooLargeError.  Schemas of one _structure share a kept space.
+    SpaceTooLargeError.  Schemas whose slices have the same outcome labels
+    share a kept space, if it has at most 2^12 histories.
 
     The final slice is the least significant position, so with d final
     outcomes the sector of outcome f holds every d-th history from f: the
@@ -290,24 +295,8 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
     d, r = schema.state.shape
     refuse_above("FACTOR_ENTRY_LIMIT", n * r * d, f"branch rows of {n} histories, {r} state "
                  f"columns and dimension {d} have {n * r * d} entries")
-    key = _structure(schema)
-    with _spaces_lock:
-        space = _spaces.get(key)
-        if space is not None:
-            _spaces.move_to_end(key)
-            return space
-    final = schema.slices[-1].decomposition
-    repunit = ((1 << n) - 1) // ((1 << len(final)) - 1)
-    space = object.__new__(HistorySpace)  # distinct labels, covering sectors: no check
-    space.__dict__.update(
-        labels=product_labels([s.decomposition.labels for s in schema.slices], "h_{{{}}}"),
-        sectors=tuple((lab, repunit << f) for f, lab in enumerate(final.labels)))
-    if n <= 1 << 12:
-        with _spaces_lock:
-            _spaces[key] = space
-            if len(_spaces) > _SPACES_KEPT:
-                _spaces.popitem(last=False)
-    return space
+    labels = tuple(s.decomposition.labels for s in schema.slices)
+    return (_space if n <= 1 << 12 else _space.__wrapped__)(labels)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ ZERO_SET_CANDIDATE_LIMIT = 2**20
 # thread.  Bell(12) = 4,213,597 would take about six times as long and hold
 # about six times the strings and residuals.
 PARTITION_COUNT_LIMIT = 1_000_000
-# Primitive co-events of one DF, counted sector by sector as they are found.
+# Primitive co-events of one DF, counted while its zero-set catalog is built;
+# MMCS, on a grid-join sector, also stops at cap + 1 within its sector.
 # MMCS found 2^17 = 131,072 of them in 1.8 s on its slowest measured family
 # (17 disjoint pairs; sorting and labelling them took another 1.0 s) and
 # 100,000 in 0.22-0.28 s on five blocks of ten (2 vCPU), so the cap is

@@ -17,21 +17,30 @@ pair; a larger one only the candidates of a grid join of H and L, which
 holds every event of measure at most BORDERLINE_MAX, so its work grows as
 2^(k/2) plus the output.  ZERO_SET_WORK_LIMIT bounds the half sums and
 ZERO_SET_CANDIDATE_LIMIT the candidates of the join.
+
+A support S escapes a maximal zero event M iff S meets the complement
+sector - M, so a sector's primitive co-events (the minimal supports
+contained in no zero event) are the minimal transversals of the hypergraph
+{sector - M : M maximal}.  A sector measured whole reads them off its subset
+tables; a grid-join sector, measured only near zero, finds them by the MMCS
+algorithm of Murakami & Uno, "Efficient algorithms for dualizing
+large-scale hypergraphs", Discrete Appl. Math. 170 (2014), whose cost
+follows the number of transversals rather than the 2^k subsets of the
+sector.  COEVENT_COUNT_LIMIT bounds the co-events of each DF.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import threading
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate, chain, compress, islice, product, repeat
 
 import numpy as np
 
+from . import limits
 from .histories import (_STEP_ENTRIES, DecoherenceFunctional, Event, HistorySpace, _bits,
                         _bulk, _events, _per_group, sort_masks)
 from .limits import refuse_above
@@ -44,12 +53,6 @@ from .tolerances import BORDERLINE_MAX, EPS_DF, EPS_ZERO
 # up to 2^14 entries, the two were about even at 2^15, and the grid join
 # was faster from 2^16 (from 2^17 at c = 8).
 _ALL_PAIRS_MAX = 1 << 15
-
-
-def _joins(k: int, c: int) -> bool:
-    """Whether a sector of k histories with c factor columns takes the grid
-    join: its (2c) << k entries are above _ALL_PAIRS_MAX, read at call time."""
-    return (2 * c) << k > _ALL_PAIRS_MAX
 
 
 # Row p of _BYTE_BITS holds the bits of p, lowest first.
@@ -283,6 +286,50 @@ def _nontrivial(larger: np.ndarray, null: int, null_mu, rows: np.ndarray) -> np.
     return keep
 
 
+def _minimal_preclusive_masks(sector: int, maximal) -> list[int]:
+    """Minimal sub-supports of one sector not covered by any maximal mask.
+
+    These are the minimal transversals of the edges ``sector & ~M``, one per
+    maximal mask M, enumerated by MMCS (Murakami & Uno 2014).  A branch keeps
+    the chosen vertices, each with its critical edges (uncovered edges that
+    only it hits), the remaining candidate vertices and the uncovered edges,
+    all as int bitmasks.  It splits on the uncovered edge with the fewest
+    candidates and is cut as soon as a chosen vertex loses its last critical
+    edge, so every output is minimal and appears once.  Recursion depth is
+    bounded by the sector size.  Output order is unspecified.  A sector that
+    is itself a zero event gives an empty edge and no supports.  Raises
+    SpaceTooLargeError as soon as it finds more than COEVENT_COUNT_LIMIT.
+    """
+    found: list[int] = []
+    edges = [sector & ~mx for mx in maximal] or [sector]
+    if not all(edges):
+        return found
+    edge_of = {1 << j: e for j, e in enumerate(edges)}
+    hits: dict[int, int] = {}
+    for bit, e in edge_of.items():
+        for v in _bits(e):
+            hits[v] = hits.get(v, 0) | bit
+
+    def extend(chosen: int, crit: list[tuple[int, int]], cand: int, uncov: int) -> None:
+        if not uncov:
+            if len(found) >= limits.COEVENT_COUNT_LIMIT:
+                refuse_above("COEVENT_COUNT_LIMIT", len(found) + 1,
+                             f"co-event search found {len(found) + 1} primitive co-events")
+            found.append(chosen)
+            return
+        pivot = min((edge_of[b] & cand for b in _bits(uncov)), key=int.bit_count)
+        cand &= ~pivot
+        for v in _bits(pivot):
+            hit = hits[v]
+            kept = [(u, c & ~hit) for u, c in crit]
+            if all(c for _, c in kept):
+                extend(chosen | v, kept + [(v, uncov & hit)], cand, uncov & ~hit)
+            cand |= v
+
+    extend(0, [], sector, (1 << len(edges)) - 1)
+    return found
+
+
 @dataclass(frozen=True)
 class SectorZeroData:
     """Exhaustive zero-set data for one final sector (global bitmasks).
@@ -290,8 +337,7 @@ class SectorZeroData:
     The mask lists are in canonical order (``maximal_masks`` descending) and
     leave out the empty event, except that ``maximal_masks`` is (0,) when the
     empty event is the only zero event of the sector.  ``primitive_masks``
-    are the supports of its primitive preclusive co-events, or None for a
-    sector that took the grid join, whose masks were not all measured.
+    are the supports of its primitive preclusive co-events.
     """
 
     label: str
@@ -300,7 +346,7 @@ class SectorZeroData:
     maximal_masks: tuple[int, ...]
     nontrivial_masks: tuple[int, ...]
     borderline_masks: tuple[int, ...]
-    primitive_masks: tuple[int, ...] | None = None
+    primitive_masks: tuple[int, ...]
 
 
 class ZeroSetCatalog:
@@ -363,24 +409,26 @@ class ZeroSetCatalog:
 def _sector_search(dfs, zero_only: bool = False):
     """The zero-set search of the final sectors of DFs of one factor width c,
     verified when each was made (the whole space without them), by groups:
-    sectors of k histories that _joins keeps from the grid join in chunks of
-    at most _STEP_ENTRIES such (2c) << k entries, and each other sector
-    alone.  A group yields its positions in the DFs' sectors() in turn,
-    members (G x k, ascending in the sector's DF) and sector-local masks
-    (bit b for members[owner, b]) by ascending key = class * G + owner, each
-    sector's canonical: nonempty zero masks, then unless ``zero_only``
-    maximal (descending; the empty mask when alone), nontrivial and
-    borderline ones, and in a chunk the primitive preclusive ones.  A chunk
-    is measured as one array (_group_measures): a zero mask is nontrivial
-    when a subset is above EPS_ZERO, and maximal when it is its own only
-    zero superset (_subset_counts); a mask is preclusive when it has no
-    zero superset, and primitive when no proper subset is.  A larger sector
-    sorts the grid join's candidates (_band) by _ORDER_KEY plus class << 46,
-    takes _nontrivial and finds its maximal masks in greedy rounds: the last
-    mask left is the largest in canonical order, so it is maximal; drop
-    every mask inside it.  Raises SpaceTooLargeError beyond
-    ZERO_SET_WORK_LIMIT (before any table is built) or
-    ZERO_SET_CANDIDATE_LIMIT."""
+    sectors of k histories whose (2c) << k entries are at most
+    _ALL_PAIRS_MAX (read at call time) in chunks of at most _STEP_ENTRIES
+    such entries, and each other sector alone, by the grid join.  A group
+    yields its positions in the DFs' sectors() in turn, members (G x k,
+    ascending in the sector's DF) and sector-local masks (bit b for
+    members[owner, b]) by ascending key = class * G + owner, each sector's
+    canonical: nonempty zero masks, then unless ``zero_only`` maximal
+    (descending; the empty mask when alone), nontrivial, borderline and
+    primitive preclusive ones.  A chunk is measured as one array
+    (_group_measures): a zero mask is nontrivial when a subset is above
+    EPS_ZERO, and maximal when it is its own only zero superset
+    (_subset_counts); a mask is preclusive when it has no zero superset, and
+    primitive when no proper subset is.  A larger sector sorts the grid
+    join's candidates (_band) by _ORDER_KEY plus class << 46, takes
+    _nontrivial, finds its maximal masks in greedy rounds (the last mask
+    left is the largest in canonical order, so it is maximal; drop every
+    mask inside it) and its primitive ones by MMCS, sorted by _ORDER_KEY.
+    Raises SpaceTooLargeError beyond ZERO_SET_WORK_LIMIT (before any table
+    is built), ZERO_SET_CANDIDATE_LIMIT or, in one sector, beyond
+    COEVENT_COUNT_LIMIT."""
     c, per_df = dfs[0].factor.shape[1], [df.sectors() for df in dfs]
     sectors = [mask for listed in per_df for _, mask in listed]
     sizes: dict[int, list[int]] = {}
@@ -394,7 +442,7 @@ def _sector_search(dfs, zero_only: bool = False):
     for k in sizes:
         _check_zero_set_work(k, c)
     for k, positions in sizes.items():
-        join = _joins(k, c)
+        join = (2 * c) << k > _ALL_PAIRS_MAX
         step = 1 if join else max(1, _STEP_ENTRIES // max((2 * c) << k, 1))
         for chunk in (positions[i:i + step] for i in range(0, len(positions), step)):
             members = np.array([[b.bit_length() - 1 for b in _bits(sectors[p])] for p in chunk],
@@ -414,8 +462,11 @@ def _sector_search(dfs, zero_only: bool = False):
                     while len(left):
                         maximal.append(int(left[-1]))
                         left = left[left & ~maximal[-1] != 0]
+                    primitive = np.array(_minimal_preclusive_masks((1 << k) - 1, maximal),
+                                         dtype=np.int64)
                     classes += [np.array(maximal, dtype=np.int64),
-                                masks[pairs:zeros_end][keep], masks[zeros_end:]]
+                                masks[pairs:zeros_end][keep], masks[zeros_end:],
+                                primitive[_order_keys(primitive, k).argsort()]]
                 key = np.repeat(np.arange(len(classes)), [len(m) for m in classes])
                 yield chunk, members, key, np.concatenate(classes)
                 continue
@@ -453,15 +504,23 @@ def find_zero_set_catalogs(dfs) -> list[ZeroSetCatalog]:
 
 
 def _catalogs(dfs: list[DecoherenceFunctional]) -> list[ZeroSetCatalog]:
-    sectors, c = [s for df in dfs for s in df.sectors()], dfs[0].factor.shape[1]
+    """The catalogs of find_zero_set_catalogs.  Each DF's primitive co-events
+    are counted as their groups are spread; more than COEVENT_COUNT_LIMIT of
+    one DF are refused, naming cap + 1 as MMCS does."""
+    sectors = [s for df in dfs for s in df.sectors()]
+    cuts = list(accumulate((len(df.sectors()) for df in dfs), initial=0))
+    owner = [d for d in range(len(dfs)) for _ in range(cuts[d], cuts[d + 1])]
+    found, cap = [0] * len(dfs), limits.COEVENT_COUNT_LIMIT
     data = [None] * len(sectors)
     for positions, members, key, local in _sector_search(dfs):
-        # A grid-join sector has no primitive class; its primitive_masks stay None.
-        g, classes = len(positions), 4 + (not _joins(members.shape[1], c))
-        lists = _by_key(tuple(_spreader(members)(local, key % g)), key, classes * g)
+        g = len(positions)
+        lists = _by_key(tuple(_spreader(members)(local, key % g)), key, 5 * g)
         for j, pos in enumerate(positions):
             data[pos] = SectorZeroData(*sectors[pos], *lists[j::g])
-    cuts = list(accumulate((len(df.sectors()) for df in dfs), initial=0))
+            found[owner[pos]] += len(lists[4 * g + j])
+            if found[owner[pos]] > cap:
+                refuse_above("COEVENT_COUNT_LIMIT", cap + 1,
+                             f"co-event search found {cap + 1} primitive co-events")
     return [ZeroSetCatalog(df, tuple(data[a:b])) for df, a, b in zip(dfs, cuts, cuts[1:])]
 
 
@@ -594,35 +653,24 @@ def set_partition_strings(n: int, max_cells: int) -> np.ndarray:
     return strings
 
 
-# Plans of partition searches, by (n, cells): the strings of
-# set_partition_strings and their cell counts, both int8 and read-only.  The
-# _PLANS_KEPT plans used last are kept, if of at most _STEP_ENTRIES strings:
-# at most 8 * 2^17 strings of 19 bytes (n = 18, two cells), about 20 MB.
-_PLANS_KEPT = 8
-_plans: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_plans_lock = threading.Lock()
-
-
-def _plan(n: int, max_cells: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=8)
+def _kept_plan(n: int, max_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """The strings of set_partition_strings(n, max_cells) and their cell
-    counts, from the kept plan of (n, min(max_cells, n)) or a new one.  A
-    refusal of set_partition_strings is raised again on every call, since
-    only built plans are kept."""
-    key = (n, min(max_cells, max(n, 1)))
-    with _plans_lock:
-        plan = _plans.get(key)
-        if plan is not None:
-            _plans.move_to_end(key)
-            return plan
+    counts, both int8 and read-only.  _plan keeps those of the 8 sizes of at
+    most 10 histories used last: at most Bell(10) = 115,975 (<= _STEP_ENTRIES)
+    strings of 11 bytes each, 10 MB in all."""
     strings = set_partition_strings(n, max_cells)
     counts = strings.max(axis=1, initial=-1) + 1
     strings.flags.writeable = counts.flags.writeable = False
-    if len(strings) <= _STEP_ENTRIES:
-        with _plans_lock:
-            _plans[key] = strings, counts
-            if len(_plans) > _PLANS_KEPT:
-                _plans.popitem(last=False)
     return strings, counts
+
+
+def _plan(n: int, max_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plan of (n, min(max_cells, n)): kept when n <= 10, a size that
+    PARTITION_COUNT_LIMIT never refuses, else built, or refused, each call."""
+    if n <= 10:
+        return _kept_plan(n, min(max_cells, max(n, 1)))
+    return _kept_plan.__wrapped__(n, max_cells)
 
 
 # Reports a PartitionListing builds at a time while it is iterated.

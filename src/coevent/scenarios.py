@@ -18,12 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .composition import composition_anomalies, tensor_df
-from .coevents import (
-    CoEventSet,
-    _primitive_masks,
-    distinguishability_report,
-    enumerate_primitive_coevents,
-)
+from .coevents import CoEventSet, distinguishability_report, enumerate_primitive_coevents
 from .errors import MissingParameterError, UnknownScenarioError
 from .histories import (
     _STEP_ENTRIES,
@@ -356,7 +351,7 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
                   for t in grid[first:first + _SWEEP_CHUNK]]
         entries = [e for b in builds for e in b.entries]
         dfs = _entry_dfs(entries)
-        found = iter([(e.label, c.counts(), set(_primitive_masks(c)))
+        found = iter([(e.label, c.counts(), {m for s in c.sectors for m in s.primitive_masks})
                       for e, c in zip(entries, find_zero_set_catalogs(dfs))])
         for theta, build in zip(grid[first:], builds):
             states = list(islice(found, len(build.entries)))

@@ -292,6 +292,37 @@ def random_amplitude_df(rng: np.random.Generator, n: int,
             return raw_df(mat / total)
 
 
+def planted_coevent_factor(rng: np.random.Generator, k: int, sizes) -> tuple[np.ndarray, list]:
+    """Factor rows of a sector of k histories with planted co-events, and
+    its disjoint blocks C_j of the given sizes (ascending index lists, drawn
+    at random), which leave at least one history out.
+
+    With K = span{1_{sector - C_j}}, the rows are an orthonormal basis of
+    K-perp (c = k - len(sizes) columns), mixed by a random complex matrix
+    and scaled so that they sum to a unit vector.  The measure of E is then
+    zero exactly when 1_E lies in K, and the only 0/1 vectors of K are 0 and
+    the 1_{sector - C_j}: so the zero events are the empty event and each
+    sector - C_j, and the primitive co-events are the prod |C_j|
+    transversals of the blocks, one member from each.
+    """
+    assert 0 < sum(sizes) < k and all(sizes)
+    order, cuts = rng.permutation(k), np.cumsum([0, *sizes])
+    blocks = [sorted(order[a:b].tolist()) for a, b in zip(cuts, cuts[1:])]
+    spanning = np.ones((len(blocks), k))
+    for j, block in enumerate(blocks):
+        spanning[j, block] = 0.0
+    basis = np.linalg.svd(spanning)[2][len(blocks):].T
+    c = basis.shape[1]
+    factor = basis @ (rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c)))
+    return factor / np.linalg.norm(factor.sum(axis=0)), blocks
+
+
+def planted_coevent_df(rng: np.random.Generator, k: int, sizes):
+    """The raw DF of planted_coevent_factor, with its blocks as masks."""
+    factor, blocks = planted_coevent_factor(rng, k, sizes)
+    return raw_df(np.conjugate(factor) @ factor.T), [mask_of(b) for b in blocks]
+
+
 @pytest.fixture
 def built_events(monkeypatch):
     """Events built while a test runs: "checked" counts Event.__post_init__

@@ -23,8 +23,7 @@ from coevent import (
     limits,
     theta_sweep,
 )
-from coevent import coevents, histories, measure_analysis, scenarios
-from coevent.coevents import _primitive_masks
+from coevent import histories, measure_analysis, scenarios
 from coevent.histories import build_dfs
 from coevent.measure_analysis import find_zero_set_catalogs
 
@@ -42,8 +41,8 @@ def schema_groups(draw):
     with drawn outcome ranks (rank 2 and above included), each schema with
     its own Haar bases and, slice by slice, an evolution or none, from a ket
     (r = 1) or a density factor of rank r; some share a slice with the first
-    schema.  Sometimes a schema of another state rank is added, a group of
-    its own."""
+    schema.  Sometimes a schema of another state rank is added, a build
+    group of its own over the same space."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(2, 4))
     structure = []
@@ -98,7 +97,8 @@ def test_batched_builds_and_searches_equal_one_at_a_time(case):
         assert_same_bits(df.factor, one.factor)
         assert df.validation == one.validation
         assert got.df is df and got.sectors == catalog.sectors
-    assert len({id(df.space) for df in batch}) == len({s.state.shape for s in schemas})
+    # The group's slices share their outcome labels, so every DF has one space.
+    assert len({id(df.space) for df in batch}) == 1
 
 
 def test_the_exact_max_choice_reads_the_item_not_the_group(monkeypatch):
@@ -138,13 +138,13 @@ def reference_points(start: float, end: float, steps: int) -> list[dict]:
 def spy_on_mmcs(monkeypatch) -> list:
     """The (sector, maximal masks) of every MMCS run from now on."""
     calls = []
-    original = coevents._minimal_preclusive_masks
+    original = measure_analysis._minimal_preclusive_masks
 
-    def counted(sector, maximal, found=None):
+    def counted(sector, maximal):
         calls.append((sector, maximal))
-        return original(sector, maximal, found)
+        return original(sector, maximal)
 
-    monkeypatch.setattr(coevents, "_minimal_preclusive_masks", counted)
+    monkeypatch.setattr(measure_analysis, "_minimal_preclusive_masks", counted)
     return calls
 
 
@@ -180,27 +180,27 @@ def test_shipped_scenarios_and_long_sweeps_never_run_mmcs(monkeypatch):
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
 def test_memoized_coevents_refuse_like_mmcs(monkeypatch, cap):
-    """phi2's 6 co-events, 3 a sector, kept by its catalog: under a patched
-    COEVENT_COUNT_LIMIT they are refused, before any is sorted or built,
-    with the message MMCS gives when the grid join forces it to run."""
+    """phi2's 6 co-events, 3 a sector, listed by its zero-set search, and
+    the same ones when the grid join forces MMCS to run: under a patched
+    COEVENT_COUNT_LIMIT both catalogs are refused inside find_zero_sets,
+    with one message."""
     df = build_df(build_scenario("appendix-theta", {"theta": 0.5}).entries[1].schema)
     catalog = find_zero_sets(df)
     assert [len(s.primitive_masks) for s in catalog.sectors] == [3, 3]
-    assert len(_primitive_masks(catalog)) == 6
+    calls = spy_on_mmcs(monkeypatch)
     with mock.patch.object(measure_analysis, "_ALL_PAIRS_MAX", 0):
         joined = find_zero_sets(df)
-    assert [s.primitive_masks for s in joined.sectors] == [None, None]
-    calls = spy_on_mmcs(monkeypatch)
-    sorts = []
-    monkeypatch.setattr(coevents, "sort_masks", lambda *args: sorts.append(args))
+    assert [s.primitive_masks for s in joined.sectors] == [s.primitive_masks
+                                                         for s in catalog.sectors]
+    assert len(calls) == 2
     monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", cap)
-    with pytest.raises(SpaceTooLargeError) as mmcs:
-        enumerate_primitive_coevents(df, joined)
-    assert calls
-    del calls[:]
     with pytest.raises(SpaceTooLargeError) as table:
-        enumerate_primitive_coevents(df, catalog)
-    assert calls == [] and sorts == []
+        find_zero_sets(df)
+    assert len(calls) == 2
+    with mock.patch.object(measure_analysis, "_ALL_PAIRS_MAX", 0):
+        with pytest.raises(SpaceTooLargeError) as mmcs:
+            find_zero_sets(df)
+    assert len(calls) > 2
     assert str(table.value) == str(mmcs.value) == (
         f"co-event search found {cap + 1} primitive co-events, "
         f"above COEVENT_COUNT_LIMIT = {cap}")

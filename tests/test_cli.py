@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,8 @@ import coevent
 from coevent import HistorySchema, Slice, computational_basis, limits
 from coevent.cli import EXIT_BAD_INPUT, EXIT_CAP, EXIT_OK, EXIT_VALIDATION, main
 from coevent.scenarios import build_scenario, schema_to_json
+
+from conftest import planted_coevent_factor
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -180,6 +183,28 @@ def test_df_analyze_reports_product_zero_pair(capsys, tmp_path, composite_golden
     assert report["passed"] is True
     assert report["zero_sets"]["nontrivial"] == [["h11", "h22"]]
     assert {tuple(c["support"]) for c in report["coevents"]} == {("h12",), ("h21",)}
+
+
+def test_df_analyze_planted_coevents(capsys, tmp_path):
+    """A planted DF of 27 histories with five blocks of four, which takes
+    the grid join and MMCS: its report lists the five planted zero events,
+    all maximal, and the 4^5 = 1,024 transversals of the blocks as its
+    co-events."""
+    factor, blocks = planted_coevent_factor(np.random.default_rng(27), 27, [4] * 5)
+    matrix = np.conjugate(factor) @ factor.T
+    path = _write_df(tmp_path, [[[z.real, z.imag] for z in row] for row in matrix.tolist()])
+    code, out, _ = run_cli(capsys, "df", "analyze", "--file", str(path))
+    assert code == EXIT_OK
+    report = json.loads(out)
+    labels = [f"h{i + 1}" for i in range(27)]
+    zeros = {tuple(lab for i, lab in enumerate(labels) if i not in b) for b in blocks}
+    assert report["zero_sets"]["counts"] == {"sectors": 1, "zero_sectorwise": 5,
+                                             "nontrivial": 5, "borderline": 0}
+    assert {tuple(e) for e in report["zero_sets"]["maximal"]} == zeros
+    supports = [tuple(c["support"]) for c in report["coevents"]]
+    assert len(supports) == 1024
+    assert {tuple(sorted(s)) for s in supports} == {
+        tuple(sorted(labels[i] for i in pick)) for pick in itertools.product(*blocks)}
 
 
 def test_df_analyze_invalid_matrix_exits_validation(capsys, tmp_path):

@@ -97,9 +97,9 @@ def test_builds_of_one_structure_share_their_space(monkeypatch):
 
 
 def test_kept_spaces_under_threads():
-    """Eight threads build schemas of twelve slice structures, more than the
-    eight kept, with a short switch interval: every space has its own
-    structure's labels and the cache never holds more than it keeps."""
+    """Eight threads build schemas of twelve outcome label tuples, more than
+    the eight kept, with a short switch interval: every space has its own
+    schema's labels and the cache never holds more than it keeps."""
     schemas = [HistorySchema.from_ket([1.0, 0.0], (Slice(ProjectiveDecomposition(
         np.eye(2), (1, 1), (f"{k}a", f"{k}b"))),)) for k in range(12)]
     failures = []
@@ -125,7 +125,8 @@ def test_kept_spaces_under_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not failures
-    assert len(histories._spaces) <= histories._SPACES_KEPT
+    info = histories._space.cache_info()
+    assert info.currsize <= info.maxsize == 8
 
 
 def test_factor_entry_cap(monkeypatch):

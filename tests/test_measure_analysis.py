@@ -843,12 +843,20 @@ def test_unknown_mode_is_refused_before_the_strings(monkeypatch):
         find_decoherent_partitions(raw_df(np.eye(3) / 3), "strong", 3)
 
 
+def plan_was_kept(n: int, max_cells: int) -> bool:
+    """Whether _plan(n, max_cells) was a hit of the kept plans."""
+    hits = measure_analysis._kept_plan.cache_info().hits
+    measure_analysis._plan(n, max_cells)
+    return measure_analysis._kept_plan.cache_info().hits > hits
+
+
 def test_kept_plans_equal_new_strings():
     """A plan read again is the plan built, and equals a new build of the
     strings, with the cell count of each; both arrays are read-only.  A
-    size is (n, min(max_cells, n)), and at most _PLANS_KEPT sizes are kept,
-    the ones used last."""
-    plans = measure_analysis._plans
+    size is (n, min(max_cells, n)), and at most 8 sizes are kept, the ones
+    used last."""
+    kept = measure_analysis._kept_plan
+    kept.cache_clear()
     for n in range(1, 9):
         for max_cells in range(1, n + 2):
             strings, counts = measure_analysis._plan(n, max_cells)
@@ -857,12 +865,15 @@ def test_kept_plans_equal_new_strings():
             np.testing.assert_array_equal(counts, strings.max(axis=1) + 1)
             assert counts.dtype == np.int8
             assert not strings.flags.writeable and not counts.flags.writeable
-            assert len(plans) <= measure_analysis._PLANS_KEPT
+            assert kept.cache_info().currsize <= kept.cache_info().maxsize == 8
         assert measure_analysis._plan(n, n + 1)[0] is measure_analysis._plan(n, n)[0]
-    assert list(plans) == [(8, k) for k in range(1, 9)]
-    measure_analysis._plan(8, 1)
-    measure_analysis._plan(7, 7)
-    assert list(plans) == [(8, k) for k in range(3, 9)] + [(8, 1), (7, 7)]
+    # Kept, least recently used first: (8, 1) .. (8, 8).  Reading them in
+    # that order keeps that order.
+    assert all(plan_was_kept(8, k) for k in range(1, 9))
+    assert not plan_was_kept(7, 7) and not plan_was_kept(8, 1)
+    # (7, 7) dropped (8, 1), and (8, 1) dropped (8, 2).
+    assert all(plan_was_kept(8, k) for k in range(3, 9))
+    assert plan_was_kept(7, 7) and plan_was_kept(8, 1) and not plan_was_kept(8, 2)
 
 
 def test_changing_returned_strings_leaves_later_searches_alone():
@@ -884,21 +895,23 @@ def test_refused_sizes_are_refused_on_every_call():
     """A refusal is not kept as a plan: a size over PARTITION_COUNT_LIMIT
     is refused again on the next call, before any string exists."""
     df = raw_df(np.eye(12) / 12.0)
+    info = measure_analysis._kept_plan.cache_info()
     for _ in range(2):
         with pytest.raises(SpaceTooLargeError, match="PARTITION_COUNT_LIMIT = 1000000"):
             find_decoherent_partitions(df, "weak", max_cells=12)
-    assert (12, 12) not in measure_analysis._plans
+    assert measure_analysis._kept_plan.cache_info() == info
 
 
 def test_plans_above_step_entries_are_not_kept():
     """The Bell(11) = 678,570 strings of an all-pass weak search are built
-    for that search and not kept: no kept plan holds more than
-    _STEP_ENTRIES strings."""
+    for that search and not kept.  No kept plan holds more than
+    _STEP_ENTRIES strings: the largest, of 10 histories, holds Bell(10)."""
+    info = measure_analysis._kept_plan.cache_info()
     found = find_decoherent_partitions(raw_df(np.eye(11) / 11), "weak", 11)
     assert len(found) == 678570
-    assert (11, 11) not in measure_analysis._plans
-    assert all(len(strings) <= measure_analysis._STEP_ENTRIES
-               for strings, _ in measure_analysis._plans.values())
+    assert measure_analysis._kept_plan.cache_info() == info
+    assert len(measure_analysis._plan(10, 10)[0]) == 115975 <= measure_analysis._STEP_ENTRIES
+    assert plan_was_kept(10, 10)
 
 
 def test_find_decoherent_partitions_composite(composite_golden):

@@ -29,13 +29,14 @@ from coevent import (
     limits,
     raw_df,
 )
-from coevent import measure_analysis
-from coevent.coevents import _minimal_preclusive_masks
-from coevent.histories import HistorySpace, ValidationReport, _made
+from coevent import DecoherenceFunctional, measure_analysis
+from coevent.histories import HistorySpace, ValidationReport, _made, sort_masks
+from coevent.measure_analysis import _minimal_preclusive_masks
 
 from coevent.tolerances import EPS_ZERO
 
-from conftest import brute_measures, brute_primitive_masks, random_amplitude_df
+from conftest import (brute_measures, brute_primitive_masks, planted_coevent_df,
+                      planted_coevent_factor, random_amplitude_df)
 
 
 def brute_minimal_transversals(members, maximal) -> list[int]:
@@ -134,12 +135,13 @@ def assert_both_paths_match_brute(df) -> list[int]:
     """With _ALL_PAIRS_MAX at 0 every sector takes the grid join and MMCS;
     with it far above every sector, each takes the subset tables.  Both give
     the oracle's supports, over the union rule's zero events, in canonical
-    order, which are returned."""
+    order, each sector's in its primitive_masks; the supports are returned."""
     want = brute_primitive_masks(df, union_rule_zeros(df))
-    for top, joined in ((0, True), (1 << 40, False)):
+    for top in (0, 1 << 40):
         with mock.patch.object(measure_analysis, "_ALL_PAIRS_MAX", top):
             catalog = find_zero_sets(df)
-        assert [s.primitive_masks is None for s in catalog.sectors] == [joined] * len(df.sectors())
+        assert [list(s.primitive_masks) for s in catalog.sectors] == [
+            [m for m in want if not m & ~s.sector_mask] for s in catalog.sectors]
         assert [c.mask for c in enumerate_primitive_coevents(df, catalog)] == want
     return want
 
@@ -200,11 +202,27 @@ def test_four_blocks_of_ten_give_ten_thousand_supports():
     assert set(got) == want
 
 
+def two_planted_sectors() -> DecoherenceFunctional:
+    """A DF of two verified sectors of 12 histories, each with blocks of
+    five and five (25 co-events) and its own 10 factor columns, so each
+    takes the grid join: (2 * 20) << 12 entries are above _ALL_PAIRS_MAX."""
+    rng = np.random.default_rng(12)
+    factor = np.zeros((24, 20), dtype=complex)
+    for j in range(2):
+        factor[12 * j:12 * j + 12, 10 * j:10 * j + 10] = (
+            planted_coevent_factor(rng, 12, [5, 5])[0] / math.sqrt(2.0))
+    space = HistorySpace(labels=tuple(f"h{i}" for i in range(24)),
+                         sectors=(("a", (1 << 12) - 1), ("b", ((1 << 12) - 1) << 12)))
+    return DecoherenceFunctional(space, factor)
+
+
 @pytest.mark.parametrize("cap", [9_999, 10_000])
 def test_coevent_count_cap(monkeypatch, cap):
-    """The search stops with SpaceTooLargeError, naming the cap, on the
-    first support past COEVENT_COUNT_LIMIT; 10^4 supports pass a cap of
-    10^4.  The supports found so far count against the cap."""
+    """MMCS stops with SpaceTooLargeError, naming the cap, on the first
+    support past COEVENT_COUNT_LIMIT; 10^4 supports pass a cap of 10^4.
+    Across the sectors of one DF the count is the sum: two grid-join
+    sectors of 25 co-events each pass a cap of 40 in MMCS, and
+    find_zero_sets refuses the 50 with the same message."""
     monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", cap)
     sector, _, maximal = four_blocks_of_ten()
     if cap < 10_000:
@@ -213,5 +231,52 @@ def test_coevent_count_cap(monkeypatch, cap):
             _minimal_preclusive_masks(sector, maximal)
     else:
         assert len(_minimal_preclusive_masks(sector, maximal)) == 10_000
-        with pytest.raises(SpaceTooLargeError):
-            _minimal_preclusive_masks(sector, maximal, [0])
+    df = two_planted_sectors()
+    assert [len(s.primitive_masks) for s in find_zero_sets(df).sectors] == [25, 25]
+    calls = []
+    monkeypatch.setattr(measure_analysis, "_minimal_preclusive_masks",
+                        lambda *args: calls.append(args) or _minimal_preclusive_masks(*args))
+    monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", 40)
+    with pytest.raises(SpaceTooLargeError, match="^co-event search found 41 primitive "
+                                                 "co-events, above COEVENT_COUNT_LIMIT = 40$"):
+        find_zero_sets(df)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed,k,sizes", [
+    (1, 25, [4, 4, 4, 4, 4]),
+    (2, 27, [4, 4, 4, 4, 4]),
+    (3, 30, [5, 5, 5, 5, 5]),
+    (4, 26, [3, 4, 5, 6]),
+    (5, 28, [2] * 10),
+])
+def test_planted_coevents_through_the_pipeline(seed, k, sizes):
+    """Planted DFs of one sector of 25 to 30 histories, past the brute
+    oracles and inside the grid join: raw_df, find_zero_sets and
+    enumerate_primitive_coevents give exactly the planted zero events (each
+    nontrivial and maximal, none borderline) and every transversal of the
+    blocks as a co-event."""
+    df, blocks = planted_coevent_df(np.random.default_rng(seed), k, sizes)
+    full = (1 << k) - 1
+    zeros = sort_masks([full & ~b for b in blocks], k)
+    catalog = find_zero_sets(df)
+    (s,) = catalog.sectors
+    assert list(s.zero_masks) == list(s.nontrivial_masks) == zeros
+    assert list(s.maximal_masks) == zeros[::-1] and s.borderline_masks == ()
+    members = [[1 << i for i in range(k) if b >> i & 1] for b in blocks]
+    want = sort_masks([sum(pick) for pick in product(*members)], k)
+    got = enumerate_primitive_coevents(df, catalog)
+    assert len(got) == math.prod(sizes)
+    assert [c.mask for c in got] == want
+    assert not any(c.classical for c in got)
+
+
+def test_planted_family_size_limits():
+    """ZERO_SET_WORK_LIMIT, which admits a planted sector of 30 histories
+    with 5 blocks (25 factor columns, above), refuses one of 31 with 6."""
+    df, _ = planted_coevent_df(np.random.default_rng(6), 31, [5] * 6)
+    assert df.factor.shape == (31, 25)
+    with pytest.raises(SpaceTooLargeError, match="sector of 31 histories with 25 factor "
+                                                 "columns needs 4915200 table entries, above "
+                                                 "ZERO_SET_WORK_LIMIT = 4194304$"):
+        find_zero_sets(df)
