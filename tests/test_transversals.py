@@ -31,7 +31,6 @@ from coevent import (
 )
 from coevent import DecoherenceFunctional, measure_analysis
 from coevent.histories import HistorySpace, ValidationReport, _made, sort_masks
-from coevent.measure_analysis import _minimal_preclusive_masks
 
 from coevent.tolerances import EPS_ZERO
 
@@ -73,7 +72,7 @@ def sectors_with_maximal_masks(draw):
 @given(sectors_with_maximal_masks())
 def test_minimal_preclusive_masks_match_transversal_oracle(case):
     members, maximal = case
-    got = _minimal_preclusive_masks(sum(1 << i for i in members), maximal)
+    got = measure_analysis._minimal_preclusive_masks(sum(1 << i for i in members), maximal)
     assert sorted(got) == brute_minimal_transversals(members, maximal)
 
 
@@ -196,7 +195,7 @@ def test_four_blocks_of_ten_give_ten_thousand_supports():
     indices 30..69 so the masks straddle the 64-bit boundary.
     """
     sector, blocks, maximal = four_blocks_of_ten()
-    got = _minimal_preclusive_masks(sector, maximal)
+    got = measure_analysis._minimal_preclusive_masks(sector, maximal)
     want = {sum(1 << i for i in pick) for pick in product(*blocks)}
     assert len(got) == len(want) == 10_000
     assert set(got) == want
@@ -225,17 +224,18 @@ def test_coevent_count_cap(monkeypatch, cap):
     find_zero_sets refuses the 50 with the same message."""
     monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", cap)
     sector, _, maximal = four_blocks_of_ten()
+    mmcs = measure_analysis._minimal_preclusive_masks
     if cap < 10_000:
         with pytest.raises(SpaceTooLargeError, match=f"found {cap + 1} primitive co-events, "
                                                      f"above COEVENT_COUNT_LIMIT = {cap}$"):
-            _minimal_preclusive_masks(sector, maximal)
+            mmcs(sector, maximal)
     else:
-        assert len(_minimal_preclusive_masks(sector, maximal)) == 10_000
+        assert len(mmcs(sector, maximal)) == 10_000
     df = two_planted_sectors()
     assert [len(s.primitive_masks) for s in find_zero_sets(df).sectors] == [25, 25]
     calls = []
     monkeypatch.setattr(measure_analysis, "_minimal_preclusive_masks",
-                        lambda *args: calls.append(args) or _minimal_preclusive_masks(*args))
+                        lambda *args: calls.append(args) or mmcs(*args))
     monkeypatch.setattr(limits, "COEVENT_COUNT_LIMIT", 40)
     with pytest.raises(SpaceTooLargeError, match="^co-event search found 41 primitive "
                                                  "co-events, above COEVENT_COUNT_LIMIT = 40$"):
