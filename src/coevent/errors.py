@@ -12,7 +12,7 @@ class NonHermitianError(CoeventError):
 
 
 class SpaceTooLargeError(CoeventError):
-    """A history space or enumeration exceeds its configured cap."""
+    """A history space or enumeration exceeds its cap."""
 
 
 class LabelMismatchError(CoeventError):

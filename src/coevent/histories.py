@@ -28,7 +28,7 @@ from itertools import product, repeat
 import numpy as np
 
 from .errors import LabelMismatchError, ValidationFailedError
-from .limits import MAX_OMEGA_ENV, refuse_above
+from .limits import refuse_above
 from .linalg import (ProjectiveDecomposition, as_complex_matrix, as_ket, dagger, is_unitary,
                      read_only)
 from .tolerances import EPS_DF, ROUNDOFF_FLOOR, gamma
@@ -282,16 +282,15 @@ def enumerate_histories(schema: HistorySchema) -> HistorySpace:
 
     The first slice is the most significant position.  Labels join the
     outcome labels in time order (product_labels), e.g. h_{00xi2} or h_{+0+}.
-    Above the history-space cap or FACTOR_ENTRY_LIMIT (read on every call),
-    SpaceTooLargeError.  Schemas whose slices have the same outcome labels
-    share a kept space, if it has at most 2^12 histories.
+    Above FACTOR_ENTRY_LIMIT (read on every call), SpaceTooLargeError, before
+    any label or array is made.  Schemas whose slices have the same outcome
+    labels share a kept space, if it has at most 2^12 histories.
 
     The final slice is the least significant position, so with d final
     outcomes the sector of outcome f holds every d-th history from f: the
     repunit mask (2^n - 1) / (2^d - 1) shifted left by f.
     """
     n = math.prod(len(s.decomposition) for s in schema.slices)
-    refuse_above(MAX_OMEGA_ENV, n, f"history space has {n} histories")
     d, r = schema.state.shape
     refuse_above("FACTOR_ENTRY_LIMIT", n * r * d, f"branch rows of {n} histories, {r} state "
                  f"columns and dimension {d} have {n * r * d} entries")

@@ -2,24 +2,20 @@
 
 Every enumeration the package runs is bounded by a cap defined here.  Going
 over one raises SpaceTooLargeError (exit code 3 from every command) with the
-message ``<what, with the count>, above <CAP> = <value>``.  Only
-COEVENT_MAX_OMEGA can be changed, by the environment variable of that name,
-and its message adds ``; set COEVENT_MAX_OMEGA to raise it``.
+message ``<what, with the count>, above <CAP> = <value>``.  Every cap is a
+plain constant, and FACTOR_ENTRY_LIMIT is the one gate on a schema's size.
 PARTITION_REPORT_LIMIT is not an error: reports skip the partition listing
 for larger spaces.
 """
 
 from __future__ import annotations
 
-import os
-
 from .errors import SpaceTooLargeError
 
-MAX_OMEGA_ENV = "COEVENT_MAX_OMEGA"
-DEFAULT_MAX_OMEGA = 2**20
 # Complex entries n r d of a schema's branch rows (n histories, r state
-# columns, dimension d), several arrays of which build_df holds at once: two
-# slices of d = 256 (2^24) peaked at 2.6 GB; 20 qubit slices (2^21) pass.
+# columns, dimension d), several arrays of which build_df holds at once, so
+# n <= 2^21 for every d >= 2: two slices of d = 256 (2^24) peaked at 2.6 GB;
+# 21 qubit slices (2^22) pass.
 FACTOR_ENTRY_LIMIT = 2**22
 # Table entries (floats) of one block's zero-set search: the half sums,
 # 2^(k // 2) and 2^(k - k // 2) rows of 2c reals, and the 2^z subsets of its
@@ -58,24 +54,9 @@ SWEEP_STEP_LIMIT = 10_000
 PARTITION_REPORT_LIMIT = 6
 
 
-def max_omega() -> int:
-    """The history-space cap: COEVENT_MAX_OMEGA if set, else 2**20."""
-    raw = os.environ.get(MAX_OMEGA_ENV)
-    if raw is None:
-        return DEFAULT_MAX_OMEGA
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_OMEGA_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{MAX_OMEGA_ENV} must be positive")
-    return cap
-
-
 def refuse_above(cap: str, count: int, what: str) -> None:
     """Raise SpaceTooLargeError when ``count`` is above the cap named ``cap``,
-    read now (COEVENT_MAX_OMEGA: max_omega()), so a test patches it here."""
-    value = max_omega() if cap == MAX_OMEGA_ENV else globals()[cap]
+    read now, so a test patches it here."""
+    value = globals()[cap]
     if count > value:
-        hint = f"; set {MAX_OMEGA_ENV} to raise it" if cap == MAX_OMEGA_ENV else ""
-        raise SpaceTooLargeError(f"{what}, above {cap} = {value}{hint}")
+        raise SpaceTooLargeError(f"{what}, above {cap} = {value}")

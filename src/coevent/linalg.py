@@ -8,6 +8,7 @@ convention (left factor major).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -168,9 +169,9 @@ def build_theta_bases(theta: float) -> tuple[ProjectiveDecomposition, Projective
     That orientation matches the rotating frame of spectral_unitary
     applied to the computational basis, so amplitudes of timed realizations
     differ from the static bases by one global phase instead of per-history
-    signs.  A non-finite theta raises ValueError before any numpy call.
+    signs.  A theta beyond the finite floats raises ValueError before numpy.
     """
-    if not math.isfinite(theta):
+    if not abs(theta) <= sys.float_info.max:
         raise ValueError(f"basis angle must be finite, got {theta!r}")
 
     def rotation(t):

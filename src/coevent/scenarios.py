@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
@@ -190,7 +191,7 @@ def build_scenario(name: str, parameters: dict | None = None) -> ScenarioBuild:
         if isinstance(value, np.generic):
             value = params[req] = value.item()
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
+                or not abs(value) <= sys.float_info.max):
             raise MissingParameterError(
                 f"parameter {req!r} must be a finite real number, got {value!r}")
     for got in params:
@@ -338,7 +339,7 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
         raise ValueError("a sweep needs at least 2 steps")
     refuse_above("SWEEP_STEP_LIMIT", steps, f"sweep of {steps} steps")
     for name, value in (("start", start), ("end", end)):
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:
             raise ValueError(f"sweep {name} must be a finite number, got {value!r}")
     if not end > start:
         raise ValueError("sweep range must satisfy end > start")

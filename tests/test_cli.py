@@ -366,11 +366,12 @@ def test_scenario_validate_non_list_field_fails_validation(capsys, tmp_path, fie
 
 
 def test_enumeration_cap_exits_cap_code(capsys, monkeypatch):
-    monkeypatch.setenv("COEVENT_MAX_OMEGA", "8")
+    """pbr-v2's branch rows have 64 entries, one above a cap of 63."""
+    monkeypatch.setattr(limits, "FACTOR_ENTRY_LIMIT", 63)
     code, _, err = run_cli(capsys, "scenario", "run", "pbr-v2")
     assert code == EXIT_CAP
     assert "cap exceeded" in err
-    assert "COEVENT_MAX_OMEGA = 8" in err
+    assert "have 64 entries, above FACTOR_ENTRY_LIMIT = 63" in err
 
 
 def test_coevent_cap_exits_cap_code(capsys, monkeypatch):
@@ -383,31 +384,28 @@ def test_coevent_cap_exits_cap_code(capsys, monkeypatch):
                    "above COEVENT_COUNT_LIMIT = 2\n")
 
 
-def _write_two_slice_schema(tmp_path, dim, labels=None):
-    """A schema file measuring |0> twice in the computational basis of dim."""
+def _write_basis_schema(tmp_path, dim, labels=None, slices=2):
+    """A schema file measuring |0> in the computational basis of dim, at each
+    of ``slices`` times."""
     basis = Slice(computational_basis(dim, labels))
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(schema_to_json(
-        HistorySchema.from_ket(np.eye(dim)[0], (basis, basis)))))
+        HistorySchema.from_ket(np.eye(dim)[0], (basis,) * slices))))
     return path
 
 
-@pytest.mark.parametrize("max_omega, dim, message", [
-    ("4", None, "history space has 8 histories, above COEVENT_MAX_OMEGA = 4; "
-                "set COEVENT_MAX_OMEGA to raise it"),
-    (None, 256, "branch rows of 65536 histories, 1 state columns and dimension 256 have "
-                "16777216 entries, above FACTOR_ENTRY_LIMIT = 4194304"),
-], ids=["max-omega", "factor-entries"])
-def test_scenario_validate_over_a_cap_exits_cap_code(capsys, tmp_path, monkeypatch,
-                                                     max_omega, dim, message):
+@pytest.mark.parametrize("dim, slices, message", [
+    (2, 22, "branch rows of 4194304 histories, 1 state columns and dimension 2 have "
+            "8388608 entries, above FACTOR_ENTRY_LIMIT = 4194304"),
+    (256, 2, "branch rows of 65536 histories, 1 state columns and dimension 256 have "
+             "16777216 entries, above FACTOR_ENTRY_LIMIT = 4194304"),
+], ids=["qubit-slices", "factor-entries"])
+def test_scenario_validate_over_a_cap_exits_cap_code(capsys, tmp_path, dim, slices, message):
     """scenario validate refuses a schema over a cap as every command does:
-    exit 3, nothing on stdout, one line on stderr.  Two slices of d = 256
-    pass the history cap but not the factor cap, before any array exists."""
-    if max_omega is None:
-        path = _write_two_slice_schema(tmp_path, dim)
-    else:
-        monkeypatch.setenv("COEVENT_MAX_OMEGA", max_omega)
-        path, _ = _write_schema(tmp_path, "appendix-theta", theta=0.7)
+    exit 3, nothing on stdout, one line on stderr.  22 qubit slices (2^22
+    histories) and two slices of d = 256 (2^16) are both refused by the
+    factor cap, before any label or array exists."""
+    path = _write_basis_schema(tmp_path, dim, slices=slices)
     code, out, err = run_cli(capsys, "scenario", "validate", "--file", str(path))
     assert (code, out) == (EXIT_CAP, "")
     assert err == f"enumeration cap exceeded: {message}\n"
@@ -417,7 +415,7 @@ def test_scenario_validate_over_a_cap_exits_cap_code(capsys, tmp_path, monkeypat
 def test_scenario_validate_joins_colliding_labels(capsys, tmp_path, labels, dim):
     """Outcome labels whose concatenations collide pass validation, their
     history labels joined by commas."""
-    path = _write_two_slice_schema(tmp_path, dim, labels)
+    path = _write_basis_schema(tmp_path, dim, labels)
     code, out, _ = run_cli(capsys, "scenario", "validate", "--file", str(path))
     assert code == EXIT_OK
     history_labels = json.loads(out)["history_labels"]
@@ -443,17 +441,20 @@ def test_scenario_validate_reports_the_failed_residuals(capsys, tmp_path):
                                "normalization residual 1.600e-09")
 
 
-def test_bad_label_count_and_cap_setting_exit_bad_input(capsys, tmp_path, monkeypatch):
-    """Two labels for a 1 x 1 matrix, and a COEVENT_MAX_OMEGA of 0, are bad
-    input."""
+def test_bad_label_count_exits_bad_input_and_no_variable_sets_a_cap(capsys, tmp_path,
+                                                                    monkeypatch):
+    """Two labels for a 1 x 1 matrix are bad input.  The package reads no
+    environment variable: COEVENT_MAX_OMEGA, which once set a history cap,
+    leaves the pbr-v2 report byte-identical at 0 and at 8."""
     path = _write_df(tmp_path, [[[1.0, 0.0]]], labels=["a", "b"])
     code, out, err = run_cli(capsys, "df", "analyze", "--file", str(path))
     assert (code, out) == (EXIT_BAD_INPUT, "")
     assert err == "error: 2 history labels for a 1 x 1 decoherence matrix\n"
-    monkeypatch.setenv("COEVENT_MAX_OMEGA", "0")
-    code, out, err = run_cli(capsys, "scenario", "run", "pbr-v1")
-    assert (code, out) == (EXIT_BAD_INPUT, "")
-    assert err == "error: COEVENT_MAX_OMEGA must be positive\n"
+    expected = run_cli(capsys, "scenario", "run", "pbr-v2")
+    assert expected[0] == EXIT_OK
+    for value in ("0", "8"):
+        monkeypatch.setenv("COEVENT_MAX_OMEGA", value)
+        assert run_cli(capsys, "scenario", "run", "pbr-v2") == expected
 
 
 def test_zero_set_caps_exit_cap_code(capsys, tmp_path):
@@ -497,13 +498,18 @@ def test_version_agrees_with_pyproject(capsys):
     assert run_cli(capsys, "--version")[1] == f"coevent, version {declared}\n"
 
 
+def _readme_section(heading: str) -> str:
+    """The README's text after the line ``heading``, up to the next "## "."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_python_api_lists_every_export():
     """The README's "Python API" section lists each name of coevent.__all__
     on a bullet of its own, and no other bare name; each dotted name it
     lists (documented API outside __all__) resolves from the package."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
-    with open(path, encoding="utf-8") as fh:
-        section = fh.read().split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    section = _readme_section("## Python API")
     listed = re.findall(r"^- `([\w.]+)`", section, re.MULTILINE)
     bare = [name for name in listed if "." not in name]
     assert sorted(bare) == sorted(coevent.__all__)
@@ -511,6 +517,17 @@ def test_readme_python_api_lists_every_export():
         obj = coevent
         for part in name.split("."):
             obj = getattr(obj, part)
+
+
+def test_readme_limits_table_gives_every_cap_its_value():
+    """Each row of the README's Limits table names an int constant of
+    coevent.limits and gives its value, and each such constant has a row."""
+    section = _readme_section("### Limits")
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) ", section, re.MULTILINE)
+    assert len(rows) == section.count("\n| `")
+    caps = [(name, value) for name, value in vars(limits).items()
+            if name.isupper() and type(value) is int]
+    assert sorted((name, int(value)) for name, value in rows) == sorted(caps)
 
 
 # "DIR" stands for an existing directory.  Every usage error exits 4 with

@@ -68,27 +68,21 @@ def test_enumeration_order_and_labels():
 
 
 def test_enumeration_size_caps(monkeypatch):
+    """Two qubit slices have 8 branch-row entries, one above a cap of 7."""
     schema = qubit_schema()
-    monkeypatch.setenv("COEVENT_MAX_OMEGA", "3")
-    with pytest.raises(SpaceTooLargeError):
-        enumerate_histories(schema)
-    monkeypatch.setenv("COEVENT_MAX_OMEGA", "not a number")
-    with pytest.raises(ValueError):
+    monkeypatch.setattr(limits, "FACTOR_ENTRY_LIMIT", 7)
+    with pytest.raises(SpaceTooLargeError, match="have 8 entries, above FACTOR_ENTRY_LIMIT = 7"):
         enumerate_histories(schema)
 
 
 def test_builds_of_one_structure_share_their_space(monkeypatch):
     """Two schemas of one slice structure get one HistorySpace, so their
-    Events compare equal; lowering either cap after the first build still
-    refuses the second, since both caps are read on every call."""
+    Events compare equal; lowering the factor cap after the first build still
+    refuses the second, since the cap is read on every call."""
     first, second = qubit_schema(), qubit_schema(ket=(0.6, 0.8))
     a, b = build_df(first), build_df(second)
     assert a.space is b.space is enumerate_histories(first)
     assert Event(a.space, 0b0110) == Event(b.space, 0b0110)
-    monkeypatch.setenv("COEVENT_MAX_OMEGA", "3")
-    with pytest.raises(SpaceTooLargeError, match="history space has 4 histories"):
-        build_df(second)
-    monkeypatch.delenv("COEVENT_MAX_OMEGA")
     monkeypatch.setattr(limits, "FACTOR_ENTRY_LIMIT", 7)
     with pytest.raises(SpaceTooLargeError, match="have 8 entries, above FACTOR_ENTRY_LIMIT"):
         build_df(second)
@@ -130,10 +124,10 @@ def test_kept_spaces_under_threads():
 
 
 def test_factor_entry_cap(monkeypatch):
-    """n r d entries of the branch rows are checked with the history count,
-    before any label exists: 20 qubit slices (2^21 entries) fit the cap and
-    two slices of dimension 256 (2^24) do not; a cap read at call time
-    refuses one entry more than it holds."""
+    """n r d entries of the branch rows are checked before any label exists:
+    20 qubit slices (2^21 entries) fit the cap and two slices of dimension
+    256 (2^24) do not; a cap read at call time refuses one entry more than
+    it holds."""
     assert 2**20 * 2 <= limits.FACTOR_ENTRY_LIMIT < 2**16 * 256
     big = Slice(computational_basis(256))
     with pytest.raises(SpaceTooLargeError, match="^branch rows of 65536 histories, 1 state "

@@ -156,9 +156,13 @@ def test_theta_bases_over_grid():
         )
 
 
-@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("theta", [
+    math.inf, -math.inf, math.nan,
+    pytest.param(10**400, id="10^400"), pytest.param(-10**400, id="-10^400"),
+])
 def test_theta_bases_refuse_a_non_finite_angle(theta):
-    """Refused before numpy's cos can warn (warnings are errors here)."""
+    """Refused before numpy's cos can warn (warnings are errors here), and an
+    int too large for a float before it can raise OverflowError."""
     with pytest.raises(ValueError, match="^basis angle must be finite"):
         build_theta_bases(theta)
 

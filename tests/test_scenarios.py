@@ -93,10 +93,14 @@ def test_build_scenario_rejects_non_real_theta(bad):
 
 
 @pytest.mark.parametrize("name", ["appendix-theta", "appendix-hamiltonian"])
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [
+    math.inf, -math.inf, math.nan,
+    pytest.param(10**400, id="10^400"), pytest.param(-10**400, id="-10^400"),
+])
 def test_run_scenario_rejects_non_finite_theta(name, bad):
     """Refused by name before any numpy work, so no RuntimeWarning (an error
-    under this suite's warning filter) is raised first."""
+    under this suite's warning filter) is raised first; an int too large for
+    a float is refused the same way, not with OverflowError."""
     with pytest.raises(MissingParameterError, match="'theta' must be a finite real number"):
         run_scenario(name, {"theta": bad})
 
@@ -410,6 +414,8 @@ def test_theta_sweep_input_validation():
     (-math.inf, 1.0, "start"),
     (math.nan, 1.0, "start"),
     (0.0, math.nan, "end"),
+    pytest.param(0, 10**400, "end", id="0-10^400-end"),
+    pytest.param(-10**400, 1.0, "start", id="-10^400-1.0-start"),
 ])
 def test_theta_sweep_rejects_non_finite_range(start, end, name):
     with pytest.raises(ValueError, match=f"sweep {name} must be a finite number"):
