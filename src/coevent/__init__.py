@@ -11,7 +11,6 @@ from .errors import (
     CoeventError,
     LabelMismatchError,
     MissingParameterError,
-    NonHermitianError,
     SpaceTooLargeError,
     UnknownScenarioError,
     ValidationFailedError,
@@ -62,7 +61,6 @@ __all__ = [
     "HistorySpace",
     "LabelMismatchError",
     "MissingParameterError",
-    "NonHermitianError",
     "PartitionReport",
     "ProjectiveDecomposition",
     "Slice",

@@ -7,10 +7,6 @@ class CoeventError(Exception):
     """Base class for all domain errors."""
 
 
-class NonHermitianError(CoeventError):
-    """A matrix required to be Hermitian is not, within tolerance."""
-
-
 class SpaceTooLargeError(CoeventError):
     """A history space or enumeration exceeds its cap."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import product, repeat
 
@@ -357,21 +357,19 @@ class DecoherenceFunctional:
     factor V (one row per history): D(i, j) = vdot(V[i], V[j]).
 
     It is validated when it is made and cannot change after.  Made here,
-    ``factor`` is a read-only copy and ``validation`` validate_df's report,
-    and a report given with it is checked, not trusted; the package's own
-    builders hand over a factor just made with its report (_made).  A
-    failing report raises ValidationFailedError."""
+    ``factor`` is a read-only copy and ``validation`` validate_df's report;
+    the package's own builders hand over a factor just made with its report
+    (_made).  A failing report raises ValidationFailedError."""
 
     space: HistorySpace
     factor: np.ndarray
-    validation: ValidationReport | None = None
+    validation: ValidationReport = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factor", read_only(self.factor))
         if self.factor.ndim != 2 or self.factor.shape[0] != self.space.size:
             raise ValueError("factor shape does not match the history space")
-        for report in filter(None, (self.validation, validate_df(self))):
-            _passed(report, "decoherence functional")
+        report = _passed(validate_df(self), "decoherence functional")
         object.__setattr__(self, "validation", report)
 
     @cached_property
@@ -472,13 +470,15 @@ def _leakage_bound(rows: np.ndarray, decs) -> list[float]:
     round-off allowance.  O(n r d^2); the O(d^3) norm is cached on B."""
     owner = decs[0].owner
     k, d = owner.shape
+    rows = np.ascontiguousarray(rows)
     g, r = len(rows), rows.shape[2]
     basis = np.array([dec.basis for dec in decs])
     v = rows.reshape(g, -1, k, r, d)
     owned = (rows.reshape(g, -1, d) @ np.conjugate(basis)).reshape(v.shape) * owner[:, None]
     leak = v - (owned.reshape(g, -1, d) @ basis.transpose(0, 2, 1)).reshape(v.shape)
-    squares = np.square(np.stack((v, leak, owned)).view(np.float64)).sum(axis=(-2, -1))
-    big_v, big_e, big_c = np.sqrt(squares.reshape(3, g, -1).max(axis=2)).tolist()
+    squares = [sum(np.einsum("...ij,...ij->...", part, part) for part in (a.real, a.imag))
+               for a in (v, leak, owned)]
+    big_v, big_e, big_c = np.sqrt([s.reshape(g, -1).max(axis=1) for s in squares]).tolist()
     # Round-off: D(i, j) sums r d products, e_i two of length d, each within gamma
     # of |v_i| |v_j|, at most the largest norm of a sector times that of another.
     peaks = [sorted(p)[-2:] for p in squares[0].max(axis=1).tolist()]

@@ -14,8 +14,8 @@ from .errors import SpaceTooLargeError
 
 # Complex entries n r d of a schema's branch rows (n histories, r state
 # columns, dimension d), several arrays of which build_df holds at once, so
-# n <= 2^21 for every d >= 2: two slices of d = 256 (2^24) peaked at 2.6 GB;
-# 21 qubit slices (2^22) pass.
+# n <= 2^21 for every d >= 2: two slices of d = 256 (2^24) peaked at 1.3 GB;
+# 21 qubit slices (2^22) pass: 535 MB in build_df, 825 MB in scenario validate.
 FACTOR_ENTRY_LIMIT = 2**22
 # Table entries (floats) of one block's zero-set search: the half sums,
 # 2^(k // 2) and 2^(k - k // 2) rows of 2c reals, and the 2^z subsets of its

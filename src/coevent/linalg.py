@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonHermitianError
 from .tolerances import EPS_UNIT
 
 
@@ -49,12 +48,6 @@ def read_only(m) -> np.ndarray:
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(m, -1, -2))
-
-
-def is_hermitian(m: np.ndarray) -> bool:
-    """True for a matrix equal to its adjoint within EPS_UNIT."""
-    m = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(m - dagger(m))) <= EPS_UNIT)
 
 
 def is_unitary(m: np.ndarray) -> bool:
@@ -181,14 +174,6 @@ def build_theta_bases(theta: float) -> tuple[ProjectiveDecomposition, Projective
     # Each basis is checked unitary once, which also checks both columns' norms.
     return (ProjectiveDecomposition(rotation(theta), (1, 1), ("0", "1")),
             ProjectiveDecomposition(rotation(theta + np.pi / 4.0), (1, 1), ("+", "-")))
-
-
-def hermitian_spectrum(h) -> tuple[np.ndarray, np.ndarray]:
-    """The eigh (w, v) of a Hermitian ``h``; NonHermitianError otherwise."""
-    a = as_complex_matrix(h)
-    if not is_hermitian(a):
-        raise NonHermitianError("Hamiltonian must be Hermitian")
-    return np.linalg.eigh(a)
 
 
 def spectral_unitary(spectrum, t: float) -> np.ndarray:

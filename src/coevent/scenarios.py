@@ -37,7 +37,6 @@ from .linalg import (
     build_theta_bases,
     build_xi_basis,
     computational_basis,
-    hermitian_spectrum,
     spectral_unitary,
     tensor,
 )
@@ -129,8 +128,8 @@ def _build_appendix_theta(params: dict) -> ScenarioBuild:
 
 @cache
 def _hamiltonian_spectrum() -> tuple[np.ndarray, np.ndarray]:
-    """The constant Hamiltonian's eigh, checked Hermitian once per process."""
-    return hermitian_spectrum(np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex))
+    """The constant Hermitian Hamiltonian's eigh, once per process."""
+    return np.linalg.eigh(np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex))
 
 
 def _hamiltonian_evolution(t: float) -> np.ndarray:
@@ -343,7 +342,10 @@ def theta_sweep(start: float, end: float, steps: int) -> dict:
             raise ValueError(f"sweep {name} must be a finite number, got {value!r}")
     if not end > start:
         raise ValueError("sweep range must satisfy end > start")
-    grid = [start + (end - start) * i / (steps - 1) for i in range(steps)]
+    try:
+        grid = [start + (end - start) * i / (steps - 1) for i in range(steps)]
+    except OverflowError:  # an int span whose quotient is past the floats
+        grid = [math.inf]
     if not all(map(math.isfinite, grid)):
         raise ValueError(f"sweep range from {start!r} to {end!r} overflows to non-finite points")
     points = []

@@ -252,14 +252,18 @@ def test_a_validated_df_cannot_change():
 
 
 def test_a_given_report_is_checked_not_trusted():
-    """A DF made by hand holds validate_df's report, whatever report it is
-    given: factor [[3.0]] (measure 9.0) fails under a passing report."""
-    passing = ValidationReport(1, 0.0, 0.0, 0.0, None)
+    """A DF made by hand holds validate_df's report and takes none of its
+    own: factor [[3.0]] (measure 9.0) fails, and a report passed as a third
+    argument, or by name, is a TypeError."""
     with pytest.raises(ValidationFailedError, match="normalization residual 8.000e"):
-        DecoherenceFunctional(raw_space(["h1"]), [[3.0]], passing)
-    df = DecoherenceFunctional(raw_space(["h1", "h2"]), [[0.75], [0.25]],
-                               ValidationReport(2, 0.0, 0.0, -1e-12, None))
+        DecoherenceFunctional(raw_space(["h1"]), [[3.0]])
+    df = DecoherenceFunctional(raw_space(["h1", "h2"]), [[0.75], [0.25]])
     assert df.validation == validate_df(df) and df.validation.min_eigenvalue == 0.0
+    passing = ValidationReport(2, 0.0, 0.0, 0.0, None)
+    with pytest.raises(TypeError):
+        DecoherenceFunctional(df.space, df.factor, passing)
+    with pytest.raises(TypeError):
+        DecoherenceFunctional(df.space, df.factor, validation=passing)
 
 
 @pytest.mark.parametrize("factor", [[[np.nan]], [[np.inf]], [[np.nan], [0.5]],
@@ -713,6 +717,24 @@ def test_build_df_on_a_256_outcome_basis_stays_small():
     assert df.validation.passed
     mu = [measure(df, Event(df.space, 1 << i)) for i in range(dim)]
     np.testing.assert_allclose(mu, np.abs(dec.basis[0]) ** 2, atol=1e-12)
+
+
+def test_build_df_of_sixteen_qubit_slices_peaks_under_nine_branch_rows():
+    """2^16 histories of a qubit ket take the leakage bound: each branch's
+    squared norm is summed from views of its real and imaginary parts, not
+    from a squared copy of the branches, so the traced peak, history labels
+    included, stays under 9 times the bytes of the branch rows."""
+    rng = np.random.default_rng(83)
+    slices = [Slice(random_decomposition(rng, 2, ["0", "1"])) for _ in range(16)]
+    schema = HistorySchema.from_ket([1.0, 0.0], slices)
+    tracemalloc.start()
+    try:
+        df = build_df(schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert df.size == 2**16 and df.validation.block_residual <= ROUNDOFF_FLOOR
+    assert peak <= 9 * df.factor.nbytes
 
 
 def test_block_residual_memory_stays_linear_in_sectors():

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from coevent import (
-    NonHermitianError,
     ProjectiveDecomposition,
     build_theta_bases,
     build_xi_basis,
     computational_basis,
     tensor,
 )
-from coevent.linalg import (as_complex_matrix, as_ket, dagger, hermitian_spectrum, is_hermitian,
-                            is_unitary, spectral_unitary)
+from coevent.linalg import as_complex_matrix, as_ket, dagger, is_unitary, spectral_unitary
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -41,8 +39,6 @@ def test_dagger_and_checks():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     np.testing.assert_allclose(dagger(a), a.conj().T)
-    assert is_hermitian(a + dagger(a))
-    assert not is_hermitian(a + dagger(a) + 0.01j * np.eye(4))
     q, _ = np.linalg.qr(a)
     assert is_unitary(q)
     assert not is_unitary(2.0 * q)
@@ -176,7 +172,7 @@ def test_theta_bases_at_zero():
 
 def test_spectral_unitary_closed_form():
     h = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-    spectrum = hermitian_spectrum(h)
+    spectrum = np.linalg.eigh(h)
     np.testing.assert_allclose(spectrum[0], [0.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(spectral_unitary(spectrum, 0.0), np.eye(2), atol=1e-12)
     np.testing.assert_allclose(spectral_unitary(spectrum, np.pi), np.eye(2), atol=1e-12)
@@ -193,15 +189,10 @@ def test_unitary_one_parameter_group():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = a + dagger(a)
         s, t = rng.normal(size=2)
-        spectrum = hermitian_spectrum(h)
+        spectrum = np.linalg.eigh(h)
         u = spectral_unitary(spectrum, s + t)
         np.testing.assert_allclose(
             u, spectral_unitary(spectrum, s) @ spectral_unitary(spectrum, t),
             atol=1e-9,
         )
         assert is_unitary(u)
-
-
-def test_unitary_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))

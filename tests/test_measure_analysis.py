@@ -600,13 +600,14 @@ def test_borderline_band():
 
 
 def test_a_failing_report_makes_no_df():
-    """No DF holds a failed report, so none reaches the zero-set search: the
-    report raw_df rejects a matrix with is refused by the constructor too."""
-    with pytest.raises(ValidationFailedError) as info:
+    """No DF holds a failed report, so none reaches the zero-set search:
+    raw_df refuses a non-Hermitian matrix, and the constructor a zero factor."""
+    with pytest.raises(ValidationFailedError, match="^raw decoherence matrix failed "
+                                                    "validation: hermiticity residual"):
         raw_df(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValidationFailedError, match="^decoherence functional failed "
-                                                    "validation: hermiticity residual"):
-        DecoherenceFunctional(raw_space(["h1", "h2"]), np.zeros((2, 1)), info.value.report)
+                                                    "validation: normalization residual"):
+        DecoherenceFunctional(raw_space(["h1", "h2"]), np.zeros((2, 1)))
 
 
 def test_sector_enumeration_limit():

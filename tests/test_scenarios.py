@@ -422,7 +422,11 @@ def test_theta_sweep_rejects_non_finite_range(start, end, name):
         theta_sweep(start, end, 3)
 
 
-@pytest.mark.parametrize("start,end,steps", [(-1e308, 1e308, 3), (0.0, 1e308, 3)])
+@pytest.mark.parametrize("start,end,steps", [
+    (-1e308, 1e308, 3),
+    (0.0, 1e308, 3),
+    pytest.param(-10**308, 10**308, 3, id="-10^308-10^308-3"),
+])
 def test_theta_sweep_refuses_an_overflowing_range(monkeypatch, start, end, steps):
     """A finite range whose grid overflows is refused by name, before any
     point is built, not as a non-finite angle."""
